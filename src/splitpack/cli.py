@@ -139,7 +139,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         except BudgetExceeded as exc:
             raise _fail(EXIT_BUDGET, f"oracle budget exhausted: {exc}")
 
-    assert not validate_packing(inst, packing)
+    problems = validate_packing(inst, packing)
+    if problems:
+        raise _fail(EXIT_VERIFY, f"solver output is not valid: {problems[0]}")
     if args.output:
         io.save_packing(args.output, packing)
     if args.trace and trace_doc is not None:
@@ -244,7 +246,8 @@ def _experiment_nf(args: argparse.Namespace, writer: "csv.writer") -> None:
             alg_bins = pack_75(inst).n_bins
         else:
             packing, trace = next_fit(inst)
-            assert check_block_inequality(inst, trace)
+            if not check_block_inequality(inst, trace):
+                raise AssertionError("block weight inequality failed on a trace")
             alg_bins = packing.n_bins
         try:
             opt, _ = exact_opt(inst, budget)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -90,7 +91,8 @@ class Instance:
 def _merge_bin(entries: Iterable[tuple[int, Fraction]]) -> BinEntries:
     merged: dict[int, Fraction] = {}
     for item, part in entries:
-        merged[item] = merged.get(item, Fraction(0)) + Fraction(part)
+        got = merged.get(item)
+        merged[item] = Fraction(part) if got is None else got + Fraction(part)
     return tuple(sorted(merged.items()))
 
 
@@ -148,11 +150,22 @@ def validate_packing(inst: Instance, packing: Packing) -> list[str]:
     Checks: known item ids, per-bin cardinality <= k, per-bin capacity <= 1,
     strictly positive parts, exact per-item coverage, and no empty bins.
     """
+    return bin_violations(inst, packing.bins)
+
+
+def bin_violations(
+    inst: Instance, bins: Iterable[Collection[tuple[int, Fraction]]]
+) -> list[str]:
+    """``validate_packing`` on raw bins whose same-item parts are already
+    merged, so a rewrite can check its working bins without building a
+    ``Packing``."""
     violations: list[str] = []
-    for b, entries in enumerate(packing.bins):
+    covered: dict[int, Fraction] = {}
+    for b, entries in enumerate(bins):
         if not entries:
             violations.append(f"empty bin: bin {b} has no parts")
             continue
+        total = None
         for item, part in entries:
             if not (0 <= item < inst.n):
                 violations.append(
@@ -162,14 +175,15 @@ def validate_packing(inst: Instance, packing: Packing) -> list[str]:
                 violations.append(
                     f"positivity: bin {b} item {item} has non-positive part {part}"
                 )
+            got = covered.get(item)
+            covered[item] = part if got is None else got + part
+            total = part if total is None else total + part
         if len(entries) > inst.k:
             violations.append(
                 f"cardinality: bin {b} has {len(entries)} > k={inst.k} parts"
             )
-        total = sum((part for _, part in entries), Fraction(0))
         if total > 1:
             violations.append(f"capacity: bin {b} holds {total} > 1")
-    covered = packing.coverage()
     for item, size in inst.items():
         got = covered.get(item, Fraction(0))
         if got != size:
@@ -212,6 +226,40 @@ def lower_bounds(inst: Instance) -> BoundsReport:
     )
 
 
+class DisjointSets:
+    """Union-find over 0..n-1 with path halving."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, u: int, v: int) -> bool:
+        """Join the sets of u and v; False if they were already one set."""
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self.parent[ru] = rv
+        return True
+
+    def reset(self, members: Iterable[int]) -> None:
+        """Make each member a singleton; members must be whole sets."""
+        for x in members:
+            self.parent[x] = x
+
+
+def is_acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """True iff the non-loop edges over items 0..n-1 form a forest (parallel
+    edges count as cycles; loops never do)."""
+    sets = DisjointSets(n)
+    return all(sets.union(u, v) for u, v in edges if u != v)
+
+
 @dataclass(frozen=True)
 class PackingGraph:
     """Multigraph view of a k=2 packing: nodes are items, one edge per bin.
@@ -219,58 +267,69 @@ class PackingGraph:
     ``edges[j]`` gives bin j's endpoints as (u, v) with u <= v; a single-item
     bin appears as the loop (u, u). Edge position doubles as the bin index,
     which makes the mapping invertible up to bin order.
+
+    Per-item adjacency is indexed once, on the first neighbour query, so
+    ``degree``, ``neighbor_edges`` and ``neighbor_count`` cost O(degree).
+    ``splitpack.normalize`` starts from this index and updates it in place.
+    Each item's edges stay sorted by bin index, the order its rewrites choose
+    by: the first closing bin for a cycle, then the lowest-index small-small
+    edge and a violating small item's two lowest-index edges; over-degree
+    items go top-down in BFS from the lowest-id roots, children in id order.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def _incidence(self) -> tuple[dict[int, list[int]], dict[int, int]]:
+        """Non-loop edge indices per item, ascending, and loop counts."""
+        neighbor_edges: dict[int, list[int]] = {}
+        loops: dict[int, int] = {}
+        for j, (u, v) in enumerate(self.edges):
+            if u == v:
+                loops[u] = loops.get(u, 0) + 1
+            else:
+                neighbor_edges.setdefault(u, []).append(j)
+                neighbor_edges.setdefault(v, []).append(j)
+        return neighbor_edges, loops
+
     def degree(self, item: int) -> int:
         """Number of bins containing a part of the item (loops included)."""
-        return sum(1 for u, v in self.edges if item in (u, v))
+        neighbor_edges, loops = self._incidence
+        return len(neighbor_edges.get(item, ())) + loops.get(item, 0)
 
     def neighbor_edges(self, item: int) -> list[int]:
         """Indices of non-loop edges incident to the item."""
-        return [
-            j for j, (u, v) in enumerate(self.edges) if u != v and item in (u, v)
-        ]
+        return list(self._incidence[0].get(item, ()))
 
     def neighbor_count(self, item: int) -> int:
-        return len(self.neighbor_edges(item))
+        return len(self._incidence[0].get(item, ()))
 
     def is_forest(self) -> bool:
         """True iff the non-loop edges are acyclic (parallel edges count as
         cycles; loops never do)."""
-        parent = list(range(self.n))
+        return is_acyclic(self.n, self.edges)
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for u, v in self.edges:
-            if u == v:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+def _require_k2(inst: Instance) -> None:
+    if inst.k != 2:
+        raise ValueError(f"packing graphs are defined for k=2 only, got k={inst.k}")
 
 
 def graph_of(inst: Instance, packing: Packing) -> PackingGraph:
     """Build the packing graph; defined for k = 2 packings only."""
-    if inst.k != 2:
-        raise ValueError(f"packing graphs are defined for k=2 only, got k={inst.k}")
+    _require_k2(inst)
     problems = validate_packing(inst, packing)
     if problems:
         raise ValueError(f"packing is not valid: {problems[0]}")
+    return unchecked_graph(inst, packing)
+
+
+def unchecked_graph(inst: Instance, packing: Packing) -> PackingGraph:
+    """``graph_of`` for a packing the caller has already validated."""
+    _require_k2(inst)
     edges = []
     for entries in packing.bins:
-        items = [item for item, _ in entries]
-        if len(items) == 1:
-            edges.append((items[0], items[0]))
-        else:
-            u, v = sorted(items)
-            edges.append((u, v))
+        items = sorted(item for item, _ in entries)
+        edges.append((items[0], items[-1]))
     return PackingGraph(n=inst.n, edges=tuple(edges))

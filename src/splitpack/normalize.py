@@ -16,98 +16,117 @@ Three transformations, each preserving validity and item coverage exactly:
   moving the other down a level.
 
 Only remove_cycles may reduce the bin count; the other two keep it fixed.
+
+Choice order. Each rewrite picks its next target by bin index or item id
+alone, never by dict order, so its output is fully determined:
+
+- remove_cycles scans bins in index order, joining the endpoints of each
+  two-item bin in a union-find; the first bin whose endpoints are already
+  joined closes the next cycle, which runs along the unique path between
+  them through earlier bins.
+- smalls_to_leaves first collapses small-small edges that have a non-leaf
+  endpoint, lowest bin index first; then it fixes violating small items,
+  lowest item id first, each at its two lowest-index edge bins.
+- bound_degrees takes over-degree items top-down in BFS order: roots by
+  ascending id, children in id order.
+
+Cost. The rewrites share one packing-graph index, built once from
+``PackingGraph`` and updated in place: each item's edge bins (the two-item
+bins holding it) as a list sorted by bin index. No rewrite rescans the
+packing. remove_cycles resumes its scan at the closing bin and re-joins
+only the tree it cut; smalls_to_leaves needs one forward scan per phase,
+because no rewrite creates a new collapse candidate or raises a small item's
+neighbor count; bound_degrees is one resumable sweep, since a merge at x
+rewires only edges below x. Beyond the edge-list updates (O(degree) each)
+and the tree each cycle lies in, the work is near-linear in the bin count.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+from collections import deque
 from fractions import Fraction
+from typing import Iterator
 
 from .core import (
+    DisjointSets,
     Instance,
     ItemClass,
     Packing,
+    bin_violations,
     classify,
-    graph_of,
+    is_acyclic,
     size_type,
+    unchecked_graph,
     validate_packing,
 )
 
-WorkBins = list[dict[int, Fraction]]
 
+class _Work:
+    """A k = 2 packing rewritten in place, with its packing-graph index.
 
-def _to_work(inst: Instance, packing: Packing) -> tuple[WorkBins, list[str]]:
-    if inst.k != 2:
-        raise ValueError(f"normalization is defined for k=2 only, got k={inst.k}")
-    problems = validate_packing(inst, packing)
-    if problems:
-        raise ValueError(f"packing is not valid: {problems[0]}")
-    bins = [dict(entries) for entries in packing.bins]
-    return bins, list(packing.labels)
+    ``bins[b]`` maps item to part, or is None once bin b has been emptied;
+    later bins keep their indices, so index order stays bin order.
+    ``edge_bins[i]`` lists the two-item bins holding item i, ascending.
+    """
 
+    def __init__(self, inst: Instance, packing: Packing) -> None:
+        if inst.k != 2:
+            raise ValueError(
+                f"normalization is defined for k=2 only, got k={inst.k}"
+            )
+        problems = validate_packing(inst, packing)
+        if problems:
+            raise ValueError(f"packing is not valid: {problems[0]}")
+        self.inst = inst
+        self.bins: list[dict[int, Fraction] | None] = [
+            dict(entries) for entries in packing.bins
+        ]
+        self.labels = list(packing.labels)
+        graph = unchecked_graph(inst, packing)
+        self.edge_bins = [graph.neighbor_edges(item) for item in range(inst.n)]
 
-def _from_work(bins: WorkBins, labels: list[str]) -> Packing:
-    return Packing.build([list(b.items()) for b in bins], labels)
+    def other(self, b: int, item: int) -> int:
+        for other in self.bins[b]:
+            if other != item:
+                return other
+        raise AssertionError("expected a two-item bin")
 
+    def edges_before(self, item: int, limit: int) -> Iterator[tuple[int, int]]:
+        """(neighbor, bin) for each of the item's edge bins below limit."""
+        for b in self.edge_bins[item]:
+            if b >= limit:
+                return
+            yield self.other(b, item), b
 
-def _require_acyclic(inst: Instance, packing: Packing) -> None:
-    if not graph_of(inst, packing).is_forest():
-        raise ValueError("packing graph must be acyclic")
+    def unlink(self, b: int, item: int) -> None:
+        """Drop bin b from the item's edge bins."""
+        edge_bins = self.edge_bins[item]
+        del edge_bins[bisect.bisect_left(edge_bins, b)]
 
+    def link(self, b: int, item: int) -> None:
+        bisect.insort(self.edge_bins[item], b)
 
-def _edge_bins(bins: WorkBins, item: int) -> list[int]:
-    """Indices of two-item bins containing the item, in bin order."""
-    return [b for b, entries in enumerate(bins) if item in entries and len(entries) == 2]
+    def require_forest(self) -> None:
+        edges = (tuple(b) for b in self.bins if b is not None and len(b) == 2)
+        if not is_acyclic(self.inst.n, edges):
+            raise ValueError("packing graph must be acyclic")
 
+    def check(self) -> None:
+        """The checks a rewrite makes on its input: a valid, acyclic packing."""
+        live = [b.items() for b in self.bins if b is not None]
+        problems = bin_violations(self.inst, live)
+        if problems:
+            raise ValueError(f"packing is not valid: {problems[0]}")
+        self.require_forest()
 
-def _other_item(entries: dict[int, Fraction], item: int) -> int:
-    for other in entries:
-        if other != item:
-            return other
-    raise AssertionError("expected a two-item bin")
-
-
-def _find_cycle(bins: WorkBins) -> tuple[list[int], list[int]] | None:
-    """First cycle by bin index: returns (items, cycle_bins) where
-    cycle_bins[j] holds items[j] and items[(j+1) % t]."""
-    n_items = max((max(b) for b in bins if b), default=-1) + 1
-    parent = list(range(n_items))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for b, entries in enumerate(bins):
-        if len(entries) != 2:
-            continue
-        u, v = sorted(entries)
-        if find(u) == find(v):
-            # Closing bin found; recover the u-v path through accepted edges.
-            prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
-            queue = [u]
-            while queue and v not in prev:
-                nxt = []
-                for node in queue:
-                    for other, via in adjacency.get(node, ()):
-                        if other not in prev:
-                            prev[other] = (node, via)
-                            nxt.append(other)
-                queue = nxt
-            path_items = [v]
-            path_bins: list[int] = []
-            node = v
-            while node != u:
-                node, via = prev[node]
-                path_items.append(node)
-                path_bins.append(via)
-            path_items.reverse()  # u ... v
-            path_bins.reverse()  # connecting consecutive path items
-            return path_items, path_bins + [b]
-        parent[find(u)] = find(v)
-        adjacency.setdefault(u, []).append((v, b))
-        adjacency.setdefault(v, []).append((u, b))
-    return None
+    def packing(self) -> Packing:
+        live = [b for b in range(len(self.bins)) if self.bins[b] is not None]
+        return Packing.build(
+            [list(self.bins[b].items()) for b in live],
+            [self.labels[b] for b in live],
+        )
 
 
 def remove_cycles(inst: Instance, packing: Packing) -> Packing:
@@ -116,65 +135,133 @@ def remove_cycles(inst: Instance, packing: Packing) -> Packing:
     Bin count never increases; it drops when a cycle bin can be emptied into
     the two adjacent cycle bins.
     """
-    bins, labels = _to_work(inst, packing)
-    while True:
-        found = _find_cycle(bins)
-        if found is None:
-            break
-        items, cycle = found
-        t = len(cycle)
+    work = _Work(inst, packing)
+    _remove_cycles(work)
+    return work.packing()
 
-        def bin_total(b: int) -> Fraction:
-            return sum(bins[b].values(), Fraction(0))
 
-        # Try to empty the lightest cycle bin into its two cycle neighbors.
-        order = sorted(range(t), key=lambda j: (bin_total(cycle[j]), cycle[j]))
-        emptied = False
-        for j in order:
-            b_mid = cycle[j]
-            left_item = items[j]
-            right_item = items[(j + 1) % t]
-            b_left = cycle[(j - 1) % t]
-            b_right = cycle[(j + 1) % t]
-            part_left = bins[b_mid][left_item]
-            part_right = bins[b_mid][right_item]
-            if t == 2:
-                fits = 1 - bin_total(b_left) >= part_left + part_right
-            else:
-                fits = (
-                    1 - bin_total(b_left) >= part_left
-                    and 1 - bin_total(b_right) >= part_right
-                )
-            if fits:
-                bins[b_left][left_item] += part_left
-                bins[b_right][right_item] += part_right
-                del bins[b_mid]
-                del labels[b_mid]
-                emptied = True
-                break
-        if emptied:
+def _remove_cycles(work: _Work) -> None:
+    bins = work.bins
+    sets = DisjointSets(work.inst.n)
+    b = 0
+    while b < len(bins):
+        entries = bins[b]
+        if entries is None or len(entries) != 2:
+            b += 1
             continue
-        # Otherwise rotate mass around the cycle; bin totals stay put and the
-        # smallest entry on the decreasing side hits zero.
-        forward = [(bins[cycle[j]][items[(j + 1) % t]], j) for j in range(t)]
-        backward = [(bins[cycle[j]][items[j]], j) for j in range(t)]
-        if min(forward)[0] <= min(backward)[0]:
-            delta = min(forward)[0]
-            for j in range(t):
-                mover = items[(j + 1) % t]
-                bins[cycle[j]][mover] -= delta
-                bins[cycle[(j + 1) % t]][mover] += delta
+        u, v = sorted(entries)
+        if sets.union(u, v):
+            b += 1
+            continue
+        items, cycle = _cycle_through(work, u, v, b)
+        _break_cycle(work, items, cycle)
+        # Breaking the cycle only removed edges of its tree, so the bins
+        # before b still form a forest: split that tree's sets, re-join what
+        # is left of it and rescan from b.
+        tree = _tree_before(work, items, b)
+        sets.reset(tree)
+        for node in tree:
+            for other, _ in work.edges_before(node, b):
+                sets.union(node, other)
+
+
+def _tree_before(work: _Work, roots: list[int], limit: int) -> set[int]:
+    """Items reachable from the roots through two-item bins before limit."""
+    seen = set(roots)
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        for other, _ in work.edges_before(node, limit):
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return seen
+
+
+def _cycle_through(
+    work: _Work, u: int, v: int, closing: int
+) -> tuple[list[int], list[int]]:
+    """The cycle closed by bin ``closing``: returns (items, cycle_bins) where
+    cycle_bins[j] holds items[j] and items[(j+1) % t], items[0] = u and
+    items[-1] = v. The bins before ``closing`` form a forest, so the u-v path
+    through them is unique."""
+    prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
+    queue = [u]
+    while queue and v not in prev:
+        nxt = []
+        for node in queue:
+            for other, via in work.edges_before(node, closing):
+                if other not in prev:
+                    prev[other] = (node, via)
+                    nxt.append(other)
+        queue = nxt
+    path_items = [v]
+    path_bins: list[int] = []
+    node = v
+    while node != u:
+        node, via = prev[node]
+        path_items.append(node)
+        path_bins.append(via)
+    path_items.reverse()  # u ... v
+    path_bins.reverse()  # connecting consecutive path items
+    return path_items, path_bins + [closing]
+
+
+def _break_cycle(work: _Work, items: list[int], cycle: list[int]) -> None:
+    bins = work.bins
+    t = len(cycle)
+
+    def bin_total(b: int) -> Fraction:
+        return sum(bins[b].values(), Fraction(0))
+
+    # Try to empty the lightest cycle bin into its two cycle neighbors.
+    order = sorted(range(t), key=lambda j: (bin_total(cycle[j]), cycle[j]))
+    for j in order:
+        b_mid = cycle[j]
+        left_item = items[j]
+        right_item = items[(j + 1) % t]
+        b_left = cycle[(j - 1) % t]
+        b_right = cycle[(j + 1) % t]
+        part_left = bins[b_mid][left_item]
+        part_right = bins[b_mid][right_item]
+        if t == 2:
+            fits = 1 - bin_total(b_left) >= part_left + part_right
         else:
-            delta = min(backward)[0]
-            for j in range(t):
-                mover = items[j]
-                bins[cycle[j]][mover] -= delta
-                bins[cycle[(j - 1) % t]][mover] += delta
-        for b in cycle:
-            zero = [i for i, part in bins[b].items() if part == 0]
+            fits = (
+                1 - bin_total(b_left) >= part_left
+                and 1 - bin_total(b_right) >= part_right
+            )
+        if fits:
+            bins[b_left][left_item] += part_left
+            bins[b_right][right_item] += part_right
+            bins[b_mid] = None
+            work.unlink(b_mid, left_item)
+            work.unlink(b_mid, right_item)
+            return
+    # Otherwise rotate mass around the cycle; bin totals stay put and the
+    # smallest entry on the decreasing side hits zero.
+    forward = [(bins[cycle[j]][items[(j + 1) % t]], j) for j in range(t)]
+    backward = [(bins[cycle[j]][items[j]], j) for j in range(t)]
+    if min(forward)[0] <= min(backward)[0]:
+        delta = min(forward)[0]
+        for j in range(t):
+            mover = items[(j + 1) % t]
+            bins[cycle[j]][mover] -= delta
+            bins[cycle[(j + 1) % t]][mover] += delta
+    else:
+        delta = min(backward)[0]
+        for j in range(t):
+            mover = items[j]
+            bins[cycle[j]][mover] -= delta
+            bins[cycle[(j - 1) % t]][mover] += delta
+    for b in cycle:
+        zero = [i for i, part in bins[b].items() if part == 0]
+        if zero:
+            # The other entry gained mass, so the bin becomes a loop.
+            for i in bins[b]:
+                work.unlink(b, i)
             for i in zero:
                 del bins[b][i]
-    return _from_work(bins, labels)
 
 
 def smalls_to_leaves(inst: Instance, packing: Packing) -> Packing:
@@ -186,69 +273,63 @@ def smalls_to_leaves(inst: Instance, packing: Packing) -> Packing:
     equal slice of the second neighbor or, when that neighbor's part is even
     smaller, moves in outright.
     """
-    bins, labels = _to_work(inst, packing)
-    _require_acyclic(inst, _from_work(bins, labels))
-    small = [classify(s) is ItemClass.SMALL for s in inst.sizes]
+    work = _Work(inst, packing)
+    work.require_forest()
+    _smalls_to_leaves(work)
+    return work.packing()
 
-    def separate_pair(s: int, u: int, shared: int) -> None:
-        for b in list(_edge_bins(bins, s)):
-            if b == shared:
-                continue
-            bins[shared][s] += bins[b].pop(s)
-        for b in list(_edge_bins(bins, u)):
-            if b == shared:
-                continue
-            bins[shared][u] += bins[b].pop(u)
 
-    while True:
-        # One pass over the bins indexes every item's edge bins.
-        edge_bins_of: dict[int, list[int]] = {}
-        for b, entries in enumerate(bins):
-            if len(entries) == 2:
-                for item in entries:
-                    edge_bins_of.setdefault(item, []).append(b)
-        # Small-small edges with a non-leaf endpoint collapse first, so every
-        # remaining violator only has bigger neighbors.
-        acted = False
-        for b, entries in enumerate(bins):
-            if len(entries) != 2:
-                continue
-            u, v = sorted(entries)
-            if small[u] and small[v] and (
-                len(edge_bins_of[u]) > 1 or len(edge_bins_of[v]) > 1
-            ):
-                separate_pair(u, v, b)
-                acted = True
-                break
-        if acted:
+def _smalls_to_leaves(work: _Work) -> None:
+    bins, edge_bins = work.bins, work.edge_bins
+    small = [classify(s) is ItemClass.SMALL for s in work.inst.sizes]
+    # No rewrite below adds a small-small edge or a neighbor of a small item:
+    # a collapse only turns edges into loops, and a violator's neighbors are
+    # not small (else its edge to them would still be a collapse candidate).
+    # So a bin or item that fails its test now fails it for good, and each
+    # phase is one forward scan.
+    for shared, entries in enumerate(bins):
+        if entries is None or len(entries) != 2:
             continue
-        violator = -1
-        for item in range(inst.n):
-            if small[item] and len(edge_bins_of.get(item, ())) >= 2:
-                violator = item
-                break
-        if violator < 0:
-            break
-        s = violator
-        b1, b2 = edge_bins_of[s][:2]
-        o2 = _other_item(bins[b2], s)
-        s1 = bins[b1][s]
-        w2 = bins[b2][o2]
-        if s1 <= w2:
-            # Trade: an s1-sized slice of the second neighbor fills the hole
-            # in bin 1; both bin totals are unchanged.
-            del bins[b1][s]
-            bins[b1][o2] = bins[b1].get(o2, Fraction(0)) + s1
-            bins[b2][o2] -= s1
-            if bins[b2][o2] == 0:
-                del bins[b2][o2]
-            bins[b2][s] += s1
-        else:
-            # w2 < s1 <= 1/2 and the s parts sum to at most 1/2, so bin 2
-            # takes the part outright.
-            del bins[b1][s]
-            bins[b2][s] += s1
-    return _from_work(bins, labels)
+        u, v = sorted(entries)
+        if not (small[u] and small[v]):
+            continue
+        if len(edge_bins[u]) > 1 or len(edge_bins[v]) > 1:
+            for item in (u, v):
+                for b in edge_bins[item]:
+                    if b != shared:
+                        entries[item] += bins[b].pop(item)
+                        work.unlink(b, next(iter(bins[b])))
+                edge_bins[item] = [shared]
+    for s in range(work.inst.n):
+        if not small[s]:
+            continue
+        while len(edge_bins[s]) >= 2:
+            b1, b2 = edge_bins[s][:2]
+            o2 = work.other(b2, s)
+            s1 = bins[b1][s]
+            w2 = bins[b2][o2]
+            if s1 <= w2:
+                # Trade: an s1-sized slice of the second neighbor fills the
+                # hole in bin 1; both bin totals are unchanged. Bin 1 cannot
+                # hold o2 already: the graph has no parallel edges.
+                del bins[b1][s]
+                work.unlink(b1, s)
+                bins[b1][o2] = s1
+                work.link(b1, o2)
+                bins[b2][o2] -= s1
+                if bins[b2][o2] == 0:
+                    del bins[b2][o2]
+                    work.unlink(b2, o2)
+                    work.unlink(b2, s)
+                bins[b2][s] += s1
+            else:
+                # w2 < s1 <= 1/2 and the s parts sum to at most 1/2, so bin 2
+                # takes the part outright.
+                o1 = work.other(b1, s)
+                del bins[b1][s]
+                work.unlink(b1, s)
+                work.unlink(b1, o1)
+                bins[b2][s] += s1
 
 
 def bound_degrees(inst: Instance, packing: Packing) -> Packing:
@@ -261,90 +342,100 @@ def bound_degrees(inst: Instance, packing: Packing) -> Packing:
     capacity; small neighbors are never sliced (two small parts share a bin
     without slicing), so leaf status of small items survives.
     """
-    bins, labels = _to_work(inst, packing)
-    _require_acyclic(inst, _from_work(bins, labels))
+    work = _Work(inst, packing)
+    work.require_forest()
+    _bound_degrees(work)
+    return work.packing()
 
-    while True:
-        target = _first_over_degree(inst, bins)
-        if target is None:
-            break
-        x, down_bins = target
-        down = sorted(
-            (bins[b][x], b, _other_item(bins[b], x)) for b in down_bins
-        )
-        xp, b_p, partner_p = down[0]
-        xq, b_q, partner_q = down[1]
+
+def _bound_degrees(work: _Work) -> None:
+    # A merge at x rewires only edges below x, and a subtree it cuts loose
+    # has a larger minimum id than the current root. So the BFS order of the
+    # nodes already visited never changes: fixing x where it stands and then
+    # continuing visits items in the order a restart after every merge would.
+    inst, edge_bins = work.inst, work.edge_bins
+    seen = [False] * inst.n
+    for root in range(inst.n):
+        if seen[root] or not edge_bins[root]:
+            continue
+        seen[root] = True
+        queue: deque[tuple[int, int]] = deque([(root, -1)])
+        while queue:
+            x, up_bin = queue.popleft()
+            bracket = size_type(inst.sizes[x])
+            if bracket >= 2:
+                allowed_down = bracket if up_bin == -1 else bracket - 1
+                _merge_down_parts(work, x, up_bin, allowed_down)
+            children = sorted(
+                (work.other(b, x), b) for b in edge_bins[x] if b != up_bin
+            )
+            for other, b in children:
+                if not seen[other]:
+                    seen[other] = True
+                    queue.append((other, b))
+
+
+def _merge_down_parts(work: _Work, x: int, up_bin: int, allowed_down: int) -> None:
+    """Merge x's two smallest down parts until at most allowed_down remain."""
+    bins = work.bins
+    sizes = work.inst.sizes
+    if len(work.edge_bins[x]) - (up_bin != -1) <= allowed_down:
+        return
+    # A sorted list is a valid min-heap.
+    down = sorted(
+        (bins[b][x], b, work.other(b, x)) for b in work.edge_bins[x] if b != up_bin
+    )
+    while len(down) > allowed_down:
+        xp, b_p, partner_p = heapq.heappop(down)
+        xq, b_q, partner_q = heapq.heappop(down)
         # Prefer slicing a non-small partner; the smaller-part bin's partner
         # is sliced when both qualify.
-        slice_first = (b_p, partner_p, xp)
-        carry = (b_q, partner_q, xq)
-        if classify(inst.sizes[partner_p]) is ItemClass.SMALL and classify(
-            inst.sizes[partner_q]
+        slice_first = (b_p, partner_p)
+        carry = (b_q, partner_q)
+        if classify(sizes[partner_p]) is ItemClass.SMALL and classify(
+            sizes[partner_q]
         ) is not ItemClass.SMALL:
-            slice_first, carry = (b_q, partner_q, xq), (b_p, partner_p, xp)
-        b_d, partner_d, _ = slice_first
-        b_c, partner_c, _ = carry
+            slice_first, carry = carry, slice_first
+        b_d, partner_d = slice_first
+        b_c, partner_c = carry
         w_d = bins[b_d][partner_d]
         w_c = bins[b_c][partner_c]
         delta = max(Fraction(0), w_d + w_c - 1)
         # Carrier bin keeps x (parts merged); donor bin keeps its partner's
         # remainder plus the carried neighbor. Both stay within capacity:
-        # the two original bins sum to at most 2.
+        # the two original bins sum to at most 2. The remainder w_d - delta
+        # is 1 - w_c > 0, as the carrier bin also held part of x.
         del bins[b_c][partner_c]
+        work.unlink(b_c, partner_c)
         bins[b_c][x] = xp + xq
         del bins[b_d][x]
+        work.unlink(b_d, x)
         if delta > 0:
             bins[b_c][partner_d] = delta
+            work.link(b_c, partner_d)
             bins[b_d][partner_d] = w_d - delta
-            if bins[b_d][partner_d] == 0:
-                del bins[b_d][partner_d]
+            heapq.heappush(down, (xp + xq, b_c, partner_d))
+        else:
+            work.unlink(b_c, x)
         bins[b_d][partner_c] = w_c
-    return _from_work(bins, labels)
-
-
-def _first_over_degree(
-    inst: Instance, bins: WorkBins
-) -> tuple[int, list[int]] | None:
-    """First item (top-down, then by id) whose neighbor count exceeds its
-    size type; returns it with its down-edge bins."""
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for b, entries in enumerate(bins):
-        if len(entries) != 2:
-            continue
-        u, v = sorted(entries)
-        adjacency.setdefault(u, []).append((v, b))
-        adjacency.setdefault(v, []).append((u, b))
-    seen: set[int] = set()
-    for root in range(inst.n):
-        if root in seen or root not in adjacency:
-            continue
-        queue: list[tuple[int, int]] = [(root, -1)]
-        seen.add(root)
-        while queue:
-            node, up_bin = queue.pop(0)
-            down = [b for _, b in adjacency.get(node, ()) if b != up_bin]
-            bracket = size_type(inst.sizes[node])
-            if bracket >= 2:
-                allowed_down = bracket if up_bin == -1 else bracket - 1
-                if len(down) > allowed_down:
-                    return node, down
-            for other, b in sorted(adjacency.get(node, ())):
-                if b != up_bin and other not in seen:
-                    seen.add(other)
-                    queue.append((other, b))
-    return None
+        work.link(b_d, partner_c)
 
 
 def normalize(inst: Instance, packing: Packing) -> Packing:
     """remove_cycles, then smalls_to_leaves, then bound_degrees.
 
     All three post-conditions hold on the result and the composition is
-    idempotent up to bin order.
+    idempotent up to bin order. The steps rewrite one working copy and share
+    its index, making their choices in the order the module docstring states;
+    between steps the copy is checked as each public step checks its input.
     """
-    out = remove_cycles(inst, packing)
-    out = smalls_to_leaves(inst, out)
-    out = bound_degrees(inst, out)
-    return out
+    work = _Work(inst, packing)
+    _remove_cycles(work)
+    work.check()
+    _smalls_to_leaves(work)
+    work.check()
+    _bound_degrees(work)
+    return work.packing()
 
 
 def normalization_violations(inst: Instance, packing: Packing) -> list[str]:
@@ -352,7 +443,7 @@ def normalization_violations(inst: Instance, packing: Packing) -> list[str]:
     problems = validate_packing(inst, packing)
     if problems:
         return problems
-    graph = graph_of(inst, packing)
+    graph = unchecked_graph(inst, packing)
     out = []
     if not graph.is_forest():
         out.append("graph has a cycle")

@@ -1,9 +1,11 @@
+import ast
 import json
 import subprocess
 import sys
 
 import pytest
 
+from splitpack import cli
 from splitpack import io as spio
 from splitpack.cli import main
 
@@ -357,3 +359,38 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "solve" in result.stdout
+
+
+def test_solve_rejects_invalid_output_under_optimize(nf_worst_files, tmp_path):
+    # The output check must be a real check, not an assert that -O strips.
+    inst, _ = nf_worst_files
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from splitpack import Packing, cli\n"
+        "assert False, 'asserts are live'\n"
+        "real = cli.next_fit\n"
+        "def broken(inst):\n"
+        "    _, trace = real(inst)\n"
+        "    return Packing.build([[(0, Fraction(1, 2))]]), trace\n"
+        "cli.next_fit = broken\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, "solve", "--algo", "nf",
+         "--input", str(inst), "--output", str(tmp_path / "out.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 5, result.stderr
+    assert "solver output is not valid: coverage" in result.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_has_no_assert_statements():
+    # python -O strips assert statements, so the CLI gates with explicit
+    # checks that raise instead.
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -194,3 +195,16 @@ def test_normalize_keeps_optimal_bin_count():
         out = normalize(inst, witness)
         assert normalization_violations(inst, out) == []
         assert out.n_bins == opt
+
+
+def test_normalize_golden_10k_items():
+    # Output recorded with the original scan-and-restart rewrites (kept in
+    # reference_normalize); any change in choice order changes the hash.
+    inst = gen_random(10_000, 2, "mixed", seed=20261017)
+    packing, _ = next_fit(inst)
+    out = normalize(inst, packing)
+    assert out.n_bins == 7986
+    assert hashlib.sha256(repr(out.key()).encode()).hexdigest() == (
+        "7d972a423c235d67a8f405e516e9e29f7d74d13ebf73ae6e10889ab2da813a4f"
+    )
+    assert normalization_violations(inst, out) == []
