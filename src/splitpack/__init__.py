@@ -8,6 +8,8 @@ generators.
 from .core import (
     BoundsReport,
     Instance,
+    InternalError,
+    InvalidPackingError,
     ItemClass,
     Packing,
     PackingGraph,
@@ -53,6 +55,8 @@ __all__ = [
     "FlowNetwork",
     "IncidenceStructure",
     "Instance",
+    "InternalError",
+    "InvalidPackingError",
     "ItemClass",
     "NfTrace",
     "Packing",

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .core import (
     Instance,
+    InternalError,
     ItemClass,
     Packing,
     classify,
@@ -327,7 +328,8 @@ def pack_75(
             bins.append(entries)
             labels.append(StepLabel.S3)
     else:
-        assert not stream, "mediums remain although small items are unpacked"
+        if stream:
+            raise InternalError("mediums remain although small items are unpacked")
         tail_bins, tail_labels = large_into_smalls(smalls_left, larges)
         bins.extend(tail_bins)
         labels.extend(tail_labels)
@@ -344,7 +346,8 @@ def pack_75(
 
     packing = Packing.build(bins, labels)
     problems = validate_packing(inst, packing)
-    assert not problems, f"algorithm produced an invalid packing: {problems[0]}"
+    if problems:
+        raise InternalError(f"algorithm produced an invalid packing: {problems[0]}")
     counts: dict[str, int] = {}
     for lab in packing.labels:
         counts[lab] = counts.get(lab, 0) + 1

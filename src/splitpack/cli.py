@@ -18,7 +18,14 @@ from typing import Sequence
 
 from . import io
 from .algo75 import pack_75
-from .core import Instance, Packing, lower_bounds, validate_packing
+from .core import (
+    Instance,
+    InternalError,
+    InvalidPackingError,
+    Packing,
+    lower_bounds,
+    validate_packing,
+)
 from .exact import BudgetExceeded, SearchBudget, exact_opt, feasible_in
 from .generators import (
     DISTRIBUTIONS,
@@ -118,7 +125,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             run_inst = Instance(k=inst.k, sizes=tuple(order))
         packing, trace = next_fit(run_inst)
         if not check_block_inequality(run_inst, trace):
-            raise AssertionError("block weight inequality failed on a trace")
+            raise InternalError("block weight inequality failed on a trace")
         trace_doc = {
             "blocks": [list(span) for span in trace.blocks],
             "close_reasons": [r.value for r in trace.close_reasons],
@@ -201,12 +208,12 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     packing = _load_packing(args.input)
     if inst.k != 2:
         raise _fail(EXIT_USAGE, f"normalize requires k=2, instance has k={inst.k}")
-    violations = validate_packing(inst, packing)
-    if violations:
-        for line in violations:
+    try:
+        result = normalize(inst, packing)
+    except InvalidPackingError as exc:
+        for line in exc.violations:
             print(line)
         return EXIT_VERIFY
-    result = normalize(inst, packing)
     if args.check:
         problems = normalization_violations(inst, result)
         if problems or result.n_bins > packing.n_bins:
@@ -247,7 +254,7 @@ def _experiment_nf(args: argparse.Namespace, writer: "csv.writer") -> None:
         else:
             packing, trace = next_fit(inst)
             if not check_block_inequality(inst, trace):
-                raise AssertionError("block weight inequality failed on a trace")
+                raise InternalError("block weight inequality failed on a trace")
             alg_bins = packing.n_bins
         try:
             opt, _ = exact_opt(inst, budget)

@@ -23,6 +23,26 @@ BinEntries = tuple[tuple[int, Fraction], ...]
 DEFAULT_LABEL = "bin"
 
 
+class InternalError(AssertionError):
+    """A solver broke one of its own invariants: a bug, never bad input.
+
+    Raised by explicit checks that stay active under ``python -O``. It is an
+    ``AssertionError`` so that callers catching those keep working.
+    """
+
+
+class InvalidPackingError(ValueError):
+    """A packing handed to a rewrite or graph view is not valid.
+
+    ``violations`` is the full ``validate_packing`` list; the message quotes
+    its first entry.
+    """
+
+    def __init__(self, violations: Sequence[str]):
+        super().__init__(f"packing is not valid: {violations[0]}")
+        self.violations = list(violations)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer or decimal strings into an exact rational.
 
@@ -321,7 +341,7 @@ def graph_of(inst: Instance, packing: Packing) -> PackingGraph:
     _require_k2(inst)
     problems = validate_packing(inst, packing)
     if problems:
-        raise ValueError(f"packing is not valid: {problems[0]}")
+        raise InvalidPackingError(problems)
     return unchecked_graph(inst, packing)
 
 

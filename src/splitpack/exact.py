@@ -1,18 +1,31 @@
 """Brute-force exact optimum for desk-scale instances.
 
-The search enumerates incidence structures (which items may place a part in
-which bin) and tests each structure with an exact max-flow feasibility check.
-Bins are unordered and items of equal size interchangeable, so structures are
-deduplicated by a canonical relabeling; per-item degree needs prune dead
-branches early. The search ascends from the combined lower bound, so the
-first feasible bin count is optimal by construction.
+Some optimal packing has a forest as its bipartite item-bin incidence graph,
+for every k: around any cycle, shift mass alternately between the item-bin
+incidences until a part reaches zero. Bin totals and item coverage stay the
+same and the part count only falls (the acyclic support of a basic
+transportation solution). So one search serves every k. A structure is a
+forest F of multi-item bins, each holding 2..min(k, n) items, completed by
+single-item bins ("loops"). Loops never close a cycle, so the forest only
+has to be acyclic in its multi-item bins.
 
-For k = 2 a structure is a multigraph on the items and the enumeration may
-restrict itself to forests plus loops: any packing can be rewritten cycle by
-cycle without using more bins, so the restriction loses nothing. For k >= 3
-general structures are enumerated with no structural assumption beyond a
-dominance rule: adding an item to a bin's allowed set never hurts, so only
-structures whose bins allow min(k, n) items each need testing.
+The search ascends from the combined lower bound, so the first feasible bin
+count is optimal by construction. At level B it walks the forests depth
+first over candidate bins ordered by (-sum of ceil(size), bin size, item
+tuple) and accepts the first forest F with |F| + minloops(F) <= B. minloops
+is one post-order pass over the tree on integers scaled by the common
+denominator (``_min_loops``). A branch is cut when its items still need more
+parts than the bins left can hold, or when even the best merges left cannot
+bring |F| + minloops(F) down to B: a d-item bin lowers that sum by at most
+d - 1. Both cuts are sound, so the accepted forest is the first one in
+candidate order.
+
+The witness gives each item the loops its part count needs and hands out the
+remaining loops in the first split, in ``_extra_loop_splits`` order, that
+completes the forest; a max-flow then realises the structure as parts.
+
+One budget node is one forest the search visits or one loop split the
+witness tries.
 
 Validated heuristic packings serve as upper bounds: a valid packing is a
 certificate, so the search only has to exhaust the levels below it.
@@ -29,7 +42,9 @@ from typing import Iterator, Sequence
 
 from .core import (
     EMPTY_PACKING,
+    DisjointSets,
     Instance,
+    InternalError,
     Packing,
     lower_bounds,
     validate_packing,
@@ -37,8 +52,6 @@ from .core import (
 from .nextfit import next_fit
 
 EXACT_LABEL = "exact"
-
-_PERM_CAP = 1000  # skip symmetry dedup when the relabeling group is larger
 
 BUDGET_ENV_VAR = "SPLITPACK_BUDGET"
 
@@ -55,8 +68,8 @@ class BudgetExceeded(Exception):
 class SearchBudget:
     """Resource limits for the exhaustive search.
 
-    max_structures counts search nodes: enumeration branch points plus every
-    candidate structure examined.
+    max_structures counts search nodes: every forest the level search visits
+    plus every loop split tried while building a witness.
     """
 
     max_items: int = 8
@@ -110,23 +123,6 @@ class IncidenceStructure:
             for item in b:
                 deg[item] += 1
         return deg
-
-    def canonical_key(
-        self, perms: Sequence[Sequence[int]]
-    ) -> tuple[tuple[int, ...], ...]:
-        """Minimal relabeling over the given item permutations (all of which
-        must preserve sizes); identity-only groups make this a no-op."""
-        if len(perms) <= 1:
-            return self.bins
-        best = None
-        for perm in perms:
-            mapped = tuple(
-                sorted(tuple(sorted(perm[i] for i in b)) for b in self.bins)
-            )
-            if best is None or mapped < best:
-                best = mapped
-        assert best is not None
-        return best
 
 
 # ---------------------------------------------------------------------------
@@ -242,86 +238,77 @@ def feasible(inst: Instance, structure: IncidenceStructure) -> Packing | None:
 
 
 # ---------------------------------------------------------------------------
-# Fast feasibility for forest-plus-loops structures (k = 2).
+# The min-loop tree DP.
 #
-# On a tree, absorbing as much of each item as possible into its own loop
-# bins and already-priced child edges before pushing the remainder up to the
-# parent edge is optimal, so one post-order pass decides feasibility.
+# Root each tree of the forest at an item and work upwards. An item fills the
+# room its child bins leave, then its own loops, and pushes what is left
+# into its parent bin; pushing the least possible, with the fewest loops, is
+# never worse for the ancestors, because one more loop absorbs any push. A
+# bin whose children push more than it holds gives one more loop each to its
+# largest pushers until the rest fit, which both needs the fewest loops and
+# leaves its parent the most room.
 
 
-def _forest_feasible(
-    scaled_sizes: Sequence[int],
+def _min_loops(
+    scaled: Sequence[int],
     cap: int,
-    edges: Sequence[tuple[int, int]],
-    loops: Sequence[int],
-) -> bool:
-    n = len(scaled_sizes)
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    push = [0] * n
+    forest: Sequence[Sequence[int]],
+    base: Sequence[int],
+) -> int:
+    """Fewest loops to add to base[i] loops per item i so that the forest's
+    multi-item bins and the loops hold every item; sizes are scaled by cap.
+    Zero means the structure with exactly base loops is feasible."""
+    n = len(scaled)
+    item_bins: list[list[int]] = [[] for _ in range(n)]
+    for b, members in enumerate(forest):
+        for i in members:
+            item_bins[i].append(b)
+    pushes: list[list[int]] = [[] for _ in forest]
     seen = [False] * n
+    loops = 0
     for root in range(n):
         if seen[root]:
             continue
-        order: list[tuple[int, int]] = []
-        stack = [(root, -1)]
-        seen[root] = True
-        while stack:
-            node, parent = stack.pop()
-            order.append((node, parent))
-            for other in neighbors[node]:
-                if not seen[other]:
-                    seen[other] = True
-                    stack.append((other, node))
-        for node, parent in reversed(order):
-            room = loops[node] * cap
-            for other in neighbors[node]:
-                if parent != -1 and other == parent:
+        if not item_bins[root]:
+            excess = scaled[root] - base[root] * cap
+            if excess > 0:
+                loops += -(-excess // cap)
+            continue
+        order = [(root, -1)]
+        for i, up in order:  # breadth first: parents before children
+            seen[i] = True
+            for b in item_bins[i]:
+                if b != up:
+                    for j in forest[b]:
+                        if j != i:
+                            order.append((j, b))
+        for i, up in reversed(order):
+            excess = scaled[i] - base[i] * cap
+            for b in item_bins[i]:
+                if b == up:
                     continue
-                room += cap - push[other]
-            overflow = scaled_sizes[node] - room
-            if parent == -1:
-                if overflow > 0:
-                    return False
-                push[node] = 0
-            else:
-                push[node] = max(0, overflow)
-                if push[node] > cap:
-                    return False
-    return True
+                held = pushes[b]
+                total = sum(held)
+                if total > cap:
+                    held.sort(reverse=True)
+                    for push in held:
+                        total -= push
+                        loops += 1
+                        if total <= cap:
+                            break
+                excess -= cap - total
+            if excess > 0:
+                whole = -(-excess // cap)
+                if up == -1:
+                    loops += whole
+                else:
+                    loops += whole - 1
+                    pushes[up].append(excess - (whole - 1) * cap)
+    return loops
 
 
 # ---------------------------------------------------------------------------
-# Structure enumeration.
-
-
-def _size_perms(sizes: Sequence[Fraction]) -> list[tuple[int, ...]]:
-    """All item relabelings that permute equal sizes among themselves, or just
-    the identity when the group would be too large to enumerate."""
-    groups: dict[Fraction, list[int]] = {}
-    for i, s in enumerate(sizes):
-        groups.setdefault(s, []).append(i)
-    total = 1
-    for members in groups.values():
-        total *= math.factorial(len(members))
-        if total > _PERM_CAP:
-            return [tuple(range(len(sizes)))]
-    if total == 1:
-        return [tuple(range(len(sizes)))]
-    perms: list[tuple[int, ...]] = []
-    group_lists = [members for members in groups.values() if len(members) > 1]
-    fixed = list(range(len(sizes)))
-    for combo in itertools.product(
-        *(itertools.permutations(members) for members in group_lists)
-    ):
-        mapping = fixed[:]
-        for members, permuted in zip(group_lists, combo):
-            for src, dst in zip(members, permuted):
-                mapping[src] = dst
-        perms.append(tuple(mapping))
-    return perms
+# The forest search.
 
 
 def _extra_loop_splits(extra: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -351,223 +338,114 @@ class _Counter:
             )
 
 
-def _forest_level(
-    inst: Instance,
-    n_bins: int,
-    counter: _Counter,
-) -> IncidenceStructure | None:
-    """First feasible forest-plus-loops structure with exactly n_bins bins.
+class _ForestSearch:
+    """The level search of one instance, sharing one node budget."""
 
-    Edges are tried in order of decreasing item need so structures that cover
-    hungry items appear early; a slack bound prunes branches that can no
-    longer satisfy every item's minimum part count. The cheap tree check
-    decides each candidate, so no symmetry dedup is worth its cost here.
-    """
-    n = inst.n
-    ceils = [math.ceil(s) for s in inst.sizes]
-    total_need = sum(ceils)
-    min_edges = max(0, total_need - n_bins)
-    max_edges = min(n_bins, n - 1)
-    if min_edges > max_edges:
-        return None
-    cap = math.lcm(1, *(s.denominator for s in inst.sizes))
-    scaled = [int(s * cap) for s in inst.sizes]
-    all_edges = sorted(
-        ((i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda e: (-(ceils[e[0]] + ceils[e[1]]), e),
-    )
+    def __init__(self, inst: Instance, counter: _Counter):
+        n = inst.n
+        self.inst = inst
+        self.counter = counter
+        self.width = min(inst.k, n)
+        self.ceils = [math.ceil(s) for s in inst.sizes]
+        self.cap = math.lcm(1, *(s.denominator for s in inst.sizes))
+        self.scaled = [s.numerator * (self.cap // s.denominator) for s in inst.sizes]
+        ceils = self.ceils
+        self.candidates = sorted(
+            (
+                members
+                for size in range(2, self.width + 1)
+                for members in itertools.combinations(range(n), size)
+            ),
+            key=lambda members: (
+                -sum(ceils[i] for i in members),
+                len(members),
+                members,
+            ),
+        )
 
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    deg = [0] * n
-    chosen: list[tuple[int, int]] = []
-
-    def examine() -> IncidenceStructure | None:
-        need = [max(0, ceils[i] - deg[i]) for i in range(n)]
-        extra = n_bins - len(chosen) - sum(need)
-        if extra < 0:
+    def level(self, n_bins: int) -> Packing | None:
+        """A witness with at most n_bins bins, or None when none exists."""
+        forest = self._first_forest(n_bins)
+        if forest is None:
             return None
-        for bump in _extra_loop_splits(extra, n):
-            loops = [need[i] + bump[i] for i in range(n)]
-            counter.tick()
-            if _forest_feasible(scaled, cap, chosen, loops):
-                return IncidenceStructure.build(
-                    list(chosen)
-                    + [(i,) for i in range(n) for _ in range(loops[i])]
-                )
-        return None
+        return self._witness(forest, n_bins)
 
-    def recurse(start: int, need_sum: int) -> IncidenceStructure | None:
-        counter.tick()
-        # Every future edge frees at most one loop slot net of its own bin.
-        slack = n_bins - len(chosen) - need_sum
-        if slack + (max_edges - len(chosen)) < 0:
-            return None
-        if slack >= 0 and len(chosen) >= min_edges:
-            hit = examine()
-            if hit is not None:
-                return hit
-        if len(chosen) == max_edges:
-            return None
-        if len(chosen) + (len(all_edges) - start) < min_edges:
-            return None
-        for t in range(start, len(all_edges)):
-            u, v = all_edges[t]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            parent[ru] = rv
-            relief = (1 if deg[u] < ceils[u] else 0) + (
-                1 if deg[v] < ceils[v] else 0
-            )
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append((u, v))
-            hit = recurse(t + 1, need_sum - relief)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-            parent[ru] = ru
-            if hit is not None:
-                return hit
-        return None
+    def _first_forest(self, n_bins: int) -> list[tuple[int, ...]] | None:
+        n = self.inst.n
+        width = self.width
+        ceils = self.ceils
+        scaled = self.scaled
+        cap = self.cap
+        candidates = self.candidates
+        tick = self.counter.tick
+        no_loops = [0] * n
+        sets = DisjointSets(n)
+        deg = [0] * n
+        chosen: list[tuple[int, ...]] = []
 
-    return recurse(0, total_need)
-
-
-def _subset_sums(sizes: Sequence[Fraction]) -> list[Fraction]:
-    n = len(sizes)
-    sums = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + sizes[low.bit_length() - 1]
-    return sums
-
-
-def _hall_feasible(
-    n: int, bin_masks: list[int], subset_sums: list[Fraction]
-) -> bool:
-    """Cut condition for the structure flow: every item subset S must be
-    reachable by enough bins, sum(sizes in S) <= #bins meeting S."""
-    full = 1 << n
-    cnt = [0] * full
-    for m in bin_masks:
-        cnt[m] += 1
-    for b in range(n):
-        bit = 1 << b
-        for mask in range(full):
-            if mask & bit:
-                cnt[mask] += cnt[mask ^ bit]
-    n_bins = len(bin_masks)
-    for s in range(1, full):
-        if subset_sums[s] > n_bins - cnt[(full - 1) ^ s]:
-            return False
-    return True
-
-
-def _general_level(
-    inst: Instance,
-    n_bins: int,
-    symmetry: bool,
-    maximal_only: bool,
-    counter: _Counter,
-) -> IncidenceStructure | None:
-    """First feasible general structure with exactly n_bins bins.
-
-    With maximal_only, every bin allows min(k, n) items: allowing more items
-    never breaks feasibility, so checking only the densest bins decides the
-    level. Without it all nonempty bins of at most k items are enumerated.
-    Symmetry pruning deduplicates structures equal up to permuting items of
-    equal size; it engages only while the relabeling group stays small.
-    """
-    n = inst.n
-    k = inst.k
-    ceils = [math.ceil(s) for s in inst.sizes]
-    width = min(k, n)
-    if maximal_only:
-        candidates = list(itertools.combinations(range(n), width))
-        if n_bins * width < sum(ceils):
-            return None
-    else:
-        candidates = [
-            c
-            for size in range(1, width + 1)
-            for c in itertools.combinations(range(n), size)
-        ]
-    perms = _size_perms(inst.sizes) if symmetry else [tuple(range(n))]
-    if len(perms) > 120:
-        perms = [tuple(range(n))]
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    sums = _subset_sums(inst.sizes)
-    total = sums[(1 << n) - 1]
-    deg = [0] * n
-    chosen: list[tuple[int, ...]] = []
-    masks: list[int] = []
-
-    def recurse(start: int) -> IncidenceStructure | None:
-        counter.tick()
-        remaining = n_bins - len(chosen)
-        deficiency = 0
-        for i in range(n):
-            gap = ceils[i] - deg[i]
-            if gap > remaining:
+        def recurse(start: int, need: int, merges_left: int):
+            left = n_bins - len(chosen)
+            used = len(chosen) + _min_loops(scaled, cap, chosen, no_loops)
+            if used <= n_bins:
+                return list(chosen)
+            if used - min(merges_left, left * (width - 1)) > n_bins:
                 return None
-            if gap > 0:
-                deficiency += gap
-        if remaining * k < deficiency:
+            # Each bin left holds at most `width` of the parts still needed.
+            most = (left - 1) * width
+            root = [sets.find(i) for i in range(n)]
+            for t in range(start, len(candidates)):
+                members = candidates[t]
+                if len({root[i] for i in members}) < len(members):
+                    continue
+                tick()
+                relief = 0
+                for i in members:
+                    if deg[i] < ceils[i]:
+                        relief += 1
+                if need - relief > most:
+                    continue
+                saved = sets.parent[:]
+                for i in members[1:]:
+                    sets.union(members[0], i)
+                for i in members:
+                    deg[i] += 1
+                chosen.append(members)
+                hit = recurse(t + 1, need - relief, merges_left - len(members) + 1)
+                chosen.pop()
+                for i in members:
+                    deg[i] -= 1
+                sets.parent[:] = saved
+                if hit is not None:
+                    return hit
             return None
-        if remaining == 0:
-            structure = IncidenceStructure.build(chosen)
-            if len(perms) > 1:
-                key = structure.canonical_key(perms)
-                if key in seen:
-                    return None
-                seen.add(key)
-            if not _hall_feasible(n, masks, sums):
-                return None
-            value, _ = FlowNetwork(inst.sizes, structure).max_flow()
-            assert value == total, "flow disagrees with the cut condition"
-            return structure
-        for t in range(start, len(candidates)):
-            members = candidates[t]
-            chosen.append(members)
-            masks.append(sum(1 << i for i in members))
+
+        tick()
+        need = sum(ceils)
+        if need > n_bins * width:
+            return None
+        return recurse(0, need, n - 1)
+
+    def _witness(self, forest: list[tuple[int, ...]], n_bins: int) -> Packing:
+        n = self.inst.n
+        deg = [0] * n
+        for members in forest:
             for i in members:
                 deg[i] += 1
-            hit = recurse(t)
-            chosen.pop()
-            masks.pop()
-            for i in members:
-                deg[i] -= 1
-            if hit is not None:
-                return hit
-        return None
-
-    return recurse(0)
-
-
-def _search_level(
-    inst: Instance,
-    n_bins: int,
-    forest: bool,
-    symmetry: bool,
-    maximal_only: bool,
-    counter: _Counter,
-) -> Packing | None:
-    if forest:
-        structure = _forest_level(inst, n_bins, counter)
-    else:
-        structure = _general_level(inst, n_bins, symmetry, maximal_only, counter)
-    if structure is None:
-        return None
-    packing = feasible(inst, structure)
-    assert packing is not None, "level search accepted an infeasible structure"
-    return packing
+        need = [max(0, c - d) for c, d in zip(self.ceils, deg)]
+        extra = n_bins - len(forest) - sum(need)
+        for bump in _extra_loop_splits(extra, n):
+            self.counter.tick()
+            loops = [need[i] + bump[i] for i in range(n)]
+            if _min_loops(self.scaled, self.cap, forest, loops) != 0:
+                continue
+            structure = IncidenceStructure.build(
+                forest + [(i,) for i in range(n) for _ in range(loops[i])]
+            )
+            packing = feasible(self.inst, structure)
+            if packing is None:
+                raise InternalError("max-flow rejects a structure the tree DP accepts")
+            return packing
+        raise InternalError("no loop split completes an accepted forest")
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +484,9 @@ def _upper_bound_packing(inst: Instance) -> Packing:
     nf_packing, _ = next_fit(inst)
     ffd_packing = _first_fit_split(inst)
     best = min((nf_packing, ffd_packing), key=lambda p: p.n_bins)
-    assert not validate_packing(inst, best), "heuristic produced an invalid packing"
+    problems = validate_packing(inst, best)
+    if problems:
+        raise InternalError(f"heuristic produced an invalid packing: {problems[0]}")
     return best
 
 
@@ -622,7 +502,8 @@ def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
             for e, (item, part) in enumerate(entries):
                 if best is None or part > best[0]:
                     best = (part, b, e, item)
-        assert best is not None, "cannot pad an empty packing"
+        if best is None:
+            raise InternalError("cannot pad an empty packing")
         part, b, e, item = best
         half = part / 2
         bins[b][e] = (item, part - half)
@@ -636,18 +517,12 @@ def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
 
 
 def exact_opt(
-    inst: Instance,
-    budget: SearchBudget | None = None,
-    *,
-    forest_only: bool | None = None,
-    symmetry: bool = True,
-    maximal_only: bool = True,
+    inst: Instance, budget: SearchBudget | None = None
 ) -> tuple[int, Packing]:
     """Minimum feasible bin count plus a witness packing.
 
     The search ascends from the combined lower bound and stops at the first
-    feasible level, so the result is optimal. forest_only defaults to k == 2;
-    for k >= 3 general structures are enumerated.
+    feasible level, so the result is optimal.
     """
     budget = budget or SearchBudget.from_env()
     if inst.n > budget.max_items:
@@ -660,13 +535,10 @@ def exact_opt(
     upper = _upper_bound_packing(inst)
     if upper.n_bins == lb:
         return lb, upper
-    forest = inst.k == 2 if forest_only is None else forest_only
-    if forest and inst.k != 2:
-        raise ValueError("forest enumeration is only sound for k=2")
-    counter = _Counter(budget.max_structures)
+    search = _ForestSearch(inst, _Counter(budget.max_structures))
     top = min(upper.n_bins - 1, budget.max_bins)
     for n_bins in range(lb, top + 1):
-        witness = _search_level(inst, n_bins, forest, symmetry, maximal_only, counter)
+        witness = search.level(n_bins)
         if witness is not None:
             return n_bins, witness
     if upper.n_bins - 1 <= budget.max_bins:
@@ -677,13 +549,7 @@ def exact_opt(
 
 
 def feasible_in(
-    inst: Instance,
-    n_bins: int,
-    budget: SearchBudget | None = None,
-    *,
-    forest_only: bool | None = None,
-    symmetry: bool = True,
-    maximal_only: bool = True,
+    inst: Instance, n_bins: int, budget: SearchBudget | None = None
 ) -> Packing | None:
     """Decision variant: a valid packing with exactly n_bins bins, or None.
 
@@ -710,12 +576,9 @@ def feasible_in(
     upper = _upper_bound_packing(inst)
     if upper.n_bins <= n_bins:
         return _pad_to(inst, upper, n_bins)
-    forest = inst.k == 2 if forest_only is None else forest_only
-    if forest and inst.k != 2:
-        raise ValueError("forest enumeration is only sound for k=2")
-    counter = _Counter(budget.max_structures)
+    search = _ForestSearch(inst, _Counter(budget.max_structures))
     for level in range(lb, n_bins + 1):
-        witness = _search_level(inst, level, forest, symmetry, maximal_only, counter)
+        witness = search.level(level)
         if witness is not None:
             return _pad_to(inst, witness, n_bins)
     return None

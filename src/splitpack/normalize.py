@@ -52,6 +52,8 @@ from typing import Iterator
 from .core import (
     DisjointSets,
     Instance,
+    InternalError,
+    InvalidPackingError,
     ItemClass,
     Packing,
     bin_violations,
@@ -78,7 +80,7 @@ class _Work:
             )
         problems = validate_packing(inst, packing)
         if problems:
-            raise ValueError(f"packing is not valid: {problems[0]}")
+            raise InvalidPackingError(problems)
         self.inst = inst
         self.bins: list[dict[int, Fraction] | None] = [
             dict(entries) for entries in packing.bins
@@ -91,7 +93,7 @@ class _Work:
         for other in self.bins[b]:
             if other != item:
                 return other
-        raise AssertionError("expected a two-item bin")
+        raise InternalError("expected a two-item bin")
 
     def edges_before(self, item: int, limit: int) -> Iterator[tuple[int, int]]:
         """(neighbor, bin) for each of the item's edge bins below limit."""
@@ -428,6 +430,7 @@ def normalize(inst: Instance, packing: Packing) -> Packing:
     idempotent up to bin order. The steps rewrite one working copy and share
     its index, making their choices in the order the module docstring states;
     between steps the copy is checked as each public step checks its input.
+    An invalid input raises ``InvalidPackingError`` with every violation.
     """
     work = _Work(inst, packing)
     _remove_cycles(work)

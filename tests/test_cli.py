@@ -1,5 +1,6 @@
 import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -196,6 +197,35 @@ def test_normalize_command(tmp_path, capsys):
     assert spio.load_packing(str(out_file)).n_bins == 2
 
 
+def test_normalize_reports_every_violation_of_an_invalid_input(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    packing = tmp_path / "packing.json"
+    inst.write_text('{"k": 2, "items": ["2/3", "2/3", "1/2"]}')
+    packing.write_text(
+        json.dumps(
+            {
+                "bins": [
+                    [{"item": 0, "part": "2/3"}, {"item": 1, "part": "1/2"}],
+                    [{"item": 1, "part": "1/3"}],
+                ]
+            }
+        )
+    )
+    code, out, err = run_cli(
+        "normalize", "--input", str(packing), "--instance", str(inst),
+        "--output", str(tmp_path / "out.json"), "--check",
+        capsys=capsys,
+    )
+    assert code == 5
+    assert out == (
+        "capacity: bin 0 holds 7/6 > 1\n"
+        "coverage: item 1 covered 5/6 of 2/3\n"
+        "coverage: item 2 covered 0 of 1/2\n"
+    )
+    assert err == ""
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_experiment_nf_ratio_deterministic(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -388,9 +418,17 @@ def test_solve_rejects_invalid_output_under_optimize(nf_worst_files, tmp_path):
 
 
 def test_cli_has_no_assert_statements():
-    # python -O strips assert statements, so the CLI gates with explicit
-    # checks that raise instead.
-    with open(cli.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    # python -O strips assert statements, so the CLI and every module it
+    # drives gate with explicit checks that raise instead.
+    package = pathlib.Path(cli.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 9
+    asserts = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
     assert asserts == []

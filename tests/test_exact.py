@@ -1,9 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+import reference_exact as ref
 from splitpack import (
     BudgetExceeded,
     FlowNetwork,
@@ -19,8 +21,10 @@ from splitpack import (
     lower_bounds,
     next_fit,
     pack_75,
+    three_partition_brute,
     validate_packing,
 )
+from splitpack.exact import _extra_loop_splits, _min_loops
 
 
 def test_feasible_realizes_chain():
@@ -161,39 +165,9 @@ def test_exact_at_most_heuristics():
             assert opt <= pack_75(inst).n_bins
 
 
-def test_forest_matches_general_enumeration():
-    rng = random.Random(5)
-    for _ in range(80):
-        inst = gen_random(rng.randint(1, 5), 2, "mixed", seed=rng.randrange(2**30))
-        restricted, _ = exact_opt(inst, forest_only=True)
-        unrestricted, _ = exact_opt(inst, forest_only=False, maximal_only=False)
-        assert restricted == unrestricted
-
-
-def test_symmetry_pruning_never_changes_opt():
-    rng = random.Random(9)
-    for _ in range(60):
-        k = rng.choice([2, 3])
-        n = rng.randint(1, 4)
-        # duplicated sizes make the relabeling group nontrivial
-        base = gen_random(max(1, n // 2 + 1), k, "uniform", seed=rng.randrange(2**30))
-        sizes = (base.sizes * 2)[:n]
-        inst = Instance(k=k, sizes=sizes)
-        pruned, _ = exact_opt(inst, forest_only=False, symmetry=True)
-        plain, _ = exact_opt(inst, forest_only=False, symmetry=False)
-        assert pruned == plain
-
-
 def test_structure_degree_helpers():
     structure = IncidenceStructure.build([(0, 1), (1,), (1, 2)])
     assert structure.degrees(3) == [1, 3, 1]
-    identity = (0, 1, 2)
-    swap = (2, 1, 0)
-    key = structure.canonical_key([identity, swap])
-    assert key == min(
-        structure.bins,
-        tuple(sorted(tuple(sorted(swap[i] for i in b)) for b in structure.bins)),
-    )
 
 
 def test_exact_respects_worst_family_certificates():
@@ -201,3 +175,214 @@ def test_exact_respects_worst_family_certificates():
         inst, certified = gen_nf_worst(k, m)
         opt, _ = exact_opt(inst)
         assert opt == certified.n_bins == m * k
+
+
+# ---------------------------------------------------------------------------
+# The forest oracle against the reference search in ``reference_exact``.
+
+
+def _drawn(seed, trials, draw):
+    rng = random.Random(seed)
+    return [draw(rng) for _ in range(trials)]
+
+
+def _acceptance(k, max_n, dist, trials, seed):
+    # the corpora of tests/test_acceptance.py, drawn the same way
+    return _drawn(
+        seed,
+        trials,
+        lambda rng: gen_random(rng.randint(0, max_n), k, dist, seed=rng.randrange(2**30)),
+    )
+
+
+def _heavy(rng):
+    k = rng.choice([2, 3, 4])
+    return gen_random(rng.randint(0, 8), k, "heavy", seed=rng.randrange(2**30))
+
+
+def _random_n8(rng):
+    k = rng.choice([2, 3, 4])
+    dist = rng.choice(["uniform", "mixed", "heavy"])
+    return gen_random(rng.randint(1, 8), k, dist, seed=rng.randrange(2**30))
+
+
+def _duplicated(rng):
+    # duplicated sizes make the relabeling group of the old symmetry pruning
+    # nontrivial
+    k = rng.choice([2, 3])
+    n = rng.randint(1, 4)
+    base = gen_random(max(1, n // 2 + 1), k, "uniform", seed=rng.randrange(2**30))
+    return Instance(k=k, sizes=(base.sizes * 2)[:n])
+
+
+SEVEN_BIN_YES = Instance(
+    k=2, sizes=(F(1, 50),) * 5 + (F(99, 100),) * 2 + (F(11, 20), F(401, 100))
+)
+SEVEN_BIN_NO = Instance(
+    k=2, sizes=(F(1, 50),) * 5 + (F(99, 100),) * 2 + (F(19, 20), F(401, 100))
+)
+
+CORPORA = {
+    "acceptance-k2-uniform": lambda: _acceptance(2, 6, "uniform", 1000, 20260809),
+    "acceptance-k3-uniform": lambda: _acceptance(3, 6, "uniform", 1000, 20260810),
+    "acceptance-k2-mixed": lambda: _acceptance(2, 7, "mixed", 1000, 20260811),
+    "acceptance-heavy": lambda: _drawn(99, 300, _heavy),
+    "acceptance-fixed": lambda: [
+        *(gen_nf_worst(k, m)[0] for k, m in [(2, 1), (2, 2), (3, 1)]),
+        Instance(k=2, sizes=(F(3, 5), F(1, 5), F(6, 5))),
+        Instance(k=2, sizes=(F(3, 5), F(2, 5), F(9, 5))),
+        Instance(k=2, sizes=(F(3, 5), F(1, 5), F(6, 5), F(6, 5))),
+        SEVEN_BIN_YES,
+        SEVEN_BIN_NO,
+    ],
+    "random-k234-n8": lambda: _drawn(2026, 1500, _random_n8),
+    # the corpus of the retired forest-versus-general enumeration test
+    "forest-k2-n5": lambda: _drawn(
+        5,
+        80,
+        lambda rng: gen_random(rng.randint(1, 5), 2, "mixed", seed=rng.randrange(2**30)),
+    ),
+    # the corpus of the retired symmetry-pruning test
+    "duplicated-sizes": lambda: _drawn(9, 60, _duplicated),
+}
+
+# The retired knob tests' corpora also run against the reference with the
+# knob settings those tests compared.
+KNOB_ARMS = {
+    "forest-k2-n5": {"forest_only": False, "maximal_only": False},
+    "duplicated-sizes": {"forest_only": False, "symmetry": False},
+}
+
+WIDE = SearchBudget(max_items=10, max_bins=20)
+
+
+def _assert_same_level(inst, n_bins):
+    if not 1 <= n_bins <= WIDE.max_bins:
+        return
+    got = feasible_in(inst, n_bins, WIDE)
+    want = ref.feasible_in(inst, n_bins, WIDE)
+    assert (got is None) == (want is None), (inst, n_bins)
+    if got is not None:
+        assert validate_packing(inst, got) == [] and got.n_bins == n_bins
+        if inst.k == 2:
+            assert got == want, (inst, n_bins)
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_forest_oracle_matches_reference(corpus):
+    searched = 0
+    for inst in CORPORA[corpus]():
+        opt, witness = exact_opt(inst, WIDE)
+        ref_opt, ref_witness = ref.exact_opt(inst, WIDE)
+        assert opt == ref_opt, inst
+        assert validate_packing(inst, witness) == [] and witness.n_bins == opt
+        if inst.k == 2:
+            assert witness == ref_witness, inst
+        if corpus in KNOB_ARMS:
+            assert ref.exact_opt(inst, WIDE, **KNOB_ARMS[corpus])[0] == opt, inst
+        if inst.n:
+            _assert_same_level(inst, opt - 1)
+            _assert_same_level(inst, opt)
+            searched += ref._upper_bound_packing(inst).n_bins > lower_bounds(inst).best
+    # every corpus but the retired tests' small ones reaches the level search
+    assert searched > 0 or corpus in ("forest-k2-n5", "duplicated-sizes")
+
+
+def _three_partition(rng, m, target):
+    lo, hi = target // 4 + 1, (target - 1) // 2
+    while True:
+        numbers = [rng.randint(lo, hi) for _ in range(3 * m - 1)]
+        last = m * target - sum(numbers)
+        if lo <= last <= hi:
+            return numbers + [last]
+
+
+def test_reduction_decisions_match_reference():
+    rng = random.Random(31)
+    budget = SearchBudget(max_items=12)
+    answers = set()
+    for m, k, trials in [(2, 3, 12), (2, 4, 12), (3, 3, 6), (3, 4, 2)]:
+        for _ in range(trials):
+            target = rng.choice([20, 24, 28])
+            numbers = _three_partition(rng, m, target)
+            inst = gen_from_3partition(numbers, target, k)
+            witness = feasible_in(inst, m, budget)
+            expected = three_partition_brute(numbers, target)
+            assert (witness is not None) == expected, (numbers, k)
+            answers.add(expected)
+            if witness is not None:
+                assert validate_packing(inst, witness) == [] and witness.n_bins == m
+            # the reference search cannot exhaust m = 3 for k = 4 (12 items)
+            if (m, k) != (3, 4):
+                want = ref.feasible_in(inst, m, budget)
+                assert (want is None) == (witness is None), (numbers, k)
+    assert answers == {True, False}
+
+
+def test_permuting_items_keeps_opt():
+    rng = random.Random(41)
+    for inst in _drawn(43, 300, _random_n8):
+        opt, _ = exact_opt(inst)
+        order = list(range(inst.n))
+        rng.shuffle(order)
+        permuted = Instance(k=inst.k, sizes=tuple(inst.sizes[i] for i in order))
+        again, witness = exact_opt(permuted)
+        assert again == opt, (inst, order)
+        assert validate_packing(permuted, witness) == []
+
+
+def _random_forest(rng, n, k):
+    """Multi-item bins of 2..k items whose incidence graph is a forest."""
+    component = list(range(n))
+    bins = []
+    for _ in range(rng.randint(0, n) if n > 1 else 0):
+        members = rng.sample(range(n), rng.randint(2, min(k, n)))
+        labels = {component[i] for i in members}
+        if len(labels) < len(members):
+            continue
+        bins.append(tuple(sorted(members)))
+        for i in range(n):
+            if component[i] in labels:
+                component[i] = min(labels)
+    return bins
+
+
+def test_min_loops_matches_max_flow():
+    # minloops(F) is the fewest loops with which max-flow realizes F, and
+    # the DP's zero test with fixed loops is max-flow's feasibility test.
+    rng = random.Random(17)
+    for _ in range(100):
+        k = rng.choice([2, 3, 4])
+        n = rng.randint(1, 6)
+        den = rng.choice([2, 3, 4, 5])
+        sizes = tuple(F(rng.randint(1, 2 * den), den) for _ in range(n))
+        inst = Instance(k=k, sizes=sizes)
+        forest = _random_forest(rng, n, k)
+        cap = math.lcm(1, *(s.denominator for s in sizes))
+        scaled = [int(s * cap) for s in sizes]
+        least = _min_loops(scaled, cap, forest, [0] * n)
+
+        def realizes(loops):
+            bins = forest + [(i,) for i in range(n) for _ in range(loops[i])]
+            return feasible(inst, IncidenceStructure.build(bins)) is not None
+
+        # loops only ever help, so no split of fewer than least - 1 loops can
+        # be feasible when none of least - 1 is
+        for total in range(max(0, least - 1), least + 1):
+            outcomes = [
+                (_min_loops(scaled, cap, forest, split) == 0, realizes(split))
+                for split in _extra_loop_splits(total, n)
+            ]
+            assert all(dp == flow for dp, flow in outcomes), (inst, forest)
+            assert any(flow for _, flow in outcomes) == (total == least), (inst, forest)
+
+
+def test_k3_blowup_instance_solves_within_a_second():
+    # k = 3 uniform n = 10 seed = 3: the old general enumeration ran for
+    # minutes here
+    inst = gen_random(10, 3, "uniform", 3)
+    start = time.perf_counter()
+    opt, witness = exact_opt(inst, SearchBudget(max_items=10))
+    assert time.perf_counter() - start < 1.0
+    assert opt == lower_bounds(inst).best == 6
+    assert validate_packing(inst, witness) == [] and witness.n_bins == 6
