@@ -12,13 +12,14 @@ triggers can classify bins without re-deriving history.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     Instance,
     InternalError,
+    Item,
     ItemClass,
     Packing,
     classify,
@@ -26,6 +27,7 @@ from .core import (
     validate_packing,
 )
 from . import exact as exact_mod
+from .nextfit import next_fit_bins
 
 
 class StepLabel:
@@ -40,8 +42,6 @@ class StepLabel:
 
 TWO_BIN_REPACK = "TwoBinRepack"
 SEVEN_BIN_SEARCH = "SevenBinSearch"
-
-Item = tuple[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -81,33 +81,6 @@ def reclassify_lone_small(remaining_mediums: list[Fraction], small: Fraction) ->
     return all(m + small > 1 for m in remaining_mediums)
 
 
-def _nf_stream(stream: list[Item], k: int = 2) -> list[list[Item]]:
-    """Next-fit over an explicit (id, size) stream; sizes above 1 spill into
-    as many fresh bins as needed."""
-    bins: list[list[Item]] = []
-    fill = Fraction(0)
-    for item, size in stream:
-        if bins and (fill == 1 or len(bins[-1]) == k):
-            bins.append([])
-            fill = Fraction(0)
-        elif not bins:
-            bins.append([])
-        space = 1 - fill
-        if size <= space:
-            bins[-1].append((item, size))
-            fill += size
-            continue
-        if space > 0:
-            bins[-1].append((item, space))
-        rest = size - space
-        whole = math.ceil(rest) - 1
-        for _ in range(whole):
-            bins.append([(item, Fraction(1))])
-        bins.append([(item, rest - whole)])
-        fill = rest - whole
-    return bins
-
-
 def large_into_smalls(
     smalls: list[Item], larges: list[Item]
 ) -> tuple[list[list[Item]], list[str]]:
@@ -130,11 +103,8 @@ def large_into_smalls(
         if rest > 0:
             # Out of seeds mid-item: the remainder and every later large are
             # packed as a trailing next-fit group.
-            stream = [(lid, rest)] + list(larges[idx + 1 :])
-            for entries in _nf_stream(stream):
-                bins.append(entries)
-                labels.append(StepLabel.S6)
-            return bins, labels
+            tail, _ = next_fit_bins([(lid, rest)] + larges[idx + 1 :], 2)
+            return bins + tail, labels + [StepLabel.S6] * len(tail)
     if cursor < len(smalls):
         # Untouched seeds hold one small each; repack those smalls in pairs.
         spare = smalls[cursor:]
@@ -165,14 +135,6 @@ def _trailing_group(bins: list[list[Item]], labels: list[str]) -> list[int]:
     return group
 
 
-def _items_of(bins: list[list[Item]], indices: list[int]) -> dict[int, Fraction]:
-    totals: dict[int, Fraction] = {}
-    for b in indices:
-        for item, part in bins[b]:
-            totals[item] = totals.get(item, Fraction(0)) + part
-    return totals
-
-
 def _repair_two_bin(
     inst: Instance, bins: list[list[Item]], labels: list[str]
 ) -> tuple[bool, bool]:
@@ -187,7 +149,7 @@ def _repair_two_bin(
     if len(s2a) != 1 or len(trail) != 2:
         return False, False
     involved = s2a + trail
-    coverage = _items_of(bins, involved)
+    coverage = Packing.build([bins[b] for b in involved]).coverage()
     if any(coverage[i] != inst.sizes[i] for i in coverage):
         return True, False
     by_class: dict[ItemClass, list[int]] = {}
@@ -219,28 +181,23 @@ def _repair_two_bin(
 
 
 def _repair_seven_bin(
-    inst: Instance,
-    bins: list[list[Item]],
-    labels: list[str],
-    budget: exact_mod.SearchBudget | None,
+    inst: Instance, bins: list[list[Item]], labels: list[str]
 ) -> tuple[bool, bool]:
     """When the packing is exactly four pair-step bins, one fit-step bin and
     a five-bin trailing group, search exhaustively for a seven-bin packing of
     the whole instance and adopt it when one exists. Never increases the bin
     count. Returns (triggered, changed)."""
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
+    counts = Counter(labels)
     trail = _trailing_group(bins, labels)
     if not (
         len(bins) == 10
-        and counts.get(StepLabel.S2B, 0) == 4
-        and counts.get(StepLabel.S2A, 0) == 1
+        and counts[StepLabel.S2B] == 4
+        and counts[StepLabel.S2A] == 1
         and len(trail) == 5
-        and counts.get(StepLabel.S3, 0) + counts.get(StepLabel.S6, 0) == 5
+        and counts[StepLabel.S3] + counts[StepLabel.S6] == 5
     ):
         return False, False
-    base = budget or exact_mod.SearchBudget.from_env()
+    base = exact_mod.SearchBudget.from_env()
     search_budget = exact_mod.SearchBudget(
         max_items=max(base.max_items, inst.n),
         max_bins=max(base.max_bins, 7),
@@ -259,12 +216,7 @@ def _repair_seven_bin(
     return True, True
 
 
-def pack_75(
-    inst: Instance,
-    *,
-    enable_repairs: bool = True,
-    repair_budget: exact_mod.SearchBudget | None = None,
-) -> A75Report:
+def pack_75(inst: Instance, *, enable_repairs: bool = True) -> A75Report:
     """Run the full k = 2 algorithm and return the labeled packing.
 
     Stage one pairs each medium with the smallest small that fits, or splits
@@ -324,9 +276,9 @@ def pack_75(
         stream.append(reclassified)
 
     if not smalls_left:
-        for entries in _nf_stream(stream + larges):
-            bins.append(entries)
-            labels.append(StepLabel.S3)
+        tail, _ = next_fit_bins(stream + larges, 2)
+        bins.extend(tail)
+        labels.extend([StepLabel.S3] * len(tail))
     else:
         if stream:
             raise InternalError("mediums remain although small items are unpacked")
@@ -340,7 +292,7 @@ def pack_75(
         if triggered:
             fallback = TWO_BIN_REPACK
         else:
-            triggered, _ = _repair_seven_bin(inst, bins, labels, repair_budget)
+            triggered, _ = _repair_seven_bin(inst, bins, labels)
             if triggered:
                 fallback = SEVEN_BIN_SEARCH
 
@@ -348,12 +300,9 @@ def pack_75(
     problems = validate_packing(inst, packing)
     if problems:
         raise InternalError(f"algorithm produced an invalid packing: {problems[0]}")
-    counts: dict[str, int] = {}
-    for lab in packing.labels:
-        counts[lab] = counts.get(lab, 0) + 1
     return A75Report(
         packing=packing,
-        label_counts=counts,
+        label_counts=dict(Counter(packing.labels)),
         reclassified_small=reclassified is not None,
         fallback_triggered=fallback,
     )

@@ -17,8 +17,11 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 Rational = Fraction
 
+# One (item_id, size or part) entry: an item of a stream or a part in a bin.
+Item = tuple[int, Fraction]
+
 # A bin is a sequence of (item_id, part) entries, the central packing unit.
-BinEntries = tuple[tuple[int, Fraction], ...]
+BinEntries = tuple[Item, ...]
 
 DEFAULT_LABEL = "bin"
 
@@ -104,11 +107,11 @@ class Instance:
     def n(self) -> int:
         return len(self.sizes)
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
+    def items(self) -> Iterator[Item]:
         return iter(enumerate(self.sizes))
 
 
-def _merge_bin(entries: Iterable[tuple[int, Fraction]]) -> BinEntries:
+def _merge_bin(entries: Iterable[Item]) -> BinEntries:
     merged: dict[int, Fraction] = {}
     for item, part in entries:
         got = merged.get(item)
@@ -132,7 +135,7 @@ class Packing:
 
     @staticmethod
     def build(
-        bins: Sequence[Iterable[tuple[int, Fraction]]],
+        bins: Sequence[Iterable[Item]],
         labels: Sequence[str] | None = None,
     ) -> "Packing":
         """Normalize raw bin contents: same-item parts in one bin merge and
@@ -145,9 +148,6 @@ class Packing:
     @property
     def n_bins(self) -> int:
         return len(self.bins)
-
-    def bin_total(self, index: int) -> Fraction:
-        return sum((part for _, part in self.bins[index]), Fraction(0))
 
     def coverage(self) -> dict[int, Fraction]:
         totals: dict[int, Fraction] = {}
@@ -174,7 +174,7 @@ def validate_packing(inst: Instance, packing: Packing) -> list[str]:
 
 
 def bin_violations(
-    inst: Instance, bins: Iterable[Collection[tuple[int, Fraction]]]
+    inst: Instance, bins: Iterable[Collection[Item]]
 ) -> list[str]:
     """``validate_packing`` on raw bins whose same-item parts are already
     merged, so a rewrite can check its working bins without building a
@@ -209,6 +209,13 @@ def bin_violations(
         if got != size:
             violations.append(f"coverage: item {item} covered {got} of {size}")
     return violations
+
+
+def scaled_sizes(sizes: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The sizes as integers over their least common denominator: returns
+    that denominator (the scaled bin capacity) and the scaled sizes."""
+    scale = math.lcm(1, *(s.denominator for s in sizes))
+    return scale, [s.numerator * (scale // s.denominator) for s in sizes]
 
 
 def item_weight(size: Fraction, k: int) -> Fraction:

@@ -45,11 +45,13 @@ from .core import (
     DisjointSets,
     Instance,
     InternalError,
+    Item,
     Packing,
     lower_bounds,
+    scaled_sizes,
     validate_packing,
 )
-from .nextfit import next_fit
+from .nextfit import next_fit, spill
 
 EXACT_LABEL = "exact"
 
@@ -117,13 +119,6 @@ class IncidenceStructure:
     def build(bins: Sequence[Sequence[int]]) -> "IncidenceStructure":
         return IncidenceStructure(tuple(sorted(tuple(sorted(b)) for b in bins)))
 
-    def degrees(self, n: int) -> list[int]:
-        deg = [0] * n
-        for b in self.bins:
-            for item in b:
-                deg[item] += 1
-        return deg
-
 
 # ---------------------------------------------------------------------------
 # Exact max-flow feasibility for a fixed structure.
@@ -141,9 +136,9 @@ class FlowNetwork:
     def __init__(self, sizes: Sequence[Fraction], structure: IncidenceStructure):
         self.sizes = tuple(Fraction(s) for s in sizes)
         self.structure = structure
-        self.scale = math.lcm(1, *(s.denominator for s in self.sizes))
+        self.scale, self.scaled = scaled_sizes(self.sizes)
 
-    def max_flow(self) -> tuple[Fraction, list[list[tuple[int, Fraction]]]]:
+    def max_flow(self) -> tuple[Fraction, list[list[Item]]]:
         """Return the max-flow value and the per-bin item parts it induces."""
         n = len(self.sizes)
         bins = self.structure.bins
@@ -165,8 +160,8 @@ class FlowNetwork:
             to.append(u)
             caps.append(0)
 
-        for i, s in enumerate(self.sizes):
-            add(source, 1 + i, int(s * cap))
+        for i, s in enumerate(self.scaled):
+            add(source, 1 + i, s)
         item_bin_edge: dict[tuple[int, int], int] = {}
         for b, members in enumerate(bins):
             for i in members:
@@ -205,7 +200,7 @@ class FlowNetwork:
                 v = to[e ^ 1]
             total += bottleneck
 
-        parts: list[list[tuple[int, Fraction]]] = []
+        parts: list[list[Item]] = []
         for b, members in enumerate(bins):
             entries = []
             for i in members:
@@ -347,8 +342,7 @@ class _ForestSearch:
         self.counter = counter
         self.width = min(inst.k, n)
         self.ceils = [math.ceil(s) for s in inst.sizes]
-        self.cap = math.lcm(1, *(s.denominator for s in inst.sizes))
-        self.scaled = [s.numerator * (self.cap // s.denominator) for s in inst.sizes]
+        self.cap, self.scaled = scaled_sizes(inst.sizes)
         ceils = self.ceils
         self.candidates = sorted(
             (
@@ -452,11 +446,13 @@ class _ForestSearch:
 # Heuristic upper bounds: any valid packing certifies its own bin count.
 
 
-def _first_fit_split(inst: Instance) -> Packing:
-    """First fit decreasing; items that fit nowhere whole spill over fresh
-    bins next-fit style."""
+def _best_fit_split(inst: Instance) -> Packing:
+    """Best fit decreasing: items go largest first, each whole into the open
+    bin with below k parts whose free room is least but still fits it (the
+    first such bin on ties); an item that fits nowhere whole spills over
+    ceil(size) fresh bins."""
     order = sorted(inst.items(), key=lambda pair: (-pair[1], pair[0]))
-    bins: list[list[tuple[int, Fraction]]] = []
+    bins: list[list[Item]] = []
     fills: list[Fraction] = []
     for item, size in order:
         best = -1
@@ -470,20 +466,17 @@ def _first_fit_split(inst: Instance) -> Packing:
             bins[best].append((item, size))
             fills[best] += size
             continue
-        rest = size
-        whole = math.ceil(rest) - 1
-        for _ in range(whole):
-            bins.append([(item, Fraction(1))])
-            fills.append(Fraction(1))
-        bins.append([(item, rest - whole)])
-        fills.append(rest - whole)
+        fresh = spill(item, size)
+        bins.extend(fresh)
+        fills.extend(part for ((_, part),) in fresh)
+    # "ffd" stays: byte-stable witnesses carry it whenever this meets the LB.
     return Packing.build(bins, ["ffd"] * len(bins))
 
 
 def _upper_bound_packing(inst: Instance) -> Packing:
     nf_packing, _ = next_fit(inst)
-    ffd_packing = _first_fit_split(inst)
-    best = min((nf_packing, ffd_packing), key=lambda p: p.n_bins)
+    bf_packing = _best_fit_split(inst)
+    best = min((nf_packing, bf_packing), key=lambda p: p.n_bins)
     problems = validate_packing(inst, best)
     if problems:
         raise InternalError(f"heuristic produced an invalid packing: {problems[0]}")

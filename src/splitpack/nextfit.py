@@ -1,6 +1,11 @@
 """Online NEXT FIT for splittable items under a per-bin part limit.
 
-Items are consumed strictly in instance order. An item goes into the current
+One stream kernel, ``next_fit_bins``, is the package's only next-fit loop:
+``next_fit``, the leftover groups of ``pack_75`` and, through ``next_fit``,
+the oracle's upper bound run it; its overflow step ``spill`` also serves
+the oracle's best-fit heuristic.
+
+Items are consumed strictly in stream order. An item goes into the current
 bin while that bin has spare capacity and fewer than k parts; an item that
 does not fit entirely fills the current bin, closes it, and spills into
 exactly ceil(remaining) fresh bins, all but the last filled to capacity.
@@ -22,8 +27,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
-from .core import BinEntries, Instance, Packing, item_weight, validate_packing
+from .core import BinEntries, Instance, Item, Packing, item_weight, validate_packing
 
 NF_LABEL = "nf"
 
@@ -52,6 +58,56 @@ class NfTrace:
         return len(self.blocks)
 
 
+def spill(item: int, rest: Fraction) -> list[list[Item]]:
+    """The ceil(rest) fresh bins an item's remainder `rest` fills: each holds
+    a part of 1 except the last, which holds the rest."""
+    whole = math.ceil(rest) - 1
+    return [[(item, Fraction(1))] for _ in range(whole)] + [[(item, rest - whole)]]
+
+
+def _close_reason(entries: list[Item], fill: Fraction, k: int) -> CloseReason:
+    # Only called when the bin's last part completes its item: a spill head
+    # is closed as FILLED at the overflow.
+    if len(entries) == k:
+        return CloseReason.CARDINALITY
+    return CloseReason.FILLED if fill == 1 else CloseReason.END_OF_INPUT
+
+
+def next_fit_bins(
+    stream: Iterable[Item], k: int
+) -> tuple[list[list[Item]], list[CloseReason]]:
+    """NEXT FIT over an explicit (id, size) stream, in stream order.
+
+    Returns the raw bins, unmerged, and one close reason per bin. Sizes may
+    exceed 1, and the first entry may be the remainder of an item whose
+    other parts lie elsewhere.
+    """
+    bins: list[list[Item]] = []
+    reasons: list[CloseReason] = []
+    fill = Fraction(0)
+    for item, size in stream:
+        if not bins or fill == 1 or len(bins[-1]) == k:
+            if bins:
+                reasons.append(_close_reason(bins[-1], fill, k))
+            bins.append([])
+            fill = Fraction(0)
+        space = 1 - fill
+        if size <= space:
+            bins[-1].append((item, size))
+            fill += size
+            continue
+        # Overflow: a full bin was closed above, so the item's head takes the
+        # open bin's room and the rest spills into fresh bins.
+        bins[-1].append((item, space))
+        fresh = spill(item, size - space)
+        reasons.extend([CloseReason.FILLED] * len(fresh))
+        bins.extend(fresh)
+        fill = fresh[-1][0][1]
+    if bins:
+        reasons.append(_close_reason(bins[-1], fill, k))
+    return bins, reasons
+
+
 def next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
     """Run NEXT FIT over the instance in the given order.
 
@@ -59,62 +115,7 @@ def next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
     packing of a prefix of the input is a prefix of the full packing except
     for the still-open current bin.
     """
-    k = inst.k
-    bins: list[list[tuple[int, Fraction]]] = []
-    fills: list[Fraction] = []
-    reasons: list[CloseReason | None] = []
-    # True while the open bin's most recent part completed its item; only
-    # such bins may end a block, since a spill head's item continues in
-    # the next bin.
-    last_completes_item = False
-
-    def open_bin() -> None:
-        bins.append([])
-        fills.append(Fraction(0))
-        reasons.append(None)
-
-    def place(item: int, part: Fraction) -> None:
-        bins[-1].append((item, part))
-        fills[-1] += part
-
-    def abandon_reason() -> CloseReason:
-        if len(bins[-1]) == k and last_completes_item:
-            return CloseReason.CARDINALITY
-        return CloseReason.FILLED
-
-    for item, size in inst.items():
-        if bins and (fills[-1] == 1 or len(bins[-1]) == k):
-            reasons[-1] = abandon_reason()
-            open_bin()
-        elif not bins:
-            open_bin()
-        space = 1 - fills[-1]
-        if size <= space:
-            place(item, size)
-            last_completes_item = True
-            continue
-        # Overflow: fill the current bin, then spill into ceil(rest) new bins.
-        if space > 0:
-            place(item, space)
-        reasons[-1] = CloseReason.FILLED
-        rest = size - space
-        whole_bins = math.ceil(rest) - 1
-        for _ in range(whole_bins):
-            open_bin()
-            place(item, Fraction(1))
-            reasons[-1] = CloseReason.FILLED
-        open_bin()
-        place(item, rest - whole_bins)
-        last_completes_item = True  # the tail completes the item
-
-    if bins and reasons[-1] is None:
-        if len(bins[-1]) == k and last_completes_item:
-            reasons[-1] = CloseReason.CARDINALITY
-        elif fills[-1] == 1:
-            reasons[-1] = CloseReason.FILLED
-        else:
-            reasons[-1] = CloseReason.END_OF_INPUT
-
+    bins, reasons = next_fit_bins(inst.items(), inst.k)
     blocks: list[tuple[int, int]] = []
     start = 0
     for i, reason in enumerate(reasons):
@@ -125,7 +126,7 @@ def next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
     packing = Packing.build(bins, [NF_LABEL] * len(bins))
     trace = NfTrace(
         bins=packing.bins,
-        close_reasons=tuple(reasons),  # type: ignore[arg-type]
+        close_reasons=tuple(reasons),
         blocks=tuple(blocks),
     )
     return packing, trace

@@ -213,11 +213,11 @@ def _break_cycle(work: _Work, items: list[int], cycle: list[int]) -> None:
     bins = work.bins
     t = len(cycle)
 
-    def bin_total(b: int) -> Fraction:
+    def fill_of(b: int) -> Fraction:
         return sum(bins[b].values(), Fraction(0))
 
     # Try to empty the lightest cycle bin into its two cycle neighbors.
-    order = sorted(range(t), key=lambda j: (bin_total(cycle[j]), cycle[j]))
+    order = sorted(range(t), key=lambda j: (fill_of(cycle[j]), cycle[j]))
     for j in order:
         b_mid = cycle[j]
         left_item = items[j]
@@ -227,11 +227,11 @@ def _break_cycle(work: _Work, items: list[int], cycle: list[int]) -> None:
         part_left = bins[b_mid][left_item]
         part_right = bins[b_mid][right_item]
         if t == 2:
-            fits = 1 - bin_total(b_left) >= part_left + part_right
+            fits = 1 - fill_of(b_left) >= part_left + part_right
         else:
             fits = (
-                1 - bin_total(b_left) >= part_left
-                and 1 - bin_total(b_right) >= part_right
+                1 - fill_of(b_left) >= part_left
+                and 1 - fill_of(b_right) >= part_right
             )
         if fits:
             bins[b_left][left_item] += part_left

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -255,3 +256,20 @@ def test_empty_instance():
     report = pack_75(Instance(k=2, sizes=()))
     assert report.n_bins == 0
     assert report.label_counts == {}
+
+
+# Recorded at the commit before pack_75's leftovers went through the shared
+# next-fit kernel; seed 20261018. "mixed" ends in an S6 group, "uniform" in S3.
+@pytest.mark.parametrize(
+    "dist, n_bins, digest",
+    [
+        ("mixed", 7287, "0914dd7128d99865628e606f971f6e815e832be60a7afa599e4513831088f5f0"),
+        ("uniform", 7086, "1a972cfcdc0e15e008f6da43e6f3c793c0e22ca0662fcb3d874df53f8cf6c677"),
+    ],
+    ids=["mixed", "uniform"],
+)
+def test_pack_75_golden_10k_items(dist, n_bins, digest):
+    packing = pack_75(gen_random(10_000, 2, dist, 20261018)).packing
+    assert packing.n_bins == n_bins
+    key = (packing.bins, packing.labels)
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -11,6 +12,7 @@ from splitpack import (
     FlowNetwork,
     IncidenceStructure,
     Instance,
+    Packing,
     SearchBudget,
     exact_opt,
     feasible,
@@ -24,7 +26,7 @@ from splitpack import (
     three_partition_brute,
     validate_packing,
 )
-from splitpack.exact import _extra_loop_splits, _min_loops
+from splitpack.exact import _extra_loop_splits, _min_loops, _upper_bound_packing
 
 
 def test_feasible_realizes_chain():
@@ -165,9 +167,19 @@ def test_exact_at_most_heuristics():
             assert opt <= pack_75(inst).n_bins
 
 
-def test_structure_degree_helpers():
-    structure = IncidenceStructure.build([(0, 1), (1,), (1, 2)])
-    assert structure.degrees(3) == [1, 3, 1]
+def test_upper_bound_packing_golden():
+    # recorded at the commit before the best-fit heuristic shared the
+    # next-fit spill
+    key = [
+        (packing.bins, packing.labels)
+        for n in (6, 8, 10)
+        for k in (2, 3, 4)
+        for dist in ("uniform", "mixed", "heavy")
+        for seed in range(20)
+        for packing in [_upper_bound_packing(gen_random(n, k, dist, seed))]
+    ]
+    digest = hashlib.sha256(repr(key).encode()).hexdigest()
+    assert digest == "c57d1d1c7631bb8a77ed3b1d1588f26b2041216ed3f416033a657d4843bfd834"
 
 
 def test_exact_respects_worst_family_certificates():
@@ -329,6 +341,36 @@ def test_permuting_items_keeps_opt():
         again, witness = exact_opt(permuted)
         assert again == opt, (inst, order)
         assert validate_packing(permuted, witness) == []
+
+
+def _relabel_by_bin_order(inst, bins):
+    """The instance with items renumbered by first appearance in the bins,
+    and the bins under that numbering."""
+    order = list(dict.fromkeys(item for entries in bins for item, _ in entries))
+    new_id = {item: j for j, item in enumerate(order)}
+    permuted = Instance(k=inst.k, sizes=tuple(inst.sizes[i] for i in order))
+    return permuted, [[(new_id[i], part) for i, part in entries] for entries in bins]
+
+
+def test_bin_order_keeps_validity_and_opt():
+    rng = random.Random(47)
+    small = [inst for inst in _drawn(43, 300, _random_n8) if inst.k in (2, 3)]
+    for inst in CORPORA["acceptance-fixed"]() + small:
+        opt, witness = exact_opt(inst, WIDE)
+        packings = [witness]
+        if inst.k == 2:
+            packings.append(pack_75(inst).packing)
+        for packing in packings:
+            shuffled = list(packing.bins)
+            rng.shuffle(shuffled)
+            for bins in (packing.bins[::-1], shuffled):
+                reordered = Packing.build(bins)
+                assert validate_packing(inst, reordered) == [], inst
+                assert reordered.n_bins == packing.n_bins
+            # numbering the items in the shuffled bin order keeps OPT
+            permuted, relabeled = _relabel_by_bin_order(inst, shuffled)
+            assert validate_packing(permuted, Packing.build(relabeled)) == []
+            assert exact_opt(permuted, WIDE)[0] == opt, (inst, shuffled)
 
 
 def _random_forest(rng, n, k):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from splitpack import (
     next_fit,
     validate_packing,
 )
+from splitpack.nextfit import next_fit_bins, spill
 
 
 def test_worst_family_k2_m2():
@@ -118,3 +120,49 @@ def test_online_prefix_property():
             grown = dict(full.bins[prefix.n_bins - 1])
             for item, part in last.items():
                 assert grown.get(item) == part
+
+
+def test_next_fit_bins_stream_opening_with_a_remainder_above_one():
+    # pack_75's S6 group: the first entry is what is left of a large item
+    bins, reasons = next_fit_bins([(0, F(7, 4)), (1, F(1, 2)), (2, F(3, 5))], 2)
+    assert bins == [
+        [(0, F(1))],
+        [(0, F(3, 4)), (1, F(1, 4))],
+        [(1, F(1, 4)), (2, F(3, 5))],
+    ]
+    assert reasons == [CloseReason.FILLED, CloseReason.FILLED, CloseReason.CARDINALITY]
+
+
+def test_next_fit_bins_exactly_full_bin_of_whole_parts():
+    # k whole parts fill the bin exactly: the part limit closes it
+    bins, reasons = next_fit_bins([(0, F(1, 2)), (1, F(1, 2)), (2, F(1, 3))], 2)
+    assert bins == [[(0, F(1, 2)), (1, F(1, 2))], [(2, F(1, 3))]]
+    assert reasons == [CloseReason.CARDINALITY, CloseReason.END_OF_INPUT]
+    # with room for a third part the same bin closes by size
+    _, reasons = next_fit_bins([(0, F(1, 2)), (1, F(1, 2)), (2, F(1, 3))], 3)
+    assert reasons == [CloseReason.FILLED, CloseReason.END_OF_INPUT]
+
+
+def test_spill_fills_all_fresh_bins_but_the_last():
+    assert spill(7, F(1)) == [[(7, F(1))]]
+    assert spill(7, F(5, 2)) == [[(7, F(1))], [(7, F(1))], [(7, F(1, 2))]]
+    assert spill(7, F(3)) == [[(7, F(1))]] * 3
+
+
+# Recorded at the commit before next_fit, pack_75 and the oracle's upper
+# bound came to share one kernel; seed 20261018.
+@pytest.mark.parametrize(
+    "k, n_bins, digest",
+    [
+        (2, 7953, "b050b12a2d980f70cbbb435b907e5d2c43b563b0987bf46ca3ae2a8a6d1dfb00"),
+        (3, 7141, "7e4ab175f1225fefbe73dc098afaab7898024e9b9afe6612b2370e1cd3ea48c9"),
+        (5, 6961, "53c6f83f18e761a4955b7f04968859d35a7d3f15152a0c0ce3137221ed34ef42"),
+    ],
+    ids=["k2", "k3", "k5"],
+)
+def test_next_fit_golden_10k_items(k, n_bins, digest):
+    packing, trace = next_fit(gen_random(10_000, k, "mixed", 20261018))
+    assert packing.n_bins == n_bins
+    reasons = [r.value for r in trace.close_reasons]
+    key = (packing.bins, packing.labels, reasons, trace.blocks)
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
