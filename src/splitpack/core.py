@@ -25,6 +25,11 @@ BinEntries = tuple[Item, ...]
 
 DEFAULT_LABEL = "bin"
 
+# Bounds on one rational numeral, so that parsing hostile text is cheap: at
+# most this many digits, and a decimal exponent of at most this magnitude.
+MAX_NUMERAL_DIGITS = 1000
+MAX_DECIMAL_EXPONENT = 1000
+
 
 class InternalError(AssertionError):
     """A solver broke one of its own invariants: a bug, never bad input.
@@ -50,12 +55,33 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer or decimal strings into an exact rational.
 
     Decimals convert exactly (d digits become a power-of-ten denominator),
-    never through a float.
+    never through a float. A numeral with more than ``MAX_NUMERAL_DIGITS``
+    digits or a decimal exponent above ``MAX_DECIMAL_EXPONENT`` in magnitude
+    is rejected before any big integer is built.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational as string, got {text!r}")
+    text = text.strip()
+    if (
+        len(text) > MAX_NUMERAL_DIGITS
+        and sum(map(str.isdigit, text)) > MAX_NUMERAL_DIGITS
+    ):
+        raise ValueError(
+            f"rational {text[:20]!r}... has more than {MAX_NUMERAL_DIGITS} digits"
+        )
+    if "e" in text or "E" in text:
+        exponent = text[max(text.rfind("e"), text.rfind("E")) + 1 :]
+        try:
+            too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:
+            too_large = False  # malformed: Fraction rejects it below
+        if too_large:
+            raise ValueError(
+                f"rational {text!r} has a decimal exponent above "
+                f"{MAX_DECIMAL_EXPONENT} in magnitude"
+            )
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
@@ -114,8 +140,10 @@ class Instance:
 def _merge_bin(entries: Iterable[Item]) -> BinEntries:
     merged: dict[int, Fraction] = {}
     for item, part in entries:
+        if type(part) is not Fraction:  # an exact type test skips the ABC check
+            part = Fraction(part)
         got = merged.get(item)
-        merged[item] = Fraction(part) if got is None else got + Fraction(part)
+        merged[item] = part if got is None else got + part
     return tuple(sorted(merged.items()))
 
 
@@ -218,6 +246,11 @@ def scaled_sizes(sizes: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [s.numerator * (scale // s.denominator) for s in sizes]
 
 
+def parts_needed(sizes: Iterable[Fraction]) -> int:
+    """The sum of ceil(size): no packing has fewer parts."""
+    return sum(-(-s.numerator // s.denominator) for s in sizes)
+
+
 def item_weight(size: Fraction, k: int) -> Fraction:
     """Per-item contribution to the optimum: ceil(size) parts are unavoidable
     and a bin absorbs at most k parts, so each item accounts for ceil(size)/k."""
@@ -238,13 +271,24 @@ class BoundsReport:
 
 def lower_bounds(inst: Instance) -> BoundsReport:
     """size: total volume; weight: ceil-size parts over k per bin; count:
-    every item needs a part and bins take at most k of them."""
-    total = sum(inst.sizes, Fraction(0))
-    size_bound = math.ceil(total)
-    weight_bound = math.ceil(
-        sum((item_weight(s, inst.k) for s in inst.sizes), Fraction(0))
-    )
-    count_bound = math.ceil(Fraction(inst.n, inst.k))
+    every item needs a part and bins take at most k of them.
+
+    All three are computed on integers. The volume sums the numerators per
+    denominator, then adds those sums in lowest terms, one step per distinct
+    denominator; it builds no ``Fraction`` and never scales the instance to
+    one common denominator."""
+    numerators: dict[int, int] = {}
+    for s in inst.sizes:
+        den = s.denominator
+        numerators[den] = numerators.get(den, 0) + s.numerator
+    num, den = 0, 1
+    for d, n in numerators.items():
+        num, den = num * d + n * den, den * d
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    size_bound = -(-num // den)
+    weight_bound = -(-parts_needed(inst.sizes) // inst.k)
+    count_bound = -(-inst.n // inst.k)
     return BoundsReport(
         size_bound=size_bound,
         weight_bound=weight_bound,

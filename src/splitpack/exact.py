@@ -9,16 +9,22 @@ forest F of multi-item bins, each holding 2..min(k, n) items, completed by
 single-item bins ("loops"). Loops never close a cycle, so the forest only
 has to be acyclic in its multi-item bins.
 
+Each call scales the sizes to integers over their common denominator once
+(``core.scaled_sizes``); the search and the best-fit heuristic both run on
+that one scaling.
+
 The search ascends from the combined lower bound, so the first feasible bin
 count is optimal by construction. At level B it walks the forests depth
 first over candidate bins ordered by (-sum of ceil(size), bin size, item
 tuple) and accepts the first forest F with |F| + minloops(F) <= B. minloops
-is one post-order pass over the tree on integers scaled by the common
-denominator (``_min_loops``). A branch is cut when its items still need more
-parts than the bins left can hold, or when even the best merges left cannot
-bring |F| + minloops(F) down to B: a d-item bin lowers that sum by at most
-d - 1. Both cuts are sound, so the accepted forest is the first one in
-candidate order.
+is the sum over the trees of F of one post-order pass per tree
+(``_tree_loops``; ``_min_loops`` runs it on every tree). The walk keeps one
+total per tree (``_ForestLoops``): adding a bin reruns the pass only on the
+tree that bin forms, and backtracking restores the old totals. A branch is
+cut when its items still need more parts than the bins left can hold, or
+when even the best merges left cannot bring |F| + minloops(F) down to B: a
+d-item bin lowers that sum by at most d - 1. Both cuts are sound, so the
+accepted forest is the first one in candidate order.
 
 The witness gives each item the loops its part count needs and hands out the
 remaining loops in the first split, in ``_extra_loop_splits`` order, that
@@ -34,7 +40,6 @@ certificate, so the search only has to exhaust the levels below it.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +47,6 @@ from typing import Iterator, Sequence
 
 from .core import (
     EMPTY_PACKING,
-    DisjointSets,
     Instance,
     InternalError,
     Item,
@@ -244,6 +248,58 @@ def feasible(inst: Instance, structure: IncidenceStructure) -> Packing | None:
 # leaves its parent the most room.
 
 
+def _tree_order(
+    forest: Sequence[Sequence[int]], item_bins: Sequence[Sequence[int]], root: int
+) -> list[tuple[int, int]]:
+    """The tree holding `root`, breadth first from it, as (item, parent bin)
+    pairs; the root's parent bin is -1. Parents come before children."""
+    order = [(root, -1)]
+    for i, up in order:
+        for b in item_bins[i]:
+            if b != up:
+                for j in forest[b]:
+                    if j != i:
+                        order.append((j, b))
+    return order
+
+
+def _tree_loops(
+    scaled: Sequence[int],
+    cap: int,
+    forest: Sequence[Sequence[int]],
+    item_bins: Sequence[Sequence[int]],
+    order: Sequence[tuple[int, int]],
+    base: Sequence[int],
+) -> int:
+    """Fewest loops to add to base[i] loops per item i of one tree, given in
+    ``_tree_order``, so that its bins and the loops hold its items. The
+    minimum does not depend on the root."""
+    pushes: dict[int, list[int]] = {}
+    loops = 0
+    for i, up in reversed(order):
+        excess = scaled[i] - base[i] * cap
+        for b in item_bins[i]:
+            if b == up:
+                continue
+            held = pushes.get(b, ())
+            total = sum(held)
+            if total > cap:
+                for push in sorted(held, reverse=True):
+                    total -= push
+                    loops += 1
+                    if total <= cap:
+                        break
+            excess -= cap - total
+        if excess > 0:
+            whole = -(-excess // cap)
+            if up == -1:
+                loops += whole
+            else:
+                loops += whole - 1
+                pushes.setdefault(up, []).append(excess - (whole - 1) * cap)
+    return loops
+
+
 def _min_loops(
     scaled: Sequence[int],
     cap: int,
@@ -258,48 +314,69 @@ def _min_loops(
     for b, members in enumerate(forest):
         for i in members:
             item_bins[i].append(b)
-    pushes: list[list[int]] = [[] for _ in forest]
     seen = [False] * n
     loops = 0
     for root in range(n):
         if seen[root]:
             continue
-        if not item_bins[root]:
-            excess = scaled[root] - base[root] * cap
-            if excess > 0:
-                loops += -(-excess // cap)
-            continue
-        order = [(root, -1)]
-        for i, up in order:  # breadth first: parents before children
+        order = _tree_order(forest, item_bins, root)
+        for i, _ in order:
             seen[i] = True
-            for b in item_bins[i]:
-                if b != up:
-                    for j in forest[b]:
-                        if j != i:
-                            order.append((j, b))
-        for i, up in reversed(order):
-            excess = scaled[i] - base[i] * cap
-            for b in item_bins[i]:
-                if b == up:
-                    continue
-                held = pushes[b]
-                total = sum(held)
-                if total > cap:
-                    held.sort(reverse=True)
-                    for push in held:
-                        total -= push
-                        loops += 1
-                        if total <= cap:
-                            break
-                excess -= cap - total
-            if excess > 0:
-                whole = -(-excess // cap)
-                if up == -1:
-                    loops += whole
-                else:
-                    loops += whole - 1
-                    pushes[up].append(excess - (whole - 1) * cap)
+        loops += _tree_loops(scaled, cap, forest, item_bins, order, base)
     return loops
+
+
+class _ForestLoops:
+    """A growing forest of multi-item bins and ``loops``, its min-loop total
+    at zero base loops, kept as one total per tree.
+
+    ``tree[i]`` names the tree of item i (an item of it); ``tree_loops``
+    holds each tree's total under that name. ``push`` adds a bin whose items
+    lie in distinct trees and reruns the tree DP on the one tree it forms;
+    ``pop`` undoes the last push.
+    """
+
+    def __init__(self, scaled: Sequence[int], cap: int, ceils: Sequence[int]):
+        n = len(scaled)
+        self.scaled = scaled
+        self.cap = cap
+        self.no_loops = [0] * n
+        self.bins: list[tuple[int, ...]] = []
+        self.item_bins: list[list[int]] = [[] for _ in range(n)]
+        self.tree = list(range(n))
+        # An item alone needs ceil(size) loops.
+        self.tree_loops = list(ceils)
+        self.loops = sum(ceils)
+        self._undo: list[tuple[list[int], int, int, int]] = []
+
+    def push(self, members: tuple[int, ...]) -> None:
+        tree = self.tree
+        tree_loops = self.tree_loops
+        top = tree[members[0]]
+        self._undo.append((tree[:], top, tree_loops[top], self.loops))
+        merged = 0
+        for i in members:
+            merged += tree_loops[tree[i]]
+        b = len(self.bins)
+        self.bins.append(members)
+        for i in members:
+            self.item_bins[i].append(b)
+        order = _tree_order(self.bins, self.item_bins, members[0])
+        for i, _ in order:
+            tree[i] = top
+        loops = _tree_loops(
+            self.scaled, self.cap, self.bins, self.item_bins, order, self.no_loops
+        )
+        tree_loops[top] = loops
+        self.loops += loops - merged
+
+    def pop(self) -> None:
+        saved, top, kept, loops = self._undo.pop()
+        for i in self.bins.pop():
+            self.item_bins[i].pop()
+        self.tree[:] = saved
+        self.tree_loops[top] = kept
+        self.loops = loops
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +411,18 @@ class _Counter:
 
 
 class _ForestSearch:
-    """The level search of one instance, sharing one node budget."""
+    """The level search of one instance, sharing one node budget; sizes come
+    scaled by cap."""
 
-    def __init__(self, inst: Instance, counter: _Counter):
+    def __init__(
+        self, inst: Instance, cap: int, scaled: Sequence[int], counter: _Counter
+    ):
         n = inst.n
         self.inst = inst
         self.counter = counter
         self.width = min(inst.k, n)
-        self.ceils = [math.ceil(s) for s in inst.sizes]
-        self.cap, self.scaled = scaled_sizes(inst.sizes)
-        ceils = self.ceils
+        self.cap, self.scaled = cap, scaled
+        self.ceils = ceils = [-(-s // cap) for s in scaled]
         self.candidates = sorted(
             (
                 members
@@ -368,28 +447,25 @@ class _ForestSearch:
         n = self.inst.n
         width = self.width
         ceils = self.ceils
-        scaled = self.scaled
-        cap = self.cap
         candidates = self.candidates
         tick = self.counter.tick
-        no_loops = [0] * n
-        sets = DisjointSets(n)
+        forest = _ForestLoops(self.scaled, self.cap, ceils)
+        chosen = forest.bins
+        tree = forest.tree
         deg = [0] * n
-        chosen: list[tuple[int, ...]] = []
 
         def recurse(start: int, need: int, merges_left: int):
             left = n_bins - len(chosen)
-            used = len(chosen) + _min_loops(scaled, cap, chosen, no_loops)
+            used = len(chosen) + forest.loops
             if used <= n_bins:
                 return list(chosen)
             if used - min(merges_left, left * (width - 1)) > n_bins:
                 return None
             # Each bin left holds at most `width` of the parts still needed.
             most = (left - 1) * width
-            root = [sets.find(i) for i in range(n)]
             for t in range(start, len(candidates)):
                 members = candidates[t]
-                if len({root[i] for i in members}) < len(members):
+                if len({tree[i] for i in members}) < len(members):
                     continue
                 tick()
                 relief = 0
@@ -398,17 +474,13 @@ class _ForestSearch:
                         relief += 1
                 if need - relief > most:
                     continue
-                saved = sets.parent[:]
-                for i in members[1:]:
-                    sets.union(members[0], i)
                 for i in members:
                     deg[i] += 1
-                chosen.append(members)
+                forest.push(members)
                 hit = recurse(t + 1, need - relief, merges_left - len(members) + 1)
-                chosen.pop()
+                forest.pop()
                 for i in members:
                     deg[i] -= 1
-                sets.parent[:] = saved
                 if hit is not None:
                     return hit
             return None
@@ -446,36 +518,38 @@ class _ForestSearch:
 # Heuristic upper bounds: any valid packing certifies its own bin count.
 
 
-def _best_fit_split(inst: Instance) -> Packing:
-    """Best fit decreasing: items go largest first, each whole into the open
-    bin with below k parts whose free room is least but still fits it (the
-    first such bin on ties); an item that fits nowhere whole spills over
-    ceil(size) fresh bins."""
-    order = sorted(inst.items(), key=lambda pair: (-pair[1], pair[0]))
+def _best_fit_split(inst: Instance, cap: int, scaled: Sequence[int]) -> Packing:
+    """Best fit decreasing on the sizes scaled by cap: items go largest
+    first, each whole into the open bin with below k parts whose free room
+    is least but still fits it (the first such bin on ties); an item that
+    fits nowhere whole spills over ceil(size) fresh bins."""
+    k = inst.k
     bins: list[list[Item]] = []
-    fills: list[Fraction] = []
-    for item, size in order:
+    fills: list[int] = []
+    for item in sorted(range(inst.n), key=lambda i: (-scaled[i], i)):
+        size = scaled[item]
         best = -1
-        best_free = None
-        for b in range(len(bins)):
-            free = 1 - fills[b]
-            if len(bins[b]) < inst.k and free >= size:
-                if best_free is None or free < best_free:
-                    best, best_free = b, free
+        best_free = cap + 1
+        for b, fill in enumerate(fills):
+            free = cap - fill
+            if size <= free < best_free and len(bins[b]) < k:
+                best, best_free = b, free
         if best >= 0:
-            bins[best].append((item, size))
+            bins[best].append((item, inst.sizes[item]))
             fills[best] += size
             continue
-        fresh = spill(item, size)
+        fresh = spill(item, inst.sizes[item])
         bins.extend(fresh)
-        fills.extend(part for ((_, part),) in fresh)
+        whole = len(fresh) - 1
+        fills.extend([cap] * whole)
+        fills.append(size - whole * cap)
     # "ffd" stays: byte-stable witnesses carry it whenever this meets the LB.
     return Packing.build(bins, ["ffd"] * len(bins))
 
 
-def _upper_bound_packing(inst: Instance) -> Packing:
+def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[int]) -> Packing:
     nf_packing, _ = next_fit(inst)
-    bf_packing = _best_fit_split(inst)
+    bf_packing = _best_fit_split(inst, cap, scaled)
     best = min((nf_packing, bf_packing), key=lambda p: p.n_bins)
     problems = validate_packing(inst, best)
     if problems:
@@ -525,10 +599,11 @@ def exact_opt(
     if inst.n == 0:
         return 0, EMPTY_PACKING
     lb = lower_bounds(inst).best
-    upper = _upper_bound_packing(inst)
+    cap, scaled = scaled_sizes(inst.sizes)
+    upper = _upper_bound_packing(inst, cap, scaled)
     if upper.n_bins == lb:
         return lb, upper
-    search = _ForestSearch(inst, _Counter(budget.max_structures))
+    search = _ForestSearch(inst, cap, scaled, _Counter(budget.max_structures))
     top = min(upper.n_bins - 1, budget.max_bins)
     for n_bins in range(lb, top + 1):
         witness = search.level(n_bins)
@@ -566,10 +641,11 @@ def feasible_in(
     lb = lower_bounds(inst).best
     if n_bins < lb:
         return None
-    upper = _upper_bound_packing(inst)
+    cap, scaled = scaled_sizes(inst.sizes)
+    upper = _upper_bound_packing(inst, cap, scaled)
     if upper.n_bins <= n_bins:
         return _pad_to(inst, upper, n_bins)
-    search = _ForestSearch(inst, _Counter(budget.max_structures))
+    search = _ForestSearch(inst, cap, scaled, _Counter(budget.max_structures))
     for level in range(lb, n_bins + 1):
         witness = search.level(level)
         if witness is not None:

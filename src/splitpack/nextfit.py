@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .core import BinEntries, Instance, Item, Packing, item_weight, validate_packing
+from .core import BinEntries, Instance, Item, Packing, parts_needed, validate_packing
 
 NF_LABEL = "nf"
 
@@ -136,7 +136,8 @@ def check_block_inequality(inst: Instance, trace: NfTrace) -> bool:
     """Check the per-block weight bound on a NEXT FIT trace.
 
     With nf bins in m blocks, the item weights must satisfy
-    sum_i ceil(s_i)/k >= (nf + (m-1)(k-1))/k; every bin before a block's last
+    sum_i ceil(s_i)/k >= (nf + (m-1)(k-1))/k, checked on integers as
+    sum_i ceil(s_i) >= nf + (m-1)(k-1); every bin before a block's last
     is full and each non-final block ends at k parts, which forces at least
     k-1 unsplit items into that closing bin. A False return means the trace
     does not come from this implementation's NEXT FIT.
@@ -147,6 +148,4 @@ def check_block_inequality(inst: Instance, trace: NfTrace) -> bool:
         raise ValueError(f"trace does not match the instance: {problems[0]}")
     nf = trace.n_bins
     m = trace.n_blocks
-    total_weight = sum((item_weight(s, inst.k) for s in inst.sizes), Fraction(0))
-    bound = Fraction(nf + (m - 1) * (inst.k - 1), inst.k)
-    return total_weight >= bound
+    return parts_needed(inst.sizes) >= nf + (m - 1) * (inst.k - 1)

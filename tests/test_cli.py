@@ -3,6 +3,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -81,6 +82,17 @@ def test_solve_parse_error(tmp_path, capsys):
         "solve", "--algo", "nf", "--input", str(bad), capsys=capsys
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("size", ["1e1000000", "1" * 4000])
+def test_solve_rejects_huge_numerals_fast(tmp_path, capsys, size):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2, "items": ["1/2", size]}))
+    start = time.perf_counter()
+    code, _, err = run_cli("solve", "--algo", "nf", "--input", str(inst), capsys=capsys)
+    assert code == 3
+    assert "bad instance file" in err
+    assert time.perf_counter() - start < 0.25
 
 
 def test_solve_budget_exhaustion(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import math
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +17,7 @@ from splitpack import (
     parse_rational,
     validate_packing,
 )
-from splitpack.core import size_type
+from splitpack.core import MAX_DECIMAL_EXPONENT, MAX_NUMERAL_DIGITS, size_type
 
 
 def test_parse_rational_forms():
@@ -28,6 +31,37 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_parse_rational_limits():
+    assert parse_rational(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
+    tiny = F(25, 10 ** (MAX_DECIMAL_EXPONENT + 1))
+    assert parse_rational(f"2.5E-{MAX_DECIMAL_EXPONENT}") == tiny
+    assert parse_rational("7" * MAX_NUMERAL_DIGITS) == int("7" * MAX_NUMERAL_DIGITS)
+    for bad in (
+        f"1e{MAX_DECIMAL_EXPONENT + 1}",
+        f"1E-{MAX_DECIMAL_EXPONENT + 1}",
+        "7" * (MAX_NUMERAL_DIGITS + 1),
+        "1/" + "3" * MAX_NUMERAL_DIGITS,
+    ):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [
+        "1e1000000",  # a 3.3M-bit power of ten
+        "0.5e-99999999999999999999",
+        "1" * 4000,  # below the interpreter's own int-string limit
+        "0." + "1" * 10**6,
+    ],
+)
+def test_parse_rational_fails_fast_on_hostile_numerals(hostile):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_rational(hostile)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_decimal_parsing_is_exact():
@@ -131,6 +165,10 @@ def test_validate_packing_positivity():
 def test_same_item_parts_merge_on_build():
     packing = Packing.build([[(0, F(1, 4)), (0, F(1, 4))]])
     assert packing.bins == (((0, F(1, 2)),),)
+    # parts that are not Fractions are still converted
+    packing = Packing.build([[(0, 1)], [(1, F(1, 4)), (1, 1)], [(2, 0.5)]])
+    assert packing.bins == (((0, F(1)),), ((1, F(5, 4)),), ((2, F(1, 2)),))
+    assert all(type(part) is F for entries in packing.bins for _, part in entries)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +187,21 @@ def test_lower_bounds_examples(k, sizes, expected):
         report.count_bound,
         report.best,
     ) == expected
+
+
+def test_lower_bounds_match_rational_formulas():
+    # the integer bounds against their definitions on Fractions
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randint(2, 5)
+        sizes = [
+            F(rng.randint(1, 4 * den), den)
+            for den in rng.choices([1, 2, 3, 4, 6, 7, 10, 97], k=rng.randint(1, 12))
+        ]
+        report = lower_bounds(Instance(k=k, sizes=sizes))
+        assert report.size_bound == math.ceil(sum(sizes, F(0)))
+        assert report.weight_bound == math.ceil(sum(item_weight(s, k) for s in sizes))
+        assert report.count_bound == math.ceil(F(len(sizes), k))
 
 
 def test_graph_of_edges_and_loops():

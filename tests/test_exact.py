@@ -26,7 +26,14 @@ from splitpack import (
     three_partition_brute,
     validate_packing,
 )
-from splitpack.exact import _extra_loop_splits, _min_loops, _upper_bound_packing
+from splitpack import exact
+from splitpack.core import scaled_sizes
+from splitpack.exact import (
+    _extra_loop_splits,
+    _ForestLoops,
+    _min_loops,
+    _upper_bound_packing,
+)
 
 
 def test_feasible_realizes_chain():
@@ -176,7 +183,8 @@ def test_upper_bound_packing_golden():
         for k in (2, 3, 4)
         for dist in ("uniform", "mixed", "heavy")
         for seed in range(20)
-        for packing in [_upper_bound_packing(gen_random(n, k, dist, seed))]
+        for inst in [gen_random(n, k, dist, seed)]
+        for packing in [_upper_bound_packing(inst, *scaled_sizes(inst.sizes))]
     ]
     digest = hashlib.sha256(repr(key).encode()).hexdigest()
     assert digest == "c57d1d1c7631bb8a77ed3b1d1588f26b2041216ed3f416033a657d4843bfd834"
@@ -428,3 +436,78 @@ def test_k3_blowup_instance_solves_within_a_second():
     assert time.perf_counter() - start < 1.0
     assert opt == lower_bounds(inst).best == 6
     assert validate_packing(inst, witness) == [] and witness.n_bins == 6
+
+
+# ---------------------------------------------------------------------------
+# Node counts and the per-tree min-loop totals.
+
+
+def test_golden_node_counts(monkeypatch):
+    # sha256 over (OPT or "-" on budget, witness key, nodes) of exact_opt
+    # and of feasible_in at LB and LB + 1, recorded before the search kept
+    # one min-loop total per tree; 73 of the 1350 rows search, 61 of them
+    # run out of the 3000-node budget
+    counters = []
+
+    class Recording(exact._Counter):
+        def __init__(self, limit):
+            super().__init__(limit)
+            counters.append(self)
+
+    monkeypatch.setattr(exact, "_Counter", Recording)
+
+    def row(call):
+        counters.clear()
+        try:
+            answer, witness = call()
+        except BudgetExceeded:
+            answer, witness = "-", None
+        key = None if witness is None else witness.key()
+        return answer, key, sum(c.value for c in counters)
+
+    budget = SearchBudget(max_items=10, max_bins=20, max_structures=3000)
+    rows = []
+    for k in (2, 3, 4):
+        for n in range(6, 11):
+            for dist in ("uniform", "mixed", "heavy"):
+                for seed in range(10):
+                    inst = gen_random(n, k, dist, seed)
+                    rows.append(row(lambda: exact_opt(inst, budget)))
+                    lb = lower_bounds(inst).best
+                    for b in (lb, lb + 1):
+                        rows.append(row(lambda: (b, feasible_in(inst, b, budget))))
+    assert sum(nodes > 0 for *_, nodes in rows) == 73
+    assert sum(answer == "-" for answer, *_ in rows) == 61
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "d775d6936a3a9d164f40f756fea44ab5603b9f96d55558c6cca1e62059e086e4"
+
+
+def test_forest_loops_track_min_loops():
+    # after every push and pop, each tree's total is the whole-forest DP on
+    # that tree's items alone, and the totals add up to the whole-forest DP
+    rng = random.Random(23)
+    for _ in range(150):
+        k = rng.choice([2, 3, 4])
+        n = rng.randint(2, 9)
+        den = rng.choice([2, 3, 4, 5, 6])
+        cap, scaled = scaled_sizes([F(rng.randint(1, 3 * den), den) for _ in range(n)])
+        forest = _ForestLoops(scaled, cap, [-(-s // cap) for s in scaled])
+        for _ in range(4 * n):
+            members = tuple(sorted(rng.sample(range(n), rng.randint(2, min(k, n)))))
+            acyclic = len({forest.tree[i] for i in members}) == len(members)
+            if forest.bins and (rng.random() < 0.3 or not acyclic):
+                forest.pop()
+            elif acyclic:
+                forest.push(members)
+            else:
+                continue
+            trees = set(forest.tree)
+            assert len(trees) == n - sum(len(b) - 1 for b in forest.bins)
+            for b in forest.bins:
+                assert len({forest.tree[i] for i in b}) == 1
+            for t in trees:
+                alone = [s if forest.tree[i] == t else 0 for i, s in enumerate(scaled)]
+                alone_loops = _min_loops(alone, cap, forest.bins, [0] * n)
+                assert forest.tree_loops[t] == alone_loops
+            assert forest.loops == sum(forest.tree_loops[t] for t in trees)
+            assert forest.loops == _min_loops(scaled, cap, forest.bins, [0] * n)

@@ -7,6 +7,7 @@ import pytest
 from splitpack import (
     CloseReason,
     Instance,
+    NfTrace,
     check_block_inequality,
     gen_nf_worst,
     gen_random,
@@ -95,6 +96,13 @@ def test_block_inequality_values():
     inst, _ = gen_nf_worst(3, 1)
     _, trace = next_fit(inst)
     assert check_block_inequality(inst, trace)
+    # three half items in three bins: weight 3/2 meets (3 + 0)/2 exactly in
+    # one block and falls short of (3 + 1)/2 in two
+    inst = Instance(k=2, sizes=(F(1, 2),) * 3)
+    bins = tuple(((i, F(1, 2)),) for i in range(3))
+    reasons = (CloseReason.END_OF_INPUT,) * 3
+    assert check_block_inequality(inst, NfTrace(bins, reasons, ((0, 3),)))
+    assert not check_block_inequality(inst, NfTrace(bins, reasons, ((0, 1), (1, 2))))
 
 
 def test_block_inequality_rejects_mismatched_trace():
