@@ -197,14 +197,11 @@ def _repair_seven_bin(
         and counts[StepLabel.S3] + counts[StepLabel.S6] == 5
     ):
         return False, False
-    base = exact_mod.SearchBudget.from_env()
-    search_budget = exact_mod.SearchBudget(
-        max_items=max(base.max_items, inst.n),
-        max_bins=max(base.max_bins, 7),
-        max_structures=base.max_structures,
-    )
+    # A fixed budget, so that the packing never depends on the environment.
     try:
-        witness = exact_mod.feasible_in(inst, 7, search_budget)
+        witness = exact_mod.feasible_in(
+            inst, 7, exact_mod.SearchBudget(max_items=inst.n)
+        )
     except exact_mod.BudgetExceeded:
         return True, False
     if witness is None:
@@ -216,15 +213,9 @@ def _repair_seven_bin(
     return True, True
 
 
-def pack_75(inst: Instance, *, enable_repairs: bool = True) -> A75Report:
-    """Run the full k = 2 algorithm and return the labeled packing.
-
-    Stage one pairs each medium with the smallest small that fits, or splits
-    it over the two largest smalls; leftovers flow through next-fit. Stage
-    two applies the repair passes. Output is always a valid packing.
-    """
-    if inst.k != 2:
-        raise ValueError(f"this algorithm requires k=2, got k={inst.k}")
+def _main_pass(inst: Instance) -> tuple[list[list[Item]], list[str], Item | None]:
+    """Stage one on a k = 2 instance: the raw bins, their step labels and the
+    lone small moved into the next-fit stream, if any."""
     smalls = sorted(
         ((i, s) for i, s in inst.items() if classify(s) is ItemClass.SMALL),
         key=lambda p: (p[1], p[0]),
@@ -285,16 +276,27 @@ def pack_75(inst: Instance, *, enable_repairs: bool = True) -> A75Report:
         tail_bins, tail_labels = large_into_smalls(smalls_left, larges)
         bins.extend(tail_bins)
         labels.extend(tail_labels)
+    return bins, labels, reclassified
 
+
+def pack_75(inst: Instance) -> A75Report:
+    """Run the full k = 2 algorithm and return the labeled packing.
+
+    Stage one pairs each medium with the smallest small that fits, or splits
+    it over the two largest smalls; leftovers flow through next-fit. Stage
+    two applies the repair passes. Output is always a valid packing.
+    """
+    if inst.k != 2:
+        raise ValueError(f"this algorithm requires k=2, got k={inst.k}")
+    bins, labels, reclassified = _main_pass(inst)
     fallback: str | None = None
-    if enable_repairs:
-        triggered, _ = _repair_two_bin(inst, bins, labels)
+    triggered, _ = _repair_two_bin(inst, bins, labels)
+    if triggered:
+        fallback = TWO_BIN_REPACK
+    else:
+        triggered, _ = _repair_seven_bin(inst, bins, labels)
         if triggered:
-            fallback = TWO_BIN_REPACK
-        else:
-            triggered, _ = _repair_seven_bin(inst, bins, labels)
-            if triggered:
-                fallback = SEVEN_BIN_SEARCH
+            fallback = SEVEN_BIN_SEARCH
 
     packing = Packing.build(bins, labels)
     problems = validate_packing(inst, packing)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import random
 import sys
@@ -74,14 +75,11 @@ def _load_packing(path: str) -> Packing:
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    base = SearchBudget.from_env()
-    max_bins = getattr(args, "max_bins", None)
-    nodes = getattr(args, "budget_nodes", None)
-    return SearchBudget(
-        max_items=base.max_items,
-        max_bins=max_bins if max_bins is not None else base.max_bins,
-        max_structures=nodes if nodes is not None else base.max_structures,
-    )
+    """The oracle budget: the environment's (the one place the package reads
+    it), overridden by the flags given."""
+    flags = {"max_bins": args.max_bins, "max_structures": args.budget_nodes}
+    given = {field: value for field, value in flags.items() if value is not None}
+    return dataclasses.replace(SearchBudget.from_env(), **given)
 
 
 def _decimal(value: Fraction) -> str:
@@ -121,8 +119,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         run_inst = inst
         if args.presort:
             reverse = args.presort == "decreasing"
-            order = sorted(inst.sizes, reverse=reverse)
-            run_inst = Instance(k=inst.k, sizes=tuple(order))
+            order = sorted(range(inst.n), key=inst.sizes.__getitem__, reverse=reverse)
+            run_inst = Instance(k=inst.k, sizes=tuple(inst.sizes[i] for i in order))
         packing, trace = next_fit(run_inst)
         if not check_block_inequality(run_inst, trace):
             raise InternalError("block weight inequality failed on a trace")
@@ -130,7 +128,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "blocks": [list(span) for span in trace.blocks],
             "close_reasons": [r.value for r in trace.close_reasons],
         }
-        inst = run_inst
+        if args.presort:
+            # Name the items by their positions in the input, not the run.
+            packing = Packing.build(
+                [[(order[i], part) for i, part in entries] for entries in packing.bins],
+                packing.labels,
+            )
     elif args.algo == "a75":
         report = pack_75(inst)
         packing = report.packing
@@ -141,10 +144,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "fallback_triggered": report.fallback_triggered,
         }
     else:
-        try:
-            _, packing = exact_opt(inst, _budget(args))
-        except BudgetExceeded as exc:
-            raise _fail(EXIT_BUDGET, f"oracle budget exhausted: {exc}")
+        _, packing = exact_opt(inst, _budget(args))
 
     problems = validate_packing(inst, packing)
     if problems:

@@ -70,6 +70,13 @@ class BudgetExceeded(Exception):
     """
 
 
+_SPEC_FIELDS = {
+    "items": "max_items",
+    "bins": "max_bins",
+    "structures": "max_structures",
+}
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Resource limits for the exhaustive search.
@@ -85,24 +92,22 @@ class SearchBudget:
     @staticmethod
     def from_spec(spec: str) -> "SearchBudget":
         """Parse "items=10,bins=12,structures=2000000" style overrides."""
-        fields = {"items": 8, "bins": 10, "structures": 5_000_000}
+        given: dict[str, int] = {}
         for chunk in spec.split(","):
             chunk = chunk.strip()
             if not chunk:
                 continue
             key, _, value = chunk.partition("=")
-            key = key.strip()
-            if key not in fields or not value.strip().isdigit():
+            field = _SPEC_FIELDS.get(key.strip())
+            if field is None or not value.strip().isdigit():
                 raise ValueError(f"bad budget component: {chunk!r}")
-            fields[key] = int(value)
-        return SearchBudget(
-            max_items=fields["items"],
-            max_bins=fields["bins"],
-            max_structures=fields["structures"],
-        )
+            given[field] = int(value)
+        return SearchBudget(**given)
 
     @staticmethod
     def from_env() -> "SearchBudget":
+        """The budget that ``BUDGET_ENV_VAR`` names, or the default. Only the
+        CLI reads it; library calls take their budget as an argument."""
         spec = os.environ.get(BUDGET_ENV_VAR)
         if spec:
             return SearchBudget.from_spec(spec)
@@ -452,7 +457,7 @@ class _ForestSearch:
         forest = _ForestLoops(self.scaled, self.cap, ceils)
         chosen = forest.bins
         tree = forest.tree
-        deg = [0] * n
+        item_bins = forest.item_bins
 
         def recurse(start: int, need: int, merges_left: int):
             left = n_bins - len(chosen)
@@ -470,26 +475,19 @@ class _ForestSearch:
                 tick()
                 relief = 0
                 for i in members:
-                    if deg[i] < ceils[i]:
+                    if len(item_bins[i]) < ceils[i]:
                         relief += 1
                 if need - relief > most:
                     continue
-                for i in members:
-                    deg[i] += 1
                 forest.push(members)
                 hit = recurse(t + 1, need - relief, merges_left - len(members) + 1)
                 forest.pop()
-                for i in members:
-                    deg[i] -= 1
                 if hit is not None:
                     return hit
             return None
 
         tick()
-        need = sum(ceils)
-        if need > n_bins * width:
-            return None
-        return recurse(0, need, n - 1)
+        return recurse(0, sum(ceils), n - 1)
 
     def _witness(self, forest: list[tuple[int, ...]], n_bins: int) -> Packing:
         n = self.inst.n
@@ -584,14 +582,13 @@ def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
 
 
 def exact_opt(
-    inst: Instance, budget: SearchBudget | None = None
+    inst: Instance, budget: SearchBudget = SearchBudget()
 ) -> tuple[int, Packing]:
     """Minimum feasible bin count plus a witness packing.
 
     The search ascends from the combined lower bound and stops at the first
     feasible level, so the result is optimal.
     """
-    budget = budget or SearchBudget.from_env()
     if inst.n > budget.max_items:
         raise BudgetExceeded(
             f"{inst.n} items exceed the budget of {budget.max_items}"
@@ -617,7 +614,7 @@ def exact_opt(
 
 
 def feasible_in(
-    inst: Instance, n_bins: int, budget: SearchBudget | None = None
+    inst: Instance, n_bins: int, budget: SearchBudget = SearchBudget()
 ) -> Packing | None:
     """Decision variant: a valid packing with exactly n_bins bins, or None.
 
@@ -627,7 +624,6 @@ def feasible_in(
     """
     if n_bins < 1:
         raise ValueError(f"bin count must be at least 1, got {n_bins}")
-    budget = budget or SearchBudget.from_env()
     if inst.n > budget.max_items:
         raise BudgetExceeded(
             f"{inst.n} items exceed the budget of {budget.max_items}"

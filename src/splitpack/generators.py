@@ -18,6 +18,7 @@ OPT_LABEL = "opt"
 MAX_BRUTE_TRIPLE_GROUPS = 4
 
 DISTRIBUTIONS = ("uniform", "mixed", "heavy")
+MAX_DENOMINATOR = 12
 
 
 def gen_nf_worst(k: int, big_blocks: int) -> tuple[Instance, Packing]:
@@ -151,12 +152,11 @@ def gen_random(
     k: int,
     size_distribution: str = "uniform",
     seed: int = 0,
-    max_denominator: int = 12,
 ) -> Instance:
     """Seeded random instance; identical seeds give identical instances.
 
     Distributions: "uniform" draws rationals in (0, 1] with denominator at
-    most max_denominator; "mixed" draws small/medium/large items (sizes up to
+    most MAX_DENOMINATOR; "mixed" draws small/medium/large items (sizes up to
     2) with proportions 50/35/15; "heavy" draws sizes up to k. Denominators
     stay bounded so the exact oracle stays exact and fast.
     """
@@ -171,37 +171,37 @@ def gen_random(
     sizes: list[Fraction] = []
     for _ in range(n):
         if size_distribution == "uniform":
-            sizes.append(_uniform_unit(rng, max_denominator))
+            sizes.append(_uniform_unit(rng))
         elif size_distribution == "mixed":
             roll = rng.random()
             if roll < 0.5:
-                sizes.append(_small(rng, max_denominator))
+                sizes.append(_small(rng))
             elif roll < 0.85:
-                sizes.append(_medium(rng, max_denominator))
+                sizes.append(_medium(rng))
             else:
-                sizes.append(1 + _uniform_unit(rng, max_denominator))
+                sizes.append(1 + _uniform_unit(rng))
         else:  # heavy
             whole = rng.randrange(k)
-            frac = _uniform_unit(rng, max_denominator)
+            frac = _uniform_unit(rng)
             size = whole + frac
             sizes.append(size if size <= k else Fraction(k))
     return Instance(k=k, sizes=tuple(sizes))
 
 
-def _uniform_unit(rng: random.Random, max_den: int) -> Fraction:
-    den = rng.randint(1, max_den)
+def _uniform_unit(rng: random.Random) -> Fraction:
+    den = rng.randint(1, MAX_DENOMINATOR)
     num = rng.randint(1, den)
     return Fraction(num, den)
 
 
-def _small(rng: random.Random, max_den: int) -> Fraction:
-    den = rng.randint(2, max_den)
+def _small(rng: random.Random) -> Fraction:
+    den = rng.randint(2, MAX_DENOMINATOR)
     num = rng.randint(1, max(1, den // 2))
     value = Fraction(num, den)
     return value if value <= Fraction(1, 2) else Fraction(1, 2)
 
 
-def _medium(rng: random.Random, max_den: int) -> Fraction:
-    den = rng.randint(2, max_den)
+def _medium(rng: random.Random) -> Fraction:
+    den = rng.randint(2, MAX_DENOMINATOR)
     num = rng.randint(den // 2 + 1, den)
     return Fraction(num, den)

@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .core import BinEntries, Instance, Item, Packing, parts_needed, validate_packing
+from .core import BinEntries, Instance, Item, Packing, bin_violations, parts_needed
 
 NF_LABEL = "nf"
 
@@ -142,8 +142,7 @@ def check_block_inequality(inst: Instance, trace: NfTrace) -> bool:
     k-1 unsplit items into that closing bin. A False return means the trace
     does not come from this implementation's NEXT FIT.
     """
-    packing = Packing.build(trace.bins, [NF_LABEL] * len(trace.bins))
-    problems = validate_packing(inst, packing)
+    problems = bin_violations(inst, trace.bins)
     if problems:
         raise ValueError(f"trace does not match the instance: {problems[0]}")
     nf = trace.n_bins

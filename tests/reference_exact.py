@@ -590,7 +590,7 @@ def exact_opt(
     feasible level, so the result is optimal. forest_only defaults to k == 2;
     for k >= 3 general structures are enumerated.
     """
-    budget = budget or SearchBudget.from_env()
+    budget = budget or SearchBudget()
     if inst.n > budget.max_items:
         raise BudgetExceeded(
             f"{inst.n} items exceed the budget of {budget.max_items}"
@@ -634,7 +634,7 @@ def feasible_in(
     """
     if n_bins < 1:
         raise ValueError(f"bin count must be at least 1, got {n_bins}")
-    budget = budget or SearchBudget.from_env()
+    budget = budget or SearchBudget()
     if inst.n > budget.max_items:
         raise BudgetExceeded(
             f"{inst.n} items exceed the budget of {budget.max_items}"

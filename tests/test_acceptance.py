@@ -4,6 +4,7 @@ pass line per criterion (run with -s to watch them)."""
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,7 @@ from splitpack import (
     three_partition_brute,
     validate_packing,
 )
-from splitpack.algo75 import SEVEN_BIN_SEARCH, TWO_BIN_REPACK, StepLabel
+from splitpack.algo75 import SEVEN_BIN_SEARCH, TWO_BIN_REPACK, StepLabel, _main_pass
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -279,16 +280,16 @@ def test_criterion_7_normalization_suite(corpus_k2):
 def test_criterion_8_repair_passes():
     # prescribed two-bin repack exists: three bins collapse to two
     inst = Instance(k=2, sizes=(F(3, 5), F(1, 5), F(6, 5)))
-    before = pack_75(inst, enable_repairs=False)
+    before, _, _ = _main_pass(inst)
     after = pack_75(inst)
-    assert before.n_bins == 3 and after.n_bins == 2
+    assert len(before) == 3 and after.n_bins == 2
     assert after.fallback_triggered == TWO_BIN_REPACK
     # trigger matches but the layout overflows: never worse
     inst = Instance(k=2, sizes=(F(3, 5), F(2, 5), F(9, 5)))
-    before = pack_75(inst, enable_repairs=False)
+    before, _, _ = _main_pass(inst)
     after = pack_75(inst)
     assert after.fallback_triggered == TWO_BIN_REPACK
-    assert after.n_bins == before.n_bins
+    assert after.n_bins == len(before)
     # pattern not matched: untouched
     inst = Instance(k=2, sizes=(F(3, 5), F(1, 5), F(6, 5), F(6, 5)))
     assert pack_75(inst).fallback_triggered is None
@@ -296,24 +297,24 @@ def test_criterion_8_repair_passes():
     seven_yes = Instance(
         k=2, sizes=(F(1, 50),) * 5 + (F(99, 100),) * 2 + (F(11, 20), F(401, 100))
     )
-    before = pack_75(seven_yes, enable_repairs=False)
-    assert before.label_counts == {
+    before, labels, _ = _main_pass(seven_yes)
+    assert Counter(labels) == {
         StepLabel.S2B: 4,
         StepLabel.S2A: 1,
         StepLabel.S3: 5,
     }
     after = pack_75(seven_yes)
     assert after.fallback_triggered == SEVEN_BIN_SEARCH
-    assert after.n_bins == 7 < before.n_bins
+    assert after.n_bins == 7 < len(before)
     assert validate_packing(seven_yes, after.packing) == []
 
     seven_no = Instance(
         k=2, sizes=(F(1, 50),) * 5 + (F(99, 100),) * 2 + (F(19, 20), F(401, 100))
     )
-    before = pack_75(seven_no, enable_repairs=False)
+    before, _, _ = _main_pass(seven_no)
     after = pack_75(seven_no)
     assert after.fallback_triggered == SEVEN_BIN_SEARCH
-    assert after.n_bins == before.n_bins == 10
+    assert after.n_bins == len(before) == 10
     _report(
         "criterion 8",
         "two-bin repack collapses 3 bins to 2 when the layout exists and "

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from splitpack.algo75 import (
     SEVEN_BIN_SEARCH,
     TWO_BIN_REPACK,
     StepLabel,
+    _main_pass,
     large_into_smalls,
     reclassify_lone_small,
 )
@@ -178,10 +180,10 @@ def test_two_bin_repack_success():
 def test_two_bin_repack_infeasible_keeps_packing():
     # the prescribed two-bin layout overflows, so the result stays put
     inst = Instance(k=2, sizes=(F(3, 5), F(2, 5), F(9, 5)))
-    plain = pack_75(inst, enable_repairs=False)
+    plain, _, _ = _main_pass(inst)
     report = pack_75(inst)
     assert report.fallback_triggered == TWO_BIN_REPACK
-    assert report.n_bins == plain.n_bins
+    assert report.n_bins == len(plain)
     opt, _ = exact_opt(inst)
     assert report.n_bins <= math.ceil(F(7, 5) * opt)
 
@@ -198,9 +200,9 @@ SEVEN_NO = (F(1, 50),) * 5 + (F(99, 100),) * 2 + (F(19, 20), F(401, 100))
 
 def test_seven_bin_search_pattern():
     inst = Instance(k=2, sizes=SEVEN_YES)
-    plain = pack_75(inst, enable_repairs=False)
-    assert plain.n_bins == 10
-    assert plain.label_counts == {
+    plain, labels, _ = _main_pass(inst)
+    assert len(plain) == 10
+    assert Counter(labels) == {
         StepLabel.S2B: 4,
         StepLabel.S2A: 1,
         StepLabel.S3: 5,
@@ -216,6 +218,16 @@ def test_seven_bin_search_infeasible_keeps_packing():
     report = pack_75(inst)
     assert report.fallback_triggered == SEVEN_BIN_SEARCH
     assert report.n_bins == 10
+
+
+def test_seven_bin_search_ignores_budget_env(monkeypatch):
+    inst = Instance(k=2, sizes=SEVEN_YES)
+    monkeypatch.delenv("SPLITPACK_BUDGET", raising=False)
+    unset = pack_75(inst)
+    assert unset.n_bins == 7
+    for spec in ("structures=1", "items=3"):
+        monkeypatch.setenv("SPLITPACK_BUDGET", spec)
+        assert pack_75(inst) == unset, spec
 
 
 def test_seven_bin_search_not_triggered_elsewhere():

@@ -299,24 +299,79 @@ def test_experiment_normalize_check(tmp_path, capsys):
 
 
 def test_solve_nf_presort(tmp_path, capsys):
-    from fractions import Fraction as F
-
-    from splitpack import Instance, next_fit
+    from splitpack import Instance, Packing, next_fit
 
     inst_file = tmp_path / "inst.json"
-    inst_file.write_text('{"k": 2, "items": ["1/4", "1", "1/4", "1"]}')
+    code, _, _ = run_cli(
+        "gen", "random", "--n", "8", "--k", "2", "--dist", "mixed",
+        "--seed", "3", "--output", str(inst_file), capsys=capsys,
+    )
+    assert code == 0
+    inst = spio.load_instance(str(inst_file))
     out_file = tmp_path / "packing.json"
+    for presort in ("increasing", "decreasing"):
+        code, _, _ = run_cli(
+            "solve", "--algo", "nf", "--input", str(inst_file),
+            "--output", str(out_file), "--presort", presort,
+            capsys=capsys,
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            "verify", "--instance", str(inst_file), "--packing", str(out_file),
+            capsys=capsys,
+        )
+        assert code == 0, presort
+        # next fit over the size-sorted instance, items named by input position
+        order = sorted(
+            range(inst.n), key=inst.sizes.__getitem__, reverse=presort == "decreasing"
+        )
+        run, _ = next_fit(Instance(k=2, sizes=tuple(inst.sizes[i] for i in order)))
+        expected = Packing.build(
+            [[(order[i], part) for i, part in entries] for entries in run.bins]
+        )
+        assert spio.load_packing(str(out_file)).bins == expected.bins
+
+
+def test_solve_a75_report(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps(
+        {"k": 2, "items": ["1/50"] * 5 + ["99/100"] * 2 + ["11/20", "401/100"]}
+    ))
+    out_file = tmp_path / "packing.json"
+    report_file = tmp_path / "report.json"
     code, out, _ = run_cli(
-        "solve", "--algo", "nf", "--input", str(inst_file),
-        "--output", str(out_file), "--presort", "decreasing",
+        "solve", "--algo", "a75", "--input", str(inst_file),
+        "--output", str(out_file), "--report", str(report_file),
         capsys=capsys,
     )
     assert code == 0
-    # the run must equal next-fit over the size-sorted instance
-    expected, _ = next_fit(
-        Instance(k=2, sizes=(F(1), F(1), F(1, 4), F(1, 4)))
+    assert "bins=7 " in out
+    assert json.loads(report_file.read_text()) == {
+        "bins": 7,
+        "label_counts": {"Repacked": 7},
+        "reclassified_small": False,
+        "fallback_triggered": "SevenBinSearch",
+    }
+    code, _, _ = run_cli(
+        "verify", "--instance", str(inst_file), "--packing", str(out_file),
+        capsys=capsys,
     )
-    assert spio.load_packing(str(out_file)).bins == expected.bins
+    assert code == 0
+
+
+def test_solve_budget_env_under_flags(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2, "items": ["51/100"] * 5}))
+    argv = ("solve", "--algo", "exact", "--input", str(inst))
+    monkeypatch.setenv("SPLITPACK_BUDGET", "structures=1")
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 4 and err.startswith("oracle budget exhausted")
+    # a flag overrides its field and keeps the environment's others
+    code, out, _ = run_cli(*argv, "--budget-nodes", "100000", capsys=capsys)
+    assert code == 0 and "bins=4" in out
+    monkeypatch.setenv("SPLITPACK_BUDGET", "items=4,structures=1")
+    code, _, err = run_cli(*argv, "--budget-nodes", "100000", capsys=capsys)
+    assert code == 4 and "5 items exceed the budget of 4" in err
 
 
 def test_solve_exact_max_bins_flag(tmp_path, capsys):

@@ -149,6 +149,8 @@ def test_budget_spec_parsing():
         12,
         1000,
     )
+    assert SearchBudget.from_spec("bins=12,") == SearchBudget(max_bins=12)
+    assert SearchBudget.from_spec("") == SearchBudget()
     with pytest.raises(ValueError):
         SearchBudget.from_spec("bogus=3")
 
@@ -158,6 +160,14 @@ def test_budget_env_override(monkeypatch):
     assert SearchBudget.from_env().max_items == 9
     monkeypatch.delenv("SPLITPACK_BUDGET")
     assert SearchBudget.from_env().max_items == 8
+
+
+def test_library_ignores_budget_env(monkeypatch):
+    inst = Instance(k=2, sizes=(F(51, 100),) * 5)
+    expected = exact_opt(inst)
+    monkeypatch.setenv("SPLITPACK_BUDGET", "items=1,structures=1")
+    assert exact_opt(inst) == expected
+    assert feasible_in(inst, 4) is not None
 
 
 def test_exact_at_most_heuristics():

@@ -145,6 +145,17 @@ def test_matches_reference_on_parallel_edges():
     assert_same_rewrites(inst, packing)
 
 
+def test_matches_reference_when_a_trade_empties_the_neighbour_part():
+    # Small item 0 trades its 1/4 in bin 0 for item 2's whole 1/4 in bin 1.
+    inst = Instance(k=2, sizes=(F(1, 2), F(1), F(1)))
+    packing = Packing.build(
+        [[(0, F(1, 4)), (1, F(3, 4))], [(0, F(1, 4)), (2, F(1, 4))], [(1, F(1, 4))],
+         [(2, F(3, 4))]]
+    )
+    assert smalls_to_leaves(inst, packing) == ref.smalls_to_leaves(inst, packing)
+    assert_same_rewrites(inst, packing)
+
+
 def test_matches_reference_on_random_multigraphs():
     rng = random.Random(99)
     for _ in range(100):
