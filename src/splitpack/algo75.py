@@ -216,18 +216,12 @@ def _repair_seven_bin(
 def _main_pass(inst: Instance) -> tuple[list[list[Item]], list[str], Item | None]:
     """Stage one on a k = 2 instance: the raw bins, their step labels and the
     lone small moved into the next-fit stream, if any."""
-    smalls = sorted(
-        ((i, s) for i, s in inst.items() if classify(s) is ItemClass.SMALL),
-        key=lambda p: (p[1], p[0]),
-    )
-    mediums = sorted(
-        ((i, s) for i, s in inst.items() if classify(s) is ItemClass.MEDIUM),
-        key=lambda p: (-p[1], p[0]),
-    )
-    larges = sorted(
-        ((i, s) for i, s in inst.items() if classify(s) is ItemClass.LARGE),
-        key=lambda p: (-p[1], p[0]),
-    )
+    by_class: dict[ItemClass, list[Item]] = {cls: [] for cls in ItemClass}
+    for item in inst.items():
+        by_class[classify(item[1])].append(item)
+    smalls = sorted(by_class[ItemClass.SMALL], key=lambda p: (p[1], p[0]))
+    mediums = sorted(by_class[ItemClass.MEDIUM], key=lambda p: (-p[1], p[0]))
+    larges = sorted(by_class[ItemClass.LARGE], key=lambda p: (-p[1], p[0]))
 
     bins: list[list[Item]] = []
     labels: list[str] = []

@@ -20,14 +20,22 @@ from typing import Sequence
 from . import io
 from .algo75 import pack_75
 from .core import (
+    MAX_PARTS,
     Instance,
     InternalError,
     InvalidPackingError,
     Packing,
     lower_bounds,
+    parts_needed,
     validate_packing,
 )
-from .exact import BudgetExceeded, SearchBudget, exact_opt, feasible_in
+from .exact import (
+    BUDGET_ENV_VAR,
+    BudgetExceeded,
+    SearchBudget,
+    exact_opt,
+    feasible_in,
+)
 from .generators import (
     DISTRIBUTIONS,
     gen_a75_worst,
@@ -57,12 +65,20 @@ def _fail(code: int, message: str) -> "_CliError":
 
 
 def _load_instance(path: str) -> Instance:
+    """The instance at `path`; one needing more than ``MAX_PARTS`` parts is
+    rejected before any command packs it."""
     try:
-        return io.load_instance(path)
+        inst = io.load_instance(path)
     except OSError as exc:
         raise _fail(EXIT_PARSE, f"cannot read instance: {exc}")
     except io.ParseError as exc:
         raise _fail(EXIT_PARSE, f"bad instance file: {exc}")
+    if parts_needed(inst.sizes) > MAX_PARTS:
+        raise _fail(
+            EXIT_PARSE,
+            f"bad instance file: its sizes need more than {MAX_PARTS} parts",
+        )
+    return inst
 
 
 def _load_packing(path: str) -> Packing:
@@ -79,7 +95,11 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     it), overridden by the flags given."""
     flags = {"max_bins": args.max_bins, "max_structures": args.budget_nodes}
     given = {field: value for field, value in flags.items() if value is not None}
-    return dataclasses.replace(SearchBudget.from_env(), **given)
+    try:
+        budget = SearchBudget.from_env()
+    except ValueError as exc:
+        raise _fail(EXIT_USAGE, f"bad {BUDGET_ENV_VAR}: {exc}")
+    return dataclasses.replace(budget, **given)
 
 
 def _decimal(value: Fraction) -> str:
@@ -234,13 +254,14 @@ def _instance_descriptor(inst: Instance) -> str:
     return "|".join(str(s) for s in inst.sizes)
 
 
-def _experiment_nf(args: argparse.Namespace, writer: "csv.writer") -> None:
+def _experiment_nf(
+    args: argparse.Namespace, writer: "csv.writer", budget: SearchBudget
+) -> None:
     writer.writerow(
         ["trial", "n", "k", "dist", "sizes", "alg_bins", "opt_bins",
          "ratio", "ratio_decimal", "status"]
     )
     rng = random.Random(args.seed)
-    budget = _budget(args)
     max_ratio = Fraction(0)
     ok = skipped = 0
     use_a75 = args.suite == "a75-ratio"
@@ -287,7 +308,9 @@ def _random_3partition(rng: random.Random, target: int) -> list[int]:
             return numbers + [last]
 
 
-def _experiment_reduction(args: argparse.Namespace, writer: "csv.writer") -> None:
+def _experiment_reduction(
+    args: argparse.Namespace, writer: "csv.writer", budget: SearchBudget
+) -> None:
     writer.writerow(
         ["trial", "k", "target", "numbers", "brute", "packed", "agree"]
     )
@@ -299,7 +322,7 @@ def _experiment_reduction(args: argparse.Namespace, writer: "csv.writer") -> Non
         expected = three_partition_brute(numbers, target)
         inst = gen_from_3partition(numbers, target, args.k)
         try:
-            witness = feasible_in(inst, 2, _budget(args))
+            witness = feasible_in(inst, 2, budget)
         except BudgetExceeded:
             skipped += 1
             writer.writerow(
@@ -319,12 +342,13 @@ def _experiment_reduction(args: argparse.Namespace, writer: "csv.writer") -> Non
     )
 
 
-def _experiment_normalize(args: argparse.Namespace, writer: "csv.writer") -> None:
+def _experiment_normalize(
+    args: argparse.Namespace, writer: "csv.writer", budget: SearchBudget
+) -> None:
     writer.writerow(
         ["trial", "n", "source", "bins_in", "bins_out", "ok"]
     )
     rng = random.Random(args.seed)
-    budget = _budget(args)
     ok = 0
     for trial in range(args.trials):
         n = rng.randint(1, args.max_n)
@@ -351,17 +375,20 @@ def _experiment_normalize(args: argparse.Namespace, writer: "csv.writer") -> Non
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    if args.suite == "reduction-check" and args.k < 3:
+        raise _fail(EXIT_USAGE, f"reduction-check requires k >= 3, got k={args.k}")
+    budget = _budget(args)
     out = sys.stdout if args.output is None else open(
         args.output, "w", encoding="utf-8", newline=""
     )
     try:
         writer = csv.writer(out, lineterminator="\n")
         if args.suite in ("nf-ratio", "a75-ratio"):
-            _experiment_nf(args, writer)
+            _experiment_nf(args, writer, budget)
         elif args.suite == "reduction-check":
-            _experiment_reduction(args, writer)
+            _experiment_reduction(args, writer, budget)
         else:
-            _experiment_normalize(args, writer)
+            _experiment_normalize(args, writer, budget)
     finally:
         if args.output is not None:
             out.close()

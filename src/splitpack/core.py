@@ -30,6 +30,11 @@ DEFAULT_LABEL = "bin"
 MAX_NUMERAL_DIGITS = 1000
 MAX_DECIMAL_EXPONENT = 1000
 
+# Bound on the parts an instance needs (the sum of ceil(size), see
+# ``parts_needed``): each part costs every packer work and memory, so the CLI
+# rejects a larger instance before packing it.
+MAX_PARTS = 10**6
+
 
 class InternalError(AssertionError):
     """A solver broke one of its own invariants: a bug, never bad input.
@@ -97,10 +102,14 @@ class ItemClass(Enum):
 
 
 def classify(size: Fraction) -> ItemClass:
-    """Classify by size: (0, 1/2] small, (1/2, 1] medium, above 1 large."""
-    if size <= Fraction(1, 2):
+    """Classify by size: (0, 1/2] small, (1/2, 1] medium, above 1 large.
+
+    The tests run on the numerator and denominator (positive), so no
+    ``Fraction`` is built or compared."""
+    num, den = size.numerator, size.denominator
+    if 2 * num <= den:
         return ItemClass.SMALL
-    if size <= 1:
+    if num <= den:
         return ItemClass.MEDIUM
     return ItemClass.LARGE
 
@@ -202,20 +211,33 @@ def validate_packing(inst: Instance, packing: Packing) -> list[str]:
 
 
 def bin_violations(
-    inst: Instance, bins: Iterable[Collection[Item]]
+    inst: Instance,
+    bins: Iterable[Collection[Item]],
+    cap: int = 1,
+    sizes: Sequence[int | Fraction] | None = None,
 ) -> list[str]:
     """``validate_packing`` on raw bins whose same-item parts are already
     merged, so a rewrite can check its working bins without building a
-    ``Packing``."""
+    ``Packing``.
+
+    Parts, bin capacity and item sizes may share any exact unit: by default
+    the instance's sizes in bins of capacity 1, and for a heuristic on
+    ``scaled_sizes`` the capacity ``cap`` and the scaled sizes. Dividing
+    every quantity by ``cap`` is exact and keeps every test, so bins valid
+    in the scaled unit give a valid packing with parts ``Fraction(p, cap)``.
+    """
+    if sizes is None:
+        sizes = inst.sizes
+    n = len(sizes)
     violations: list[str] = []
-    covered: dict[int, Fraction] = {}
+    covered: dict[int, int | Fraction] = {}
     for b, entries in enumerate(bins):
         if not entries:
             violations.append(f"empty bin: bin {b} has no parts")
             continue
         total = None
         for item, part in entries:
-            if not (0 <= item < inst.n):
+            if not (0 <= item < n):
                 violations.append(
                     f"unknown item: bin {b} references item {item} not in instance"
                 )
@@ -230,10 +252,10 @@ def bin_violations(
             violations.append(
                 f"cardinality: bin {b} has {len(entries)} > k={inst.k} parts"
             )
-        if total > 1:
-            violations.append(f"capacity: bin {b} holds {total} > 1")
-    for item, size in inst.items():
-        got = covered.get(item, Fraction(0))
+        if total > cap:
+            violations.append(f"capacity: bin {b} holds {total} > {cap}")
+    for item, size in enumerate(sizes):
+        got = covered.get(item, 0)
         if got != size:
             violations.append(f"coverage: item {item} covered {got} of {size}")
     return violations

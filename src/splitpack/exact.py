@@ -10,7 +10,7 @@ single-item bins ("loops"). Loops never close a cycle, so the forest only
 has to be acyclic in its multi-item bins.
 
 Each call scales the sizes to integers over their common denominator once
-(``core.scaled_sizes``); the search and the best-fit heuristic both run on
+(``core.scaled_sizes``); the search and both upper-bound heuristics run on
 that one scaling.
 
 The search ascends from the combined lower bound, so the first feasible bin
@@ -34,7 +34,13 @@ One budget node is one forest the search visits or one loop split the
 witness tries.
 
 Validated heuristic packings serve as upper bounds: a valid packing is a
-certificate, so the search only has to exhaust the levels below it.
+certificate, so the search only has to exhaust the levels below it. Next fit
+(through the one ``nextfit.next_fit_bins`` kernel) and best fit decreasing
+run on the call's scaled sizes; the winner's integer bins pass
+``core.bin_violations`` against the scaled sizes and capacity, the same
+checks ``validate_packing`` makes, before one ``Packing`` with parts
+``Fraction(p, cap)`` is built. Dividing by cap is exact, so the check is a
+certificate for that packing; a failed check raises ``InternalError``.
 """
 
 from __future__ import annotations
@@ -51,11 +57,11 @@ from .core import (
     InternalError,
     Item,
     Packing,
+    bin_violations,
     lower_bounds,
     scaled_sizes,
-    validate_packing,
 )
-from .nextfit import next_fit, spill
+from .nextfit import NF_LABEL, next_fit_bins, spill
 
 EXACT_LABEL = "exact"
 
@@ -516,11 +522,12 @@ class _ForestSearch:
 # Heuristic upper bounds: any valid packing certifies its own bin count.
 
 
-def _best_fit_split(inst: Instance, cap: int, scaled: Sequence[int]) -> Packing:
-    """Best fit decreasing on the sizes scaled by cap: items go largest
-    first, each whole into the open bin with below k parts whose free room
-    is least but still fits it (the first such bin on ties); an item that
-    fits nowhere whole spills over ceil(size) fresh bins."""
+def _best_fit_split(inst: Instance, cap: int, scaled: Sequence[int]) -> list[list[Item]]:
+    """Best fit decreasing on the sizes scaled by cap, as raw bins of scaled
+    parts: items go largest first, each whole into the open bin with below k
+    parts whose free room is least but still fits it (the first such bin on
+    ties); an item that fits nowhere whole spills over ceil(size) fresh
+    bins."""
     k = inst.k
     bins: list[list[Item]] = []
     fills: list[int] = []
@@ -533,26 +540,34 @@ def _best_fit_split(inst: Instance, cap: int, scaled: Sequence[int]) -> Packing:
             if size <= free < best_free and len(bins[b]) < k:
                 best, best_free = b, free
         if best >= 0:
-            bins[best].append((item, inst.sizes[item]))
+            bins[best].append((item, size))
             fills[best] += size
             continue
-        fresh = spill(item, inst.sizes[item])
+        fresh = spill(item, size, cap)
         bins.extend(fresh)
-        whole = len(fresh) - 1
-        fills.extend([cap] * whole)
-        fills.append(size - whole * cap)
-    # "ffd" stays: byte-stable witnesses carry it whenever this meets the LB.
-    return Packing.build(bins, ["ffd"] * len(bins))
+        fills.extend([cap] * (len(fresh) - 1))
+        fills.append(fresh[-1][0][1])
+    return bins
 
 
 def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[int]) -> Packing:
-    nf_packing, _ = next_fit(inst)
-    bf_packing = _best_fit_split(inst, cap, scaled)
-    best = min((nf_packing, bf_packing), key=lambda p: p.n_bins)
-    problems = validate_packing(inst, best)
+    """The fewer-bin packing of next fit (kept on ties) and best fit, both
+    run on the sizes scaled by cap. The winner's integer bins are checked
+    against the scaled sizes before one ``Packing`` with parts p/cap is
+    built; that map is exact, so the check certifies the packing."""
+    bins, _ = next_fit_bins(enumerate(scaled), inst.k, cap)
+    label = NF_LABEL
+    bf_bins = _best_fit_split(inst, cap, scaled)
+    if len(bf_bins) < len(bins):
+        # "ffd" stays: byte-stable witnesses carry it whenever this meets the LB.
+        bins, label = bf_bins, "ffd"
+    problems = bin_violations(inst, bins, cap, scaled)
     if problems:
         raise InternalError(f"heuristic produced an invalid packing: {problems[0]}")
-    return best
+    return Packing.build(
+        [[(item, Fraction(part, cap)) for item, part in entries] for entries in bins],
+        [label] * len(bins),
+    )
 
 
 def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:

@@ -1,9 +1,16 @@
 """Online NEXT FIT for splittable items under a per-bin part limit.
 
 One stream kernel, ``next_fit_bins``, is the package's only next-fit loop:
-``next_fit``, the leftover groups of ``pack_75`` and, through ``next_fit``,
-the oracle's upper bound run it; its overflow step ``spill`` also serves
-the oracle's best-fit heuristic.
+``next_fit``, the leftover groups of ``pack_75`` and the oracle's upper bound
+run it; its overflow step ``spill`` also serves the oracle's best-fit
+heuristic. The kernel runs in either of two units, chosen by the bin
+capacity ``cap``: the default 1 for ``Fraction`` sizes as given, or the
+common denominator of ``core.scaled_sizes`` for the sizes scaled to
+integers, where every comparison and sum is an integer operation. Scaling is
+exact, so both runs give the same bins up to the factor ``cap`` and the same
+close reasons. The parts an overflowing item puts alone into whole bins are
+``cap`` itself, an ``int`` in either unit; every other part has the type of
+the sizes.
 
 Items are consumed strictly in stream order. An item goes into the current
 bin while that bin has spare capacity and fewer than k parts; an item that
@@ -23,7 +30,6 @@ whose last bin lands exactly full stays inside its block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -58,40 +64,43 @@ class NfTrace:
         return len(self.blocks)
 
 
-def spill(item: int, rest: Fraction) -> list[list[Item]]:
-    """The ceil(rest) fresh bins an item's remainder `rest` fills: each holds
-    a part of 1 except the last, which holds the rest."""
-    whole = math.ceil(rest) - 1
-    return [[(item, Fraction(1))] for _ in range(whole)] + [[(item, rest - whole)]]
+def spill(item: int, rest: int | Fraction, cap: int = 1) -> list[list[Item]]:
+    """The ceil(rest / cap) fresh bins an item's remainder `rest` fills: each
+    holds a part of cap except the last, which holds the rest."""
+    whole = -(-rest // cap) - 1
+    return [[(item, cap)] for _ in range(whole)] + [[(item, rest - whole * cap)]]
 
 
-def _close_reason(entries: list[Item], fill: Fraction, k: int) -> CloseReason:
+def _close_reason(
+    entries: list[Item], fill: int | Fraction, k: int, cap: int
+) -> CloseReason:
     # Only called when the bin's last part completes its item: a spill head
     # is closed as FILLED at the overflow.
     if len(entries) == k:
         return CloseReason.CARDINALITY
-    return CloseReason.FILLED if fill == 1 else CloseReason.END_OF_INPUT
+    return CloseReason.FILLED if fill == cap else CloseReason.END_OF_INPUT
 
 
 def next_fit_bins(
-    stream: Iterable[Item], k: int
+    stream: Iterable[Item], k: int, cap: int = 1
 ) -> tuple[list[list[Item]], list[CloseReason]]:
-    """NEXT FIT over an explicit (id, size) stream, in stream order.
+    """NEXT FIT over an explicit (id, size) stream, in stream order, into
+    bins of capacity `cap` (parts and sizes share its unit).
 
     Returns the raw bins, unmerged, and one close reason per bin. Sizes may
-    exceed 1, and the first entry may be the remainder of an item whose
+    exceed cap, and the first entry may be the remainder of an item whose
     other parts lie elsewhere.
     """
     bins: list[list[Item]] = []
     reasons: list[CloseReason] = []
-    fill = Fraction(0)
+    fill = 0
     for item, size in stream:
-        if not bins or fill == 1 or len(bins[-1]) == k:
+        if not bins or fill == cap or len(bins[-1]) == k:
             if bins:
-                reasons.append(_close_reason(bins[-1], fill, k))
+                reasons.append(_close_reason(bins[-1], fill, k, cap))
             bins.append([])
-            fill = Fraction(0)
-        space = 1 - fill
+            fill = 0
+        space = cap - fill
         if size <= space:
             bins[-1].append((item, size))
             fill += size
@@ -99,12 +108,12 @@ def next_fit_bins(
         # Overflow: a full bin was closed above, so the item's head takes the
         # open bin's room and the rest spills into fresh bins.
         bins[-1].append((item, space))
-        fresh = spill(item, size - space)
+        fresh = spill(item, size - space, cap)
         reasons.extend([CloseReason.FILLED] * len(fresh))
         bins.extend(fresh)
         fill = fresh[-1][0][1]
     if bins:
-        reasons.append(_close_reason(bins[-1], fill, k))
+        reasons.append(_close_reason(bins[-1], fill, k, cap))
     return bins, reasons
 
 

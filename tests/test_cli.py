@@ -10,6 +10,7 @@ import pytest
 from splitpack import cli
 from splitpack import io as spio
 from splitpack.cli import main
+from splitpack.core import MAX_PARTS
 
 
 def run_cli(*argv, capsys):
@@ -93,6 +94,54 @@ def test_solve_rejects_huge_numerals_fast(tmp_path, capsys, size):
     assert code == 3
     assert "bad instance file" in err
     assert time.perf_counter() - start < 0.25
+
+
+@pytest.mark.parametrize("size", ["1e9", str(MAX_PARTS + 1)])
+def test_solve_rejects_instances_needing_too_many_parts_fast(tmp_path, capsys, size):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2, "items": [size]}))
+    start = time.perf_counter()
+    code, _, err = run_cli("solve", "--algo", "nf", "--input", str(inst), capsys=capsys)
+    assert code == 3
+    assert f"more than {MAX_PARTS} parts" in err
+    assert time.perf_counter() - start < 0.25
+
+
+def test_instance_at_the_part_limit_is_accepted(tmp_path, capsys):
+    # the limit counts ceil(size) over all items, not items or digits
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2, "items": [str(MAX_PARTS - 2), "1/3", "1/2"]}))
+    code, out, _ = run_cli("bounds", "--input", str(inst), capsys=capsys)
+    assert code == 0 and f"weight_bound={MAX_PARTS // 2}" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--algo", "exact"),
+        ("experiment", "--suite", "nf-ratio", "--trials", "2"),
+        ("experiment", "--suite", "reduction-check", "--k", "3", "--trials", "2"),
+    ],
+    ids=["solve-exact", "experiment-nf-ratio", "experiment-reduction-check"],
+)
+def test_malformed_budget_env_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2, "items": ["1/2", "3/4"]}))
+    if argv[0] == "solve":
+        argv += ("--input", str(inst))
+    monkeypatch.setenv("SPLITPACK_BUDGET", "bogus=3")
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "bad SPLITPACK_BUDGET: bad budget component: 'bogus=3'\n"
+
+
+def test_experiment_reduction_check_needs_k3(capsys):
+    code, out, err = run_cli(
+        "experiment", "--suite", "reduction-check", "--trials", "2", capsys=capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "reduction-check requires k >= 3, got k=2\n"
 
 
 def test_solve_budget_exhaustion(tmp_path, capsys):

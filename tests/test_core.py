@@ -11,13 +11,21 @@ from splitpack import (
     ItemClass,
     Packing,
     classify,
+    gen_random,
     graph_of,
     item_weight,
     lower_bounds,
+    next_fit,
     parse_rational,
     validate_packing,
 )
-from splitpack.core import MAX_DECIMAL_EXPONENT, MAX_NUMERAL_DIGITS, size_type
+from splitpack.core import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_NUMERAL_DIGITS,
+    bin_violations,
+    scaled_sizes,
+    size_type,
+)
 
 
 def test_parse_rational_forms():
@@ -86,6 +94,38 @@ def test_classify_boundaries():
     assert classify(F(1, 2) + F(1, 100)) is ItemClass.MEDIUM
     assert classify(F(1)) is ItemClass.MEDIUM
     assert classify(F(1) + F(1, 100)) is ItemClass.LARGE
+
+
+def _classify_fraction(size):
+    # the definition: (0, 1/2] small, (1/2, 1] medium, above 1 large
+    if size <= F(1, 2):
+        return ItemClass.SMALL
+    if size <= 1:
+        return ItemClass.MEDIUM
+    return ItemClass.LARGE
+
+
+def test_classify_matches_fraction_definition():
+    huge = 10**999  # 1000 digits
+    sizes = [
+        F(1, 2), F(1), F(3, 2), F(2), F(1, 10**30),
+        F(huge, 2 * huge), F(huge + 1, 2 * huge), F(huge - 1, 2 * huge),
+        F(huge, huge + 1), F(huge + 1, huge), F(huge, 3), F(7, huge),
+    ]
+    for size in list(sizes):
+        for delta in (F(1, 10**6), F(1, huge)):
+            sizes += [size + delta, size - delta]
+    sizes += [F(num, den) for den in range(1, 13) for num in range(1, 3 * den + 1)]
+    sizes = [s for s in sizes if s > 0]
+    assert len(sizes) > 200
+    for size in sizes:
+        assert classify(size) is _classify_fraction(size), size
+
+
+@given(num=st.integers(1, 10**1000), den=st.integers(1, 10**1000))
+def test_classify_matches_fraction_definition_drawn(num, den):
+    size = F(num, den)
+    assert classify(size) is _classify_fraction(size)
 
 
 def test_size_type_brackets():
@@ -160,6 +200,51 @@ def test_validate_packing_positivity():
     issues = validate_packing(inst, packing)
     assert any("positivity" in v for v in issues)
     assert any("coverage" in v for v in issues)
+
+
+def test_bin_violations_in_a_scaled_unit():
+    # sizes 1/2, 2/3, 5/6 over the common denominator 6
+    inst = Instance(k=2, sizes=(F(1, 2), F(2, 3), F(5, 6)))
+    cap, scaled = scaled_sizes(inst.sizes)
+    assert (cap, scaled) == (6, [3, 4, 5])
+    assert bin_violations(inst, [[(0, 3), (1, 3)], [(1, 1), (2, 5)]], cap, scaled) == []
+    faults = {
+        "cardinality": [[(0, 3), (1, 2), (2, 1)], [(1, 2), (2, 4)]],
+        "positivity": [[(0, 3), (1, 0)], [(1, 4), (2, 5)]],
+        "capacity": [[(0, 3), (1, 4)], [(2, 5)]],
+        "unknown item": [[(0, 3), (1, 3)], [(1, 1), (2, 5)], [(3, 1)]],
+        "coverage": [[(0, 3), (1, 3)], [(1, 1), (2, 4)]],
+    }
+    for kind, bins in faults.items():
+        issues = bin_violations(inst, bins, cap, scaled)
+        assert any(v.startswith(kind) for v in issues), (kind, issues)
+    # every fault in one set of bins, each reported
+    issues = bin_violations(
+        inst, [[(0, 3), (1, 0), (9, 1)], [(1, 4), (2, 3)], []], cap, scaled
+    )
+    assert issues == [
+        "positivity: bin 0 item 1 has non-positive part 0",
+        "unknown item: bin 0 references item 9 not in instance",
+        "cardinality: bin 0 has 3 > k=2 parts",
+        "capacity: bin 1 holds 7 > 6",
+        "empty bin: bin 2 has no parts",
+        "coverage: item 2 covered 3 of 5",
+    ]
+
+
+def test_bin_violations_scaled_matches_fraction_unit():
+    rng = random.Random(7)
+    for _ in range(200):
+        inst = gen_random(rng.randint(1, 6), rng.choice([2, 3]), "mixed", rng.randrange(2**30))
+        cap, scaled = scaled_sizes(inst.sizes)
+        bins = [list(entries) for entries in next_fit(inst)[0].bins]
+        b = rng.randrange(len(bins))
+        item, part = bins[b][0]
+        bins[b][0] = (item, part + rng.choice([0, F(-1, cap), F(1, cap), 1]))
+        as_ints = [[(i, int(p * cap)) for i, p in entries] for entries in bins]
+        # the same violations, only the quantities in them are scaled
+        kinds = [v.split(":")[0] for v in bin_violations(inst, bins)]
+        assert kinds == [v.split(":")[0] for v in bin_violations(inst, as_ints, cap, scaled)]
 
 
 def test_same_item_parts_merge_on_build():

@@ -27,7 +27,7 @@ from splitpack import (
     validate_packing,
 )
 from splitpack import exact
-from splitpack.core import scaled_sizes
+from splitpack.core import InternalError, scaled_sizes
 from splitpack.exact import (
     _extra_loop_splits,
     _ForestLoops,
@@ -198,6 +198,83 @@ def test_upper_bound_packing_golden():
     ]
     digest = hashlib.sha256(repr(key).encode()).hexdigest()
     assert digest == "c57d1d1c7631bb8a77ed3b1d1588f26b2041216ed3f416033a657d4843bfd834"
+
+
+def _fraction_best_fit(inst, cap, scaled):
+    """The best fit the oracle ran before its integer upper bound: the same
+    choices on scaled sizes, but every part handed back as a Fraction."""
+    bins = []
+    fills = []
+    for item in sorted(range(inst.n), key=lambda i: (-scaled[i], i)):
+        size = scaled[item]
+        best = -1
+        best_free = cap + 1
+        for b, fill in enumerate(fills):
+            free = cap - fill
+            if size <= free < best_free and len(bins[b]) < inst.k:
+                best, best_free = b, free
+        if best >= 0:
+            bins[best].append((item, inst.sizes[item]))
+            fills[best] += size
+            continue
+        rest = inst.sizes[item]
+        whole = math.ceil(rest) - 1
+        bins.extend([[(item, F(1))] for _ in range(whole)] + [[(item, rest - whole)]])
+        fills.extend([cap] * whole + [size - whole * cap])
+    return Packing.build(bins, ["ffd"] * len(bins))
+
+
+def test_upper_bound_packing_matches_fraction_heuristics():
+    rng = random.Random(20261018)
+    wins = {"nf": 0, "ffd": 0}
+    for _ in range(1200):
+        k = rng.choice([2, 3, 4, 5])
+        dist = rng.choice(["uniform", "mixed", "heavy"])
+        inst = gen_random(rng.randint(1, 12), k, dist, seed=rng.randrange(2**30))
+        cap, scaled = scaled_sizes(inst.sizes)
+        nf_packing, _ = next_fit(inst)
+        bf_packing = _fraction_best_fit(inst, cap, scaled)
+        # next fit is kept on ties
+        want = min((nf_packing, bf_packing), key=lambda p: p.n_bins)
+        got = _upper_bound_packing(inst, cap, scaled)
+        assert got == want, inst
+        assert validate_packing(inst, got) == []
+        wins[got.labels[0]] += 1
+    assert min(wins.values()) > 0
+
+
+def _corrupt_first_part(bins):
+    (item, part), *rest = bins[0]
+    bins[0] = [(item, part - 1)] + rest if part > 1 else [(item, part + 1)] + rest
+    return bins
+
+
+@pytest.mark.parametrize("heuristic", ["next_fit_bins", "_best_fit_split"])
+def test_corrupted_heuristic_raises_internal_error(monkeypatch, heuristic):
+    # next fit wins the first instance (a tie), best fit the second
+    instances = {
+        "next_fit_bins": Instance(k=2, sizes=(F(1, 2), F(1, 2))),
+        "_best_fit_split": Instance(k=2, sizes=(F(1, 3), F(3, 4), F(2, 3), F(1, 4))),
+    }
+    inst = instances[heuristic]
+    cap, scaled = scaled_sizes(inst.sizes)
+    label = "nf" if heuristic == "next_fit_bins" else "ffd"
+    assert _upper_bound_packing(inst, cap, scaled).labels[0] == label
+    original = getattr(exact, heuristic)
+    if heuristic == "next_fit_bins":
+        monkeypatch.setattr(
+            exact,
+            heuristic,
+            lambda *args: (_corrupt_first_part(original(*args)[0]), []),
+        )
+    else:
+        monkeypatch.setattr(
+            exact, heuristic, lambda *args: _corrupt_first_part(original(*args))
+        )
+    with pytest.raises(InternalError, match="heuristic produced an invalid packing"):
+        exact_opt(inst)
+    with pytest.raises(InternalError, match="heuristic produced an invalid packing"):
+        feasible_in(inst, 3)
 
 
 def test_exact_respects_worst_family_certificates():

@@ -14,6 +14,7 @@ from splitpack import (
     next_fit,
     validate_packing,
 )
+from splitpack.core import scaled_sizes
 from splitpack.nextfit import next_fit_bins, spill
 
 
@@ -155,6 +156,58 @@ def test_spill_fills_all_fresh_bins_but_the_last():
     assert spill(7, F(1)) == [[(7, F(1))]]
     assert spill(7, F(5, 2)) == [[(7, F(1))], [(7, F(1))], [(7, F(1, 2))]]
     assert spill(7, F(3)) == [[(7, F(1))]] * 3
+
+
+def test_spill_in_a_scaled_unit():
+    assert spill(7, 12, 6) == [[(7, 6)], [(7, 6)]]
+    assert spill(7, 15, 6) == [[(7, 6)], [(7, 6)], [(7, 3)]]
+    assert spill(7, 1, 6) == [[(7, 1)]]
+
+
+def _scaled_run(stream, k):
+    """The kernel on the stream's sizes scaled to integers, mapped back."""
+    cap, scaled = scaled_sizes([size for _, size in stream])
+    bins, reasons = next_fit_bins(zip([i for i, _ in stream], scaled), k, cap)
+    for entries in bins:
+        for _, part in entries:
+            assert type(part) is int
+    return [[(i, F(p, cap)) for i, p in entries] for entries in bins], reasons
+
+
+def _fraction_run(stream, k):
+    bins, reasons = next_fit_bins(stream, k)
+    for entries in bins:
+        for _, part in entries:
+            # an overflowing item's whole-bin parts are the capacity 1 itself
+            assert type(part) is F or (part == 1 and len(entries) == 1)
+    return bins, reasons
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_next_fit_bins_scaled_matches_fraction_run(k):
+    rng = random.Random(20261018 + k)
+    streams = [
+        # exactly full bins by whole parts, by a spill and at the last item
+        [(0, F(1, 2)), (1, F(1, 2)), (2, F(1, 3)), (3, F(2, 3))],
+        [(0, F(3, 4)), (1, F(5, 4)), (2, F(1, 2)), (3, F(1, 2))],
+        [(0, F(1, 3))] * 3 + [(1, F(2))],
+        [(0, F(7, 4)), (1, F(1, 2)), (2, F(3, 5))],
+        [(0, F(3))],
+    ]
+    for dist in ("uniform", "mixed", "heavy"):
+        for _ in range(60):
+            inst = gen_random(rng.randint(1, 12), k, dist, seed=rng.randrange(2**30))
+            streams.append(list(inst.items()))
+    # sizes on a coarse grid close many bins exactly full
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        streams.append([(i, F(rng.randint(1, 12), 4)) for i in range(n)])
+    full = 0
+    for stream in streams:
+        got = _scaled_run(stream, k)
+        assert got == _fraction_run(stream, k), stream
+        full += sum(sum(p for _, p in entries) == 1 for entries in got[0])
+    assert full > 100
 
 
 # Recorded at the commit before next_fit, pack_75 and the oracle's upper
