@@ -60,21 +60,17 @@ class _CliError(Exception):
         self.code = code
 
 
-def _fail(code: int, message: str) -> "_CliError":
-    return _CliError(code, message)
-
-
 def _load_instance(path: str) -> Instance:
     """The instance at `path`; one needing more than ``MAX_PARTS`` parts is
     rejected before any command packs it."""
     try:
         inst = io.load_instance(path)
     except OSError as exc:
-        raise _fail(EXIT_PARSE, f"cannot read instance: {exc}")
+        raise _CliError(EXIT_PARSE, f"cannot read instance: {exc}")
     except io.ParseError as exc:
-        raise _fail(EXIT_PARSE, f"bad instance file: {exc}")
+        raise _CliError(EXIT_PARSE, f"bad instance file: {exc}")
     if parts_needed(inst.sizes) > MAX_PARTS:
-        raise _fail(
+        raise _CliError(
             EXIT_PARSE,
             f"bad instance file: its sizes need more than {MAX_PARTS} parts",
         )
@@ -85,9 +81,9 @@ def _load_packing(path: str) -> Packing:
     try:
         return io.load_packing(path)
     except OSError as exc:
-        raise _fail(EXIT_PARSE, f"cannot read packing: {exc}")
+        raise _CliError(EXIT_PARSE, f"cannot read packing: {exc}")
     except io.ParseError as exc:
-        raise _fail(EXIT_PARSE, f"bad packing file: {exc}")
+        raise _CliError(EXIT_PARSE, f"bad packing file: {exc}")
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -98,7 +94,7 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     try:
         budget = SearchBudget.from_env()
     except ValueError as exc:
-        raise _fail(EXIT_USAGE, f"bad {BUDGET_ENV_VAR}: {exc}")
+        raise _CliError(EXIT_USAGE, f"bad {BUDGET_ENV_VAR}: {exc}")
     return dataclasses.replace(budget, **given)
 
 
@@ -125,13 +121,13 @@ def _write_or_print(path: str | None, text: str) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.input)
     if args.algo == "a75" and inst.k != 2:
-        raise _fail(EXIT_USAGE, f"--algo a75 requires k=2, instance has k={inst.k}")
+        raise _CliError(EXIT_USAGE, f"--algo a75 requires k=2, instance has k={inst.k}")
     if args.presort and args.algo != "nf":
-        raise _fail(EXIT_USAGE, "--presort only applies to --algo nf")
+        raise _CliError(EXIT_USAGE, "--presort only applies to --algo nf")
     if args.trace and args.algo != "nf":
-        raise _fail(EXIT_USAGE, "--trace only applies to --algo nf")
+        raise _CliError(EXIT_USAGE, "--trace only applies to --algo nf")
     if args.report and args.algo != "a75":
-        raise _fail(EXIT_USAGE, "--report only applies to --algo a75")
+        raise _CliError(EXIT_USAGE, "--report only applies to --algo a75")
 
     trace_doc = None
     report_doc = None
@@ -168,7 +164,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     problems = validate_packing(inst, packing)
     if problems:
-        raise _fail(EXIT_VERIFY, f"solver output is not valid: {problems[0]}")
+        raise _CliError(EXIT_VERIFY, f"solver output is not valid: {problems[0]}")
     if args.output:
         io.save_packing(args.output, packing)
     if args.trace and trace_doc is not None:
@@ -214,11 +210,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         else:  # random
             inst = gen_random(args.n, args.k, args.dist, args.seed)
     except ValueError as exc:
-        raise _fail(EXIT_USAGE, str(exc))
+        raise _CliError(EXIT_USAGE, str(exc))
     _write_or_print(args.output, io.dumps_instance(inst))
     if args.certified_output:
         if certified is None:
-            raise _fail(EXIT_USAGE, f"{args.family} has no certified packing")
+            raise _CliError(EXIT_USAGE, f"{args.family} has no certified packing")
         io.save_packing(args.certified_output, certified)
     return EXIT_OK
 
@@ -227,7 +223,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     packing = _load_packing(args.input)
     if inst.k != 2:
-        raise _fail(EXIT_USAGE, f"normalize requires k=2, instance has k={inst.k}")
+        raise _CliError(EXIT_USAGE, f"normalize requires k=2, instance has k={inst.k}")
     try:
         result = normalize(inst, packing)
     except InvalidPackingError as exc:
@@ -375,8 +371,13 @@ def _experiment_normalize(
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    for flag, value, least in (
+        ("--max-n", args.max_n, 1), ("--k", args.k, 2), ("--trials", args.trials, 0)
+    ):
+        if value < least:
+            raise _CliError(EXIT_USAGE, f"{flag} must be at least {least}, got {value}")
     if args.suite == "reduction-check" and args.k < 3:
-        raise _fail(EXIT_USAGE, f"reduction-check requires k >= 3, got k={args.k}")
+        raise _CliError(EXIT_USAGE, f"reduction-check requires k >= 3, got k={args.k}")
     budget = _budget(args)
     out = sys.stdout if args.output is None else open(
         args.output, "w", encoding="utf-8", newline=""

@@ -9,6 +9,7 @@ at most ``k`` parts with at most one part per item (same-item parts merge).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -346,6 +347,19 @@ class DisjointSets:
             self.parent[x] = x
 
 
+def shared_bins(n: int, bins: Iterable[Collection[int]]) -> list[list[int]]:
+    """For each item 0..n-1, the ascending indices of the bins that hold it
+    beside another item; bins are given as collections of item ids and a
+    one-item bin is left out. For a k = 2 packing these are the item's edges
+    in the packing graph."""
+    index: list[list[int]] = [[] for _ in range(n)]
+    for b, members in enumerate(bins):
+        if len(members) > 1:
+            for item in members:
+                index[item].append(b)
+    return index
+
+
 def is_acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff the non-loop edges over items 0..n-1 form a forest (parallel
     edges count as cycles; loops never do)."""
@@ -361,42 +375,34 @@ class PackingGraph:
     bin appears as the loop (u, u). Edge position doubles as the bin index,
     which makes the mapping invertible up to bin order.
 
-    Per-item adjacency is indexed once, on the first neighbour query, so
-    ``degree``, ``neighbor_edges`` and ``neighbor_count`` cost O(degree).
-    ``splitpack.normalize`` starts from this index and updates it in place.
-    Each item's edges stay sorted by bin index, the order its rewrites choose
-    by: the first closing bin for a cycle, then the lowest-index small-small
-    edge and a violating small item's two lowest-index edges; over-degree
-    items go top-down in BFS from the lowest-id roots, children in id order.
+    Per-item adjacency is indexed once by ``shared_bins``, on the first
+    neighbour query, so ``degree``, ``neighbor_edges`` and
+    ``neighbor_count`` cost O(degree); an id outside 0..n-1 has no edges.
+    ``splitpack.normalize`` builds the same index over its working bins.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     @cached_property
-    def _incidence(self) -> tuple[dict[int, list[int]], dict[int, int]]:
-        """Non-loop edge indices per item, ascending, and loop counts."""
-        neighbor_edges: dict[int, list[int]] = {}
-        loops: dict[int, int] = {}
-        for j, (u, v) in enumerate(self.edges):
-            if u == v:
-                loops[u] = loops.get(u, 0) + 1
-            else:
-                neighbor_edges.setdefault(u, []).append(j)
-                neighbor_edges.setdefault(v, []).append(j)
-        return neighbor_edges, loops
+    def _edge_bins(self) -> list[list[int]]:
+        """Non-loop edge indices per item, ascending."""
+        return shared_bins(self.n, [{u, v} for u, v in self.edges])
+
+    @cached_property
+    def _loops(self) -> Counter[int]:
+        return Counter(u for u, v in self.edges if u == v)
 
     def degree(self, item: int) -> int:
         """Number of bins containing a part of the item (loops included)."""
-        neighbor_edges, loops = self._incidence
-        return len(neighbor_edges.get(item, ())) + loops.get(item, 0)
+        return self.neighbor_count(item) + self._loops[item]
 
     def neighbor_edges(self, item: int) -> list[int]:
         """Indices of non-loop edges incident to the item."""
-        return list(self._incidence[0].get(item, ()))
+        return list(self._edge_bins[item]) if 0 <= item < self.n else []
 
     def neighbor_count(self, item: int) -> int:
-        return len(self._incidence[0].get(item, ()))
+        return len(self._edge_bins[item]) if 0 <= item < self.n else 0
 
     def is_forest(self) -> bool:
         """True iff the non-loop edges are acyclic (parallel edges count as
@@ -404,23 +410,13 @@ class PackingGraph:
         return is_acyclic(self.n, self.edges)
 
 
-def _require_k2(inst: Instance) -> None:
-    if inst.k != 2:
-        raise ValueError(f"packing graphs are defined for k=2 only, got k={inst.k}")
-
-
 def graph_of(inst: Instance, packing: Packing) -> PackingGraph:
     """Build the packing graph; defined for k = 2 packings only."""
-    _require_k2(inst)
+    if inst.k != 2:
+        raise ValueError(f"packing graphs are defined for k=2 only, got k={inst.k}")
     problems = validate_packing(inst, packing)
     if problems:
         raise InvalidPackingError(problems)
-    return unchecked_graph(inst, packing)
-
-
-def unchecked_graph(inst: Instance, packing: Packing) -> PackingGraph:
-    """``graph_of`` for a packing the caller has already validated."""
-    _require_k2(inst)
     edges = []
     for entries in packing.bins:
         items = sorted(item for item, _ in entries)

@@ -60,6 +60,7 @@ from .core import (
     bin_violations,
     lower_bounds,
     scaled_sizes,
+    shared_bins,
 )
 from .nextfit import NF_LABEL, next_fit_bins, spill
 
@@ -321,10 +322,7 @@ def _min_loops(
     multi-item bins and the loops hold every item; sizes are scaled by cap.
     Zero means the structure with exactly base loops is feasible."""
     n = len(scaled)
-    item_bins: list[list[int]] = [[] for _ in range(n)]
-    for b, members in enumerate(forest):
-        for i in members:
-            item_bins[i].append(b)
+    item_bins = shared_bins(n, forest)
     seen = [False] * n
     loops = 0
     for root in range(n):
@@ -497,11 +495,8 @@ class _ForestSearch:
 
     def _witness(self, forest: list[tuple[int, ...]], n_bins: int) -> Packing:
         n = self.inst.n
-        deg = [0] * n
-        for members in forest:
-            for i in members:
-                deg[i] += 1
-        need = [max(0, c - d) for c, d in zip(self.ceils, deg)]
+        item_bins = shared_bins(n, forest)
+        need = [max(0, c - len(bins)) for c, bins in zip(self.ceils, item_bins)]
         extra = n_bins - len(forest) - sum(need)
         for bump in _extra_loop_splits(extra, n):
             self.counter.tick()

@@ -30,13 +30,13 @@ alone, never by dict order, so its output is fully determined:
 - bound_degrees takes over-degree items top-down in BFS order: roots by
   ascending id, children in id order.
 
-Cost. The rewrites share one packing-graph index, built once from
-``PackingGraph`` and updated in place: each item's edge bins (the two-item
-bins holding it) as a list sorted by bin index. No rewrite rescans the
-packing. remove_cycles resumes its scan at the closing bin and re-joins
-only the tree it cut; smalls_to_leaves needs one forward scan per phase,
-because no rewrite creates a new collapse candidate or raises a small item's
-neighbor count; bound_degrees is one resumable sweep, since a merge at x
+Cost. The rewrites share one packing-graph index, built once by
+``core.shared_bins`` over the working bins and updated in place: each item's
+edge bins (the two-item bins holding it) as a list sorted by bin index. No
+rewrite rescans the packing. remove_cycles resumes its scan at the closing
+bin and re-joins only the tree it cut; smalls_to_leaves needs one forward
+scan per phase, because no rewrite creates a new collapse candidate or
+raises a small item's neighbor count; bound_degrees is one resumable sweep, since a merge at x
 rewires only edges below x. Beyond the edge-list updates (O(degree) each)
 and the tree each cycle lies in, the work is near-linear in the bin count.
 """
@@ -59,8 +59,8 @@ from .core import (
     bin_violations,
     classify,
     is_acyclic,
+    shared_bins,
     size_type,
-    unchecked_graph,
     validate_packing,
 )
 
@@ -86,8 +86,7 @@ class _Work:
             dict(entries) for entries in packing.bins
         ]
         self.labels = list(packing.labels)
-        graph = unchecked_graph(inst, packing)
-        self.edge_bins = [graph.neighbor_edges(item) for item in range(inst.n)]
+        self.edge_bins = shared_bins(inst.n, self.bins)
 
     def other(self, b: int, item: int) -> int:
         for other in self.bins[b]:
@@ -110,9 +109,12 @@ class _Work:
     def link(self, b: int, item: int) -> None:
         bisect.insort(self.edge_bins[item], b)
 
-    def require_forest(self) -> None:
+    def is_forest(self) -> bool:
         edges = (tuple(b) for b in self.bins if b is not None and len(b) == 2)
-        if not is_acyclic(self.inst.n, edges):
+        return is_acyclic(self.inst.n, edges)
+
+    def require_forest(self) -> None:
+        if not self.is_forest():
             raise ValueError("packing graph must be acyclic")
 
     def check(self) -> None:
@@ -442,16 +444,17 @@ def normalize(inst: Instance, packing: Packing) -> Packing:
 
 
 def normalization_violations(inst: Instance, packing: Packing) -> list[str]:
-    """Check all normalization post-conditions; empty means normalized."""
-    problems = validate_packing(inst, packing)
-    if problems:
-        return problems
-    graph = unchecked_graph(inst, packing)
+    """Check all normalization post-conditions; empty means normalized. An
+    invalid packing yields its ``validate_packing`` list."""
+    try:
+        work = _Work(inst, packing)
+    except InvalidPackingError as exc:
+        return exc.violations
     out = []
-    if not graph.is_forest():
+    if not work.is_forest():
         out.append("graph has a cycle")
     for item, size in inst.items():
-        neighbors = graph.neighbor_count(item)
+        neighbors = len(work.edge_bins[item])
         bracket = size_type(size)
         if classify(size) is ItemClass.SMALL and neighbors > 1:
             out.append(f"small item {item} has {neighbors} neighbors")

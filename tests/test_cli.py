@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
@@ -6,6 +8,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitpack import cli
 from splitpack import io as spio
@@ -142,6 +145,84 @@ def test_experiment_reduction_check_needs_k3(capsys):
     )
     assert code == 2 and out == ""
     assert err == "reduction-check requires k >= 3, got k=2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--suite", "nf-ratio", "--max-n", "0"), "--max-n must be at least 1, got 0"),
+        (
+            ("--suite", "a75-ratio", "--max-n", "-3"),
+            "--max-n must be at least 1, got -3",
+        ),
+        (
+            ("--suite", "normalize-check", "--max-n", "0"),
+            "--max-n must be at least 1, got 0",
+        ),
+        (("--suite", "nf-ratio", "--k", "1"), "--k must be at least 2, got 1"),
+        (
+            ("--suite", "reduction-check", "--k", "3", "--trials", "-1"),
+            "--trials must be at least 0, got -1",
+        ),
+    ],
+)
+def test_experiment_rejects_out_of_range_numbers(tmp_path, capsys, argv, message):
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        "experiment", *argv, "--output", str(out_file), capsys=capsys
+    )
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+    assert not out_file.exists()
+
+
+def _run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        return main(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    suite=st.sampled_from(
+        ["nf-ratio", "a75-ratio", "reduction-check", "normalize-check"]
+    ),
+    trials=st.integers(-2, 3),
+    max_n=st.integers(-2, 8),
+    k=st.integers(-1, 5),
+    dist=st.sampled_from(["uniform", "mixed", "heavy"]),
+    seed=st.integers(0, 2**16),
+)
+def test_experiment_fuzz_exits_with_documented_codes(
+    suite, trials, max_n, k, dist, seed
+):
+    # A small node budget bounds each oracle call; running out of it only
+    # skips a trial.
+    code = _run_quietly(
+        ["experiment", "--suite", suite, "--trials", str(trials),
+         "--max-n", str(max_n), "--k", str(k), "--dist", dist,
+         "--seed", str(seed), "--budget-nodes", "20000"]
+    )
+    invalid = (
+        trials < 0 or max_n < 1 or k < 2 or (suite == "reduction-check" and k < 3)
+    )
+    assert code == (cli.EXIT_USAGE if invalid else cli.EXIT_OK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(-2, 8),
+    k=st.integers(-1, 5),
+    dist=st.sampled_from(["uniform", "mixed", "heavy"]),
+    seed=st.integers(-5, 2**16),
+)
+def test_gen_random_fuzz_exits_with_documented_codes(n, k, dist, seed):
+    code = _run_quietly(
+        ["gen", "random", "--n", str(n), "--k", str(k), "--dist", dist,
+         "--seed", str(seed)]
+    )
+    assert code == (cli.EXIT_USAGE if n < 0 or k < 2 else cli.EXIT_OK)
 
 
 def test_solve_budget_exhaustion(tmp_path, capsys):

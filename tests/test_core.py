@@ -24,6 +24,7 @@ from splitpack.core import (
     MAX_NUMERAL_DIGITS,
     bin_violations,
     scaled_sizes,
+    shared_bins,
     size_type,
 )
 
@@ -287,6 +288,13 @@ def test_lower_bounds_match_rational_formulas():
         assert report.size_bound == math.ceil(sum(sizes, F(0)))
         assert report.weight_bound == math.ceil(sum(item_weight(s, k) for s in sizes))
         assert report.count_bound == math.ceil(F(len(sizes), k))
+
+
+def test_shared_bins_lists_multi_item_bins_per_item():
+    # bin 1 holds item 2 alone; bins 0 and 3 both join items 0 and 1
+    bins = [(1, 0), (2,), {0, 2, 3}, [0, 1], ()]
+    assert shared_bins(5, bins) == [[0, 2, 3], [0, 3], [2], [2], []]
+    assert shared_bins(2, []) == [[], []]
 
 
 def test_graph_of_edges_and_loops():

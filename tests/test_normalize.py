@@ -208,3 +208,29 @@ def test_normalize_golden_10k_items():
         "7d972a423c235d67a8f405e516e9e29f7d74d13ebf73ae6e10889ab2da813a4f"
     )
     assert normalization_violations(inst, out) == []
+
+
+def test_normalization_violations_of_an_invalid_packing_are_its_violations():
+    inst = Instance(k=2, sizes=(F(1, 2), F(3, 4), F(1, 3)))
+    packing = Packing.build(
+        [
+            [(0, F(1, 2)), (1, F(1, 2))],
+            [(1, F(1, 4)), (5, F(1, 3))],
+            [(0, F(1, 4)), (2, F(1, 3)), (1, F(0))],
+        ]
+    )
+    expected = [
+        "unknown item: bin 1 references item 5 not in instance",
+        "positivity: bin 2 item 1 has non-positive part 0",
+        "cardinality: bin 2 has 3 > k=2 parts",
+        "coverage: item 0 covered 3/4 of 1/2",
+    ]
+    assert validate_packing(inst, packing) == expected
+    assert normalization_violations(inst, packing) == expected
+
+
+def test_normalization_violations_rejects_k3():
+    inst = Instance(k=3, sizes=(F(1, 2), F(1, 2)))
+    packing = Packing.build([[(0, F(1, 2)), (1, F(1, 2))]])
+    with pytest.raises(ValueError, match="k=2 only, got k=3"):
+        normalization_violations(inst, packing)
