@@ -88,9 +88,16 @@ def _load_packing(path: str) -> Packing:
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
     """The oracle budget: the environment's (the one place the package reads
-    it), overridden by the flags given."""
-    flags = {"max_bins": args.max_bins, "max_structures": args.budget_nodes}
-    given = {field: value for field, value in flags.items() if value is not None}
+    it), overridden by the flags given; a negative flag is a usage error."""
+    given = {}
+    for field, flag, value in (
+        ("max_bins", "--max-bins", args.max_bins),
+        ("max_structures", "--budget-nodes", args.budget_nodes),
+    ):
+        if value is not None:
+            if value < 0:
+                raise _CliError(EXIT_USAGE, f"{flag} must be at least 0, got {value}")
+            given[field] = value
     try:
         budget = SearchBudget.from_env()
     except ValueError as exc:

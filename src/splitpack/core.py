@@ -63,7 +63,8 @@ def parse_rational(text: str) -> Fraction:
     Decimals convert exactly (d digits become a power-of-ten denominator),
     never through a float. A numeral with more than ``MAX_NUMERAL_DIGITS``
     digits or a decimal exponent above ``MAX_DECIMAL_EXPONENT`` in magnitude
-    is rejected before any big integer is built.
+    is rejected before any big integer is built. An ASCII-digit "p" or
+    "p/q" then skips ``Fraction``'s pattern and is built from its integers.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational as string, got {text!r}")
@@ -86,7 +87,13 @@ def parse_rational(text: str) -> Fraction:
                 f"rational {text!r} has a decimal exponent above "
                 f"{MAX_DECIMAL_EXPONENT} in magnitude"
             )
+    num, slash, den = text.partition("/")
     try:
+        if num.isascii() and num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit():
+                return Fraction(int(num), int(den))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
@@ -134,9 +141,12 @@ class Instance:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
-        object.__setattr__(self, "sizes", tuple(Fraction(s) for s in self.sizes))
-        for i, s in enumerate(self.sizes):
-            if s <= 0:
+        sizes = tuple(
+            s if type(s) is Fraction else Fraction(s) for s in self.sizes
+        )
+        object.__setattr__(self, "sizes", sizes)
+        for i, s in enumerate(sizes):
+            if s.numerator <= 0:
                 raise ValueError(f"item {i} has non-positive size {s}")
 
     @property
@@ -217,49 +227,85 @@ def bin_violations(
     cap: int = 1,
     sizes: Sequence[int | Fraction] | None = None,
 ) -> list[str]:
-    """``validate_packing`` on raw bins whose same-item parts are already
-    merged, so a rewrite can check its working bins without building a
-    ``Packing``.
+    """``validate_packing`` on raw bins, so a rewrite can check its working
+    bins without building a ``Packing``; a bin that lists one item twice is
+    reported, never merged.
 
     Parts, bin capacity and item sizes may share any exact unit: by default
     the instance's sizes in bins of capacity 1, and for a heuristic on
     ``scaled_sizes`` the capacity ``cap`` and the scaled sizes. Dividing
     every quantity by ``cap`` is exact and keeps every test, so bins valid
     in the scaled unit give a valid packing with parts ``Fraction(p, cap)``.
+
+    Every sum runs on numerator/denominator pairs (see ``_add``), so a bin
+    of one-part items needs no ``Fraction`` operator.
     """
     if sizes is None:
         sizes = inst.sizes
     n = len(sizes)
+    k = inst.k
     violations: list[str] = []
-    covered: dict[int, int | Fraction] = {}
+    # Coverage per item as a pair; a numerator of 0 means nothing yet.
+    cov_num = [0] * n
+    cov_den = [1] * n
+    last_bin = [-1] * n
     for b, entries in enumerate(bins):
         if not entries:
             violations.append(f"empty bin: bin {b} has no parts")
             continue
-        total = None
+        tn, td = 0, 1
         for item, part in entries:
-            if not (0 <= item < n):
+            pn, pd = part.numerator, part.denominator
+            if 0 <= item < n:
+                if last_bin[item] == b:
+                    violations.append(
+                        f"duplicate: bin {b} lists item {item} more than once"
+                    )
+                last_bin[item] = b
+                cn = cov_num[item]
+                if cn == 0:
+                    cov_num[item], cov_den[item] = pn, pd
+                elif cov_den[item] == pd:
+                    cov_num[item] = cn + pn
+                else:
+                    cov_num[item], cov_den[item] = _add(cn, cov_den[item], pn, pd)
+            else:
                 violations.append(
                     f"unknown item: bin {b} references item {item} not in instance"
                 )
-            if part <= 0:
+            if pn <= 0:
                 violations.append(
                     f"positivity: bin {b} item {item} has non-positive part {part}"
                 )
-            got = covered.get(item)
-            covered[item] = part if got is None else got + part
-            total = part if total is None else total + part
-        if len(entries) > inst.k:
+            if tn == 0:
+                tn, td = pn, pd
+            elif td == pd:
+                tn += pn
+            else:
+                tn, td = _add(tn, td, pn, pd)
+        if len(entries) > k:
             violations.append(
-                f"cardinality: bin {b} has {len(entries)} > k={inst.k} parts"
+                f"cardinality: bin {b} has {len(entries)} > k={k} parts"
             )
-        if total > cap:
-            violations.append(f"capacity: bin {b} holds {total} > {cap}")
+        if tn > cap * td:
+            violations.append(f"capacity: bin {b} holds {Fraction(tn, td)} > {cap}")
     for item, size in enumerate(sizes):
-        got = covered.get(item, 0)
-        if got != size:
-            violations.append(f"coverage: item {item} covered {got} of {size}")
+        cn, cd = cov_num[item], cov_den[item]
+        sn, sd = size.numerator, size.denominator
+        if cn * sd != sn * cd:
+            violations.append(
+                f"coverage: item {item} covered {Fraction(cn, cd)} of {size}"
+            )
     return violations
+
+
+def _add(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd over positive denominators, in lowest terms. Summing
+    with it, or adding numerators over an equal denominator, keeps a sum's
+    denominator a divisor of the lcm of its terms' denominators."""
+    num, den = an * bd + bn * ad, ad * bd
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def scaled_sizes(sizes: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -306,9 +352,7 @@ def lower_bounds(inst: Instance) -> BoundsReport:
         numerators[den] = numerators.get(den, 0) + s.numerator
     num, den = 0, 1
     for d, n in numerators.items():
-        num, den = num * d + n * den, den * d
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
+        num, den = _add(num, den, n, d)
     size_bound = -(-num // den)
     weight_bound = -(-parts_needed(inst.sizes) // inst.k)
     count_bound = -(-inst.n // inst.k)

@@ -45,16 +45,6 @@ def instance_from_json(doc: Any) -> Instance:
         raise ParseError(str(exc)) from exc
 
 
-def packing_to_json(packing: Packing) -> dict[str, Any]:
-    return {
-        "bins": [
-            [{"item": item, "part": render_rational(part)} for item, part in entries]
-            for entries in packing.bins
-        ],
-        "labels": list(packing.labels),
-    }
-
-
 def packing_from_json(doc: Any) -> Packing:
     if not isinstance(doc, dict) or "bins" not in doc:
         raise ParseError("packing document needs 'bins'")
@@ -96,8 +86,34 @@ def dumps_instance(inst: Instance) -> str:
     return json.dumps(instance_to_json(inst), indent=2) + "\n"
 
 
+# One bin entry in the ``json.dumps(..., indent=2)`` layout.
+_ENTRY = '      {{\n        "item": {},\n        "part": "{}"\n      }}'
+
+
+def _json_list(rows: list[str], indent: str) -> str:
+    """A JSON list of already-indented rows, closed at `indent`."""
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
 def dumps_packing(packing: Packing) -> str:
-    return json.dumps(packing_to_json(packing), indent=2) + "\n"
+    """The packing in exactly ``json.dumps``'s ``indent=2`` layout, written
+    directly: a rendered rational needs no escaping, and each distinct label
+    is escaped once by ``json.dumps``."""
+    bins = [
+        "    " + _json_list(
+            [_ENTRY.format(item, render_rational(part)) for item, part in entries],
+            "    ",
+        )
+        for entries in packing.bins
+    ]
+    quoted = {label: json.dumps(label) for label in set(packing.labels)}
+    labels = ["    " + quoted[label] for label in packing.labels]
+    return (
+        '{\n  "bins": ' + _json_list(bins, "  ")
+        + ',\n  "labels": ' + _json_list(labels, "  ") + "\n}\n"
+    )
 
 
 def loads_instance(text: str) -> Instance:

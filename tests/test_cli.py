@@ -139,6 +139,33 @@ def test_malformed_budget_env_is_usage_error(tmp_path, capsys, monkeypatch, argv
     assert err == "bad SPLITPACK_BUDGET: bad budget component: 'bogus=3'\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("solve", "--algo", "exact", "--budget-nodes", "-5"),
+         "--budget-nodes must be at least 0, got -5"),
+        (("solve", "--algo", "exact", "--max-bins", "-1"),
+         "--max-bins must be at least 0, got -1"),
+        (("experiment", "--suite", "nf-ratio", "--budget-nodes", "-1"),
+         "--budget-nodes must be at least 0, got -1"),
+        (("experiment", "--suite", "normalize-check", "--max-bins", "-2"),
+         "--max-bins must be at least 0, got -2"),
+    ],
+    ids=["solve-nodes", "solve-bins", "experiment-nodes", "experiment-bins"],
+)
+def test_negative_oracle_budget_is_usage_error(tmp_path, capsys, argv, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2, "items": ["51/100"] * 5}))
+    output = tmp_path / "out"
+    if argv[0] == "solve":
+        argv += ("--input", str(inst))
+    code, out, err = run_cli(*argv, "--output", str(output), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
+    assert not output.exists()
+
+
 def test_experiment_reduction_check_needs_k3(capsys):
     code, out, err = run_cli(
         "experiment", "--suite", "reduction-check", "--trials", "2", capsys=capsys
@@ -193,19 +220,25 @@ def _run_quietly(argv):
     k=st.integers(-1, 5),
     dist=st.sampled_from(["uniform", "mixed", "heavy"]),
     seed=st.integers(0, 2**16),
+    budget_nodes=st.sampled_from([-3, -1, 0, 1, 20000]),
+    max_bins=st.one_of(st.none(), st.integers(-2, 12)),
 )
 def test_experiment_fuzz_exits_with_documented_codes(
-    suite, trials, max_n, k, dist, seed
+    suite, trials, max_n, k, dist, seed, budget_nodes, max_bins
 ):
     # A small node budget bounds each oracle call; running out of it only
     # skips a trial.
-    code = _run_quietly(
-        ["experiment", "--suite", suite, "--trials", str(trials),
-         "--max-n", str(max_n), "--k", str(k), "--dist", dist,
-         "--seed", str(seed), "--budget-nodes", "20000"]
-    )
+    argv = [
+        "experiment", "--suite", suite, "--trials", str(trials),
+        "--max-n", str(max_n), "--k", str(k), "--dist", dist,
+        "--seed", str(seed), "--budget-nodes", str(budget_nodes),
+    ]
+    if max_bins is not None:
+        argv += ["--max-bins", str(max_bins)]
+    code = _run_quietly(argv)
     invalid = (
         trials < 0 or max_n < 1 or k < 2 or (suite == "reduction-check" and k < 3)
+        or budget_nodes < 0 or (max_bins is not None and max_bins < 0)
     )
     assert code == (cli.EXIT_USAGE if invalid else cli.EXIT_OK)
 

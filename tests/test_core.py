@@ -4,9 +4,11 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import reference_core as ref
 from splitpack import (
+    InvalidPackingError,
     Instance,
     ItemClass,
     Packing,
@@ -16,6 +18,7 @@ from splitpack import (
     item_weight,
     lower_bounds,
     next_fit,
+    normalize,
     parse_rational,
     validate_packing,
 )
@@ -73,6 +76,44 @@ def test_parse_rational_fails_fast_on_hostile_numerals(hostile):
     assert time.perf_counter() - start < 0.25
 
 
+# Numeral pieces for the parser's differential test: every form the digit
+# fast path takes and the forms it must leave to ``Fraction``.
+_NUMERAL_PIECES = [
+    "0", "7", "12", "007", "1000", "9" * 30, "-", "+", ".", "5", "e", "E",
+    "e-3", "e+2", "_", "1_0", "/", "/0", "/3", "/00", " ", "\t", "\n",
+    "\u0661", "\u00b2", "\uff11", "x", "nan", "inf", "", "//",
+]
+
+
+@given(pieces=st.lists(st.sampled_from(_NUMERAL_PIECES), max_size=6))
+def test_parse_rational_matches_fraction(pieces):
+    text = "".join(pieces)
+    try:
+        parse_rational(text)
+    except ValueError as exc:
+        # beyond the exponent bound Fraction would build a huge power of ten
+        assume("decimal exponent" not in str(exc))
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        return
+    got = parse_rational(text)
+    assert got == expected and type(got) is F
+
+
+def test_parse_rational_digit_forms():
+    assert parse_rational("6/4") == F(3, 2)
+    assert parse_rational("0/5") == 0
+    assert parse_rational("0012") == 12
+    for bad in ("3/0", "0/0", "3/", "/3", "1/2/", "-/2"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    # non-ASCII digits are left to Fraction, which reads them as digits
+    assert parse_rational("\u0661/\u0662") == F(1, 2)
+
+
 def test_decimal_parsing_is_exact():
     # d digits become a power-of-ten denominator, never a float round trip
     assert parse_rational("0.1") == F(1, 10)
@@ -88,6 +129,16 @@ def test_instance_validation():
         Instance(k=2, sizes=(F(-1, 2),))
     inst = Instance(k=2, sizes=(F(3), F(1, 4)))
     assert inst.n == 2 and list(inst.items()) == [(0, F(3)), (1, F(1, 4))]
+
+
+def test_instance_keeps_fractions_and_converts_the_rest():
+    half = F(1, 2)
+    inst = Instance(k=2, sizes=(half, 3, "3/4"))
+    assert inst.sizes == (F(1, 2), F(3), F(3, 4))
+    assert inst.sizes[0] is half
+    assert all(type(s) is F for s in inst.sizes)
+    with pytest.raises(ValueError, match="item 1 has non-positive size -1/3"):
+        Instance(k=2, sizes=(half, F(-1, 3)))
 
 
 def test_classify_boundaries():
@@ -246,6 +297,89 @@ def test_bin_violations_scaled_matches_fraction_unit():
         # the same violations, only the quantities in them are scaled
         kinds = [v.split(":")[0] for v in bin_violations(inst, bins)]
         assert kinds == [v.split(":")[0] for v in bin_violations(inst, as_ints, cap, scaled)]
+
+
+def test_duplicate_entry_is_reported():
+    # a Packing built directly may list one item twice in a bin; Packing.build
+    # would have merged the two parts
+    inst = Instance(k=2, sizes=(F(1, 2),))
+    packing = Packing((((0, F(1, 4)), (0, F(1, 4))),), ("x",))
+    assert validate_packing(inst, packing) == [
+        "duplicate: bin 0 lists item 0 more than once"
+    ]
+    with pytest.raises(InvalidPackingError):
+        normalize(inst, packing)
+    # the same in a scaled unit, beside an item that is split over two bins
+    inst = Instance(k=3, sizes=(F(1, 2), F(3, 4)))
+    cap, scaled = scaled_sizes(inst.sizes)
+    bins = [[(0, 1), (1, 2), (0, 1)], [(1, 1)]]
+    assert bin_violations(inst, bins, cap, scaled) == [
+        "duplicate: bin 0 lists item 0 more than once"
+    ]
+
+
+def _mutations(inst, bins, unit, rng):
+    """``bins`` with one fault of each kind the validator reports, parts
+    changed in steps of ``unit``; no bin lists an item twice."""
+    yield [list(entries) for entries in bins]  # unchanged
+    b = rng.randrange(len(bins))
+    item, part = bins[b][0]
+
+    def with_entry(entry):
+        return [
+            [entry] + entries[1:] if j == b else list(entries)
+            for j, entries in enumerate(bins)
+        ]
+
+    yield [list(entries) for entries in bins] + [[]]  # empty bin
+    yield with_entry((item, -part))  # negative part
+    yield with_entry((item, 0 * part))  # zero part
+    yield with_entry((item, part - unit))  # short coverage
+    yield with_entry((item, part + unit))  # over-full or over-covered
+    yield with_entry((item, part + 1))  # over-full by a whole bin
+    yield with_entry((rng.choice([inst.n, inst.n + 5, -1]), part))  # unknown id
+    yield [list(entries) for j, entries in enumerate(bins) if j != b]  # uncovered
+    present = {i for i, _ in bins[b]}
+    others = [i for i in range(inst.n) if i not in present]
+    if others:  # over k, and over-covers the added item
+        grown = [list(entries) for entries in bins]
+        grown[b] += [(i, unit) for i in others[: inst.k]]
+        yield grown
+
+
+def test_bin_violations_match_reference():
+    # exactly the original Fraction validator's list, in both units
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(150):
+        inst = gen_random(
+            rng.randint(1, 8), rng.choice([2, 3]), rng.choice(["mixed", "heavy"]),
+            rng.randrange(2**30),
+        )
+        cap, scaled = scaled_sizes(inst.sizes)
+        bins = [list(entries) for entries in next_fit(inst)[0].bins]
+        for mutated in _mutations(inst, bins, F(1, cap), rng):
+            assert bin_violations(inst, mutated) == ref.bin_violations(inst, mutated)
+            as_ints = [[(i, int(p * cap)) for i, p in entries] for entries in mutated]
+            assert bin_violations(inst, as_ints, cap, scaled) == ref.bin_violations(
+                inst, as_ints, cap, scaled
+            )
+            checked += 1
+    assert checked > 1400
+
+
+def test_bin_violations_long_bin_stays_small():
+    # 10^4 parts alternating 1/6 and 1/10 in one bin: the running sum is kept
+    # in lowest terms, so its denominator never grows past 15
+    n = 10**4
+    sizes = tuple(F(1, 6) if i % 2 else F(1, 10) for i in range(n))
+    inst = Instance(k=n, sizes=sizes)
+    bins = [list(enumerate(sizes))]
+    start = time.perf_counter()
+    issues = bin_violations(inst, bins)
+    assert time.perf_counter() - start < 0.25
+    assert issues == ["capacity: bin 0 holds 4000/3 > 1"]
+    assert issues == ref.bin_violations(inst, bins)
 
 
 def test_same_item_parts_merge_on_build():

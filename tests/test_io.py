@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from splitpack import Instance, Packing
+from splitpack.core import EMPTY_PACKING
 from splitpack import io as spio
 
 
@@ -77,3 +79,57 @@ def test_packing_round_trip_property(parts):
     bins = [[(i, p)] for i, p in enumerate(parts)]
     packing = Packing.build(bins, ["bin"] * len(bins))
     assert spio.loads_packing(spio.dumps_packing(packing)) == packing
+
+
+def _json_reference(packing):
+    # the indent=2 layout of the packing document, through the json module
+    doc = {
+        "bins": [
+            [{"item": item, "part": str(part)} for item, part in entries]
+            for entries in packing.bins
+        ],
+        "labels": list(packing.labels),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_parts_st = st.one_of(
+    st.fractions(max_denominator=10**6),
+    st.builds(F, st.integers(-(10**999), 10**1000), st.integers(1, 10**1000)),
+)
+_bins_st = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(-3, 10**6), _parts_st), max_size=4),
+        st.text(max_size=8),
+    ),
+    max_size=6,
+)
+
+
+@given(rows=_bins_st)
+def test_dumps_packing_matches_json_module(rows):
+    packing = Packing(
+        tuple(tuple(entries) for entries, _ in rows),
+        tuple(label for _, label in rows),
+    )
+    assert spio.dumps_packing(packing) == _json_reference(packing)
+
+
+@pytest.mark.parametrize(
+    "packing",
+    [
+        EMPTY_PACKING,
+        Packing(((), ((0, F(1, 2)),), ()), ("", "a", "b")),
+        Packing(
+            tuple(((i, F(1, 3)),) for i in range(7)),
+            ('say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+             "café", "漢字", "\U0001f600", "\ud800"),
+        ),
+        Packing(
+            (((0, F(10**999 + 7, 10**999)), (1, F(-(10**999), 3))),), ("big",)
+        ),
+    ],
+    ids=["empty", "empty-bins", "escaped-labels", "1000-digit-parts"],
+)
+def test_dumps_packing_matches_json_module_fixed(packing):
+    assert spio.dumps_packing(packing) == _json_reference(packing)
