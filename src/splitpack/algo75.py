@@ -119,44 +119,48 @@ def large_into_smalls(
     return bins, labels
 
 
+_NEXT_FIT_STEPS = (StepLabel.S3, StepLabel.S6)
+
+
 def _trailing_group(bins: list[list[Item]], labels: list[str]) -> list[int]:
-    """The final run of trailing next-fit bins that share items pairwise;
-    next-fit only ever links consecutive bins."""
-    nf_bins = [b for b, lab in enumerate(labels) if lab in (StepLabel.S3, StepLabel.S6)]
-    if not nf_bins:
+    """The run of next-fit bins at the end of the packing that share items
+    pairwise. Next fit links consecutive bins only through a split item,
+    the last entry of one bin and the first of the next; the close reasons
+    cannot stand in, since FILLED also closes an exactly full one-part bin."""
+    last = len(bins) - 1
+    if last < 0 or labels[last] not in _NEXT_FIT_STEPS:
         return []
-    group = [nf_bins[-1]]
-    for b in reversed(nf_bins[:-1]):
-        nxt = group[0]
-        if nxt - b == 1 and {i for i, _ in bins[b]} & {i for i, _ in bins[nxt]}:
-            group.insert(0, b)
-        else:
-            break
-    return group
+    first = last
+    while (
+        first > 0
+        and labels[first - 1] in _NEXT_FIT_STEPS
+        and bins[first - 1][-1][0] == bins[first][0][0]
+    ):
+        first -= 1
+    return list(range(first, last + 1))
 
 
 def _repair_two_bin(
-    inst: Instance, bins: list[list[Item]], labels: list[str]
-) -> tuple[bool, bool]:
-    """Repack one pair bin plus a two-bin trailing group into two bins when
-    the instance has a single large item: medium first, then the large item
-    split over both bins, then the small. Returns (triggered, changed)."""
+    inst: Instance, bins: list[list[Item]], labels: list[str], trail: list[int]
+) -> bool:
+    """Repack the one pair bin plus a two-bin trailing group into two bins
+    when the instance has a single large item: medium first, then the large
+    item split over both bins, then the small. Returns whether it was
+    triggered; it may be triggered and leave the packing as it is."""
+    if len(trail) != 2 or labels.count(StepLabel.S2A) != 1:
+        return False
     larges = [i for i, s in inst.items() if classify(s) is ItemClass.LARGE]
     if len(larges) != 1:
-        return False, False
-    s2a = [b for b, lab in enumerate(labels) if lab == StepLabel.S2A]
-    trail = _trailing_group(bins, labels)
-    if len(s2a) != 1 or len(trail) != 2:
-        return False, False
-    involved = s2a + trail
+        return False
+    involved = [labels.index(StepLabel.S2A)] + trail
     coverage = Packing.build([bins[b] for b in involved]).coverage()
     if any(coverage[i] != inst.sizes[i] for i in coverage):
-        return True, False
+        return True
     by_class: dict[ItemClass, list[int]] = {}
     for i in coverage:
         by_class.setdefault(classify(inst.sizes[i]), []).append(i)
     if any(len(by_class.get(cls, ())) != 1 for cls in ItemClass):
-        return True, False
+        return True
     (m,) = by_class[ItemClass.MEDIUM]
     (s,) = by_class[ItemClass.SMALL]
     (big,) = by_class[ItemClass.LARGE]
@@ -171,46 +175,45 @@ def _repair_two_bin(
         or any(p <= 0 for _, p in entries)
         for entries in candidate
     ):
-        return True, False
+        return True
     for b in sorted(involved, reverse=True):
         del bins[b]
         del labels[b]
     bins.extend(candidate)
     labels.extend([StepLabel.REPACKED] * 2)
-    return True, True
+    return True
 
 
 def _repair_seven_bin(
-    inst: Instance, bins: list[list[Item]], labels: list[str]
-) -> tuple[bool, bool]:
+    inst: Instance, bins: list[list[Item]], labels: list[str], trail: list[int]
+) -> bool:
     """When the packing is exactly four pair-step bins, one fit-step bin and
     a five-bin trailing group, search exhaustively for a seven-bin packing of
     the whole instance and adopt it when one exists. Never increases the bin
-    count. Returns (triggered, changed)."""
+    count. Returns whether it was triggered."""
+    if len(bins) != 10 or len(trail) != 5:
+        return False
     counts = Counter(labels)
-    trail = _trailing_group(bins, labels)
     if not (
-        len(bins) == 10
-        and counts[StepLabel.S2B] == 4
+        counts[StepLabel.S2B] == 4
         and counts[StepLabel.S2A] == 1
-        and len(trail) == 5
         and counts[StepLabel.S3] + counts[StepLabel.S6] == 5
     ):
-        return False, False
+        return False
     # A fixed budget, so that the packing never depends on the environment.
     try:
         witness = exact_mod.feasible_in(
             inst, 7, exact_mod.SearchBudget(max_items=inst.n)
         )
     except exact_mod.BudgetExceeded:
-        return True, False
+        return True
     if witness is None:
-        return True, False
+        return True
     bins.clear()
     labels.clear()
     bins.extend([list(entries) for entries in witness.bins])
     labels.extend([StepLabel.REPACKED] * witness.n_bins)
-    return True, True
+    return True
 
 
 def _main_pass(inst: Instance) -> tuple[list[list[Item]], list[str], Item | None]:
@@ -284,13 +287,12 @@ def pack_75(inst: Instance) -> A75Report:
         raise ValueError(f"this algorithm requires k=2, got k={inst.k}")
     bins, labels, reclassified = _main_pass(inst)
     fallback: str | None = None
-    triggered, _ = _repair_two_bin(inst, bins, labels)
-    if triggered:
+    # The two-bin repair leaves the packing as it is unless it triggers.
+    trail = _trailing_group(bins, labels)
+    if _repair_two_bin(inst, bins, labels, trail):
         fallback = TWO_BIN_REPACK
-    else:
-        triggered, _ = _repair_seven_bin(inst, bins, labels)
-        if triggered:
-            fallback = SEVEN_BIN_SEARCH
+    elif _repair_seven_bin(inst, bins, labels, trail):
+        fallback = SEVEN_BIN_SEARCH
 
     packing = Packing.build(bins, labels)
     problems = validate_packing(inst, packing)

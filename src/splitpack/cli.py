@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -60,15 +61,20 @@ class _CliError(Exception):
         self.code = code
 
 
+def _load(read, what: str, path: str):
+    """`read(path)`, with an unreadable or malformed file as exit 3."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise _CliError(EXIT_PARSE, f"cannot read {what}: {exc}")
+    except io.ParseError as exc:
+        raise _CliError(EXIT_PARSE, f"bad {what} file: {exc}")
+
+
 def _load_instance(path: str) -> Instance:
     """The instance at `path`; one needing more than ``MAX_PARTS`` parts is
     rejected before any command packs it."""
-    try:
-        inst = io.load_instance(path)
-    except OSError as exc:
-        raise _CliError(EXIT_PARSE, f"cannot read instance: {exc}")
-    except io.ParseError as exc:
-        raise _CliError(EXIT_PARSE, f"bad instance file: {exc}")
+    inst = _load(io.load_instance, "instance", path)
     if parts_needed(inst.sizes) > MAX_PARTS:
         raise _CliError(
             EXIT_PARSE,
@@ -77,13 +83,9 @@ def _load_instance(path: str) -> Instance:
     return inst
 
 
-def _load_packing(path: str) -> Packing:
-    try:
-        return io.load_packing(path)
-    except OSError as exc:
-        raise _CliError(EXIT_PARSE, f"cannot read packing: {exc}")
-    except io.ParseError as exc:
-        raise _CliError(EXIT_PARSE, f"bad packing file: {exc}")
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise _CliError(EXIT_USAGE, f"{flag} must be at least {least}, got {value}")
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -95,11 +97,10 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
         ("max_structures", "--budget-nodes", args.budget_nodes),
     ):
         if value is not None:
-            if value < 0:
-                raise _CliError(EXIT_USAGE, f"{flag} must be at least 0, got {value}")
+            _at_least(flag, value, 0)
             given[field] = value
     try:
-        budget = SearchBudget.from_env()
+        budget = SearchBudget.from_spec(os.environ.get(BUDGET_ENV_VAR, ""))
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, f"bad {BUDGET_ENV_VAR}: {exc}")
     return dataclasses.replace(budget, **given)
@@ -129,12 +130,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.input)
     if args.algo == "a75" and inst.k != 2:
         raise _CliError(EXIT_USAGE, f"--algo a75 requires k=2, instance has k={inst.k}")
-    if args.presort and args.algo != "nf":
-        raise _CliError(EXIT_USAGE, "--presort only applies to --algo nf")
-    if args.trace and args.algo != "nf":
-        raise _CliError(EXIT_USAGE, "--trace only applies to --algo nf")
-    if args.report and args.algo != "a75":
-        raise _CliError(EXIT_USAGE, "--report only applies to --algo a75")
+    for flag, value, algo in (
+        ("--presort", args.presort, "nf"),
+        ("--trace", args.trace, "nf"),
+        ("--report", args.report, "a75"),
+        ("--budget-nodes", args.budget_nodes, "exact"),
+        ("--max-bins", args.max_bins, "exact"),
+    ):
+        if value is not None and args.algo != algo:
+            raise _CliError(EXIT_USAGE, f"{flag} only applies to --algo {algo}")
 
     trace_doc = None
     report_doc = None
@@ -174,9 +178,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_VERIFY, f"solver output is not valid: {problems[0]}")
     if args.output:
         io.save_packing(args.output, packing)
-    if args.trace and trace_doc is not None:
+    if args.trace:
         _write_or_print(args.trace, json.dumps(trace_doc, indent=2) + "\n")
-    if args.report and report_doc is not None:
+    if args.report:
         _write_or_print(args.report, json.dumps(report_doc, indent=2) + "\n")
     print(f"bins={packing.n_bins} lower_bound={lower_bounds(inst).best}")
     return EXIT_OK
@@ -184,7 +188,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    packing = _load_packing(args.packing)
+    packing = _load(io.load_packing, "packing", args.packing)
     violations = validate_packing(inst, packing)
     for line in violations:
         print(line)
@@ -205,30 +209,46 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    """The item count, which follows from the flags, is checked against
+    ``MAX_PARTS`` before generating, and --certified-output of a family
+    without a certificate is rejected before writing."""
+
+    def bounded(items: int) -> None:
+        if items > MAX_PARTS:
+            raise _CliError(
+                EXIT_USAGE,
+                f"gen {args.family} would make {items} items, more than {MAX_PARTS}",
+            )
+
     certified = None
     try:
         if args.family == "nf-worst":
+            # k < 2 counts one item, so that the generator reports the k.
+            bounded(1 + args.m * args.k * max(args.k - 1, 0))
             inst, certified = gen_nf_worst(args.k, args.m)
         elif args.family == "a75-worst":
+            bounded(9 * args.n)
             inst, certified = gen_a75_worst(args.n)
         elif args.family == "reduce3p":
             numbers = [int(x) for x in args.numbers.split(",") if x.strip()]
+            bounded(len(numbers) + len(numbers) // 3 * (args.k - 3))
             inst = gen_from_3partition(numbers, args.b, args.k)
         else:  # random
+            bounded(args.n)
             inst = gen_random(args.n, args.k, args.dist, args.seed)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
+    if args.certified_output and certified is None:
+        raise _CliError(EXIT_USAGE, f"{args.family} has no certified packing")
     _write_or_print(args.output, io.dumps_instance(inst))
     if args.certified_output:
-        if certified is None:
-            raise _CliError(EXIT_USAGE, f"{args.family} has no certified packing")
         io.save_packing(args.certified_output, certified)
     return EXIT_OK
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    packing = _load_packing(args.input)
+    packing = _load(io.load_packing, "packing", args.input)
     if inst.k != 2:
         raise _CliError(EXIT_USAGE, f"normalize requires k=2, instance has k={inst.k}")
     try:
@@ -378,11 +398,9 @@ def _experiment_normalize(
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    for flag, value, least in (
-        ("--max-n", args.max_n, 1), ("--k", args.k, 2), ("--trials", args.trials, 0)
-    ):
-        if value < least:
-            raise _CliError(EXIT_USAGE, f"{flag} must be at least {least}, got {value}")
+    _at_least("--max-n", args.max_n, 1)
+    _at_least("--k", args.k, 2)
+    _at_least("--trials", args.trials, 0)
     if args.suite == "reduction-check" and args.k < 3:
         raise _CliError(EXIT_USAGE, f"reduction-check requires k >= 3, got k={args.k}")
     budget = _budget(args)

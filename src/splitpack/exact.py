@@ -46,7 +46,6 @@ certificate for that packing; a failed check raises ``InternalError``.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -66,6 +65,8 @@ from .nextfit import NF_LABEL, next_fit_bins, spill
 
 EXACT_LABEL = "exact"
 
+# The CLI reads its budget from this variable, in ``SearchBudget.from_spec``
+# form; the library reads no environment.
 BUDGET_ENV_VAR = "SPLITPACK_BUDGET"
 
 
@@ -110,15 +111,6 @@ class SearchBudget:
                 raise ValueError(f"bad budget component: {chunk!r}")
             given[field] = int(value)
         return SearchBudget(**given)
-
-    @staticmethod
-    def from_env() -> "SearchBudget":
-        """The budget that ``BUDGET_ENV_VAR`` names, or the default. Only the
-        CLI reads it; library calls take their budget as an argument."""
-        spec = os.environ.get(BUDGET_ENV_VAR)
-        if spec:
-            return SearchBudget.from_spec(spec)
-        return SearchBudget()
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from splitpack.algo75 import (
     TWO_BIN_REPACK,
     StepLabel,
     _main_pass,
+    _trailing_group,
     large_into_smalls,
     reclassify_lone_small,
 )
@@ -285,3 +286,32 @@ def test_pack_75_golden_10k_items(dist, n_bins, digest):
     assert packing.n_bins == n_bins
     key = (packing.bins, packing.labels)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
+def _trailing_group_by_item_sets(bins, labels):
+    """The trailing group as it was first written: the last run of S3/S6
+    bins, wherever it ends, whose consecutive bins share any item."""
+    nf_bins = [b for b, lab in enumerate(labels) if lab in (StepLabel.S3, StepLabel.S6)]
+    if not nf_bins:
+        return []
+    group = [nf_bins[-1]]
+    for b in reversed(nf_bins[:-1]):
+        nxt = group[0]
+        if nxt - b == 1 and {i for i, _ in bins[b]} & {i for i, _ in bins[nxt]}:
+            group.insert(0, b)
+        else:
+            break
+    return group
+
+
+def test_trailing_group_matches_item_set_walk():
+    lengths = Counter()
+    for dist in ("uniform", "mixed", "heavy"):
+        for seed in range(670):
+            inst = gen_random(seed % 14 + 1, 2, dist, seed)
+            bins, labels, _ = _main_pass(inst)
+            got = _trailing_group(bins, labels)
+            assert got == _trailing_group_by_item_sets(bins, labels), (dist, seed)
+            lengths[len(got)] += 1
+    # no group, a single bin, and the lengths the two repairs look for
+    assert all(lengths[size] > 50 for size in (0, 1, 2, 5)), lengths

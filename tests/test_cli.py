@@ -2,9 +2,11 @@ import ast
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -461,6 +463,70 @@ def test_experiment_normalize_check(tmp_path, capsys):
     assert out_file.read_text().splitlines()[-1].endswith("15/15")
 
 
+NF_RATIO_SKIPS = """\
+trial,n,k,dist,sizes,alg_bins,opt_bins,ratio,ratio_decimal,status
+0,3,2,mixed,2|1/12|1/3,3,3,1,1.000000,ok
+1,5,2,mixed,1|2|1|1/3|7/6,6,6,1,1.000000,ok
+2,8,2,mixed,11/12|1|1|4/11|1/2|4/11|1/2|1/3,6,,,,skipped
+3,8,2,mixed,2|5/4|2/11|2/3|1/5|9/8|1/2|3/7,8,,,,skipped
+4,4,2,mixed,1/12|1/2|1/2|2/5,2,2,1,1.000000,ok
+5,8,2,mixed,1/3|9/10|2/3|3/4|3/7|1/3|1/4|4/5,6,5,6/5,1.200000,ok
+6,7,2,mixed,5/6|11/9|1/3|1|8/9|1/2|2/3,7,6,7/6,1.166667,ok
+7,1,2,mixed,3/4,1,1,1,1.000000,ok
+8,5,2,mixed,9/8|1/11|1|1|4/3,6,,,,skipped
+9,2,2,mixed,1/3|1/6,1,1,1,1.000000,ok
+10,1,2,mixed,1,1,1,1,1.000000,ok
+11,1,2,mixed,2/5,1,1,1,1.000000,ok
+summary,,2,mixed,,,,6/5,1.200000,ok=9;skipped=3
+"""
+
+REDUCTION_SKIPS = """\
+trial,k,target,numbers,brute,packed,agree
+0,3,20,6 6 6 6 9 7,0,,skipped
+1,3,20,7 7 7 6 7 6,1,1,1
+2,3,20,7 7 6 8 6 6,1,1,1
+3,3,20,6 6 6 9 6 7,0,,skipped
+summary,3,20,,,,2/2
+"""
+
+# trial 3's oracle call runs out of nodes, so it keeps next fit's packing
+NORMALIZE_FALLBACK = """\
+trial,n,source,bins_in,bins_out,ok
+0,3,nf,3,3,1
+1,5,exact,6,6,1
+2,8,nf,6,6,1
+3,8,nf,8,8,1
+4,4,nf,2,2,1
+5,8,exact,5,5,1
+6,7,nf,7,7,1
+7,1,exact,1,1,1
+summary,,,,,8/8
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--suite", "nf-ratio", "--dist", "mixed", "--trials", "12", "--max-n", "8"),
+         NF_RATIO_SKIPS),
+        (("--suite", "reduction-check", "--k", "3", "--trials", "4"), REDUCTION_SKIPS),
+        (
+            ("--suite", "normalize-check", "--dist", "mixed", "--trials", "8",
+             "--max-n", "8"),
+            NORMALIZE_FALLBACK,
+        ),
+    ],
+    ids=["nf-ratio", "reduction-check", "normalize-check"],
+)
+def test_experiment_rows_without_oracle_answer(capsys, argv, expected):
+    # A zero node budget leaves only the oracle's cheap answers.
+    code, out, err = run_cli(
+        "experiment", *argv, "--seed", "1", "--budget-nodes", "0", capsys=capsys
+    )
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_solve_nf_presort(tmp_path, capsys):
     from splitpack import Instance, Packing, next_fit
 
@@ -569,6 +635,40 @@ def test_solve_trace_requires_nf(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "algo, flags, message",
+    [
+        ("a75", ("--presort", "increasing"), "--presort only applies to --algo nf"),
+        ("exact", ("--presort", "decreasing"), "--presort only applies to --algo nf"),
+        ("a75", ("--trace", "t.json"), "--trace only applies to --algo nf"),
+        ("nf", ("--report", "r.json"), "--report only applies to --algo a75"),
+        ("exact", ("--report", "r.json"), "--report only applies to --algo a75"),
+        ("nf", ("--max-bins", "3"), "--max-bins only applies to --algo exact"),
+        ("a75", ("--max-bins", "3"), "--max-bins only applies to --algo exact"),
+        ("nf", ("--budget-nodes", "5"), "--budget-nodes only applies to --algo exact"),
+        ("a75", ("--budget-nodes", "0"), "--budget-nodes only applies to --algo exact"),
+        (
+            "nf",
+            ("--budget-nodes", "-5", "--max-bins", "-1"),
+            "--budget-nodes only applies to --algo exact",
+        ),
+    ],
+)
+def test_solve_flag_of_another_algo_is_usage_error(
+    tmp_path, capsys, monkeypatch, algo, flags, message
+):
+    monkeypatch.chdir(tmp_path)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2, "items": ["1/2", "3/4", "5/4"]}))
+    code, out, err = run_cli(
+        "solve", "--algo", algo, "--input", "inst.json", "--output", "p.json",
+        *flags, capsys=capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+    assert list(tmp_path.iterdir()) == [inst]
+
+
 def test_gen_a75_worst_certified(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"
@@ -586,13 +686,94 @@ def test_gen_a75_worst_certified(tmp_path, capsys):
 
 
 def test_gen_random_has_no_certificate(tmp_path, capsys):
+    # rejected before the instance reaches its file or stdout
+    instance = tmp_path / "a.json"
+    for argv in (
+        ("random", "--n", "3", "--k", "2"),
+        ("random", "--n", "3", "--k", "2", "--output", str(instance)),
+        ("reduce3p", "--b", "20", "--numbers", "7,7,6", "--k", "3"),
+        ("reduce3p", "--b", "20", "--numbers", "7,7,6", "--k", "3",
+         "--output", str(instance)),
+    ):
+        code, out, err = run_cli(
+            "gen", *argv, "--certified-output", str(tmp_path / "c.json"),
+            capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"{argv[0]} has no certified packing\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, items",
+    [
+        (("nf-worst", "--k", "2", "--m", str(MAX_PARTS // 2)), MAX_PARTS + 1),
+        (("nf-worst", "--k", "1001", "--m", "1"), 1 + 1001 * 1000),
+        (("a75-worst", "--n", str(MAX_PARTS // 9 + 1)), 9 * (MAX_PARTS // 9 + 1)),
+        (("random", "--n", str(MAX_PARTS + 1), "--k", "2"), MAX_PARTS + 1),
+        (
+            ("reduce3p", "--b", "20", "--numbers", "7,7,6", "--k", str(MAX_PARTS + 1)),
+            MAX_PARTS + 1,
+        ),
+    ],
+    ids=["nf-worst-m", "nf-worst-k", "a75-worst", "random", "reduce3p"],
+)
+def test_gen_rejects_more_items_than_max_parts_fast(tmp_path, capsys, argv, items):
+    output = tmp_path / "inst.json"
+    start = time.perf_counter()
+    code, out, err = run_cli("gen", *argv, "--output", str(output), capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"gen {argv[0]} would make {items} items, more than {MAX_PARTS}\n"
+    assert not output.exists()
+    assert time.perf_counter() - start < 0.25
+
+
+def test_gen_reports_a_bad_k_before_the_item_count(capsys):
     code, _, err = run_cli(
-        "gen", "random", "--n", "3", "--k", "2",
-        "--certified-output", str(tmp_path / "c.json"),
-        capsys=capsys,
+        "gen", "nf-worst", "--k", "-1", "--m", str(MAX_PARTS), capsys=capsys
     )
-    assert code == 2
-    assert "no certified packing" in err
+    assert code == 2 and err == "k must be at least 2, got -1\n"
+
+
+_SMALL_OR_HUGE = st.one_of(st.integers(-2, 6), st.integers(MAX_PARTS, 10**12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["nf-worst", "a75-worst", "reduce3p"]),
+    k=_SMALL_OR_HUGE,
+    m=_SMALL_OR_HUGE,
+    n=st.one_of(st.integers(-2, 12), st.integers(MAX_PARTS // 9 + 1, 10**12)),
+    b=st.one_of(st.just(20), st.integers(-2, 30)),
+    numbers=st.one_of(
+        st.sampled_from([[7, 7, 6], [7, 7, 6, 7, 7, 6]]),
+        st.lists(st.integers(-3, 15), max_size=7),
+    ),
+    certified=st.booleans(),
+)
+def test_gen_families_fuzz_exit_with_documented_codes(
+    family, k, m, n, b, numbers, certified
+):
+    # Every draw is tiny or over the item bound, so each run is quick.
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["gen", family]
+        if family == "nf-worst":
+            argv += ["--k", str(k), "--m", str(m)]
+        elif family == "a75-worst":
+            argv += ["--n", str(n)]
+        else:
+            argv += ["--b", str(b), f"--numbers={','.join(map(str, numbers))}"]
+            argv += ["--k", str(k)]
+        argv += ["--output", os.path.join(tmp, "inst.json")]
+        if certified:
+            argv += ["--certified-output", os.path.join(tmp, "cert.json")]
+        code = _run_quietly(argv)
+        written = sorted(os.listdir(tmp))
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE)
+    if code == cli.EXIT_USAGE:
+        assert written == []
+    else:
+        assert written == (["cert.json", "inst.json"] if certified else ["inst.json"])
 
 
 def test_normalize_rejects_other_k(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import random
@@ -26,7 +27,7 @@ from splitpack import (
     three_partition_brute,
     validate_packing,
 )
-from splitpack import exact
+from splitpack import cli, exact
 from splitpack.core import InternalError, scaled_sizes
 from splitpack.exact import (
     _extra_loop_splits,
@@ -121,6 +122,19 @@ def test_feasible_in_empty_instance():
     assert feasible_in(Instance(k=2, sizes=()), 1) is None
 
 
+def test_feasible_in_argument_checks():
+    small = Instance(k=2, sizes=(F(1, 2),) * 3)
+    with pytest.raises(ValueError, match="bin count must be at least 1, got 0"):
+        feasible_in(small, 0)
+    with pytest.raises(BudgetExceeded, match="^3 items exceed the budget of 2$"):
+        feasible_in(small, 2, SearchBudget(max_items=2))
+    with pytest.raises(BudgetExceeded, match="^3 bins exceed the budget of 2$"):
+        feasible_in(small, 3, SearchBudget(max_bins=2))
+    # both budgets exceeded: the item count is checked first
+    with pytest.raises(BudgetExceeded, match="^3 items exceed the budget of 2$"):
+        feasible_in(small, 3, SearchBudget(max_items=2, max_bins=2))
+
+
 def test_reduction_yes_and_no():
     yes = gen_from_3partition([7, 7, 6, 7, 7, 6], 20, 3)
     assert feasible_in(yes, 2) is not None
@@ -156,10 +170,14 @@ def test_budget_spec_parsing():
 
 
 def test_budget_env_override(monkeypatch):
+    # The CLI is the one reader of the variable.
+    no_flags = argparse.Namespace(max_bins=None, budget_nodes=None)
     monkeypatch.setenv("SPLITPACK_BUDGET", "items=9")
-    assert SearchBudget.from_env().max_items == 9
+    assert cli._budget(no_flags) == SearchBudget(max_items=9)
+    monkeypatch.setenv("SPLITPACK_BUDGET", "")
+    assert cli._budget(no_flags) == SearchBudget()
     monkeypatch.delenv("SPLITPACK_BUDGET")
-    assert SearchBudget.from_env().max_items == 8
+    assert cli._budget(no_flags) == SearchBudget()
 
 
 def test_library_ignores_budget_env(monkeypatch):

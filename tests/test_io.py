@@ -15,6 +15,14 @@ def test_instance_round_trip_text():
     assert again == inst
 
 
+def test_save_instance_round_trip(tmp_path):
+    inst = Instance(k=3, sizes=(F(5, 2), F(1, 7), F(1)))
+    path = tmp_path / "inst.json"
+    spio.save_instance(str(path), inst)
+    assert path.read_text(encoding="utf-8") == spio.dumps_instance(inst)
+    assert spio.load_instance(str(path)) == inst
+
+
 def test_instance_accepts_decimals():
     inst = spio.loads_instance('{"k": 2, "items": ["0.3", "3/4", "2"]}')
     assert inst.sizes == (F(3, 10), F(3, 4), F(2))
