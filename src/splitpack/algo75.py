@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import (
     Instance,
@@ -22,8 +23,10 @@ from .core import (
     Item,
     ItemClass,
     Packing,
+    bin_violations,
     classify,
-    lower_bounds,
+    unit_packing,
+    unit_sizes,
     validate_packing,
 )
 from . import exact as exact_mod
@@ -56,46 +59,51 @@ class A75Report:
         return self.packing.n_bins
 
 
-def split_2b(medium: Fraction, s_a: Fraction, s_b: Fraction) -> tuple[Fraction, Fraction]:
-    """Split a medium item over two bins beside the two largest smalls.
+def split_2b(
+    medium: Fraction | int, s_a: Fraction | int, s_b: Fraction | int, cap: int = 1
+) -> tuple[Fraction | int, Fraction | int]:
+    """Split a medium item over two bins beside the two largest smalls, in
+    bins of capacity `cap` (sizes and parts share its unit).
 
-    The first bin {s_a, part1} is made exactly full (part1 = 1 - s_a); the
-    remainder lands beside s_b. With s_a >= s_b both at most 1/2 and
-    medium + s_a > 1, the remainder is positive and the second bin fits.
+    The first bin {s_a, part1} is made exactly full (part1 = cap - s_a); the
+    remainder lands beside s_b. With s_a >= s_b both at most cap/2 and
+    medium + s_a > cap, the remainder is positive and the second bin fits.
     """
-    if not (0 < s_b <= s_a <= Fraction(1, 2)):
+    if not (0 < s_b <= s_a and 2 * s_a <= cap):
         raise ValueError(f"need two small items with s_a >= s_b, got {s_a}, {s_b}")
-    if not (Fraction(1, 2) < medium <= 1):
+    if not (cap < 2 * medium and medium <= cap):
         raise ValueError(f"need a medium item, got {medium}")
-    if medium + s_a <= 1:
+    if medium + s_a <= cap:
         raise ValueError(f"{medium} fits beside {s_a}; splitting not needed")
-    part1 = 1 - s_a
+    part1 = cap - s_a
     part2 = medium - part1
     return part1, part2
 
 
-def reclassify_lone_small(remaining_mediums: list[Fraction], small: Fraction) -> bool:
+def reclassify_lone_small(
+    remaining_mediums: list[Fraction | int], small: Fraction | int, cap: int = 1
+) -> bool:
     """When one small is left and a medium needs two: does the small turn
     into a medium for the rest of the run? True iff no unpacked medium fits
-    beside it."""
-    return all(m + small > 1 for m in remaining_mediums)
+    beside it in a bin of capacity `cap`."""
+    return all(m + small > cap for m in remaining_mediums)
 
 
 def large_into_smalls(
-    smalls: list[Item], larges: list[Item]
+    smalls: list[Item], larges: list[Item], cap: int = 1
 ) -> tuple[list[list[Item]], list[str]]:
     """Steps 4 to 6: seed one bin per remaining small (smallest first), sweep
     the larges through them next-fit style (largest first), then pair up any
     untouched seeds; if the seeds run out inside a large item, that item and
-    all later ones continue in fresh bins.
+    all later ones continue in fresh bins. Bins have capacity `cap`.
     """
-    bins: list[list[Item]] = [[(sid, s)] for sid, s in smalls]
+    bins: list[list[Item]] = [[item] for item in smalls]
     labels = [StepLabel.S4] * len(bins)
     cursor = 0
     for idx, (lid, lsize) in enumerate(larges):
         rest = lsize
         while rest > 0 and cursor < len(smalls):
-            space = 1 - smalls[cursor][1]
+            space = cap - smalls[cursor][1]
             take = min(rest, space)
             bins[cursor].append((lid, take))
             rest -= take
@@ -103,7 +111,7 @@ def large_into_smalls(
         if rest > 0:
             # Out of seeds mid-item: the remainder and every later large are
             # packed as a trailing next-fit group.
-            tail, _ = next_fit_bins([(lid, rest)] + larges[idx + 1 :], 2)
+            tail, _ = next_fit_bins([(lid, rest)] + larges[idx + 1 :], 2, cap)
             return bins + tail, labels + [StepLabel.S6] * len(tail)
     if cursor < len(smalls):
         # Untouched seeds hold one small each; repack those smalls in pairs.
@@ -216,61 +224,82 @@ def _repair_seven_bin(
     return True
 
 
-def _main_pass(inst: Instance) -> tuple[list[list[Item]], list[str], Item | None]:
+def _main_pass(
+    inst: Instance, cap: int = 1, sizes: Sequence[Fraction | int] | None = None
+) -> tuple[list[list[Item]], list[str], Item | None]:
     """Stage one on a k = 2 instance: the raw bins, their step labels and the
-    lone small moved into the next-fit stream, if any."""
-    by_class: dict[ItemClass, list[Item]] = {cls: [] for cls in ItemClass}
-    for item in inst.items():
-        by_class[classify(item[1])].append(item)
-    smalls = sorted(by_class[ItemClass.SMALL], key=lambda p: (p[1], p[0]))
-    mediums = sorted(by_class[ItemClass.MEDIUM], key=lambda p: (-p[1], p[0]))
-    larges = sorted(by_class[ItemClass.LARGE], key=lambda p: (-p[1], p[0]))
+    lone small moved into the next-fit stream, if any.
+
+    Sizes and parts share one unit: by default the instance's sizes in bins
+    of capacity 1, or the sizes and capacity of ``core.unit_sizes``. Each
+    class is sorted by size alone; the sorts are stable, so equal sizes keep
+    ascending ids (also under ``reverse=True``)."""
+    if sizes is None:
+        sizes = inst.sizes
+    smalls: list[int] = []
+    mediums: list[int] = []
+    larges: list[int] = []
+    for i, s in enumerate(sizes):
+        if 2 * s <= cap:
+            smalls.append(i)
+        elif s <= cap:
+            mediums.append(i)
+        else:
+            larges.append(i)
+    size_of = sizes.__getitem__
+    smalls.sort(key=size_of)
+    mediums.sort(key=size_of, reverse=True)
+    larges.sort(key=size_of, reverse=True)
 
     bins: list[list[Item]] = []
     labels: list[str] = []
     lo, hi = 0, len(smalls) - 1
-    deferred: list[Item] = []
-    rest_mediums: list[Item] = []
+    deferred: list[int] = []
+    rest_mediums: list[int] = []
     reclassified: Item | None = None
 
-    for idx, (mid, msize) in enumerate(mediums):
+    for idx, mid in enumerate(mediums):
         if lo > hi:
             rest_mediums = mediums[idx:]
             break
-        s_lo_id, s_lo = smalls[lo]
-        if msize + s_lo <= 1:
+        msize = sizes[mid]
+        s_lo_id = smalls[lo]
+        s_lo = sizes[s_lo_id]
+        if msize + s_lo <= cap:
             bins.append([(mid, msize), (s_lo_id, s_lo)])
             labels.append(StepLabel.S2A)
             lo += 1
         elif hi - lo + 1 >= 2:
-            sa_id, sa = smalls[hi]
-            sb_id, sb = smalls[hi - 1]
-            part1, part2 = split_2b(msize, sa, sb)
+            sa_id, sb_id = smalls[hi], smalls[hi - 1]
+            sa, sb = sizes[sa_id], sizes[sb_id]
+            part1, part2 = split_2b(msize, sa, sb, cap)
             bins.append([(sa_id, sa), (mid, part1)])
             labels.append(StepLabel.S2B)
             bins.append([(mid, part2), (sb_id, sb)])
             labels.append(StepLabel.S2B)
             hi -= 2
         else:
-            later = [m for _, m in mediums[idx + 1 :]]
-            deferred.append((mid, msize))
-            if reclassify_lone_small(later, s_lo):
+            deferred.append(mid)
+            # Mediums go largest first, so the last one is the smallest left.
+            later = [sizes[mediums[-1]]] if idx + 1 < len(mediums) else []
+            if reclassify_lone_small(later, s_lo, cap):
                 reclassified = (s_lo_id, s_lo)
                 lo += 1
 
-    smalls_left = smalls[lo : hi + 1]
-    stream = deferred + rest_mediums
+    smalls_left = [(i, sizes[i]) for i in smalls[lo : hi + 1]]
+    stream = [(i, sizes[i]) for i in deferred + rest_mediums]
     if reclassified is not None:
         stream.append(reclassified)
+    large_items = [(i, sizes[i]) for i in larges]
 
     if not smalls_left:
-        tail, _ = next_fit_bins(stream + larges, 2)
+        tail, _ = next_fit_bins(stream + large_items, 2, cap)
         bins.extend(tail)
         labels.extend([StepLabel.S3] * len(tail))
     else:
         if stream:
             raise InternalError("mediums remain although small items are unpacked")
-        tail_bins, tail_labels = large_into_smalls(smalls_left, larges)
+        tail_bins, tail_labels = large_into_smalls(smalls_left, large_items, cap)
         bins.extend(tail_bins)
         labels.extend(tail_labels)
     return bins, labels, reclassified
@@ -280,24 +309,39 @@ def pack_75(inst: Instance) -> A75Report:
     """Run the full k = 2 algorithm and return the labeled packing.
 
     Stage one pairs each medium with the smallest small that fits, or splits
-    it over the two largest smalls; leftovers flow through next-fit. Stage
-    two applies the repair passes. Output is always a valid packing.
+    it over the two largest smalls; leftovers flow through next-fit. It runs
+    once, in the instance's ``core.unit_sizes`` unit, and its bins are
+    checked there by ``bin_violations`` before their parts turn back into
+    ``Fraction``s: that check certifies the packing, since the conversion is
+    exact. Stage two applies the repair passes on ``Fraction``s, and a
+    packing a repair produced is validated again. Output is always a valid
+    packing.
     """
     if inst.k != 2:
         raise ValueError(f"this algorithm requires k=2, got k={inst.k}")
-    bins, labels, reclassified = _main_pass(inst)
+    cap, sizes = unit_sizes(inst.sizes)
+    unit_bins, labels, reclassified = _main_pass(inst, cap, sizes)
+    problems = bin_violations(inst, unit_bins, cap, sizes)
+    if problems:
+        raise InternalError(f"algorithm produced an invalid packing: {problems[0]}")
+    # The group is read from the entry order the main pass left, which
+    # unit_packing sorts by item id.
+    trail = _trailing_group(unit_bins, labels)
+    packing = unit_packing(inst, unit_bins, cap, sizes, labels)
+    del unit_bins
+    bins = list(packing.bins)
     fallback: str | None = None
     # The two-bin repair leaves the packing as it is unless it triggers.
-    trail = _trailing_group(bins, labels)
     if _repair_two_bin(inst, bins, labels, trail):
         fallback = TWO_BIN_REPACK
     elif _repair_seven_bin(inst, bins, labels, trail):
         fallback = SEVEN_BIN_SEARCH
 
-    packing = Packing.build(bins, labels)
-    problems = validate_packing(inst, packing)
-    if problems:
-        raise InternalError(f"algorithm produced an invalid packing: {problems[0]}")
+    if fallback is not None:
+        packing = Packing.build(bins, labels)
+        problems = validate_packing(inst, packing)
+        if problems:
+            raise InternalError(f"a repair produced an invalid packing: {problems[0]}")
     return A75Report(
         packing=packing,
         label_counts=dict(Counter(packing.labels)),

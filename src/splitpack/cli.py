@@ -71,6 +71,40 @@ def _load(read, what: str, path: str):
         raise _CliError(EXIT_PARSE, f"bad {what} file: {exc}")
 
 
+def _open(what: str, path: str, mode: str, **kwargs):
+    """`open(path, mode)` for writing, with a path that cannot be opened as
+    exit 2."""
+    try:
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {what}: {exc}")
+
+
+def _save(outputs: Sequence[tuple[str, str | None, str]]) -> None:
+    """Write each (what, path, text) output, to stdout where the path is
+    None. Every file is opened, without truncating it, before any is
+    written, so a path that cannot be opened (exit 2, ``cannot write
+    <what>: <reason>``) leaves no file behind that this call created."""
+    created: list[str] = []
+    try:
+        for what, path, _ in outputs:
+            if path is not None:
+                new = not os.path.exists(path)
+                _open(what, path, "a").close()
+                if new:
+                    created.append(path)
+    except _CliError:
+        for path in created:
+            os.remove(path)
+        raise
+    for what, path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with _open(what, path, "w") as fh:
+                fh.write(text)
+
+
 def _load_instance(path: str) -> Instance:
     """The instance at `path`; one needing more than ``MAX_PARTS`` parts is
     rejected before any command packs it."""
@@ -113,14 +147,6 @@ def _decimal(value: Fraction) -> str:
     if 2 * r >= value.denominator:
         q += 1
     return f"{q // 10**6}.{q % 10**6:06d}"
-
-
-def _write_or_print(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +202,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problems = validate_packing(inst, packing)
     if problems:
         raise _CliError(EXIT_VERIFY, f"solver output is not valid: {problems[0]}")
+    outputs = []
     if args.output:
-        io.save_packing(args.output, packing)
+        outputs.append(("packing", args.output, io.dumps_packing(packing)))
     if args.trace:
-        _write_or_print(args.trace, json.dumps(trace_doc, indent=2) + "\n")
+        outputs.append(("trace", args.trace, json.dumps(trace_doc, indent=2) + "\n"))
     if args.report:
-        _write_or_print(args.report, json.dumps(report_doc, indent=2) + "\n")
+        outputs.append(("report", args.report, json.dumps(report_doc, indent=2) + "\n"))
+    _save(outputs)
     print(f"bins={packing.n_bins} lower_bound={lower_bounds(inst).best}")
     return EXIT_OK
 
@@ -240,9 +268,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_USAGE, str(exc))
     if args.certified_output and certified is None:
         raise _CliError(EXIT_USAGE, f"{args.family} has no certified packing")
-    _write_or_print(args.output, io.dumps_instance(inst))
+    outputs = [("instance", args.output, io.dumps_instance(inst))]
     if args.certified_output:
-        io.save_packing(args.certified_output, certified)
+        outputs.append(
+            ("certified packing", args.certified_output, io.dumps_packing(certified))
+        )
+    _save(outputs)
     return EXIT_OK
 
 
@@ -264,7 +295,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
                 print(line)
             return EXIT_VERIFY
     if args.output:
-        io.save_packing(args.output, result)
+        _save([("packing", args.output, io.dumps_packing(result))])
     print(f"bins={result.n_bins} (from {packing.n_bins})")
     return EXIT_OK
 
@@ -404,8 +435,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.suite == "reduction-check" and args.k < 3:
         raise _CliError(EXIT_USAGE, f"reduction-check requires k >= 3, got k={args.k}")
     budget = _budget(args)
-    out = sys.stdout if args.output is None else open(
-        args.output, "w", encoding="utf-8", newline=""
+    out = sys.stdout if args.output is None else _open(
+        "CSV", args.output, "w", newline=""
     )
     try:
         writer = csv.writer(out, lineterminator="\n")

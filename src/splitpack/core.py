@@ -315,6 +315,63 @@ def scaled_sizes(sizes: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [s.numerator * (scale // s.denominator) for s in sizes]
 
 
+# Bound on the bin capacity of ``unit_sizes``: the bulk solvers run on
+# integers only while the sizes' common denominator has at most this many
+# bits, so that every comparison and sum is a small-integer operation.
+UNIT_BITS = 64
+
+
+def unit_sizes(sizes: Sequence[Fraction]) -> tuple[int, Sequence[int | Fraction]]:
+    """The unit the bulk solvers run in, as (bin capacity, sizes): the
+    ``scaled_sizes`` integers when the least common denominator has at most
+    ``UNIT_BITS`` bits, and otherwise (1, sizes) itself.
+
+    The denominator is built one distinct denominator at a time and given up
+    as soon as it passes the bound, so sizes with huge coprime denominators
+    cost one step per distinct denominator, never a huge product."""
+    scale = 1
+    for den in {s.denominator for s in sizes}:
+        scale = math.lcm(scale, den)
+        if scale.bit_length() > UNIT_BITS:
+            return 1, sizes
+    return scale, [s.numerator * (scale // s.denominator) for s in sizes]
+
+
+def unit_packing(
+    inst: Instance,
+    bins: Iterable[Iterable[Item]],
+    cap: int,
+    sizes: Sequence[int | Fraction],
+    labels: Sequence[str],
+) -> Packing:
+    """The ``Packing`` of raw bins whose parts share the unit (cap, sizes),
+    none of which lists an item twice (``bin_violations`` reports that).
+
+    Each part turns back into a ``Fraction`` once: a part equal to its
+    item's size is the instance's own size object, and any other part p
+    becomes ``Fraction(p, cap)`` (``Fraction(p)`` at cap 1, which keeps a
+    ``Fraction`` part as it is), one object per distinct p. Entries are
+    sorted by item id, as ``Packing.build`` orders them; with no item twice
+    in a bin there is nothing to merge. The map divides by cap exactly, so
+    bins that ``bin_violations`` accepts in the unit give a valid packing."""
+    whole = inst.sizes
+    made: dict[int | Fraction, Fraction] = {}
+
+    def fraction(p: int | Fraction) -> Fraction:
+        got = made.get(p)
+        if got is None:
+            got = made[p] = Fraction(p, cap) if cap != 1 else Fraction(p)
+        return got
+
+    return Packing(
+        tuple(
+            tuple(sorted([(i, whole[i] if p == sizes[i] else fraction(p)) for i, p in entries]))
+            for entries in bins
+        ),
+        tuple(labels),
+    )
+
+
 def parts_needed(sizes: Iterable[Fraction]) -> int:
     """The sum of ceil(size): no packing has fewer parts."""
     return sum(-(-s.numerator // s.denominator) for s in sizes)

@@ -38,9 +38,10 @@ certificate, so the search only has to exhaust the levels below it. Next fit
 (through the one ``nextfit.next_fit_bins`` kernel) and best fit decreasing
 run on the call's scaled sizes; the winner's integer bins pass
 ``core.bin_violations`` against the scaled sizes and capacity, the same
-checks ``validate_packing`` makes, before one ``Packing`` with parts
-``Fraction(p, cap)`` is built. Dividing by cap is exact, so the check is a
-certificate for that packing; a failed check raises ``InternalError``.
+checks ``validate_packing`` makes, before ``core.unit_packing`` turns the
+parts back into ``Fraction``s for one ``Packing``. Dividing by cap is exact,
+so the check is a certificate for that packing; a failed check raises
+``InternalError``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .core import (
     lower_bounds,
     scaled_sizes,
     shared_bins,
+    unit_packing,
 )
 from .nextfit import NF_LABEL, next_fit_bins, spill
 
@@ -541,7 +543,8 @@ def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[int]) -> Pac
     """The fewer-bin packing of next fit (kept on ties) and best fit, both
     run on the sizes scaled by cap. The winner's integer bins are checked
     against the scaled sizes before one ``Packing`` with parts p/cap is
-    built; that map is exact, so the check certifies the packing."""
+    built by ``unit_packing``; that map is exact, so the check certifies
+    the packing."""
     bins, _ = next_fit_bins(enumerate(scaled), inst.k, cap)
     label = NF_LABEL
     bf_bins = _best_fit_split(inst, cap, scaled)
@@ -551,10 +554,7 @@ def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[int]) -> Pac
     problems = bin_violations(inst, bins, cap, scaled)
     if problems:
         raise InternalError(f"heuristic produced an invalid packing: {problems[0]}")
-    return Packing.build(
-        [[(item, Fraction(part, cap)) for item, part in entries] for entries in bins],
-        [label] * len(bins),
-    )
+    return unit_packing(inst, bins, cap, scaled, [label] * len(bins))
 
 
 def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:

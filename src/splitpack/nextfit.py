@@ -10,7 +10,9 @@ integers, where every comparison and sum is an integer operation. Scaling is
 exact, so both runs give the same bins up to the factor ``cap`` and the same
 close reasons. The parts an overflowing item puts alone into whole bins are
 ``cap`` itself, an ``int`` in either unit; every other part has the type of
-the sizes.
+the sizes. ``next_fit`` and ``pack_75`` run in the unit ``core.unit_sizes``
+picks: the integers whenever the common denominator has at most
+``core.UNIT_BITS`` bits, the ``Fraction``s otherwise, through the same code.
 
 Items are consumed strictly in stream order. An item goes into the current
 bin while that bin has spare capacity and fewer than k parts; an item that
@@ -35,7 +37,16 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .core import BinEntries, Instance, Item, Packing, bin_violations, parts_needed
+from .core import (
+    BinEntries,
+    Instance,
+    Item,
+    Packing,
+    bin_violations,
+    parts_needed,
+    unit_packing,
+    unit_sizes,
+)
 
 NF_LABEL = "nf"
 
@@ -120,11 +131,14 @@ def next_fit_bins(
 def next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
     """Run NEXT FIT over the instance in the given order.
 
-    Returns the packing plus the trace. Total on all valid instances; the
-    packing of a prefix of the input is a prefix of the full packing except
-    for the still-open current bin.
+    Runs the kernel once, in the instance's ``core.unit_sizes`` unit, and
+    converts the parts back to ``Fraction``s once. Returns the packing plus
+    the trace. Total on all valid instances; the packing of a prefix of the
+    input is a prefix of the full packing except for the still-open current
+    bin.
     """
-    bins, reasons = next_fit_bins(inst.items(), inst.k)
+    cap, sizes = unit_sizes(inst.sizes)
+    bins, reasons = next_fit_bins(enumerate(sizes), inst.k, cap)
     blocks: list[tuple[int, int]] = []
     start = 0
     for i, reason in enumerate(reasons):
@@ -132,7 +146,7 @@ def next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
             blocks.append((start, i - start + 1))
             start = i + 1
 
-    packing = Packing.build(bins, [NF_LABEL] * len(bins))
+    packing = unit_packing(inst, bins, cap, sizes, [NF_LABEL] * len(bins))
     trace = NfTrace(
         bins=packing.bins,
         close_reasons=tuple(reasons),

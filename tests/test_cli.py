@@ -735,6 +735,60 @@ def test_gen_reports_a_bad_k_before_the_item_count(capsys):
     assert code == 2 and err == "k must be at least 2, got -1\n"
 
 
+def test_gen_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    for argv, what, path in (
+        (("random", "--n", "3", "--k", "2", "--output", str(tmp_path / "missing" / "x.json")),
+         "instance", tmp_path / "missing" / "x.json"),
+        # both files are opened before either is written
+        (("nf-worst", "--k", "2", "--m", "2", "--output", str(ok),
+          "--certified-output", str(tmp_path / "missing" / "c.json")),
+         "certified packing", tmp_path / "missing" / "c.json"),
+        (("nf-worst", "--k", "2", "--m", "2", "--output", str(kept),
+          "--certified-output", str(tmp_path)),
+         "certified packing", tmp_path),
+    ):
+        code, out, err = run_cli("gen", *argv, capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"cannot write {what}: ") and str(path) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+        assert kept.read_text() == "old\n"
+
+
+def test_solve_output_that_cannot_be_opened_is_usage_error(nf_worst_files, tmp_path, capsys):
+    inst, _ = nf_worst_files
+    missing = tmp_path / "missing"
+    before = sorted(tmp_path.iterdir())
+    for argv, what in (
+        (("--algo", "nf", "--output", str(missing / "p.json")), "packing"),
+        (("--algo", "nf", "--output", str(tmp_path / "p.json"),
+          "--trace", str(missing / "t.json")), "trace"),
+        (("--algo", "a75", "--report", str(missing / "r.json")), "report"),
+    ):
+        code, out, err = run_cli("solve", "--input", str(inst), *argv, capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"cannot write {what}: ")
+        assert sorted(tmp_path.iterdir()) == before
+
+
+def test_normalize_and_experiment_output_that_cannot_be_opened(
+    nf_worst_files, tmp_path, capsys
+):
+    inst, cert = nf_worst_files
+    missing = tmp_path / "missing"
+    for argv, what in (
+        (("normalize", "--input", str(cert), "--instance", str(inst),
+          "--output", str(missing / "n.json")), "packing"),
+        (("experiment", "--suite", "nf-ratio", "--trials", "1",
+          "--output", str(missing / "r.csv")), "CSV"),
+    ):
+        code, _, err = run_cli(*argv, capsys=capsys)
+        assert code == 2 and err.startswith(f"cannot write {what}: ")
+        assert not missing.exists()
+
+
 _SMALL_OR_HUGE = st.one_of(st.integers(-2, 6), st.integers(MAX_PARTS, 10**12))
 
 
