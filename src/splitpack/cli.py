@@ -429,6 +429,19 @@ def _experiment_normalize(
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    """A suite flag given to a suite that does not read it is a usage error;
+    one not given takes its default."""
+    for flag, name, default, suites in (
+        ("--max-n", "max_n", 6, ("nf-ratio", "a75-ratio", "normalize-check")),
+        ("--k", "k", 2, ("nf-ratio", "reduction-check")),
+        ("--dist", "dist", "uniform", ("nf-ratio", "normalize-check")),
+    ):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.suite not in suites:
+            raise _CliError(
+                EXIT_USAGE, f"{flag} only applies to --suite {', '.join(suites)}"
+            )
     _at_least("--max-n", args.max_n, 1)
     _at_least("--k", args.k, 2)
     _at_least("--trials", args.trials, 0)
@@ -518,9 +531,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--max-n", type=int, default=6)
-    exp.add_argument("--k", type=int, default=2)
-    exp.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
+    # Defaults are set per suite by cmd_experiment: 6, 2 and uniform.
+    exp.add_argument("--max-n", type=int)
+    exp.add_argument("--k", type=int)
+    exp.add_argument("--dist", choices=DISTRIBUTIONS)
     exp.add_argument("--output", help="CSV destination (default stdout)")
     exp.add_argument("--max-bins", type=int)
     exp.add_argument("--budget-nodes", type=int)

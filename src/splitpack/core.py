@@ -123,8 +123,10 @@ def classify(size: Fraction) -> ItemClass:
 
 
 def size_type(size: Fraction) -> int:
-    """Half-unit bracket index i with size in ((i-1)/2, i/2]; small items are type 1."""
-    return max(1, math.ceil(2 * size))
+    """Half-unit bracket index i with size in ((i-1)/2, i/2]; small items are
+    type 1. The ceiling of 2 * size is taken on the numerator and denominator
+    (positive), as ``classify`` tests them."""
+    return max(1, -(-2 * size.numerator // size.denominator))
 
 
 @dataclass(frozen=True)
@@ -315,22 +317,27 @@ def scaled_sizes(sizes: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [s.numerator * (scale // s.denominator) for s in sizes]
 
 
-# Bound on the bin capacity of ``unit_sizes``: the bulk solvers run on
-# integers only while the sizes' common denominator has at most this many
-# bits, so that every comparison and sum is a small-integer operation.
+# Bound on the bin capacity of ``unit_sizes``: the bulk solvers and the
+# normalize rewrites run on integers only while the common denominator has at
+# most this many bits, so that every comparison and sum is a small-integer
+# operation.
 UNIT_BITS = 64
 
 
-def unit_sizes(sizes: Sequence[Fraction]) -> tuple[int, Sequence[int | Fraction]]:
-    """The unit the bulk solvers run in, as (bin capacity, sizes): the
-    ``scaled_sizes`` integers when the least common denominator has at most
-    ``UNIT_BITS`` bits, and otherwise (1, sizes) itself.
+def unit_sizes(
+    sizes: Sequence[Fraction], parts: Iterable[Fraction] = ()
+) -> tuple[int, Sequence[int | Fraction]]:
+    """The unit the integer paths run in, as (bin capacity, sizes): the
+    sizes as integers over the least common denominator of the sizes and
+    the ``parts`` when it has at most ``UNIT_BITS`` bits, and otherwise
+    (1, sizes) itself. A packing's parts need not divide the sizes' lcm (a
+    rewrite may halve a part), so a caller that scales parts names them.
 
     The denominator is built one distinct denominator at a time and given up
-    as soon as it passes the bound, so sizes with huge coprime denominators
+    as soon as it passes the bound, so values with huge coprime denominators
     cost one step per distinct denominator, never a huge product."""
     scale = 1
-    for den in {s.denominator for s in sizes}:
+    for den in {s.denominator for s in sizes}.union(p.denominator for p in parts):
         scale = math.lcm(scale, den)
         if scale.bit_length() > UNIT_BITS:
             return 1, sizes
@@ -356,20 +363,20 @@ def unit_packing(
     bins that ``bin_violations`` accepts in the unit give a valid packing."""
     whole = inst.sizes
     made: dict[int | Fraction, Fraction] = {}
-
-    def fraction(p: int | Fraction) -> Fraction:
-        got = made.get(p)
-        if got is None:
-            got = made[p] = Fraction(p, cap) if cap != 1 else Fraction(p)
-        return got
-
-    return Packing(
-        tuple(
-            tuple(sorted([(i, whole[i] if p == sizes[i] else fraction(p)) for i, p in entries]))
-            for entries in bins
-        ),
-        tuple(labels),
-    )
+    out = []
+    for entries in bins:
+        row = []
+        for i, p in entries:
+            if p == sizes[i]:
+                row.append((i, whole[i]))
+            else:
+                part = made.get(p)
+                if part is None:
+                    part = made[p] = Fraction(p, cap) if cap != 1 else Fraction(p)
+                row.append((i, part))
+        row.sort()
+        out.append(tuple(row))
+    return Packing(tuple(out), tuple(labels))
 
 
 def parts_needed(sizes: Iterable[Fraction]) -> int:

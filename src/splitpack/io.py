@@ -4,13 +4,15 @@ Instance: {"k": int, "items": ["p/q" | "decimal", ...]}
 Packing:  {"bins": [[{"item": id, "part": "p/q"}, ...], ...], "labels": [...]}
 
 Sizes travel as strings so exactness survives serialization; every rational
-is rendered in lowest terms.
+is rendered in lowest terms. A reader parses each distinct numeral string
+once per document: instances and packings repeat a few values many times.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from fractions import Fraction
+from typing import Any, Callable
 
 from .core import (
     DEFAULT_LABEL,
@@ -23,6 +25,22 @@ from .core import (
 
 class ParseError(ValueError):
     """Raised when an instance or packing document is malformed."""
+
+
+def _numeral_parser() -> Callable[[Any], Fraction]:
+    """``parse_rational`` that parses each distinct string once; a value
+    that is not a string, or does not parse, raises as it would alone."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(text: Any) -> Fraction:
+        if type(text) is not str:
+            return parse_rational(text)
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
+
+    return parse
 
 
 def instance_to_json(inst: Instance) -> dict[str, Any]:
@@ -39,7 +57,8 @@ def instance_from_json(doc: Any) -> Instance:
     if not isinstance(items, list):
         raise ParseError("'items' must be a list of rational strings")
     try:
-        sizes = tuple(parse_rational(s) for s in items)
+        parse = _numeral_parser()
+        sizes = tuple(map(parse, items))
         return Instance(k=k, sizes=sizes)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -51,6 +70,7 @@ def packing_from_json(doc: Any) -> Packing:
     raw_bins = doc["bins"]
     if not isinstance(raw_bins, list):
         raise ParseError("'bins' must be a list of bins")
+    parse = _numeral_parser()
     bins = []
     for b, raw in enumerate(raw_bins):
         if not isinstance(raw, list):
@@ -67,7 +87,7 @@ def packing_from_json(doc: Any) -> Packing:
             if not isinstance(item, int) or isinstance(item, bool):
                 raise ParseError(f"bin {b} has a non-integer item id {item!r}")
             try:
-                part = parse_rational(entry["part"])
+                part = parse(entry["part"])
             except ValueError as exc:
                 raise ParseError(f"bin {b}: {exc}") from exc
             entries.append((item, part))

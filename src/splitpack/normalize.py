@@ -30,7 +30,15 @@ alone, never by dict order, so its output is fully determined:
 - bound_degrees takes over-degree items top-down in BFS order: roots by
   ascending id, children in id order.
 
-Cost. The rewrites share one packing-graph index, built once by
+Cost. The rewrites work in one integer unit, ``core.unit_sizes`` over the
+instance's sizes and the packing's parts: every part is an integer over a
+common capacity, so a fill, a slice or a merge is an integer sum and every
+comparison an integer test. Dividing by the capacity keeps every comparison,
+so every choice and output byte is the one exact ``Fraction`` arithmetic
+gives; when the common denominator passes ``core.UNIT_BITS`` the same code
+runs on the ``Fraction`` parts at capacity 1. The input is validated and the
+output converted back once each. Each item's size type (1 for a small item)
+is computed once. The rewrites share one packing-graph index, built once by
 ``core.shared_bins`` over the working bins and updated in place: each item's
 edge bins (the two-item bins holding it) as a list sorted by bin index. No
 rewrite rescans the packing. remove_cycles resumes its scan at the closing
@@ -54,13 +62,13 @@ from .core import (
     Instance,
     InternalError,
     InvalidPackingError,
-    ItemClass,
     Packing,
     bin_violations,
-    classify,
     is_acyclic,
     shared_bins,
     size_type,
+    unit_packing,
+    unit_sizes,
     validate_packing,
 )
 
@@ -68,9 +76,12 @@ from .core import (
 class _Work:
     """A k = 2 packing rewritten in place, with its packing-graph index.
 
-    ``bins[b]`` maps item to part, or is None once bin b has been emptied;
-    later bins keep their indices, so index order stays bin order.
-    ``edge_bins[i]`` lists the two-item bins holding item i, ascending.
+    ``cap`` and ``sizes`` are the unit of ``core.unit_sizes`` over the
+    instance's sizes and the packing's parts. ``bins[b]`` maps item to part
+    in that unit, or is None once bin b has been emptied; later bins keep
+    their indices, so index order stays bin order. ``edge_bins[i]`` lists
+    the two-item bins holding item i, ascending. ``types[i]`` is item i's
+    ``size_type``: 1 for a small item.
     """
 
     def __init__(self, inst: Instance, packing: Packing) -> None:
@@ -82,10 +93,20 @@ class _Work:
         if problems:
             raise InvalidPackingError(problems)
         self.inst = inst
-        self.bins: list[dict[int, Fraction] | None] = [
-            dict(entries) for entries in packing.bins
-        ]
+        cap, sizes = unit_sizes(
+            inst.sizes, (part for entries in packing.bins for _, part in entries)
+        )
+        self.cap, self.sizes = cap, sizes
+        self.bins: list[dict[int, int | Fraction] | None]
+        if sizes is inst.sizes:  # no integer unit: the Fractions at cap 1
+            self.bins = [dict(entries) for entries in packing.bins]
+        else:
+            self.bins = [
+                {i: p.numerator * (cap // p.denominator) for i, p in entries}
+                for entries in packing.bins
+            ]
         self.labels = list(packing.labels)
+        self.types = [size_type(s) for s in inst.sizes]
         self.edge_bins = shared_bins(inst.n, self.bins)
 
     def other(self, b: int, item: int) -> int:
@@ -118,17 +139,25 @@ class _Work:
             raise ValueError("packing graph must be acyclic")
 
     def check(self) -> None:
-        """The checks a rewrite makes on its input: a valid, acyclic packing."""
+        """The checks between normalize's steps, in the unit: a valid,
+        acyclic packing, as each public step requires of its input. Every
+        rewrite keeps both, so a failure is a bug."""
         live = [b.items() for b in self.bins if b is not None]
-        problems = bin_violations(self.inst, live)
+        problems = bin_violations(self.inst, live, self.cap, self.sizes)
         if problems:
-            raise ValueError(f"packing is not valid: {problems[0]}")
-        self.require_forest()
+            raise InternalError(
+                f"a rewrite broke the packing (bin capacity {self.cap}): {problems[0]}"
+            )
+        if not self.is_forest():
+            raise InternalError("a rewrite left a cycle in the packing graph")
 
     def packing(self) -> Packing:
-        live = [b for b in range(len(self.bins)) if self.bins[b] is not None]
-        return Packing.build(
-            [list(self.bins[b].items()) for b in live],
+        live = [b for b, entries in enumerate(self.bins) if entries is not None]
+        return unit_packing(
+            self.inst,
+            [self.bins[b].items() for b in live],
+            self.cap,
+            self.sizes,
             [self.labels[b] for b in live],
         )
 
@@ -212,11 +241,11 @@ def _cycle_through(
 
 
 def _break_cycle(work: _Work, items: list[int], cycle: list[int]) -> None:
-    bins = work.bins
+    bins, cap = work.bins, work.cap
     t = len(cycle)
 
-    def fill_of(b: int) -> Fraction:
-        return sum(bins[b].values(), Fraction(0))
+    def fill_of(b: int) -> int | Fraction:
+        return sum(bins[b].values())
 
     # Try to empty the lightest cycle bin into its two cycle neighbors.
     order = sorted(range(t), key=lambda j: (fill_of(cycle[j]), cycle[j]))
@@ -229,11 +258,11 @@ def _break_cycle(work: _Work, items: list[int], cycle: list[int]) -> None:
         part_left = bins[b_mid][left_item]
         part_right = bins[b_mid][right_item]
         if t == 2:
-            fits = 1 - fill_of(b_left) >= part_left + part_right
+            fits = cap - fill_of(b_left) >= part_left + part_right
         else:
             fits = (
-                1 - fill_of(b_left) >= part_left
-                and 1 - fill_of(b_right) >= part_right
+                cap - fill_of(b_left) >= part_left
+                and cap - fill_of(b_right) >= part_right
             )
         if fits:
             bins[b_left][left_item] += part_left
@@ -285,7 +314,7 @@ def smalls_to_leaves(inst: Instance, packing: Packing) -> Packing:
 
 def _smalls_to_leaves(work: _Work) -> None:
     bins, edge_bins = work.bins, work.edge_bins
-    small = [classify(s) is ItemClass.SMALL for s in work.inst.sizes]
+    small = [t == 1 for t in work.types]
     # No rewrite below adds a small-small edge or a neighbor of a small item:
     # a collapse only turns edges into loops, and a violator's neighbors are
     # not small (else its edge to them would still be a collapse candidate).
@@ -357,16 +386,16 @@ def _bound_degrees(work: _Work) -> None:
     # has a larger minimum id than the current root. So the BFS order of the
     # nodes already visited never changes: fixing x where it stands and then
     # continuing visits items in the order a restart after every merge would.
-    inst, edge_bins = work.inst, work.edge_bins
-    seen = [False] * inst.n
-    for root in range(inst.n):
+    n, edge_bins, types = work.inst.n, work.edge_bins, work.types
+    seen = [False] * n
+    for root in range(n):
         if seen[root] or not edge_bins[root]:
             continue
         seen[root] = True
         queue: deque[tuple[int, int]] = deque([(root, -1)])
         while queue:
             x, up_bin = queue.popleft()
-            bracket = size_type(inst.sizes[x])
+            bracket = types[x]
             if bracket >= 2:
                 allowed_down = bracket if up_bin == -1 else bracket - 1
                 _merge_down_parts(work, x, up_bin, allowed_down)
@@ -381,8 +410,7 @@ def _bound_degrees(work: _Work) -> None:
 
 def _merge_down_parts(work: _Work, x: int, up_bin: int, allowed_down: int) -> None:
     """Merge x's two smallest down parts until at most allowed_down remain."""
-    bins = work.bins
-    sizes = work.inst.sizes
+    bins, types = work.bins, work.types
     if len(work.edge_bins[x]) - (up_bin != -1) <= allowed_down:
         return
     # A sorted list is a valid min-heap.
@@ -396,19 +424,17 @@ def _merge_down_parts(work: _Work, x: int, up_bin: int, allowed_down: int) -> No
         # is sliced when both qualify.
         slice_first = (b_p, partner_p)
         carry = (b_q, partner_q)
-        if classify(sizes[partner_p]) is ItemClass.SMALL and classify(
-            sizes[partner_q]
-        ) is not ItemClass.SMALL:
+        if types[partner_p] == 1 and types[partner_q] != 1:
             slice_first, carry = carry, slice_first
         b_d, partner_d = slice_first
         b_c, partner_c = carry
         w_d = bins[b_d][partner_d]
         w_c = bins[b_c][partner_c]
-        delta = max(Fraction(0), w_d + w_c - 1)
+        delta = w_d + w_c - work.cap  # the slice, where positive
         # Carrier bin keeps x (parts merged); donor bin keeps its partner's
         # remainder plus the carried neighbor. Both stay within capacity:
-        # the two original bins sum to at most 2. The remainder w_d - delta
-        # is 1 - w_c > 0, as the carrier bin also held part of x.
+        # the two original bins sum to at most 2 * cap. The remainder
+        # w_d - delta is cap - w_c > 0, as the carrier bin also held part of x.
         del bins[b_c][partner_c]
         work.unlink(b_c, partner_c)
         bins[b_c][x] = xp + xq
@@ -430,9 +456,11 @@ def normalize(inst: Instance, packing: Packing) -> Packing:
 
     All three post-conditions hold on the result and the composition is
     idempotent up to bin order. The steps rewrite one working copy and share
-    its index, making their choices in the order the module docstring states;
-    between steps the copy is checked as each public step checks its input.
-    An invalid input raises ``InvalidPackingError`` with every violation.
+    its index and unit, making their choices in the order the module
+    docstring states; between steps the copy is checked, in the unit, as
+    each public step checks its input, and a failure raises
+    ``InternalError``. An invalid input raises ``InvalidPackingError`` with
+    every violation.
     """
     work = _Work(inst, packing)
     _remove_cycles(work)
@@ -445,20 +473,28 @@ def normalize(inst: Instance, packing: Packing) -> Packing:
 
 def normalization_violations(inst: Instance, packing: Packing) -> list[str]:
     """Check all normalization post-conditions; empty means normalized. An
-    invalid packing yields its ``validate_packing`` list."""
-    try:
-        work = _Work(inst, packing)
-    except InvalidPackingError as exc:
-        return exc.violations
+    invalid packing yields its ``validate_packing`` list.
+
+    The graph is indexed by ``core.shared_bins`` over the item ids of each
+    bin, with no working copy. No type allows fewer than two neighbours to
+    violate, so only items with two or more have their type computed."""
+    if inst.k != 2:
+        raise ValueError(f"normalization is defined for k=2 only, got k={inst.k}")
+    problems = validate_packing(inst, packing)
+    if problems:
+        return problems
+    members = [[item for item, _ in entries] for entries in packing.bins]
     out = []
-    if not work.is_forest():
+    if not is_acyclic(inst.n, (ids for ids in members if len(ids) == 2)):
         out.append("graph has a cycle")
-    for item, size in inst.items():
-        neighbors = len(work.edge_bins[item])
-        bracket = size_type(size)
-        if classify(size) is ItemClass.SMALL and neighbors > 1:
+    for item, edge_bins in enumerate(shared_bins(inst.n, members)):
+        neighbors = len(edge_bins)
+        if neighbors < 2:
+            continue
+        bracket = size_type(inst.sizes[item])
+        if bracket == 1:
             out.append(f"small item {item} has {neighbors} neighbors")
-        elif bracket >= 2 and neighbors > bracket:
+        elif neighbors > bracket:
             out.append(
                 f"item {item} of type {bracket} has {neighbors} neighbors"
             )

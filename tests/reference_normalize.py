@@ -3,11 +3,14 @@
 This is the original scan-and-restart implementation, kept unchanged: every
 rewrite pass and every neighbour query rescans all bins, so it is quadratic,
 but its choice order is the specification the indexed version must follow.
-``ReferenceGraph`` is the matching edge-scanning packing-graph view.
+``ReferenceGraph`` is the matching edge-scanning packing-graph view. The
+size classes are local ``Fraction`` forms, so no class test is shared with
+the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,10 +18,23 @@ from splitpack.core import (
     Instance,
     ItemClass,
     Packing,
-    classify,
-    size_type,
     validate_packing,
 )
+
+
+def classify(size: Fraction) -> ItemClass:
+    """The definition by ``Fraction`` comparisons: (0, 1/2] small, (1/2, 1]
+    medium, above 1 large."""
+    if size <= Fraction(1, 2):
+        return ItemClass.SMALL
+    if size <= 1:
+        return ItemClass.MEDIUM
+    return ItemClass.LARGE
+
+
+def size_type(size: Fraction) -> int:
+    """Half-unit bracket index i with size in ((i-1)/2, i/2]; small items are type 1."""
+    return max(1, math.ceil(2 * size))
 
 
 @dataclass(frozen=True)

@@ -212,15 +212,23 @@ def _run_quietly(argv):
         return main(argv)
 
 
+# The suites that read each suite flag; the others reject it.
+EXPERIMENT_FLAG_SUITES = {
+    "--max-n": ("nf-ratio", "a75-ratio", "normalize-check"),
+    "--k": ("nf-ratio", "reduction-check"),
+    "--dist": ("nf-ratio", "normalize-check"),
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     suite=st.sampled_from(
         ["nf-ratio", "a75-ratio", "reduction-check", "normalize-check"]
     ),
     trials=st.integers(-2, 3),
-    max_n=st.integers(-2, 8),
-    k=st.integers(-1, 5),
-    dist=st.sampled_from(["uniform", "mixed", "heavy"]),
+    max_n=st.one_of(st.none(), st.integers(-2, 8)),
+    k=st.one_of(st.none(), st.integers(-1, 5)),
+    dist=st.one_of(st.none(), st.sampled_from(["uniform", "mixed", "heavy"])),
     seed=st.integers(0, 2**16),
     budget_nodes=st.sampled_from([-3, -1, 0, 1, 20000]),
     max_bins=st.one_of(st.none(), st.integers(-2, 12)),
@@ -229,20 +237,49 @@ def test_experiment_fuzz_exits_with_documented_codes(
     suite, trials, max_n, k, dist, seed, budget_nodes, max_bins
 ):
     # A small node budget bounds each oracle call; running out of it only
-    # skips a trial.
+    # skips a trial. A suite flag the suite does not read is a usage error.
     argv = [
         "experiment", "--suite", suite, "--trials", str(trials),
-        "--max-n", str(max_n), "--k", str(k), "--dist", dist,
         "--seed", str(seed), "--budget-nodes", str(budget_nodes),
     ]
+    misapplied = False
+    for flag, value in (("--max-n", max_n), ("--k", k), ("--dist", dist)):
+        if value is not None:
+            argv += [flag, str(value)]
+            misapplied |= suite not in EXPERIMENT_FLAG_SUITES[flag]
     if max_bins is not None:
         argv += ["--max-bins", str(max_bins)]
     code = _run_quietly(argv)
+    k = 2 if k is None else k
     invalid = (
-        trials < 0 or max_n < 1 or k < 2 or (suite == "reduction-check" and k < 3)
+        misapplied or trials < 0 or (max_n is not None and max_n < 1) or k < 2
+        or (suite == "reduction-check" and k < 3)
         or budget_nodes < 0 or (max_bins is not None and max_bins < 0)
     )
     assert code == (cli.EXIT_USAGE if invalid else cli.EXIT_OK)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--suite", "a75-ratio", "--k", "5"), "--k"),
+        (("--suite", "a75-ratio", "--dist", "heavy"), "--dist"),
+        (("--suite", "reduction-check", "--k", "3", "--dist", "heavy"), "--dist"),
+        (("--suite", "reduction-check", "--k", "3", "--max-n", "99"), "--max-n"),
+        (("--suite", "normalize-check", "--k", "2"), "--k"),
+    ],
+    ids=["a75-k", "a75-dist", "reduction-dist", "reduction-max-n", "normalize-k"],
+)
+def test_experiment_rejects_a_flag_its_suite_ignores(tmp_path, capsys, argv, flag):
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        "experiment", *argv, "--trials", "1", "--output", str(out_file),
+        capsys=capsys,
+    )
+    suites = ", ".join(EXPERIMENT_FLAG_SUITES[flag])
+    assert (code, out) == (2, "")
+    assert err == f"{flag} only applies to --suite {suites}\n"
+    assert not out_file.exists()
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splitpack import Instance, Packing
-from splitpack.core import EMPTY_PACKING
+from splitpack.core import EMPTY_PACKING, parse_rational
 from splitpack import io as spio
 
 
@@ -141,3 +141,78 @@ def test_dumps_packing_matches_json_module(rows):
 )
 def test_dumps_packing_matches_json_module_fixed(packing):
     assert spio.dumps_packing(packing) == _json_reference(packing)
+
+
+# A reader parses each distinct numeral string once per document; these
+# cases pin that the errors, their bin indices and the values are those of
+# parsing every numeral on its own.
+
+
+def _bins_doc(parts):
+    return {"bins": [[{"item": i, "part": p}] for i, p in enumerate(parts)]}
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (["1/2", "1/x", "1/x"], "bin 1: not a rational: '1/x'"),
+        (["1/2", "1/0", "1/2", "1/0"], "bin 1: not a rational: '1/0'"),
+        (
+            ["1/2", "1" * 1001, "1" * 1001],
+            "bin 1: rational '11111111111111111111'... has more than 1000 digits",
+        ),
+        (["1/2", "1/2", "1e5000", "1e5000"],
+         "bin 2: rational '1e5000' has a decimal exponent above 1000 in magnitude"),
+    ],
+    ids=["malformed", "zero-denominator", "too-many-digits", "huge-exponent"],
+)
+def test_repeated_bad_numeral_fails_at_its_first_bin(parts, message):
+    with pytest.raises(spio.ParseError) as exc:
+        spio.packing_from_json(_bins_doc(parts))
+    assert str(exc.value) == message
+
+
+def test_repeated_bad_size_fails_with_its_message():
+    with pytest.raises(spio.ParseError) as exc:
+        spio.instance_from_json({"k": 2, "items": ["1/2", "abc", "abc"]})
+    assert str(exc.value) == "not a rational: 'abc'"
+
+
+@pytest.mark.parametrize("value", [1, True, None, 0.5, ["1/2"], {"p": 1}])
+def test_non_string_numeral_is_rejected_beside_repeated_strings(value):
+    with pytest.raises(spio.ParseError) as exc:
+        spio.packing_from_json(_bins_doc(["1/2", "1/2", value, "1/2"]))
+    assert str(exc.value) == f"bin 2: expected a rational as string, got {value!r}"
+    with pytest.raises(spio.ParseError) as exc:
+        spio.instance_from_json({"k": 2, "items": ["1/2", value, "1/2"]})
+    assert str(exc.value) == f"expected a rational as string, got {value!r}"
+
+
+def test_repeated_numerals_load_equal_values():
+    inst = spio.instance_from_json(
+        {"k": 2, "items": ["1/3", "2/6", "1/3", " 1/3", "0.5", "1/2", "0.5"]}
+    )
+    assert inst.sizes == (F(1, 3),) * 4 + (F(1, 2),) * 3
+    packing = spio.packing_from_json(
+        {"bins": [[{"item": 0, "part": "1/3"}, {"item": 1, "part": "1/3"}],
+                  [{"item": 0, "part": "1/3"}, {"item": 2, "part": "2/6"}]]}
+    )
+    assert packing.bins == (((0, F(1, 3)), (1, F(1, 3))), ((0, F(1, 3)), (2, F(1, 3))))
+
+
+_NUMERALS = ["1/3", "2/6", "0.25", "1/4", "7", " 5/12 ", "3e-1", "10/4"]
+
+
+@given(
+    rows=st.lists(
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_NUMERALS)), max_size=3),
+        max_size=8,
+    )
+)
+def test_packing_with_repeated_numerals_matches_parsing_each(rows):
+    doc = {"bins": [[{"item": i, "part": p} for i, p in row] for row in rows]}
+    expected = Packing.build(
+        [[(i, parse_rational(p)) for i, p in row] for row in rows],
+        ["bin"] * len(rows),
+    )
+    assert spio.packing_from_json(doc) == expected

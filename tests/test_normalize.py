@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from splitpack import (
     smalls_to_leaves,
     validate_packing,
 )
+from splitpack.core import InternalError
 
 
 def three_cycle():
@@ -234,3 +236,23 @@ def test_normalization_violations_rejects_k3():
     packing = Packing.build([[(0, F(1, 2)), (1, F(1, 2))]])
     with pytest.raises(ValueError, match="k=2 only, got k=3"):
         normalization_violations(inst, packing)
+
+
+def test_checks_between_steps_catch_a_broken_rewrite(monkeypatch):
+    # Both checks run in the unit on every call; reaching either is a bug.
+    norm = importlib.import_module("splitpack.normalize")
+    inst, packing = three_cycle()
+    monkeypatch.setattr(norm, "_remove_cycles", lambda work: None)
+    with pytest.raises(InternalError, match="left a cycle in the packing graph"):
+        normalize(inst, packing)
+    monkeypatch.undo()
+
+    def drop_last_bin(work):
+        work.bins[-1] = None
+
+    monkeypatch.setattr(norm, "_smalls_to_leaves", drop_last_bin)
+    with pytest.raises(
+        InternalError,
+        match=r"broke the packing \(bin capacity 3\): coverage: item 0 covered 0 of 2",
+    ):
+        normalize(inst, packing)

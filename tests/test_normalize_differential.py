@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 import reference_normalize as ref
 from splitpack import (
@@ -21,6 +22,7 @@ from splitpack import (
     remove_cycles,
     smalls_to_leaves,
 )
+from splitpack.core import UNIT_BITS, classify, size_type, unit_sizes
 
 STEPS = (
     (remove_cycles, ref.remove_cycles),
@@ -180,3 +182,141 @@ def test_graph_queries_match_brute_force():
             assert fast.degree(item) == slow.degree(item)
             assert fast.neighbor_edges(item) == slow.neighbor_edges(item)
             assert fast.neighbor_count(item) == slow.neighbor_count(item)
+
+
+# ---------------------------------------------------------------------------
+# The rewrites run in the integer unit of ``core.unit_sizes`` over the sizes
+# and the parts; these cases sit at both edges of that unit.
+
+
+def unit_cap(inst, packing):
+    """The rewrites' bin capacity: 1 when no integer unit exists."""
+    parts = [part for entries in packing.bins for _, part in entries]
+    return unit_sizes(inst.sizes, parts)[0]
+
+
+def needs_fallback(inst, packing):
+    """True iff some size or part is not an integer: the unit passed
+    ``UNIT_BITS`` and the rewrites run on the ``Fraction``s at cap 1."""
+    values = list(inst.sizes) + [p for entries in packing.bins for _, p in entries]
+    return unit_cap(inst, packing) == 1 and any(v.denominator != 1 for v in values)
+
+
+# Pairwise coprime denominators of 30 to 31 digits: any two have an lcm far
+# beyond UNIT_BITS.
+COPRIME_DENS = (2**100, 3**63, 5**43, 7**36, 11**29, 13**27)
+
+PRIMES_INSTANCE = Instance(
+    k=2,
+    sizes=(
+        F(300000000000000000000000000, 2**89 - 1),
+        F(500000000000000000000000000, 2**89 - 1),
+        F(100000000000000000000000000000000, 2**107 - 1),
+        F(300000000000000000000000000000000000000, 2**127 - 1),
+        F(1, 2**127 - 1),
+        F(3, 4),
+    ),
+)
+
+
+def test_matches_reference_on_the_primes_instance():
+    inst = PRIMES_INSTANCE
+    for packing in (next_fit(inst)[0], pack_75(inst).packing):
+        assert needs_fallback(inst, packing)
+        assert_same_rewrites(inst, packing)
+
+
+def test_matches_reference_with_coprime_30_digit_denominators():
+    rng = random.Random(31)
+    for _ in range(12):
+        n = rng.randint(2, 10)
+        sizes = []
+        for _ in range(n):
+            den = rng.choice(COPRIME_DENS)
+            sizes.append(F(rng.randint(1, 2 * den), den))
+        inst = Instance(k=2, sizes=tuple(sizes))
+        for packing in (next_fit(inst)[0], pack_75(inst).packing):
+            assert_same_rewrites(inst, packing)
+    cases = 0
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        base, packing = random_multigraph_packing(rng, n, rng.randint(n, 2 * n + 4))
+        # Each bin's parts shrink by a factor over its own denominator, so
+        # sizes and parts have many coprime 30-digit denominators.
+        factors = [
+            F(rng.randint(1, den), den)
+            for den in (rng.choice(COPRIME_DENS) for _ in packing.bins)
+        ]
+        bins = [
+            [(i, part * f) for i, part in entries]
+            for entries, f in zip(packing.bins, factors)
+        ]
+        covered = Packing.build(bins).coverage()
+        inst = Instance(k=2, sizes=tuple(covered[i] for i in range(n)))
+        packing = Packing.build(bins, packing.labels)
+        cases += needs_fallback(inst, packing)
+        assert_same_rewrites(inst, packing)
+    assert cases >= 30
+
+
+def halved_triangles(rng, count, den):
+    """Triangles as in ``triangles``, over sizes with denominator den."""
+    sizes = [F(rng.randrange(den // 2 + 1, den, 2), den) for _ in range(3 * count)]
+    bins = []
+    for t in range(count):
+        a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
+        for u, v in ((a, b), (b, c), (c, a)):
+            bins.append([(u, sizes[u] / 2), (v, sizes[v] / 2)])
+    return sizes, bins
+
+
+@pytest.mark.parametrize("bits", [UNIT_BITS - 1, UNIT_BITS])
+def test_matches_reference_when_halves_reach_the_unit_bound(bits):
+    # Sizes over 2^(bits-1) have a unit within the bound; their halves need
+    # 2^bits, which has bits + 1 bits: at UNIT_BITS - 1 the halves still fit
+    # the integer unit, at UNIT_BITS only the Fraction fallback holds them.
+    rng = random.Random(bits)
+    inst, packing = shuffled(rng, *halved_triangles(rng, 6, 2 ** (bits - 1)))
+    assert unit_sizes(inst.sizes)[0] == 2 ** (bits - 1)
+    assert unit_cap(inst, packing) == (2**bits if bits < UNIT_BITS else 1)
+    assert_same_rewrites(inst, packing)
+
+
+def test_matches_reference_when_parts_do_not_divide_the_sizes_lcm():
+    # Halves of twelfths, and a centre of size i/2 split in 2 * degree-ths:
+    # the unit's capacity is a proper multiple of the sizes' lcm.
+    rng = random.Random(12)
+    for make in (lambda: triangles(rng, 8), lambda: stars(rng, 6)):
+        for _ in range(6):
+            inst, packing = shuffled(rng, *make())
+            sizes_cap = unit_sizes(inst.sizes)[0]
+            cap = unit_cap(inst, packing)
+            assert cap != sizes_cap and cap % sizes_cap == 0
+            assert_same_rewrites(inst, packing)
+
+
+_BOUNDARY = st.builds(
+    lambda i, eps: F(i, 2) + eps,
+    st.integers(1, 60),
+    st.sampled_from([F(0), F(1, 10**30), -F(1, 10**30), F(1, 3), -F(1, 7)]),
+).filter(lambda s: s > 0)
+
+
+@given(
+    size=st.one_of(
+        _BOUNDARY,
+        st.fractions(min_value=F(1, 10**6), max_value=F(40)),
+        st.builds(F, st.integers(1, 10**40), st.integers(1, 10**40)),
+    )
+)
+def test_integer_classes_match_fraction_forms(size):
+    assert size_type(size) == ref.size_type(size)
+    assert classify(size) is ref.classify(size)
+
+
+def test_integer_classes_match_fraction_forms_at_every_half():
+    tiny = F(1, 10**40)
+    for i in range(1, 401):
+        for size in (F(i, 2), F(i, 2) - tiny, F(i, 2) + tiny):
+            assert size_type(size) == ref.size_type(size), size
+            assert classify(size) is ref.classify(size), size
