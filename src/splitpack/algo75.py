@@ -14,17 +14,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import (
     Instance,
     InternalError,
     Item,
-    ItemClass,
     Packing,
+    Scaled,
     bin_violations,
-    classify,
     unit_packing,
     unit_sizes,
     validate_packing,
@@ -60,8 +58,8 @@ class A75Report:
 
 
 def split_2b(
-    medium: Fraction | int, s_a: Fraction | int, s_b: Fraction | int, cap: int = 1
-) -> tuple[Fraction | int, Fraction | int]:
+    medium: Scaled, s_a: Scaled, s_b: Scaled, cap: int = 1
+) -> tuple[Scaled, Scaled]:
     """Split a medium item over two bins beside the two largest smalls, in
     bins of capacity `cap` (sizes and parts share its unit).
 
@@ -81,7 +79,7 @@ def split_2b(
 
 
 def reclassify_lone_small(
-    remaining_mediums: list[Fraction | int], small: Fraction | int, cap: int = 1
+    remaining_mediums: list[Scaled], small: Scaled, cap: int = 1
 ) -> bool:
     """When one small is left and a medium needs two: does the small turn
     into a medium for the rest of the run? True iff no unpacked medium fits
@@ -149,38 +147,43 @@ def _trailing_group(bins: list[list[Item]], labels: list[str]) -> list[int]:
 
 
 def _repair_two_bin(
-    inst: Instance, bins: list[list[Item]], labels: list[str], trail: list[int]
+    bins: list[list[Item]],
+    labels: list[str],
+    trail: list[int],
+    cap: int,
+    sizes: Sequence[Scaled],
 ) -> bool:
     """Repack the one pair bin plus a two-bin trailing group into two bins
     when the instance has a single large item: medium first, then the large
-    item split over both bins, then the small. Returns whether it was
+    item split over both bins, then the small. Bins, sizes and parts share
+    the main pass's unit, bins of capacity `cap`. Returns whether it was
     triggered; it may be triggered and leave the packing as it is."""
     if len(trail) != 2 or labels.count(StepLabel.S2A) != 1:
         return False
-    larges = [i for i, s in inst.items() if classify(s) is ItemClass.LARGE]
-    if len(larges) != 1:
+    if sum(s > cap for s in sizes) != 1:
         return False
     involved = [labels.index(StepLabel.S2A)] + trail
-    coverage = Packing.build([bins[b] for b in involved]).coverage()
-    if any(coverage[i] != inst.sizes[i] for i in coverage):
+    coverage: dict[int, Scaled] = {}
+    for b in involved:
+        for i, p in bins[b]:
+            coverage[i] = coverage.get(i, 0) + p
+    if any(coverage[i] != sizes[i] for i in coverage):
         return True
-    by_class: dict[ItemClass, list[int]] = {}
+    # Class 0 small (2s <= cap), 1 medium, 2 large (s > cap).
+    by_class: dict[int, list[int]] = {}
     for i in coverage:
-        by_class.setdefault(classify(inst.sizes[i]), []).append(i)
-    if any(len(by_class.get(cls, ())) != 1 for cls in ItemClass):
+        by_class.setdefault((2 * sizes[i] > cap) + (sizes[i] > cap), []).append(i)
+    if any(len(by_class.get(c, ())) != 1 for c in range(3)):
         return True
-    (m,) = by_class[ItemClass.MEDIUM]
-    (s,) = by_class[ItemClass.SMALL]
-    (big,) = by_class[ItemClass.LARGE]
-    m_size, s_size, l_size = inst.sizes[m], inst.sizes[s], inst.sizes[big]
+    (s,), (m,), (big,) = by_class[0], by_class[1], by_class[2]
+    m_size, s_size, l_size = sizes[m], sizes[s], sizes[big]
     first = [(m, m_size)]
-    if m_size < 1:
-        first.append((big, 1 - m_size))
-    second = [(big, l_size - (1 - m_size)), (s, s_size)]
+    if m_size < cap:
+        first.append((big, cap - m_size))
+    second = [(big, l_size - (cap - m_size)), (s, s_size)]
     candidate = [first, second]
     if any(
-        sum((p for _, p in entries), Fraction(0)) > 1
-        or any(p <= 0 for _, p in entries)
+        sum(p for _, p in entries) > cap or any(p <= 0 for _, p in entries)
         for entries in candidate
     ):
         return True
@@ -192,40 +195,37 @@ def _repair_two_bin(
     return True
 
 
-def _repair_seven_bin(
-    inst: Instance, bins: list[list[Item]], labels: list[str], trail: list[int]
-) -> bool:
-    """When the packing is exactly four pair-step bins, one fit-step bin and
-    a five-bin trailing group, search exhaustively for a seven-bin packing of
-    the whole instance and adopt it when one exists. Never increases the bin
-    count. Returns whether it was triggered."""
-    if len(bins) != 10 or len(trail) != 5:
+def _seven_bin_pattern(labels: list[str], trail: list[int]) -> bool:
+    """Whether the packing is exactly four pair-step bins, one fit-step bin
+    and a five-bin trailing group, where the seven-bin repair fires."""
+    if len(labels) != 10 or len(trail) != 5:
         return False
     counts = Counter(labels)
-    if not (
+    return (
         counts[StepLabel.S2B] == 4
         and counts[StepLabel.S2A] == 1
         and counts[StepLabel.S3] + counts[StepLabel.S6] == 5
-    ):
-        return False
+    )
+
+
+def _repair_seven_bin(inst: Instance) -> Packing | None:
+    """Search exhaustively for a seven-bin packing of the whole instance:
+    ``exact.feasible_in``'s witness, relabelled as repacked, or None when
+    none exists or the search runs out of its budget."""
     # A fixed budget, so that the packing never depends on the environment.
     try:
         witness = exact_mod.feasible_in(
             inst, 7, exact_mod.SearchBudget(max_items=inst.n)
         )
     except exact_mod.BudgetExceeded:
-        return True
+        return None
     if witness is None:
-        return True
-    bins.clear()
-    labels.clear()
-    bins.extend([list(entries) for entries in witness.bins])
-    labels.extend([StepLabel.REPACKED] * witness.n_bins)
-    return True
+        return None
+    return Packing(witness.bins, (StepLabel.REPACKED,) * witness.n_bins)
 
 
 def _main_pass(
-    inst: Instance, cap: int = 1, sizes: Sequence[Fraction | int] | None = None
+    inst: Instance, cap: int = 1, sizes: Sequence[Scaled] | None = None
 ) -> tuple[list[list[Item]], list[str], Item | None]:
     """Stage one on a k = 2 instance: the raw bins, their step labels and the
     lone small moved into the next-fit stream, if any.
@@ -310,38 +310,36 @@ def pack_75(inst: Instance) -> A75Report:
 
     Stage one pairs each medium with the smallest small that fits, or splits
     it over the two largest smalls; leftovers flow through next-fit. It runs
-    once, in the instance's ``core.unit_sizes`` unit, and its bins are
-    checked there by ``bin_violations`` before their parts turn back into
-    ``Fraction``s: that check certifies the packing, since the conversion is
-    exact. Stage two applies the repair passes on ``Fraction``s, and a
-    packing a repair produced is validated again. Output is always a valid
-    packing.
+    once, in the instance's ``core.unit_sizes`` unit, and so does the
+    two-bin repair on its bins. One ``bin_violations`` call checks what
+    they leave in that unit before the parts turn back into ``Fraction``s
+    once: that check certifies the packing, since the conversion is exact.
+    A seven-bin witness that the repair adopts replaces the packing and is
+    validated alone. Output is always a valid packing.
     """
     if inst.k != 2:
         raise ValueError(f"this algorithm requires k=2, got k={inst.k}")
     cap, sizes = unit_sizes(inst.sizes)
-    unit_bins, labels, reclassified = _main_pass(inst, cap, sizes)
-    problems = bin_violations(inst, unit_bins, cap, sizes)
-    if problems:
-        raise InternalError(f"algorithm produced an invalid packing: {problems[0]}")
+    bins, labels, reclassified = _main_pass(inst, cap, sizes)
     # The group is read from the entry order the main pass left, which
     # unit_packing sorts by item id.
-    trail = _trailing_group(unit_bins, labels)
-    packing = unit_packing(inst, unit_bins, cap, sizes, labels)
-    del unit_bins
-    bins = list(packing.bins)
+    trail = _trailing_group(bins, labels)
     fallback: str | None = None
+    packing = None
     # The two-bin repair leaves the packing as it is unless it triggers.
-    if _repair_two_bin(inst, bins, labels, trail):
+    if _repair_two_bin(bins, labels, trail, cap, sizes):
         fallback = TWO_BIN_REPACK
-    elif _repair_seven_bin(inst, bins, labels, trail):
+    elif _seven_bin_pattern(labels, trail):
         fallback = SEVEN_BIN_SEARCH
-
-    if fallback is not None:
-        packing = Packing.build(bins, labels)
+        packing = _repair_seven_bin(inst)
+    if packing is None:
+        problems = bin_violations(inst, bins, cap, sizes)
+    else:
         problems = validate_packing(inst, packing)
-        if problems:
-            raise InternalError(f"a repair produced an invalid packing: {problems[0]}")
+    if problems:
+        raise InternalError(f"algorithm produced an invalid packing: {problems[0]}")
+    if packing is None:
+        packing = unit_packing(inst, bins, cap, sizes, labels)
     return A75Report(
         packing=packing,
         label_counts=dict(Counter(packing.labels)),

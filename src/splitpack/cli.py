@@ -21,6 +21,7 @@ from typing import Sequence
 from . import io
 from .algo75 import pack_75
 from .core import (
+    MAX_NUMERAL_DIGITS,
     MAX_PARTS,
     Instance,
     InternalError,
@@ -28,6 +29,8 @@ from .core import (
     Packing,
     lower_bounds,
     parts_needed,
+    render_rational,
+    too_many_digits,
     validate_packing,
 )
 from .exact import (
@@ -117,6 +120,22 @@ def _load_instance(path: str) -> Instance:
     return inst
 
 
+def _readable(packing: Packing) -> None:
+    """Exit 3, before any output, when a part of the packing renders as a
+    numeral that the packing reader refuses (``core.too_many_digits``). On
+    sizes whose common denominator is huge, next-fit chains can build such a
+    part; the instance is then refused, as one needing more than
+    ``MAX_PARTS`` parts is."""
+    for b, entries in enumerate(packing.bins):
+        for _, part in entries:
+            if too_many_digits(render_rational(part)):
+                raise _CliError(
+                    EXIT_PARSE,
+                    f"bad instance file: its packing needs a part of more than "
+                    f"{MAX_NUMERAL_DIGITS} digits (bin {b})",
+                )
+
+
 def _at_least(flag: str, value: int, least: int) -> None:
     if value < least:
         raise _CliError(EXIT_USAGE, f"{flag} must be at least {least}, got {value}")
@@ -202,6 +221,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problems = validate_packing(inst, packing)
     if problems:
         raise _CliError(EXIT_VERIFY, f"solver output is not valid: {problems[0]}")
+    _readable(packing)
     outputs = []
     if args.output:
         outputs.append(("packing", args.output, io.dumps_packing(packing)))
@@ -294,6 +314,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
             for line in problems:
                 print(line)
             return EXIT_VERIFY
+    _readable(result)
     if args.output:
         _save([("packing", args.output, io.dumps_packing(result))])
     print(f"bins={result.n_bins} (from {packing.n_bins})")

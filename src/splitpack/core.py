@@ -24,6 +24,10 @@ Item = tuple[int, Fraction]
 # A bin is a sequence of (item_id, part) entries, the central packing unit.
 BinEntries = tuple[Item, ...]
 
+# A size or part in the unit of ``unit_sizes``: an integer over its bin
+# capacity, or the ``Fraction`` itself where that capacity is 1.
+Scaled = int | Fraction
+
 DEFAULT_LABEL = "bin"
 
 # Bounds on one rational numeral, so that parsing hostile text is cheap: at
@@ -57,6 +61,16 @@ class InvalidPackingError(ValueError):
         self.violations = list(violations)
 
 
+def too_many_digits(text: str) -> bool:
+    """True iff the numeral has more than ``MAX_NUMERAL_DIGITS`` digits: the
+    rule by which ``parse_rational`` refuses a numeral, which a writer tests
+    on a rendered rational so that it writes only what the reader takes."""
+    return (
+        len(text) > MAX_NUMERAL_DIGITS
+        and sum(map(str.isdigit, text)) > MAX_NUMERAL_DIGITS
+    )
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer or decimal strings into an exact rational.
 
@@ -69,10 +83,7 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"expected a rational as string, got {text!r}")
     text = text.strip()
-    if (
-        len(text) > MAX_NUMERAL_DIGITS
-        and sum(map(str.isdigit, text)) > MAX_NUMERAL_DIGITS
-    ):
+    if too_many_digits(text):
         raise ValueError(
             f"rational {text[:20]!r}... has more than {MAX_NUMERAL_DIGITS} digits"
         )
@@ -227,17 +238,17 @@ def bin_violations(
     inst: Instance,
     bins: Iterable[Collection[Item]],
     cap: int = 1,
-    sizes: Sequence[int | Fraction] | None = None,
+    sizes: Sequence[Scaled] | None = None,
 ) -> list[str]:
     """``validate_packing`` on raw bins, so a rewrite can check its working
     bins without building a ``Packing``; a bin that lists one item twice is
     reported, never merged.
 
     Parts, bin capacity and item sizes may share any exact unit: by default
-    the instance's sizes in bins of capacity 1, and for a heuristic on
-    ``scaled_sizes`` the capacity ``cap`` and the scaled sizes. Dividing
-    every quantity by ``cap`` is exact and keeps every test, so bins valid
-    in the scaled unit give a valid packing with parts ``Fraction(p, cap)``.
+    the instance's sizes in bins of capacity 1, and for a solver's bins the
+    capacity ``cap`` and the sizes of ``unit_sizes``. Dividing every
+    quantity by ``cap`` is exact and keeps every test, so bins valid in the
+    unit give a valid packing with parts ``Fraction(p, cap)``.
 
     Every sum runs on numerator/denominator pairs (see ``_add``), so a bin
     of one-part items needs no ``Fraction`` operator.
@@ -310,31 +321,24 @@ def _add(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def scaled_sizes(sizes: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The sizes as integers over their least common denominator: returns
-    that denominator (the scaled bin capacity) and the scaled sizes."""
-    scale = math.lcm(1, *(s.denominator for s in sizes))
-    return scale, [s.numerator * (scale // s.denominator) for s in sizes]
-
-
-# Bound on the bin capacity of ``unit_sizes``: the bulk solvers and the
-# normalize rewrites run on integers only while the common denominator has at
-# most this many bits, so that every comparison and sum is a small-integer
-# operation.
+# Bound on the bin capacity of ``unit_sizes``: every solver and the normalize
+# rewrites run on integers only while the common denominator has at most this
+# many bits, so that every comparison and sum is a small-integer operation.
 UNIT_BITS = 64
 
 
 def unit_sizes(
     sizes: Sequence[Fraction], parts: Iterable[Fraction] = ()
-) -> tuple[int, Sequence[int | Fraction]]:
+) -> tuple[int, Sequence[Scaled]]:
     """The unit the integer paths run in, as (bin capacity, sizes): the
     sizes as integers over the least common denominator of the sizes and
     the ``parts`` when it has at most ``UNIT_BITS`` bits, and otherwise
     (1, sizes) itself. A packing's parts need not divide the sizes' lcm (a
     rewrite may halve a part), so a caller that scales parts names them.
 
-    The denominator is built one distinct denominator at a time and given up
-    as soon as it passes the bound, so values with huge coprime denominators
+    This is the package's one scaling of rationals to integers. The
+    denominator is built one distinct denominator at a time and given up as
+    soon as it passes the bound, so values with huge coprime denominators
     cost one step per distinct denominator, never a huge product."""
     scale = 1
     for den in {s.denominator for s in sizes}.union(p.denominator for p in parts):
@@ -348,7 +352,7 @@ def unit_packing(
     inst: Instance,
     bins: Iterable[Iterable[Item]],
     cap: int,
-    sizes: Sequence[int | Fraction],
+    sizes: Sequence[Scaled],
     labels: Sequence[str],
 ) -> Packing:
     """The ``Packing`` of raw bins whose parts share the unit (cap, sizes),
@@ -362,7 +366,7 @@ def unit_packing(
     in a bin there is nothing to merge. The map divides by cap exactly, so
     bins that ``bin_violations`` accepts in the unit give a valid packing."""
     whole = inst.sizes
-    made: dict[int | Fraction, Fraction] = {}
+    made: dict[Scaled, Fraction] = {}
     out = []
     for entries in bins:
         row = []

@@ -9,9 +9,12 @@ forest F of multi-item bins, each holding 2..min(k, n) items, completed by
 single-item bins ("loops"). Loops never close a cycle, so the forest only
 has to be acyclic in its multi-item bins.
 
-Each call scales the sizes to integers over their common denominator once
-(``core.scaled_sizes``); the search and both upper-bound heuristics run on
-that one scaling.
+Each call takes its unit once from ``core.unit_sizes``: the sizes as
+integers over their common denominator, in bins of that capacity, while it
+has at most ``core.UNIT_BITS`` bits, and the ``Fraction``s themselves in
+bins of capacity 1 above that. The search, both upper-bound heuristics and
+the max-flow run in that unit through the same code; every test they make
+is scale-invariant, so both units give the same answers and witnesses.
 
 The search ascends from the combined lower bound, so the first feasible bin
 count is optimal by construction. At level B it walks the forests depth
@@ -36,12 +39,11 @@ witness tries.
 Validated heuristic packings serve as upper bounds: a valid packing is a
 certificate, so the search only has to exhaust the levels below it. Next fit
 (through the one ``nextfit.next_fit_bins`` kernel) and best fit decreasing
-run on the call's scaled sizes; the winner's integer bins pass
-``core.bin_violations`` against the scaled sizes and capacity, the same
-checks ``validate_packing`` makes, before ``core.unit_packing`` turns the
-parts back into ``Fraction``s for one ``Packing``. Dividing by cap is exact,
-so the check is a certificate for that packing; a failed check raises
-``InternalError``.
+run in the call's unit; the winner's bins pass ``core.bin_violations``
+against the unit's sizes and capacity, the same checks ``validate_packing``
+makes, before ``core.unit_packing`` turns the parts back into ``Fraction``s
+for one ``Packing``. Dividing by cap is exact, so the check is a certificate
+for that packing; a failed check raises ``InternalError``.
 """
 
 from __future__ import annotations
@@ -57,11 +59,12 @@ from .core import (
     InternalError,
     Item,
     Packing,
+    Scaled,
     bin_violations,
     lower_bounds,
-    scaled_sizes,
     shared_bins,
     unit_packing,
+    unit_sizes,
 )
 from .nextfit import NF_LABEL, next_fit_bins, spill
 
@@ -138,15 +141,15 @@ class FlowNetwork:
     """source -> item arcs with capacity s_i, item -> bin arcs with capacity 1
     per incidence, bin -> sink arcs with capacity 1.
 
-    Capacities are rationals; internally they are scaled by the common
-    denominator so augmentation runs on integers, which is exact and fast.
-    Shortest-augmenting-path search makes termination combinatorial.
+    Capacities are rationals; augmentation runs in the unit of
+    ``core.unit_sizes``, on integers below its bound, and is exact in either
+    unit. Shortest-augmenting-path search makes termination combinatorial.
     """
 
     def __init__(self, sizes: Sequence[Fraction], structure: IncidenceStructure):
         self.sizes = tuple(Fraction(s) for s in sizes)
         self.structure = structure
-        self.scale, self.scaled = scaled_sizes(self.sizes)
+        self.scale, self.scaled = unit_sizes(self.sizes)
 
     def max_flow(self) -> tuple[Fraction, list[list[Item]]]:
         """Return the max-flow value and the per-bin item parts it induces."""
@@ -270,7 +273,7 @@ def _tree_order(
 
 
 def _tree_loops(
-    scaled: Sequence[int],
+    scaled: Sequence[Scaled],
     cap: int,
     forest: Sequence[Sequence[int]],
     item_bins: Sequence[Sequence[int]],
@@ -307,13 +310,14 @@ def _tree_loops(
 
 
 def _min_loops(
-    scaled: Sequence[int],
+    scaled: Sequence[Scaled],
     cap: int,
     forest: Sequence[Sequence[int]],
     base: Sequence[int],
 ) -> int:
     """Fewest loops to add to base[i] loops per item i so that the forest's
-    multi-item bins and the loops hold every item; sizes are scaled by cap.
+    multi-item bins and the loops hold every item; sizes are scaled by cap
+    (integers, or the ``Fraction``s at cap 1).
     Zero means the structure with exactly base loops is feasible."""
     n = len(scaled)
     item_bins = shared_bins(n, forest)
@@ -339,7 +343,7 @@ class _ForestLoops:
     ``pop`` undoes the last push.
     """
 
-    def __init__(self, scaled: Sequence[int], cap: int, ceils: Sequence[int]):
+    def __init__(self, scaled: Sequence[Scaled], cap: int, ceils: Sequence[int]):
         n = len(scaled)
         self.scaled = scaled
         self.cap = cap
@@ -418,7 +422,7 @@ class _ForestSearch:
     scaled by cap."""
 
     def __init__(
-        self, inst: Instance, cap: int, scaled: Sequence[int], counter: _Counter
+        self, inst: Instance, cap: int, scaled: Sequence[Scaled], counter: _Counter
     ):
         n = inst.n
         self.inst = inst
@@ -511,7 +515,9 @@ class _ForestSearch:
 # Heuristic upper bounds: any valid packing certifies its own bin count.
 
 
-def _best_fit_split(inst: Instance, cap: int, scaled: Sequence[int]) -> list[list[Item]]:
+def _best_fit_split(
+    inst: Instance, cap: int, scaled: Sequence[Scaled]
+) -> list[list[Item]]:
     """Best fit decreasing on the sizes scaled by cap, as raw bins of scaled
     parts: items go largest first, each whole into the open bin with below k
     parts whose free room is least but still fits it (the first such bin on
@@ -539,12 +545,12 @@ def _best_fit_split(inst: Instance, cap: int, scaled: Sequence[int]) -> list[lis
     return bins
 
 
-def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[int]) -> Packing:
+def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[Scaled]) -> Packing:
     """The fewer-bin packing of next fit (kept on ties) and best fit, both
-    run on the sizes scaled by cap. The winner's integer bins are checked
-    against the scaled sizes before one ``Packing`` with parts p/cap is
-    built by ``unit_packing``; that map is exact, so the check certifies
-    the packing."""
+    run on the sizes scaled by cap. The winner's bins are checked against
+    the scaled sizes before one ``Packing`` with parts p/cap is built by
+    ``unit_packing``; that map is exact, so the check certifies the
+    packing."""
     bins, _ = next_fit_bins(enumerate(scaled), inst.k, cap)
     label = NF_LABEL
     bf_bins = _best_fit_split(inst, cap, scaled)
@@ -598,7 +604,7 @@ def exact_opt(
     if inst.n == 0:
         return 0, EMPTY_PACKING
     lb = lower_bounds(inst).best
-    cap, scaled = scaled_sizes(inst.sizes)
+    cap, scaled = unit_sizes(inst.sizes)
     upper = _upper_bound_packing(inst, cap, scaled)
     if upper.n_bins == lb:
         return lb, upper
@@ -639,7 +645,7 @@ def feasible_in(
     lb = lower_bounds(inst).best
     if n_bins < lb:
         return None
-    cap, scaled = scaled_sizes(inst.sizes)
+    cap, scaled = unit_sizes(inst.sizes)
     upper = _upper_bound_packing(inst, cap, scaled)
     if upper.n_bins <= n_bins:
         return _pad_to(inst, upper, n_bins)

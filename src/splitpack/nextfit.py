@@ -5,14 +5,15 @@ One stream kernel, ``next_fit_bins``, is the package's only next-fit loop:
 run it; its overflow step ``spill`` also serves the oracle's best-fit
 heuristic. The kernel runs in either of two units, chosen by the bin
 capacity ``cap``: the default 1 for ``Fraction`` sizes as given, or the
-common denominator of ``core.scaled_sizes`` for the sizes scaled to
+common denominator of ``core.unit_sizes`` for the sizes scaled to
 integers, where every comparison and sum is an integer operation. Scaling is
 exact, so both runs give the same bins up to the factor ``cap`` and the same
 close reasons. The parts an overflowing item puts alone into whole bins are
 ``cap`` itself, an ``int`` in either unit; every other part has the type of
-the sizes. ``next_fit`` and ``pack_75`` run in the unit ``core.unit_sizes``
-picks: the integers whenever the common denominator has at most
-``core.UNIT_BITS`` bits, the ``Fraction``s otherwise, through the same code.
+the sizes. ``next_fit``, ``pack_75`` and the oracle run in the unit
+``core.unit_sizes`` picks: the integers whenever the common denominator has
+at most ``core.UNIT_BITS`` bits, the ``Fraction``s otherwise, through the
+same code.
 
 Items are consumed strictly in stream order. An item goes into the current
 bin while that bin has spare capacity and fewer than k parts; an item that
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable
 
 from .core import (
@@ -42,6 +42,7 @@ from .core import (
     Instance,
     Item,
     Packing,
+    Scaled,
     bin_violations,
     parts_needed,
     unit_packing,
@@ -75,7 +76,7 @@ class NfTrace:
         return len(self.blocks)
 
 
-def spill(item: int, rest: int | Fraction, cap: int = 1) -> list[list[Item]]:
+def spill(item: int, rest: Scaled, cap: int = 1) -> list[list[Item]]:
     """The ceil(rest / cap) fresh bins an item's remainder `rest` fills: each
     holds a part of cap except the last, which holds the rest."""
     whole = -(-rest // cap) - 1
@@ -83,7 +84,7 @@ def spill(item: int, rest: int | Fraction, cap: int = 1) -> list[list[Item]]:
 
 
 def _close_reason(
-    entries: list[Item], fill: int | Fraction, k: int, cap: int
+    entries: list[Item], fill: Scaled, k: int, cap: int
 ) -> CloseReason:
     # Only called when the bin's last part completes its item: a spill head
     # is closed as FILLED at the overflow.

@@ -54,7 +54,6 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import deque
-from fractions import Fraction
 from typing import Iterator
 
 from .core import (
@@ -63,6 +62,7 @@ from .core import (
     InternalError,
     InvalidPackingError,
     Packing,
+    Scaled,
     bin_violations,
     is_acyclic,
     shared_bins,
@@ -97,7 +97,7 @@ class _Work:
             inst.sizes, (part for entries in packing.bins for _, part in entries)
         )
         self.cap, self.sizes = cap, sizes
-        self.bins: list[dict[int, int | Fraction] | None]
+        self.bins: list[dict[int, Scaled] | None]
         if sizes is inst.sizes:  # no integer unit: the Fractions at cap 1
             self.bins = [dict(entries) for entries in packing.bins]
         else:
@@ -244,7 +244,7 @@ def _break_cycle(work: _Work, items: list[int], cycle: list[int]) -> None:
     bins, cap = work.bins, work.cap
     t = len(cycle)
 
-    def fill_of(b: int) -> int | Fraction:
+    def fill_of(b: int) -> Scaled:
         return sum(bins[b].values())
 
     # Try to empty the lightest cycle bin into its two cycle neighbors.

@@ -7,7 +7,9 @@ the items of each class by ``(size, id)`` tuples and compares and splits
 with ``validate_packing``, and ``next_fit`` feeds the kernel the instance's
 ``Fraction`` sizes. The solvers in ``splitpack`` run in the unit of
 ``core.unit_sizes`` and must return equal packings, reports and traces.
-The repairs, the trailing group and the next-fit kernel are shared.
+The two repairs are the ``Fraction`` versions too, kept unchanged: they
+rewrite the main pass's bins in place, and ``pack_75`` validates whatever
+they leave. The trailing group and the next-fit kernel are shared.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
+from splitpack import exact as exact_mod
 from splitpack.algo75 import (
     SEVEN_BIN_SEARCH,
     TWO_BIN_REPACK,
     A75Report,
     StepLabel,
-    _repair_seven_bin,
-    _repair_two_bin,
     _trailing_group,
 )
 from splitpack.core import (
@@ -97,6 +98,82 @@ def large_into_smalls(
             bins.append([spare[-1]])
             labels.append(StepLabel.S5)
     return bins, labels
+
+
+def _repair_two_bin(
+    inst: Instance, bins: list[list[Item]], labels: list[str], trail: list[int]
+) -> bool:
+    """Repack the one pair bin plus a two-bin trailing group into two bins
+    when the instance has a single large item: medium first, then the large
+    item split over both bins, then the small. Returns whether it was
+    triggered; it may be triggered and leave the packing as it is."""
+    if len(trail) != 2 or labels.count(StepLabel.S2A) != 1:
+        return False
+    larges = [i for i, s in inst.items() if classify(s) is ItemClass.LARGE]
+    if len(larges) != 1:
+        return False
+    involved = [labels.index(StepLabel.S2A)] + trail
+    coverage = Packing.build([bins[b] for b in involved]).coverage()
+    if any(coverage[i] != inst.sizes[i] for i in coverage):
+        return True
+    by_class: dict[ItemClass, list[int]] = {}
+    for i in coverage:
+        by_class.setdefault(classify(inst.sizes[i]), []).append(i)
+    if any(len(by_class.get(cls, ())) != 1 for cls in ItemClass):
+        return True
+    (m,) = by_class[ItemClass.MEDIUM]
+    (s,) = by_class[ItemClass.SMALL]
+    (big,) = by_class[ItemClass.LARGE]
+    m_size, s_size, l_size = inst.sizes[m], inst.sizes[s], inst.sizes[big]
+    first = [(m, m_size)]
+    if m_size < 1:
+        first.append((big, 1 - m_size))
+    second = [(big, l_size - (1 - m_size)), (s, s_size)]
+    candidate = [first, second]
+    if any(
+        sum((p for _, p in entries), Fraction(0)) > 1
+        or any(p <= 0 for _, p in entries)
+        for entries in candidate
+    ):
+        return True
+    for b in sorted(involved, reverse=True):
+        del bins[b]
+        del labels[b]
+    bins.extend(candidate)
+    labels.extend([StepLabel.REPACKED] * 2)
+    return True
+
+
+def _repair_seven_bin(
+    inst: Instance, bins: list[list[Item]], labels: list[str], trail: list[int]
+) -> bool:
+    """When the packing is exactly four pair-step bins, one fit-step bin and
+    a five-bin trailing group, search exhaustively for a seven-bin packing of
+    the whole instance and adopt it when one exists. Never increases the bin
+    count. Returns whether it was triggered."""
+    if len(bins) != 10 or len(trail) != 5:
+        return False
+    counts = Counter(labels)
+    if not (
+        counts[StepLabel.S2B] == 4
+        and counts[StepLabel.S2A] == 1
+        and counts[StepLabel.S3] + counts[StepLabel.S6] == 5
+    ):
+        return False
+    # A fixed budget, so that the packing never depends on the environment.
+    try:
+        witness = exact_mod.feasible_in(
+            inst, 7, exact_mod.SearchBudget(max_items=inst.n)
+        )
+    except exact_mod.BudgetExceeded:
+        return True
+    if witness is None:
+        return True
+    bins.clear()
+    labels.clear()
+    bins.extend([list(entries) for entries in witness.bins])
+    labels.extend([StepLabel.REPACKED] * witness.n_bins)
+    return True
 
 
 def _main_pass(inst: Instance) -> tuple[list[list[Item]], list[str], Item | None]:

@@ -1,14 +1,18 @@
-"""Reference validator for the differential tests of ``splitpack.core``.
+"""Reference validator and scaling for the differential tests of
+``splitpack.core``.
 
-This is the original ``bin_violations``, kept unchanged: it sums every bin
-and every item's coverage with ``Fraction`` (or plain integer) arithmetic.
-The numerator/denominator version in ``splitpack.core`` must return exactly
-its list on every packing without a duplicate entry, which it does not
-detect.
+``bin_violations`` is the original, kept unchanged: it sums every bin and
+every item's coverage with ``Fraction`` (or plain integer) arithmetic. The
+numerator/denominator version in ``splitpack.core`` must return exactly its
+list on every packing without a duplicate entry, which it does not detect.
+
+``scaled_sizes`` is the oracle's original scaling, an unbounded lcm; below
+``core.UNIT_BITS`` bits ``core.unit_sizes`` must return exactly its result.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
@@ -54,3 +58,10 @@ def bin_violations(
         if got != size:
             violations.append(f"coverage: item {item} covered {got} of {size}")
     return violations
+
+
+def scaled_sizes(sizes: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The sizes as integers over their least common denominator: returns
+    that denominator (the scaled bin capacity) and the scaled sizes."""
+    scale = math.lcm(1, *(s.denominator for s in sizes))
+    return scale, [s.numerator * (scale // s.denominator) for s in sizes]

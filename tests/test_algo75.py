@@ -8,6 +8,8 @@ import pytest
 
 from splitpack import (
     Instance,
+    Packing,
+    algo75,
     exact_opt,
     gen_a75_worst,
     gen_random,
@@ -235,6 +237,32 @@ def test_seven_bin_search_not_triggered_elsewhere():
     inst = Instance(k=2, sizes=(F(3, 4), F(1, 4)))
     report = pack_75(inst)
     assert report.fallback_triggered is None
+
+
+def test_one_check_per_run(monkeypatch):
+    # one bin_violations in the unit certifies every run that adopts no
+    # seven-bin witness; an adopted witness is validated alone
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("bin_violations", "validate_packing"):
+        monkeypatch.setattr(algo75, name, counting(name, getattr(algo75, name)))
+    monkeypatch.setattr(Packing, "build", staticmethod(counting("build", Packing.build)))
+    plain = [gen_random(n, 2, "mixed", n) for n in range(0, 40, 3)]
+    two_bin = [(F(3, 5), F(1, 5), F(6, 5)), (F(3, 5), F(2, 5), F(9, 5))]
+    for sizes in [inst.sizes for inst in plain] + two_bin + [SEVEN_NO]:
+        calls.clear()
+        pack_75(Instance(k=2, sizes=sizes))
+        assert calls == {"bin_violations": 1}, sizes
+    calls.clear()
+    assert pack_75(Instance(k=2, sizes=SEVEN_YES)).n_bins == 7
+    assert calls["validate_packing"] == 1 and calls["bin_violations"] == 0
 
 
 def test_worst_family_counts():

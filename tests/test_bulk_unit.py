@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_algo75 as ref
-from splitpack import Instance, gen_random, next_fit, pack_75
+from reference_core import scaled_sizes
+from splitpack import Instance, core, gen_random, io, next_fit, pack_75
 from splitpack.algo75 import SEVEN_BIN_SEARCH, TWO_BIN_REPACK, _main_pass
-from splitpack.core import UNIT_BITS, scaled_sizes, unit_sizes
+from splitpack.core import UNIT_BITS, unit_sizes
 
 
 def assert_same(inst):
@@ -97,10 +98,19 @@ SEVEN_NO = (F(1, 50),) * 5 + (F(99, 100),) * 2 + (F(19, 20), F(401, 100))
     ],
     ids=["two-bin", "two-bin-infeasible", "seven-bin", "seven-bin-infeasible"],
 )
-def test_repair_patterns_match_fraction_reference(sizes, fallback):
+def test_repair_patterns_match_fraction_reference(monkeypatch, sizes, fallback):
     inst = Instance(k=2, sizes=sizes)
-    assert pack_75(inst).fallback_triggered == fallback
+    want = pack_75(inst)
+    assert want.fallback_triggered == fallback
     assert_same(inst)
+    # UNIT_BITS = 0 sends the main pass, the two-bin repair and the oracle
+    # of the seven-bin repair down the Fraction path: the same report, bytes
+    monkeypatch.setattr(core, "UNIT_BITS", 0)
+    assert unit_sizes(sizes)[0] == 1
+    got = pack_75(inst)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert io.dumps_packing(got.packing) == io.dumps_packing(want.packing)
 
 
 _SMALL_DENOMINATOR_SIZE = st.integers(1, 12).flatmap(

@@ -2,8 +2,10 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from splitpack import cli
 from splitpack import io as spio
 from splitpack.cli import main
-from splitpack.core import MAX_PARTS
+from splitpack.core import MAX_NUMERAL_DIGITS, MAX_PARTS
 
 
 def run_cli(*argv, capsys):
@@ -110,6 +112,51 @@ def test_solve_rejects_instances_needing_too_many_parts_fast(tmp_path, capsys, s
     assert code == 3
     assert f"more than {MAX_PARTS} parts" in err
     assert time.perf_counter() - start < 0.25
+
+
+def _coprime_30_digit_instance(n, seed):
+    """n sizes up to 2 over pairwise coprime denominators of about 30 digits
+    (a power of each of the first n primes); each numeral stays short."""
+    primes = []
+    candidate = 2
+    while len(primes) < n:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    rng = random.Random(seed)
+    dens = [q ** math.ceil(29 / math.log10(q)) for q in primes]
+    return {"k": 2, "items": [f"{rng.randint(1, 2 * d)}/{d}" for d in dens]}
+
+
+def test_solve_refuses_a_packing_the_reader_would_refuse(tmp_path, capsys):
+    # The lcm of the sizes is past core.UNIT_BITS, and a75's next-fit chain
+    # multiplies denominators into a part of more than MAX_NUMERAL_DIGITS
+    # digits, which verify would refuse to read: exit 3, nothing written.
+    inst = tmp_path / "inst.json"
+    out_file = tmp_path / "packing.json"
+    doc = _coprime_30_digit_instance(200, 1)
+    assert max(map(len, doc["items"])) < 70
+    inst.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        "solve", "--algo", "a75", "--input", str(inst), "--output", str(out_file),
+        capsys=capsys,
+    )
+    assert code == 3
+    assert err == (
+        f"bad instance file: its packing needs a part of more than "
+        f"{MAX_NUMERAL_DIGITS} digits (bin 84)\n"
+    )
+    assert out == "" and not out_file.exists()
+    # next fit's packing of the same instance stays readable, and is written
+    code, _, _ = run_cli(
+        "solve", "--algo", "nf", "--input", str(inst), "--output", str(out_file),
+        capsys=capsys,
+    )
+    assert code == 0
+    code, out, _ = run_cli(
+        "verify", "--instance", str(inst), "--packing", str(out_file), capsys=capsys
+    )
+    assert code == 0 and out.startswith("ok: ")
 
 
 def test_instance_at_the_part_limit_is_accepted(tmp_path, capsys):
@@ -409,6 +456,30 @@ def test_normalize_command(tmp_path, capsys):
     assert code == 0
     assert "bins=2 (from 3)" in out
     assert spio.load_packing(str(out_file)).n_bins == 2
+
+
+def test_normalize_refuses_an_unreadable_part_before_writing(
+    tmp_path, capsys, monkeypatch
+):
+    # the check of solve, on the rewritten packing: a part that the reader
+    # would refuse is exit 3, and nothing is written
+    inst = tmp_path / "inst.json"
+    packing = tmp_path / "packing.json"
+    out_file = tmp_path / "out.json"
+    inst.write_text('{"k": 2, "items": ["2/3", "2/3", "2/3"]}')
+    packing.write_text(
+        '{"bins": [[{"item": 0, "part": "2/3"}], [{"item": 1, "part": "2/3"}],'
+        ' [{"item": 2, "part": "2/3"}]]}'
+    )
+    monkeypatch.setattr(cli, "too_many_digits", lambda text: True)
+    code, out, err = run_cli(
+        "normalize", "--input", str(packing), "--instance", str(inst),
+        "--output", str(out_file),
+        capsys=capsys,
+    )
+    assert code == 3
+    assert err.endswith("digits (bin 0)\n")
+    assert out == "" and not out_file.exists()
 
 
 def test_normalize_reports_every_violation_of_an_invalid_input(tmp_path, capsys):

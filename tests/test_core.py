@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import reference_core as ref
+from reference_core import scaled_sizes
 from splitpack import (
     InvalidPackingError,
     Instance,
@@ -26,9 +27,9 @@ from splitpack.core import (
     MAX_DECIMAL_EXPONENT,
     MAX_NUMERAL_DIGITS,
     bin_violations,
-    scaled_sizes,
     shared_bins,
     size_type,
+    too_many_digits,
 )
 
 
@@ -58,6 +59,20 @@ def test_parse_rational_limits():
     ):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_too_many_digits_is_the_parsers_rule():
+    # a rendered "p/q" counts the digits of both; signs and the slash do not
+    half = MAX_NUMERAL_DIGITS // 2
+    fits = ("7" * MAX_NUMERAL_DIGITS, f"-{'1' * half}/{'3' * half}")
+    over = ("7" * (MAX_NUMERAL_DIGITS + 1), f"-{'1' * half}/{'3' * (half + 1)}")
+    for text in fits:
+        assert not too_many_digits(text)
+        parse_rational(text)
+    for text in over:
+        assert too_many_digits(text)
+        with pytest.raises(ValueError, match=f"more than {MAX_NUMERAL_DIGITS} digits"):
+            parse_rational(text)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_exact as ref
+from reference_core import scaled_sizes
 from splitpack import (
     BudgetExceeded,
     FlowNetwork,
@@ -27,8 +28,8 @@ from splitpack import (
     three_partition_brute,
     validate_packing,
 )
-from splitpack import cli, exact
-from splitpack.core import InternalError, scaled_sizes
+from splitpack import cli, core, exact, io
+from splitpack.core import InternalError
 from splitpack.exact import (
     _extra_loop_splits,
     _ForestLoops,
@@ -547,11 +548,9 @@ def test_k3_blowup_instance_solves_within_a_second():
 # Node counts and the per-tree min-loop totals.
 
 
-def test_golden_node_counts(monkeypatch):
-    # sha256 over (OPT or "-" on budget, witness key, nodes) of exact_opt
-    # and of feasible_in at LB and LB + 1, recorded before the search kept
-    # one min-loop total per tree; 73 of the 1350 rows search, 61 of them
-    # run out of the 3000-node budget
+def _golden_rows():
+    """(OPT or "-" on budget, witness or None, nodes) of exact_opt and of
+    feasible_in at LB and LB + 1, over the golden corpus."""
     counters = []
 
     class Recording(exact._Counter):
@@ -559,32 +558,64 @@ def test_golden_node_counts(monkeypatch):
             super().__init__(limit)
             counters.append(self)
 
-    monkeypatch.setattr(exact, "_Counter", Recording)
-
     def row(call):
         counters.clear()
         try:
             answer, witness = call()
         except BudgetExceeded:
             answer, witness = "-", None
-        key = None if witness is None else witness.key()
-        return answer, key, sum(c.value for c in counters)
+        return answer, witness, sum(c.value for c in counters)
 
     budget = SearchBudget(max_items=10, max_bins=20, max_structures=3000)
     rows = []
-    for k in (2, 3, 4):
-        for n in range(6, 11):
-            for dist in ("uniform", "mixed", "heavy"):
-                for seed in range(10):
-                    inst = gen_random(n, k, dist, seed)
-                    rows.append(row(lambda: exact_opt(inst, budget)))
-                    lb = lower_bounds(inst).best
-                    for b in (lb, lb + 1):
-                        rows.append(row(lambda: (b, feasible_in(inst, b, budget))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_Counter", Recording)
+        for k in (2, 3, 4):
+            for n in range(6, 11):
+                for dist in ("uniform", "mixed", "heavy"):
+                    for seed in range(10):
+                        inst = gen_random(n, k, dist, seed)
+                        rows.append(row(lambda: exact_opt(inst, budget)))
+                        lb = lower_bounds(inst).best
+                        for b in (lb, lb + 1):
+                            rows.append(
+                                row(lambda: (b, feasible_in(inst, b, budget)))
+                            )
+    return rows
+
+
+@pytest.fixture(scope="module")
+def golden_rows():
+    return _golden_rows()
+
+
+def test_golden_node_counts(golden_rows):
+    # sha256 over (OPT or "-" on budget, witness key, nodes), recorded
+    # before the search kept one min-loop total per tree; 73 of the 1350
+    # rows search, 61 of them run out of the 3000-node budget
+    rows = [
+        (answer, None if witness is None else witness.key(), nodes)
+        for answer, witness, nodes in golden_rows
+    ]
     assert sum(nodes > 0 for *_, nodes in rows) == 73
     assert sum(answer == "-" for answer, *_ in rows) == 61
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "d775d6936a3a9d164f40f756fea44ab5603b9f96d55558c6cca1e62059e086e4"
+
+
+def test_golden_corpus_same_in_both_units(monkeypatch, golden_rows):
+    # UNIT_BITS = 0 sends every instance down the Fraction path (bins of
+    # capacity 1): the same answers, witness bytes, node counts and budget
+    # exhaustions as the integer unit
+    def written(rows):
+        return [
+            (answer, None if witness is None else io.dumps_packing(witness), nodes)
+            for answer, witness, nodes in rows
+        ]
+
+    monkeypatch.setattr(core, "UNIT_BITS", 0)
+    assert core.unit_sizes(gen_random(6, 2, "mixed", 0).sizes)[0] == 1
+    assert written(_golden_rows()) == written(golden_rows)
 
 
 def test_forest_loops_track_min_loops():

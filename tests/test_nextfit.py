@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference_core import scaled_sizes
 from splitpack import (
     CloseReason,
     Instance,
@@ -14,7 +15,6 @@ from splitpack import (
     next_fit,
     validate_packing,
 )
-from splitpack.core import scaled_sizes
 from splitpack.nextfit import next_fit_bins, spill
 
 
