@@ -13,7 +13,6 @@ from .core import (
     ItemClass,
     Packing,
     PackingGraph,
-    Rational,
     classify,
     graph_of,
     item_weight,
@@ -24,11 +23,8 @@ from .core import (
 from .nextfit import CloseReason, NfTrace, check_block_inequality, next_fit
 from .exact import (
     BudgetExceeded,
-    FlowNetwork,
-    IncidenceStructure,
     SearchBudget,
     exact_opt,
-    feasible,
     feasible_in,
 )
 from .algo75 import A75Report, StepLabel, pack_75, split_2b
@@ -52,8 +48,6 @@ __all__ = [
     "BoundsReport",
     "BudgetExceeded",
     "CloseReason",
-    "FlowNetwork",
-    "IncidenceStructure",
     "Instance",
     "InternalError",
     "InvalidPackingError",
@@ -61,13 +55,11 @@ __all__ = [
     "NfTrace",
     "Packing",
     "PackingGraph",
-    "Rational",
     "SearchBudget",
     "StepLabel",
     "check_block_inequality",
     "classify",
     "exact_opt",
-    "feasible",
     "feasible_in",
     "gen_a75_worst",
     "gen_from_3partition",

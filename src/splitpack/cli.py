@@ -21,7 +21,6 @@ from typing import Sequence
 from . import io
 from .algo75 import pack_75
 from .core import (
-    MAX_NUMERAL_DIGITS,
     MAX_PARTS,
     Instance,
     InternalError,
@@ -29,8 +28,6 @@ from .core import (
     Packing,
     lower_bounds,
     parts_needed,
-    render_rational,
-    too_many_digits,
     validate_packing,
 )
 from .exact import (
@@ -120,20 +117,15 @@ def _load_instance(path: str) -> Instance:
     return inst
 
 
-def _readable(packing: Packing) -> None:
-    """Exit 3, before any output, when a part of the packing renders as a
-    numeral that the packing reader refuses (``core.too_many_digits``). On
-    sizes whose common denominator is huge, next-fit chains can build such a
-    part; the instance is then refused, as one needing more than
-    ``MAX_PARTS`` parts is."""
-    for b, entries in enumerate(packing.bins):
-        for _, part in entries:
-            if too_many_digits(render_rational(part)):
-                raise _CliError(
-                    EXIT_PARSE,
-                    f"bad instance file: its packing needs a part of more than "
-                    f"{MAX_NUMERAL_DIGITS} digits (bin {b})",
-                )
+def _dumps_packing(packing: Packing) -> str:
+    """``io.dumps_packing``, with a part that the packing reader refuses as
+    exit 3. On sizes whose common denominator is huge, next-fit chains can
+    build such a part; the instance is then refused, as one needing more
+    than ``MAX_PARTS`` parts is."""
+    try:
+        return io.dumps_packing(packing)
+    except ValueError as exc:
+        raise _CliError(EXIT_PARSE, f"bad instance file: its {exc}")
 
 
 def _at_least(flag: str, value: int, least: int) -> None:
@@ -221,10 +213,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problems = validate_packing(inst, packing)
     if problems:
         raise _CliError(EXIT_VERIFY, f"solver output is not valid: {problems[0]}")
-    _readable(packing)
     outputs = []
     if args.output:
-        outputs.append(("packing", args.output, io.dumps_packing(packing)))
+        outputs.append(("packing", args.output, _dumps_packing(packing)))
     if args.trace:
         outputs.append(("trace", args.trace, json.dumps(trace_doc, indent=2) + "\n"))
     if args.report:
@@ -314,9 +305,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
             for line in problems:
                 print(line)
             return EXIT_VERIFY
-    _readable(result)
     if args.output:
-        _save([("packing", args.output, io.dumps_packing(result))])
+        _save([("packing", args.output, _dumps_packing(result))])
     print(f"bins={result.n_bins} (from {packing.n_bins})")
     return EXIT_OK
 

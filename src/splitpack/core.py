@@ -16,8 +16,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
 
-Rational = Fraction
-
 # One (item_id, size or part) entry: an item of a stream or a part in a bin.
 Item = tuple[int, Fraction]
 

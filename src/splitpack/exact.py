@@ -13,8 +13,9 @@ Each call takes its unit once from ``core.unit_sizes``: the sizes as
 integers over their common denominator, in bins of that capacity, while it
 has at most ``core.UNIT_BITS`` bits, and the ``Fraction``s themselves in
 bins of capacity 1 above that. The search, both upper-bound heuristics and
-the max-flow run in that unit through the same code; every test they make
-is scale-invariant, so both units give the same answers and witnesses.
+the private max-flow ``_flow_bins`` run in that unit through the same code;
+every test they make is scale-invariant, so both units give the same answers
+and witnesses.
 
 The search ascends from the combined lower bound, so the first feasible bin
 count is optimal by construction. At level B it walks the forests depth
@@ -31,7 +32,10 @@ accepted forest is the first one in candidate order.
 
 The witness gives each item the loops its part count needs and hands out the
 remaining loops in the first split, in ``_extra_loop_splits`` order, that
-completes the forest; a max-flow then realises the structure as parts.
+completes the forest. ``_flow_bins`` then realises the forest and its loops,
+in sorted bin order, as raw bins of parts in the search's unit, and
+``core.unit_packing`` turns them into the witness ``Packing``, as it does
+every solver output.
 
 One budget node is one forest the search visits or one loop split the
 witness tries.
@@ -50,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import (
@@ -118,131 +121,90 @@ class SearchBudget:
         return SearchBudget(**given)
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
-    """One candidate bin layout: per bin, the set of items allowed in it.
-
-    No bin repeats an item (same-item parts merge); bins are kept in a sorted
-    canonical order so equal structures compare equal.
-    """
-
-    bins: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def build(bins: Sequence[Sequence[int]]) -> "IncidenceStructure":
-        return IncidenceStructure(tuple(sorted(tuple(sorted(b)) for b in bins)))
-
-
 # ---------------------------------------------------------------------------
-# Exact max-flow feasibility for a fixed structure.
+# Realising an accepted structure as parts.
 
 
-class FlowNetwork:
-    """source -> item arcs with capacity s_i, item -> bin arcs with capacity 1
-    per incidence, bin -> sink arcs with capacity 1.
+def _flow_bins(
+    cap: int, scaled: Sequence[Scaled], bins: Sequence[Sequence[int]]
+) -> list[list[Item]] | None:
+    """Raw bins in the unit (cap, scaled) that realise a structure, given
+    per bin the items allowed in it, or None when no packing does.
 
-    Capacities are rationals; augmentation runs in the unit of
-    ``core.unit_sizes``, on integers below its bound, and is exact in either
-    unit. Shortest-augmenting-path search makes termination combinatorial.
+    A max-flow decides it: source -> item arcs of capacity scaled[i], one
+    item -> bin arc of capacity cap per incidence, and bin -> sink arcs of
+    capacity cap. Shortest augmenting paths make termination combinatorial.
+    Each augmentation reads only which residuals are positive and which is
+    least, so both units of ``core.unit_sizes`` give the same parts. Parts
+    of value 0 are dropped, and bins left empty by the flow are dropped with
+    them.
     """
+    n = len(scaled)
+    source = 0
+    sink = n + len(bins) + 1
+    n_nodes = sink + 1
 
-    def __init__(self, sizes: Sequence[Fraction], structure: IncidenceStructure):
-        self.sizes = tuple(Fraction(s) for s in sizes)
-        self.structure = structure
-        self.scale, self.scaled = unit_sizes(self.sizes)
+    to: list[int] = []
+    caps: list[Scaled] = []
+    adj: list[list[int]] = [[] for _ in range(n_nodes)]
 
-    def max_flow(self) -> tuple[Fraction, list[list[Item]]]:
-        """Return the max-flow value and the per-bin item parts it induces."""
-        n = len(self.sizes)
-        bins = self.structure.bins
-        b_count = len(bins)
-        source = 0
-        sink = n + b_count + 1
-        n_nodes = sink + 1
-        cap = self.scale
+    def add(u: int, v: int, c: Scaled) -> None:
+        adj[u].append(len(to))
+        to.append(v)
+        caps.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        caps.append(0)
 
-        to: list[int] = []
-        caps: list[int] = []
-        adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    for i, s in enumerate(scaled):
+        add(source, 1 + i, s)
+    item_bin_edge: dict[tuple[int, int], int] = {}
+    for b, members in enumerate(bins):
+        for i in members:
+            item_bin_edge[(i, b)] = len(to)
+            add(1 + i, 1 + n + b, cap)
+        add(1 + n + b, sink, cap)
 
-        def add(u: int, v: int, c: int) -> None:
-            adj[u].append(len(to))
-            to.append(v)
-            caps.append(c)
-            adj[v].append(len(to))
-            to.append(u)
-            caps.append(0)
-
-        for i, s in enumerate(self.scaled):
-            add(source, 1 + i, s)
-        item_bin_edge: dict[tuple[int, int], int] = {}
-        for b, members in enumerate(bins):
-            for i in members:
-                item_bin_edge[(i, b)] = len(to)
-                add(1 + i, 1 + n + b, cap)
-            add(1 + n + b, sink, cap)
-
-        total = 0
-        while True:
-            parent_edge = [-1] * n_nodes
-            parent_edge[source] = -2
-            queue = [source]
-            while queue and parent_edge[sink] == -1:
-                nxt: list[int] = []
-                for u in queue:
-                    for e in adj[u]:
-                        v = to[e]
-                        if caps[e] > 0 and parent_edge[v] == -1:
-                            parent_edge[v] = e
-                            nxt.append(v)
-                queue = nxt
-            if parent_edge[sink] == -1:
-                break
-            bottleneck = None
-            v = sink
-            while v != source:
-                e = parent_edge[v]
-                if bottleneck is None or caps[e] < bottleneck:
-                    bottleneck = caps[e]
-                v = to[e ^ 1]
-            v = sink
-            while v != source:
-                e = parent_edge[v]
-                caps[e] -= bottleneck
-                caps[e ^ 1] += bottleneck
-                v = to[e ^ 1]
-            total += bottleneck
-
-        parts: list[list[Item]] = []
-        for b, members in enumerate(bins):
-            entries = []
-            for i in members:
-                e = item_bin_edge[(i, b)]
-                flow = caps[e ^ 1]  # residual of the reverse arc
-                if flow > 0:
-                    entries.append((i, Fraction(flow, cap)))
-            parts.append(entries)
-        return Fraction(total, cap), parts
-
-
-def feasible(inst: Instance, structure: IncidenceStructure) -> Packing | None:
-    """Realize the structure as a packing iff max-flow covers all item sizes.
-
-    Parts of value 0 are dropped, and bins left empty by the flow are dropped
-    with them.
-    """
-    for b in structure.bins:
-        if len(b) > inst.k:
-            raise ValueError(f"structure bin {b} exceeds k={inst.k} parts")
-        for item in b:
-            if not (0 <= item < inst.n):
-                raise ValueError(f"structure references unknown item {item}")
-    total = sum(inst.sizes, Fraction(0))
-    value, parts = FlowNetwork(inst.sizes, structure).max_flow()
-    if value != total:
+    total = 0
+    while True:
+        parent_edge = [-1] * n_nodes
+        parent_edge[source] = -2
+        queue = [source]
+        while queue and parent_edge[sink] == -1:
+            nxt: list[int] = []
+            for u in queue:
+                for e in adj[u]:
+                    v = to[e]
+                    if caps[e] > 0 and parent_edge[v] == -1:
+                        parent_edge[v] = e
+                        nxt.append(v)
+            queue = nxt
+        if parent_edge[sink] == -1:
+            break
+        path = []
+        v = sink
+        while v != source:
+            e = parent_edge[v]
+            path.append(e)
+            v = to[e ^ 1]
+        bottleneck = min(caps[e] for e in path)
+        for e in path:
+            caps[e] -= bottleneck
+            caps[e ^ 1] += bottleneck
+        total += bottleneck
+    if total != sum(scaled):
         return None
-    bins = [entries for entries in parts if entries]
-    return Packing.build(bins, [EXACT_LABEL] * len(bins))
+
+    out: list[list[Item]] = []
+    for b, members in enumerate(bins):
+        entries = []
+        for i in members:
+            flow = caps[item_bin_edge[(i, b)] ^ 1]  # residual of the reverse arc
+            if flow > 0:
+                entries.append((i, flow))
+        if entries:
+            out.append(entries)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +463,16 @@ class _ForestSearch:
             loops = [need[i] + bump[i] for i in range(n)]
             if _min_loops(self.scaled, self.cap, forest, loops) != 0:
                 continue
-            structure = IncidenceStructure.build(
-                forest + [(i,) for i in range(n) for _ in range(loops[i])]
+            bins = _flow_bins(
+                self.cap,
+                self.scaled,
+                sorted(forest + [(i,) for i in range(n) for _ in range(loops[i])]),
             )
-            packing = feasible(self.inst, structure)
-            if packing is None:
+            if bins is None:
                 raise InternalError("max-flow rejects a structure the tree DP accepts")
-            return packing
+            return unit_packing(
+                self.inst, bins, self.cap, self.scaled, [EXACT_LABEL] * len(bins)
+            )
         raise InternalError("no loop split completes an accepted forest")
 
 

@@ -16,10 +16,12 @@ from typing import Any, Callable
 
 from .core import (
     DEFAULT_LABEL,
+    MAX_NUMERAL_DIGITS,
     Instance,
     Packing,
     parse_rational,
     render_rational,
+    too_many_digits,
 )
 
 
@@ -120,14 +122,27 @@ def _json_list(rows: list[str], indent: str) -> str:
 def dumps_packing(packing: Packing) -> str:
     """The packing in exactly ``json.dumps``'s ``indent=2`` layout, written
     directly: a rendered rational needs no escaping, and each distinct label
-    is escaped once by ``json.dumps``."""
-    bins = [
-        "    " + _json_list(
+    is escaped once by ``json.dumps``.
+
+    A part with more digits than ``parse_rational`` accepts
+    (``core.too_many_digits``) raises ``ValueError`` naming its bin, so
+    nothing is written that the reader refuses. Only a bin whose text
+    breaks that rule can hold such a part, so one test per bin is enough
+    for every other bin."""
+    bins = []
+    for b, entries in enumerate(packing.bins):
+        text = "    " + _json_list(
             [_ENTRY.format(item, render_rational(part)) for item, part in entries],
             "    ",
         )
-        for entries in packing.bins
-    ]
+        if too_many_digits(text) and any(
+            too_many_digits(render_rational(part)) for _, part in entries
+        ):
+            raise ValueError(
+                f"packing needs a part of more than {MAX_NUMERAL_DIGITS} digits "
+                f"(bin {b})"
+            )
+        bins.append(text)
     quoted = {label: json.dumps(label) for label in set(packing.labels)}
     labels = ["    " + quoted[label] for label in packing.labels]
     return (
@@ -167,5 +182,8 @@ def save_instance(path: str, inst: Instance) -> None:
 
 
 def save_packing(path: str, packing: Packing) -> None:
+    """Write the packing to path; a part that ``dumps_packing`` refuses
+    raises before the file is opened, so nothing is written."""
+    text = dumps_packing(packing)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_packing(packing))
+        fh.write(text)

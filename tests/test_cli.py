@@ -14,7 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitpack import cli
+from splitpack import cli, pack_75
 from splitpack import io as spio
 from splitpack.cli import main
 from splitpack.core import MAX_NUMERAL_DIGITS, MAX_PARTS
@@ -147,6 +147,11 @@ def test_solve_refuses_a_packing_the_reader_would_refuse(tmp_path, capsys):
         f"{MAX_NUMERAL_DIGITS} digits (bin 84)\n"
     )
     assert out == "" and not out_file.exists()
+    # the library's writer refuses the same part, before opening the file
+    packing = pack_75(spio.load_instance(str(inst))).packing
+    with pytest.raises(ValueError, match=r"\(bin 84\)$"):
+        spio.save_packing(str(out_file), packing)
+    assert not out_file.exists()
     # next fit's packing of the same instance stays readable, and is written
     code, _, _ = run_cli(
         "solve", "--algo", "nf", "--input", str(inst), "--output", str(out_file),
@@ -471,7 +476,7 @@ def test_normalize_refuses_an_unreadable_part_before_writing(
         '{"bins": [[{"item": 0, "part": "2/3"}], [{"item": 1, "part": "2/3"}],'
         ' [{"item": 2, "part": "2/3"}]]}'
     )
-    monkeypatch.setattr(cli, "too_many_digits", lambda text: True)
+    monkeypatch.setattr(spio, "too_many_digits", lambda text: True)
     code, out, err = run_cli(
         "normalize", "--input", str(packing), "--instance", str(inst),
         "--output", str(out_file),

@@ -11,13 +11,10 @@ import reference_exact as ref
 from reference_core import scaled_sizes
 from splitpack import (
     BudgetExceeded,
-    FlowNetwork,
-    IncidenceStructure,
     Instance,
     Packing,
     SearchBudget,
     exact_opt,
-    feasible,
     feasible_in,
     gen_from_3partition,
     gen_nf_worst,
@@ -31,51 +28,62 @@ from splitpack import (
 from splitpack import cli, core, exact, io
 from splitpack.core import InternalError
 from splitpack.exact import (
+    EXACT_LABEL,
     _extra_loop_splits,
+    _flow_bins,
     _ForestLoops,
     _min_loops,
     _upper_bound_packing,
 )
 
 
-def test_feasible_realizes_chain():
+def _flow_packings(monkeypatch, inst, bins):
+    """``_flow_bins`` on the structure, as a ``Packing`` or None, in the
+    integer unit of ``core.unit_sizes`` and again with ``UNIT_BITS`` = 0,
+    on the ``Fraction``s at cap 1."""
+    packings = []
+    for bits in (core.UNIT_BITS, 0):
+        monkeypatch.setattr(core, "UNIT_BITS", bits)
+        cap, scaled = core.unit_sizes(inst.sizes)
+        raw = _flow_bins(cap, scaled, bins)
+        packings.append(
+            None
+            if raw is None
+            else core.unit_packing(inst, raw, cap, scaled, [EXACT_LABEL] * len(raw))
+        )
+    return packings
+
+
+def test_feasible_realizes_chain(monkeypatch):
     inst = Instance(k=2, sizes=(F(3, 5),) * 3)
-    packing = feasible(inst, IncidenceStructure.build([(0, 1), (1, 2)]))
-    assert packing is not None
-    assert validate_packing(inst, packing) == []
-    assert packing.bins == (
-        ((0, F(3, 5)), (1, F(2, 5))),
-        ((1, F(1, 5)), (2, F(3, 5))),
-    )
+    for packing in _flow_packings(monkeypatch, inst, [(0, 1), (1, 2)]):
+        assert packing is not None
+        assert validate_packing(inst, packing) == []
+        assert packing.bins == (
+            ((0, F(3, 5)), (1, F(2, 5))),
+            ((1, F(1, 5)), (2, F(3, 5))),
+        )
 
 
-def test_feasible_rejects_undercoverage():
+def test_feasible_rejects_undercoverage(monkeypatch):
     inst = Instance(k=2, sizes=(F(5, 2),))
-    assert feasible(inst, IncidenceStructure.build([(0,), (0,)])) is None
+    assert _flow_packings(monkeypatch, inst, [(0,), (0,)]) == [None, None]
 
 
-def test_feasible_empty():
+def test_feasible_empty(monkeypatch):
     inst = Instance(k=2, sizes=())
-    packing = feasible(inst, IncidenceStructure.build([]))
-    assert packing is not None and packing.n_bins == 0
+    for packing in _flow_packings(monkeypatch, inst, []):
+        assert packing is not None and packing.n_bins == 0
 
 
-def test_feasible_rejects_oversized_bins():
-    inst = Instance(k=2, sizes=(F(1, 4),) * 3)
-    with pytest.raises(ValueError):
-        feasible(inst, IncidenceStructure.build([(0, 1, 2)]))
-
-
-def test_flow_network_caps():
+def test_flow_network_caps(monkeypatch):
+    # a two-item bin plus a loop: the flow covers both sizes, and the loop
+    # takes what the shared bin has no room for
     inst = Instance(k=2, sizes=(F(1, 2), F(3, 4)))
-    network = FlowNetwork(inst.sizes, IncidenceStructure.build([(0, 1), (1,)]))
-    value, parts = network.max_flow()
-    assert value == F(5, 4)
-    realized = {}
-    for entries in parts:
-        for item, part in entries:
-            realized[item] = realized.get(item, F(0)) + part
-    assert realized == {0: F(1, 2), 1: F(3, 4)}
+    for packing in _flow_packings(monkeypatch, inst, [(0, 1), (1,)]):
+        assert packing is not None
+        assert validate_packing(inst, packing) == []
+        assert packing.coverage() == {0: F(1, 2), 1: F(3, 4)}
 
 
 @pytest.mark.parametrize(
@@ -520,7 +528,7 @@ def test_min_loops_matches_max_flow():
 
         def realizes(loops):
             bins = forest + [(i,) for i in range(n) for _ in range(loops[i])]
-            return feasible(inst, IncidenceStructure.build(bins)) is not None
+            return ref.feasible(inst, ref.IncidenceStructure.build(bins)) is not None
 
         # loops only ever help, so no split of fewer than least - 1 loops can
         # be feasible when none of least - 1 is
@@ -531,6 +539,28 @@ def test_min_loops_matches_max_flow():
             ]
             assert all(dp == flow for dp, flow in outcomes), (inst, forest)
             assert any(flow for _, flow in outcomes) == (total == least), (inst, forest)
+
+
+def test_flow_bins_match_reference_feasible(monkeypatch):
+    # on random forests plus loops, the private flow in either unit gives
+    # the reference max-flow's packing bytes, or None where it does
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(200):
+        k = rng.choice([2, 3, 4])
+        n = rng.randint(1, 7)
+        den = rng.choice([2, 3, 4, 5, 6, 7])
+        sizes = tuple(F(rng.randint(1, 2 * den), den) for _ in range(n))
+        inst = Instance(k=k, sizes=sizes)
+        loops = [(i,) for i in range(n) for _ in range(rng.randint(0, 2))]
+        bins = sorted(_random_forest(rng, n, k) + loops)
+        expected = ref.feasible(inst, ref.IncidenceStructure.build(bins))
+        written = None if expected is None else io.dumps_packing(expected)
+        for packing in _flow_packings(monkeypatch, inst, bins):
+            got = None if packing is None else io.dumps_packing(packing)
+            assert got == written, (inst, bins)
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_k3_blowup_instance_solves_within_a_second():
@@ -589,18 +619,28 @@ def golden_rows():
     return _golden_rows()
 
 
-def test_golden_node_counts(golden_rows):
-    # sha256 over (OPT or "-" on budget, witness key, nodes), recorded
-    # before the search kept one min-loop total per tree; 73 of the 1350
-    # rows search, 61 of them run out of the 3000-node budget
+def test_golden_witnesses(golden_rows):
+    # sha256 over (OPT or "-" on budget, witness key), recorded before the
+    # witness flow moved into the search's unit, which kept it; 61 of the
+    # 1350 rows run out of the 3000-node budget. Every change that keeps the
+    # witness bytes, and every sound pruning, keeps this digest.
     rows = [
-        (answer, None if witness is None else witness.key(), nodes)
-        for answer, witness, nodes in golden_rows
+        (answer, None if witness is None else witness.key())
+        for answer, witness, _ in golden_rows
     ]
-    assert sum(nodes > 0 for *_, nodes in rows) == 73
-    assert sum(answer == "-" for answer, *_ in rows) == 61
+    assert sum(answer == "-" for answer, _ in rows) == 61
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "d775d6936a3a9d164f40f756fea44ab5603b9f96d55558c6cca1e62059e086e4"
+    assert digest == "ed2ba431aa294111f04039a4c4d8bf2ee3d6342b2a791aa4beb58e8dc790ba40"
+
+
+def test_golden_node_counts(golden_rows):
+    # sha256 over the node counts of the same rows, recorded with the
+    # witness digest; 73 of the 1350 rows search. A pruning records this
+    # again and gives its reason in CHANGES.md.
+    nodes = [nodes for *_, nodes in golden_rows]
+    assert sum(count > 0 for count in nodes) == 73
+    digest = hashlib.sha256(repr(nodes).encode()).hexdigest()
+    assert digest == "8bb6a4c64a956ae4285c3ac7e40355631bc001cb717b541aae52c8ad42d42c22"
 
 
 def test_golden_corpus_same_in_both_units(monkeypatch, golden_rows):

@@ -1,11 +1,12 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from splitpack import Instance, Packing
-from splitpack.core import EMPTY_PACKING, parse_rational
+from splitpack.core import EMPTY_PACKING, parse_rational, too_many_digits
 from splitpack import io as spio
 
 
@@ -34,6 +35,34 @@ def test_packing_round_trip_text():
     )
     again = spio.loads_packing(spio.dumps_packing(packing))
     assert again == packing
+
+
+def test_save_packing_round_trip(tmp_path):
+    # the writer takes what the reader takes: parts of up to
+    # MAX_NUMERAL_DIGITS digits, also in a bin whose text has more
+    long_ok = F(1, 10**998 + 1)  # 1 + 999 digits
+    many = [(i, F(123456, 999999 + i)) for i in range(200)]
+    packing = Packing.build([[(0, F(1, 2))], [(1, long_ok)], many])
+    path = tmp_path / "packing.json"
+    spio.save_packing(str(path), packing)
+    assert path.read_text(encoding="utf-8") == spio.dumps_packing(packing)
+    assert spio.load_packing(str(path)) == packing
+
+
+def test_save_packing_refuses_a_part_the_reader_refuses(tmp_path):
+    # one digit more, which the reader refuses: dumps_packing names the bin,
+    # and save_packing raises before it opens the file
+    too_long = F(1, 10**999 + 1)  # 1 + 1000 digits
+    with pytest.raises(spio.ParseError):
+        spio.packing_from_json(_bins_doc([str(too_long)]))
+    packing = Packing.build([[(0, F(1, 2))], [(1, F(1, 3)), (2, too_long)]])
+    message = "packing needs a part of more than 1000 digits (bin 1)"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        spio.dumps_packing(packing)
+    path = tmp_path / "packing.json"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spio.save_packing(str(path), packing)
+    assert not path.exists()
 
 
 def test_packing_labels_default():
@@ -116,11 +145,22 @@ _bins_st = st.lists(
 
 @given(rows=_bins_st)
 def test_dumps_packing_matches_json_module(rows):
+    # or, where a part has more digits than the reader takes, refuses the
+    # first bin that holds one
     packing = Packing(
         tuple(tuple(entries) for entries, _ in rows),
         tuple(label for _, label in rows),
     )
-    assert spio.dumps_packing(packing) == _json_reference(packing)
+    unreadable = [
+        b
+        for b, entries in enumerate(packing.bins)
+        if any(too_many_digits(str(part)) for _, part in entries)
+    ]
+    if unreadable:
+        with pytest.raises(ValueError, match=rf"\(bin {unreadable[0]}\)$"):
+            spio.dumps_packing(packing)
+    else:
+        assert spio.dumps_packing(packing) == _json_reference(packing)
 
 
 @pytest.mark.parametrize(
@@ -133,8 +173,9 @@ def test_dumps_packing_matches_json_module(rows):
             ('say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
              "café", "漢字", "\U0001f600", "\ud800"),
         ),
+        # parts of 1000 digits, the most the reader takes
         Packing(
-            (((0, F(10**999 + 7, 10**999)), (1, F(-(10**999), 3))),), ("big",)
+            (((0, F(10**499 + 7, 10**499)), (1, F(-(10**998), 3))),), ("big",)
         ),
     ],
     ids=["empty", "empty-bins", "escaped-labels", "1000-digit-parts"],
