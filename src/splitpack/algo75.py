@@ -4,7 +4,9 @@ Items are classified small (at most 1/2), medium ((1/2, 1]) and large
 (above 1). The main pass works through the mediums against the sorted
 smalls, then sweeps larges through small-seeded bins; two narrow repair
 passes repack the rare configurations where the plain output could land
-above 7/5 of the optimum.
+above 7/5 of the optimum. Every next-fit run of the main pass, the leftover
+groups (S3, S6) and the pairs of spare smalls (S5), is one call of the
+kernel ``nextfit.next_fit_bins`` with k = 2.
 
 Bin labels record the step that produced each bin, so reports and repair
 triggers can classify bins without re-deriving history.
@@ -92,8 +94,9 @@ def large_into_smalls(
 ) -> tuple[list[list[Item]], list[str]]:
     """Steps 4 to 6: seed one bin per remaining small (smallest first), sweep
     the larges through them next-fit style (largest first), then pair up any
-    untouched seeds; if the seeds run out inside a large item, that item and
-    all later ones continue in fresh bins. Bins have capacity `cap`.
+    untouched seeds with the next-fit kernel (step 5); if the seeds run out
+    inside a large item, that item and all later ones continue in fresh bins
+    through the same kernel (step 6). Bins have capacity `cap`.
     """
     bins: list[list[Item]] = [[item] for item in smalls]
     labels = [StepLabel.S4] * len(bins)
@@ -111,18 +114,10 @@ def large_into_smalls(
             # packed as a trailing next-fit group.
             tail, _ = next_fit_bins([(lid, rest)] + larges[idx + 1 :], 2, cap)
             return bins + tail, labels + [StepLabel.S6] * len(tail)
-    if cursor < len(smalls):
-        # Untouched seeds hold one small each; repack those smalls in pairs.
-        spare = smalls[cursor:]
-        bins = bins[:cursor]
-        labels = labels[:cursor]
-        for j in range(0, len(spare) - 1, 2):
-            bins.append([spare[j], spare[j + 1]])
-            labels.append(StepLabel.S5)
-        if len(spare) % 2 == 1:
-            bins.append([spare[-1]])
-            labels.append(StepLabel.S5)
-    return bins, labels
+    # Untouched seeds hold one small each: next fit packs those smalls in
+    # pairs, as two smalls always fit one bin.
+    spare, _ = next_fit_bins(smalls[cursor:], 2, cap)
+    return bins[:cursor] + spare, labels[:cursor] + [StepLabel.S5] * len(spare)
 
 
 _NEXT_FIT_STEPS = (StepLabel.S3, StepLabel.S6)

@@ -82,9 +82,20 @@ def _open(what: str, path: str, mode: str, **kwargs):
 
 def _save(outputs: Sequence[tuple[str, str | None, str]]) -> None:
     """Write each (what, path, text) output, to stdout where the path is
-    None. Every file is opened, without truncating it, before any is
-    written, so a path that cannot be opened (exit 2, ``cannot write
-    <what>: <reason>``) leaves no file behind that this call created."""
+    None. Two outputs naming one file (the same ``os.path.realpath``) are
+    exit 2 before any file is opened. Every file is opened, without
+    truncating it, before any is written, so a path that cannot be opened
+    (exit 2, ``cannot write <what>: <reason>``) leaves no file behind that
+    this call created."""
+    named: dict[str, str] = {}
+    for what, path, _ in outputs:
+        if path is not None:
+            first = named.setdefault(os.path.realpath(path), what)
+            if first != what:
+                raise _CliError(
+                    EXIT_USAGE,
+                    f"cannot write {what}: {path} is also the {first} output",
+                )
     created: list[str] = []
     try:
         for what, path, _ in outputs:

@@ -353,10 +353,8 @@ class _ForestLoops:
 
 
 def _extra_loop_splits(extra: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All ways to hand out `extra` additional loops across n items."""
-    if extra == 0:
-        yield (0,) * n
-        return
+    """All ways to hand out `extra` additional loops across n items; for
+    extra = 0 the one way is no extra loop at all."""
     for combo in itertools.combinations_with_replacement(range(n), extra):
         out = [0] * n
         for i in combo:

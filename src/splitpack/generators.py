@@ -181,10 +181,8 @@ def gen_random(
             else:
                 sizes.append(1 + _uniform_unit(rng))
         else:  # heavy
-            whole = rng.randrange(k)
-            frac = _uniform_unit(rng)
-            size = whole + frac
-            sizes.append(size if size <= k else Fraction(k))
+            # randrange(k) <= k - 1 and the unit part <= 1: at most k.
+            sizes.append(rng.randrange(k) + _uniform_unit(rng))
     return Instance(k=k, sizes=tuple(sizes))
 
 
@@ -196,9 +194,8 @@ def _uniform_unit(rng: random.Random) -> Fraction:
 
 def _small(rng: random.Random) -> Fraction:
     den = rng.randint(2, MAX_DENOMINATOR)
-    num = rng.randint(1, max(1, den // 2))
-    value = Fraction(num, den)
-    return value if value <= Fraction(1, 2) else Fraction(1, 2)
+    num = rng.randint(1, den // 2)  # den >= 2, so num / den <= 1/2
+    return Fraction(num, den)
 
 
 def _medium(rng: random.Random) -> Fraction:

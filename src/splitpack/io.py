@@ -160,20 +160,30 @@ def loads_packing(text: str) -> Packing:
 
 
 def _loads(text: str) -> Any:
+    """The JSON document in text. Malformed JSON, nesting past the
+    interpreter's recursion limit and an integer past its int-string
+    conversion limit all raise ``ParseError``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-def load_instance(path: str) -> Instance:
+def _read(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``ParseError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}") from exc
+
+
+def load_instance(path: str) -> Instance:
+    return loads_instance(_read(path))
 
 
 def load_packing(path: str) -> Packing:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_packing(fh.read())
+    return loads_packing(_read(path))
 
 
 def save_instance(path: str, inst: Instance) -> None:

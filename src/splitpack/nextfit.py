@@ -1,9 +1,9 @@
 """Online NEXT FIT for splittable items under a per-bin part limit.
 
 One stream kernel, ``next_fit_bins``, is the package's only next-fit loop:
-``next_fit``, the leftover groups of ``pack_75`` and the oracle's upper bound
-run it; its overflow step ``spill`` also serves the oracle's best-fit
-heuristic. The kernel runs in either of two units, chosen by the bin
+``next_fit``, ``pack_75``'s leftover groups (steps 3 and 6) and its pairs of
+spare smalls (step 5), and the oracle's upper bound run it; its overflow
+step ``spill`` also serves the oracle's best-fit heuristic. The kernel runs in either of two units, chosen by the bin
 capacity ``cap``: the default 1 for ``Fraction`` sizes as given, or the
 common denominator of ``core.unit_sizes`` for the sizes scaled to
 integers, where every comparison and sum is an integer operation. Scaling is

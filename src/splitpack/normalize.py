@@ -41,12 +41,14 @@ output converted back once each. Each item's size type (1 for a small item)
 is computed once. The rewrites share one packing-graph index, built once by
 ``core.shared_bins`` over the working bins and updated in place: each item's
 edge bins (the two-item bins holding it) as a list sorted by bin index. No
-rewrite rescans the packing. remove_cycles resumes its scan at the closing
-bin and re-joins only the tree it cut; smalls_to_leaves needs one forward
-scan per phase, because no rewrite creates a new collapse candidate or
-raises a small item's neighbor count; bound_degrees is one resumable sweep, since a merge at x
-rewires only edges below x. Beyond the edge-list updates (O(degree) each)
-and the tree each cycle lies in, the work is near-linear in the bin count.
+rewrite rescans the packing. remove_cycles walks the tree each cycle lies
+in once, a BFS that yields both the cycle's path and the tree's items,
+resumes its scan at the closing bin and re-joins only that tree;
+smalls_to_leaves needs one forward scan per phase, because no rewrite
+creates a new collapse candidate or raises a small item's neighbor count;
+bound_degrees is one resumable sweep, since a merge at x rewires only edges
+below x. Beyond the edge-list updates (O(degree) each) and the tree each
+cycle lies in, the work is near-linear in the bin count.
 """
 
 from __future__ import annotations
@@ -186,58 +188,46 @@ def _remove_cycles(work: _Work) -> None:
         if sets.union(u, v):
             b += 1
             continue
-        items, cycle = _cycle_through(work, u, v, b)
+        items, cycle, tree = _cycle_through(work, u, v, b)
         _break_cycle(work, items, cycle)
         # Breaking the cycle only removed edges of its tree, so the bins
-        # before b still form a forest: split that tree's sets, re-join what
-        # is left of it and rescan from b.
-        tree = _tree_before(work, items, b)
+        # before b still form a forest: make the tree's one set singletons,
+        # re-join what is left of it and rescan from b.
         sets.reset(tree)
         for node in tree:
             for other, _ in work.edges_before(node, b):
                 sets.union(node, other)
 
 
-def _tree_before(work: _Work, roots: list[int], limit: int) -> set[int]:
-    """Items reachable from the roots through two-item bins before limit."""
-    seen = set(roots)
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        for other, _ in work.edges_before(node, limit):
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return seen
-
-
 def _cycle_through(
     work: _Work, u: int, v: int, closing: int
-) -> tuple[list[int], list[int]]:
-    """The cycle closed by bin ``closing``: returns (items, cycle_bins) where
-    cycle_bins[j] holds items[j] and items[(j+1) % t], items[0] = u and
-    items[-1] = v. The bins before ``closing`` form a forest, so the u-v path
-    through them is unique."""
-    prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
+) -> tuple[list[int], list[int], dict[int, tuple[int, int]]]:
+    """The cycle closed by bin ``closing``: returns (items, cycle_bins, tree)
+    where cycle_bins[j] holds items[j] and items[(j+1) % t], items[0] = u
+    and items[-1] = v. The bins before ``closing`` form a forest, so the u-v
+    path through them is unique. One BFS from u walks the whole tree of u
+    through those bins: ``tree`` maps each item it reaches to its BFS
+    parent and the bin joining them, so its keys are u's union-find set."""
+    tree: dict[int, tuple[int, int]] = {u: (-1, -1)}
     queue = [u]
-    while queue and v not in prev:
+    while queue:
         nxt = []
         for node in queue:
             for other, via in work.edges_before(node, closing):
-                if other not in prev:
-                    prev[other] = (node, via)
+                if other not in tree:
+                    tree[other] = (node, via)
                     nxt.append(other)
         queue = nxt
     path_items = [v]
     path_bins: list[int] = []
     node = v
     while node != u:
-        node, via = prev[node]
+        node, via = tree[node]
         path_items.append(node)
         path_bins.append(via)
     path_items.reverse()  # u ... v
     path_bins.reverse()  # connecting consecutive path items
-    return path_items, path_bins + [closing]
+    return path_items, path_bins + [closing], tree
 
 
 def _break_cycle(work: _Work, items: list[int], cycle: list[int]) -> None:

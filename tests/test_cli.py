@@ -92,6 +92,40 @@ def test_solve_parse_error(tmp_path, capsys):
     assert code == 3
 
 
+_UNREADABLE = {
+    "missing": None,
+    "not-utf8": b"\xff\xfe",
+    "deep": b"[" * 200000,
+    "long-int": b'{"k": 1' + b"0" * 5000,
+}
+
+
+@pytest.mark.parametrize("content", _UNREADABLE, ids=list(_UNREADABLE))
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("solve", "--algo", "nf", "--input", "BAD"), "instance"),
+        (("bounds", "--input", "BAD"), "instance"),
+        (("verify", "--instance", "BAD", "--packing", "CERT"), "instance"),
+        (("verify", "--instance", "INST", "--packing", "BAD"), "packing"),
+        (("normalize", "--instance", "INST", "--input", "BAD"), "packing"),
+    ],
+    ids=["solve", "bounds", "verify-instance", "verify-packing", "normalize"],
+)
+def test_an_unreadable_input_file_is_a_parse_error(
+    nf_worst_files, tmp_path, capsys, argv, what, content
+):
+    inst, cert = nf_worst_files
+    bad = tmp_path / "bad.json"
+    if _UNREADABLE[content] is not None:
+        bad.write_bytes(_UNREADABLE[content])
+    paths = {"BAD": str(bad), "INST": str(inst), "CERT": str(cert)}
+    code, out, err = run_cli(*(paths.get(a, a) for a in argv), capsys=capsys)
+    assert (code, out) == (3, "")
+    reason = f"cannot read {what}: " if content == "missing" else f"bad {what} file: "
+    assert err.startswith(reason)
+
+
 @pytest.mark.parametrize("size", ["1e1000000", "1" * 4000])
 def test_solve_rejects_huge_numerals_fast(tmp_path, capsys, size):
     inst = tmp_path / "inst.json"
@@ -309,6 +343,79 @@ def test_experiment_fuzz_exits_with_documented_codes(
         or budget_nodes < 0 or (max_bins is not None and max_bins < 0)
     )
     assert code == (cli.EXIT_USAGE if invalid else cli.EXIT_OK)
+
+
+_SIZES = ["1/2", "1/3", "3/4", "1", "2", "5/3", "0.25", "1e1"]
+_NUMERALS = st.sampled_from(_SIZES + ["0", "-1/2", "x", ""])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    | _NUMERALS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["k", "items", "bins", "item", "part",
+                                       "labels"]) | st.text(max_size=3),
+                      inner, max_size=3),
+    max_leaves=10,
+)
+# Well-formed documents, and documents of the right shape with any field
+# replaced by arbitrary JSON.
+_INSTANCE_DOCS = st.fixed_dictionaries(
+    {"k": st.integers(2, 4), "items": st.lists(st.sampled_from(_SIZES), max_size=6)}
+) | st.fixed_dictionaries(
+    {"k": st.integers(0, 4) | _JSON_VALUES,
+     "items": st.lists(_NUMERALS | _JSON_VALUES, max_size=6) | _JSON_VALUES}
+)
+_PACKING_DOCS = st.fixed_dictionaries(
+    {"bins": st.lists(
+        st.lists(
+            st.fixed_dictionaries(
+                {"item": st.integers(-1, 6) | _JSON_VALUES,
+                 "part": _NUMERALS | _JSON_VALUES}
+            ) | _JSON_VALUES,
+            max_size=3,
+        ) | _JSON_VALUES,
+        max_size=5,
+    ) | _JSON_VALUES},
+    optional={"labels": st.lists(st.text(max_size=3), max_size=5) | _JSON_VALUES},
+)
+
+
+def _file_bytes(docs):
+    """Arbitrary bytes, arbitrary JSON or a document near the format."""
+    return st.one_of(
+        st.binary(max_size=30),
+        _JSON_VALUES.map(lambda doc: json.dumps(doc).encode()),
+        docs.map(lambda doc: json.dumps(doc).encode()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_file_bytes(_INSTANCE_DOCS), packing=_file_bytes(_PACKING_DOCS))
+def test_file_fuzz_exits_with_documented_codes(instance, packing):
+    # Every command that reads an instance or a packing file ends with a
+    # documented exit code and raises nothing, whatever the files hold. The
+    # packing is the fuzzed file and then next fit's own output.
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, fuzzed, nf, out = (
+            os.path.join(tmp, name) for name in ("i.json", "p.json", "nf.json", "o.json")
+        )
+        with open(inst, "wb") as fh:
+            fh.write(instance)
+        with open(fuzzed, "wb") as fh:
+            fh.write(packing)
+        for argv in (
+            ["bounds", "--input", inst],
+            ["solve", "--algo", "nf", "--input", inst, "--output", nf],
+            ["solve", "--algo", "a75", "--input", inst, "--output", out],
+            ["solve", "--algo", "exact", "--input", inst, "--budget-nodes", "2000",
+             "--output", out],
+            ["verify", "--instance", inst, "--packing", fuzzed],
+            ["verify", "--instance", inst, "--packing", nf],
+            ["normalize", "--check", "--instance", inst, "--input", fuzzed,
+             "--output", out],
+            ["normalize", "--check", "--instance", inst, "--input", nf,
+             "--output", out],
+        ):
+            assert _run_quietly(argv) in (0, 2, 3, 4, 5)
 
 
 @pytest.mark.parametrize(
@@ -862,6 +969,10 @@ def test_gen_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys):
         (("nf-worst", "--k", "2", "--m", "2", "--output", str(kept),
           "--certified-output", str(tmp_path)),
          "certified packing", tmp_path),
+        # two outputs naming one file: refused before either is opened
+        (("a75-worst", "--n", "5", "--output", str(kept),
+          "--certified-output", f"{tmp_path}/./kept.json"),
+         "certified packing", f"{tmp_path}/./kept.json"),
     ):
         code, out, err = run_cli("gen", *argv, capsys=capsys)
         assert code == 2 and out == ""
@@ -879,6 +990,8 @@ def test_solve_output_that_cannot_be_opened_is_usage_error(nf_worst_files, tmp_p
         (("--algo", "nf", "--output", str(tmp_path / "p.json"),
           "--trace", str(missing / "t.json")), "trace"),
         (("--algo", "a75", "--report", str(missing / "r.json")), "report"),
+        (("--algo", "nf", "--output", str(tmp_path / "p.json"),
+          "--trace", str(tmp_path / "p.json")), "trace"),
     ):
         code, out, err = run_cli("solve", "--input", str(inst), *argv, capsys=capsys)
         assert code == 2 and out == ""

@@ -142,6 +142,9 @@ def test_instance_validation():
         Instance(k=2, sizes=(F(0),))
     with pytest.raises(ValueError):
         Instance(k=2, sizes=(F(-1, 2),))
+    # a packing needs one label per bin
+    with pytest.raises(ValueError, match="^2 bins but 1 labels$"):
+        Packing(bins=(((0, F(1)),), ((1, F(1)),)), labels=("bin",))
     inst = Instance(k=2, sizes=(F(3), F(1, 4)))
     assert inst.n == 2 and list(inst.items()) == [(0, F(3)), (1, F(1, 4))]
 

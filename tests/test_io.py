@@ -81,6 +81,12 @@ def test_packing_labels_default():
         '{"bins": [[{"item": 0}]]}',
         '{"bins": [[{"item": "0", "part": "1/2"}]]}',
         '{"bins": [], "labels": ["x"]}',
+        '{"bins": {}}',
+        '{"bins": [{}]}',
+        '{"bins": [], "labels": [1]}',
+        # past the interpreter's recursion limit and its int-string limit
+        "[" * 200000,
+        '{"k": 1' + "0" * 5000,
     ],
 )
 def test_parse_errors(text):
@@ -90,6 +96,14 @@ def test_parse_errors(text):
         finally:
             # whichever document type it resembles must still reject it
             spio.loads_packing(text)
+
+
+@pytest.mark.parametrize("load", [spio.load_instance, spio.load_packing])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, load):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(spio.ParseError, match="^not UTF-8: "):
+        load(str(path))
 
 
 sizes_st = st.lists(
