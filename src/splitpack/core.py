@@ -38,6 +38,9 @@ MAX_DECIMAL_EXPONENT = 1000
 # rejects a larger instance before packing it.
 MAX_PARTS = 10**6
 
+# Error messages quote an offending value in at most this many characters.
+MAX_QUOTED = 60
+
 
 class InternalError(AssertionError):
     """A solver broke one of its own invariants: a bug, never bad input.
@@ -57,6 +60,17 @@ class InvalidPackingError(ValueError):
     def __init__(self, violations: Sequence[str]):
         super().__init__(f"packing is not valid: {violations[0]}")
         self.violations = list(violations)
+
+
+def brief_repr(value: object) -> str:
+    """``repr(value)`` cut after ``MAX_QUOTED`` characters (marked by "..."),
+    so that an error message stays short however large the input."""
+    if isinstance(value, str):
+        value = value[: MAX_QUOTED + 1]
+    text = repr(value)
+    if len(text) > MAX_QUOTED:
+        return text[:MAX_QUOTED] + "..."
+    return text
 
 
 def too_many_digits(text: str) -> bool:
@@ -79,7 +93,9 @@ def parse_rational(text: str) -> Fraction:
     "p/q" then skips ``Fraction``'s pattern and is built from its integers.
     """
     if not isinstance(text, str):
-        raise ValueError(f"expected a rational as string, got {text!r}")
+        raise ValueError(
+            f"expected a rational as string, got {brief_repr(text)}"
+        )
     text = text.strip()
     if too_many_digits(text):
         raise ValueError(
@@ -93,7 +109,7 @@ def parse_rational(text: str) -> Fraction:
             too_large = False  # malformed: Fraction rejects it below
         if too_large:
             raise ValueError(
-                f"rational {text!r} has a decimal exponent above "
+                f"rational {brief_repr(text)} has a decimal exponent above "
                 f"{MAX_DECIMAL_EXPONENT} in magnitude"
             )
     num, slash, den = text.partition("/")
@@ -105,7 +121,7 @@ def parse_rational(text: str) -> Fraction:
                 return Fraction(int(num), int(den))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise ValueError(f"not a rational: {brief_repr(text)}") from exc
 
 
 def render_rational(value: Fraction) -> str:

@@ -37,8 +37,19 @@ in sorted bin order, as raw bins of parts in the search's unit, and
 ``core.unit_packing`` turns them into the witness ``Packing``, as it does
 every solver output.
 
-One budget node is one forest the search visits or one loop split the
-witness tries.
+Equal sizes make many forests relabellings of one another, so the walk
+breaks that symmetry. An item's twin is the largest earlier item of the same
+size. A candidate bin that holds an item j but not its twin i is skipped
+while no chosen bin holds i or j. Swapping i and j keeps sizes, loops and
+acyclicity, leaves the chosen bins as they are and maps the candidate to an
+earlier one in candidate order; so every forest through the skipped
+candidate has an image of equal cost that comes first, the first feasible
+forest is never skipped, and the witnesses are those of the walk without the
+rule. Only the node counts fall, which is why the node-count digest of the
+golden corpus was recorded again when the rule came in.
+
+One budget node is one candidate bin that passes the acyclicity and twin
+tests, or one loop split the witness tries.
 
 Validated heuristic packings serve as upper bounds: a valid packing is a
 certificate, so the search only has to exhaust the levels below it. Next fit
@@ -54,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterator, Sequence
 
 from .core import (
@@ -97,8 +109,9 @@ _SPEC_FIELDS = {
 class SearchBudget:
     """Resource limits for the exhaustive search.
 
-    max_structures counts search nodes: every forest the level search visits
-    plus every loop split tried while building a witness.
+    max_structures counts search nodes: every candidate bin of the level
+    search that passes the acyclicity and twin tests, plus every loop split
+    tried while building a witness.
     """
 
     max_items: int = 8
@@ -390,18 +403,38 @@ class _ForestSearch:
         self.width = min(inst.k, n)
         self.cap, self.scaled = cap, scaled
         self.ceils = ceils = [-(-s // cap) for s in scaled]
-        self.candidates = sorted(
-            (
-                members
-                for size in range(2, self.width + 1)
-                for members in itertools.combinations(range(n), size)
-            ),
-            key=lambda members: (
-                -sum(ceils[i] for i in members),
-                len(members),
-                members,
-            ),
-        )
+        # An item's twin is the largest earlier item of the same size.
+        bits = [1 << i for i in range(n)]
+        twinned = 0  # the items with a twin
+        twin_bits = [0] * n  # per item i, the item whose twin is i
+        last: dict[Scaled, int] = {}
+        for j, s in enumerate(scaled):
+            if s in last:
+                twinned |= bits[j]
+                twin_bits[last[s]] = bits[j]
+            last[s] = j
+        self.twinned = twinned
+        # The candidates in order of (-sum of ceil(size), bin size, item
+        # tuple), each with the bit masks of its items and of the items whose
+        # twin it holds.
+        ranked: list[tuple[int, int, tuple[int, ...], int, int]] = []
+        for size in range(2, self.width + 1):
+            ranked.extend(
+                zip(
+                    map(neg, map(sum, itertools.combinations(ceils, size))),
+                    itertools.repeat(size),
+                    itertools.combinations(range(n), size),
+                    map(sum, itertools.combinations(bits, size)),
+                    map(sum, itertools.combinations(twin_bits, size)),
+                )
+            )
+        ranked.sort()
+        # Each row: the candidate, its items, its items whose twin it does
+        # not hold ("lonely"), and the items it takes out of ``free``.
+        self.rows = [
+            (members, mask, mask & twinned & ~held, mask | held)
+            for _, _, members, mask, held in ranked
+        ]
 
     def level(self, n_bins: int) -> Packing | None:
         """A witness with at most n_bins bins, or None when none exists."""
@@ -411,17 +444,26 @@ class _ForestSearch:
         return self._witness(forest, n_bins)
 
     def _first_forest(self, n_bins: int) -> list[tuple[int, ...]] | None:
+        """The first forest in candidate order whose bins and loops fit in
+        n_bins bins, or None; the module docstring gives its cuts and the
+        twin rule."""
         n = self.inst.n
         width = self.width
         ceils = self.ceils
-        candidates = self.candidates
-        tick = self.counter.tick
+        rows = self.rows
+        n_rows = len(rows)
+        counter = self.counter
+        limit = counter.limit
         forest = _ForestLoops(self.scaled, self.cap, ceils)
         chosen = forest.bins
         tree = forest.tree
         item_bins = forest.item_bins
+        # Items that may need more than one part.
+        multi = sum(1 << i for i in range(n) if ceils[i] > 1)
 
-        def recurse(start: int, need: int, merges_left: int):
+        def recurse(start: int, need: int, merges_left: int, short: int, free: int):
+            # short: the items still below ceil(size) parts. free: the items
+            # j with a twin i such that no chosen bin holds i or j.
             left = n_bins - len(chosen)
             used = len(chosen) + forest.loops
             if used <= n_bins:
@@ -430,26 +472,41 @@ class _ForestSearch:
                 return None
             # Each bin left holds at most `width` of the parts still needed.
             most = (left - 1) * width
-            for t in range(start, len(candidates)):
-                members = candidates[t]
-                if len({tree[i] for i in members}) < len(members):
+            for t in range(start, n_rows):
+                members, mask, lonely, taken = rows[t]
+                if lonely & free:
                     continue
-                tick()
-                relief = 0
-                for i in members:
-                    if len(item_bins[i]) < ceils[i]:
-                        relief += 1
+                if len(members) == 2:
+                    if tree[members[0]] == tree[members[1]]:
+                        continue
+                elif len({tree[i] for i in members}) < len(members):
+                    continue
+                counter.value += 1
+                if counter.value > limit:
+                    raise BudgetExceeded(f"structure search exceeded {limit} nodes")
+                relief = (mask & short).bit_count()
                 if need - relief > most:
                     continue
                 forest.push(members)
-                hit = recurse(t + 1, need - relief, merges_left - len(members) + 1)
+                after = short & ~mask
+                if mask & multi:
+                    for i in members:
+                        if len(item_bins[i]) < ceils[i]:
+                            after |= 1 << i
+                hit = recurse(
+                    t + 1,
+                    need - relief,
+                    merges_left - len(members) + 1,
+                    after,
+                    free & ~taken,
+                )
                 forest.pop()
                 if hit is not None:
                     return hit
             return None
 
-        tick()
-        return recurse(0, sum(ceils), n - 1)
+        counter.tick()
+        return recurse(0, sum(ceils), n - 1, (1 << n) - 1, self.twinned)
 
     def _witness(self, forest: list[tuple[int, ...]], n_bins: int) -> Packing:
         n = self.inst.n

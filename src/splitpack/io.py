@@ -19,6 +19,7 @@ from .core import (
     MAX_NUMERAL_DIGITS,
     Instance,
     Packing,
+    brief_repr,
     parse_rational,
     render_rational,
     too_many_digits,
@@ -54,7 +55,7 @@ def instance_from_json(doc: Any) -> Instance:
         raise ParseError("instance document needs 'k' and 'items'")
     k = doc["k"]
     if not isinstance(k, int) or isinstance(k, bool):
-        raise ParseError(f"'k' must be an integer, got {k!r}")
+        raise ParseError(f"'k' must be an integer, got {brief_repr(k)}")
     items = doc["items"]
     if not isinstance(items, list):
         raise ParseError("'items' must be a list of rational strings")
@@ -87,7 +88,9 @@ def packing_from_json(doc: Any) -> Packing:
                 raise ParseError(f"bin {b} has an entry without 'item'/'part'")
             item = entry["item"]
             if not isinstance(item, int) or isinstance(item, bool):
-                raise ParseError(f"bin {b} has a non-integer item id {item!r}")
+                raise ParseError(
+                    f"bin {b} has a non-integer item id {brief_repr(item)}"
+                )
             try:
                 part = parse(entry["part"])
             except ValueError as exc:

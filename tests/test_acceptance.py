@@ -12,6 +12,7 @@ import pytest
 from splitpack import (
     BudgetExceeded,
     Instance,
+    SearchBudget,
     check_block_inequality,
     exact_opt,
     feasible_in,
@@ -200,6 +201,36 @@ def test_criterion_5_reduction_equivalence():
         "criterion 5",
         f"partition brute force and the packing decision agree on "
         f"{agreements} instance/k pairs",
+    )
+
+
+def test_criterion_5_three_triples():
+    # m = 3 (k = 4: 12 items, k = 5: 15 items): the twin rule lets the
+    # oracle decide these within the default node budget
+    rng = random.Random(5)
+    answers = []
+    for k in (4, 5):
+        for _ in range(4):
+            target = rng.choice([20, 24, 28])
+            lo, hi = target // 4 + 1, (target - 1) // 2
+            while True:
+                numbers = [rng.randint(lo, hi) for _ in range(8)]
+                last = 3 * target - sum(numbers)
+                if lo <= last <= hi:
+                    break
+            numbers.append(last)
+            inst = gen_from_3partition(numbers, target, k)
+            witness = feasible_in(inst, 3, SearchBudget(max_items=15))
+            expected = three_partition_brute(numbers, target)
+            assert (witness is not None) == expected, (numbers, target, k)
+            if witness is not None:
+                assert validate_packing(inst, witness) == [] and witness.n_bins == 3
+            answers.append((k, expected))
+    assert {(k, e) for k in (4, 5) for e in (True, False)} <= set(answers)
+    _report(
+        "criterion 5",
+        f"partition brute force and the packing decision agree on "
+        f"{len(answers)} three-triple instances for k = 4, 5",
     )
 
 

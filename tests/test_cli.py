@@ -126,6 +126,36 @@ def test_an_unreadable_input_file_is_a_parse_error(
     assert err.startswith(reason)
 
 
+_HUGE = [0] * 300000
+
+# Documents whose offending value is about 900 KB long.
+_HOSTILE = {
+    "k": ("instance", {"k": _HUGE, "items": ["1/2"]}),
+    "size-not-a-string": ("instance", {"k": 2, "items": [_HUGE]}),
+    "size-not-a-rational": ("instance", {"k": 2, "items": ["x" * 900000]}),
+    "size-exponent": ("instance", {"k": 2, "items": ["x" * 900000 + "e5000"]}),
+    "item-id": ("packing", {"bins": [[{"item": _HUGE, "part": "1/2"}]]}),
+    "part-not-a-string": ("packing", {"bins": [[{"item": 0, "part": _HUGE}]]}),
+}
+
+
+@pytest.mark.parametrize("shape", _HOSTILE, ids=list(_HOSTILE))
+def test_a_huge_offending_value_gives_a_short_message(
+    nf_worst_files, tmp_path, capsys, shape
+):
+    inst, _ = nf_worst_files
+    what, doc = _HOSTILE[shape]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    if what == "instance":
+        argv = ("bounds", "--input", str(bad))
+    else:
+        argv = ("verify", "--instance", str(inst), "--packing", str(bad))
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"bad {what} file: ") and len(err.encode()) < 1024
+
+
 @pytest.mark.parametrize("size", ["1e1000000", "1" * 4000])
 def test_solve_rejects_huge_numerals_fast(tmp_path, capsys, size):
     inst = tmp_path / "inst.json"

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_exact as ref
+import reference_forest
 from reference_core import scaled_sizes
 from splitpack import (
     BudgetExceeded,
@@ -25,7 +26,7 @@ from splitpack import (
     three_partition_brute,
     validate_packing,
 )
-from splitpack import cli, core, exact, io
+from splitpack import cli, core, exact, generators, io
 from splitpack.core import InternalError
 from splitpack.exact import (
     EXACT_LABEL,
@@ -578,9 +579,9 @@ def test_k3_blowup_instance_solves_within_a_second():
 # Node counts and the per-tree min-loop totals.
 
 
-def _golden_rows():
+def _rows(instances, budget):
     """(OPT or "-" on budget, witness or None, nodes) of exact_opt and of
-    feasible_in at LB and LB + 1, over the golden corpus."""
+    feasible_in at LB and LB + 1, per instance."""
     counters = []
 
     class Recording(exact._Counter):
@@ -596,22 +597,33 @@ def _golden_rows():
             answer, witness = "-", None
         return answer, witness, sum(c.value for c in counters)
 
-    budget = SearchBudget(max_items=10, max_bins=20, max_structures=3000)
     rows = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact, "_Counter", Recording)
-        for k in (2, 3, 4):
-            for n in range(6, 11):
-                for dist in ("uniform", "mixed", "heavy"):
-                    for seed in range(10):
-                        inst = gen_random(n, k, dist, seed)
-                        rows.append(row(lambda: exact_opt(inst, budget)))
-                        lb = lower_bounds(inst).best
-                        for b in (lb, lb + 1):
-                            rows.append(
-                                row(lambda: (b, feasible_in(inst, b, budget)))
-                            )
+        for inst in instances:
+            rows.append(row(lambda: exact_opt(inst, budget)))
+            lb = lower_bounds(inst).best
+            for b in (lb, lb + 1):
+                rows.append(row(lambda: (b, feasible_in(inst, b, budget))))
     return rows
+
+
+GOLDEN_BUDGET = SearchBudget(max_items=10, max_bins=20, max_structures=3000)
+
+
+def _golden_corpus():
+    return [
+        gen_random(n, k, dist, seed)
+        for k in (2, 3, 4)
+        for n in range(6, 11)
+        for dist in ("uniform", "mixed", "heavy")
+        for seed in range(10)
+    ]
+
+
+def _golden_rows():
+    """The rows of ``_rows`` over the golden corpus."""
+    return _rows(_golden_corpus(), GOLDEN_BUDGET)
 
 
 @pytest.fixture(scope="module")
@@ -634,13 +646,13 @@ def test_golden_witnesses(golden_rows):
 
 
 def test_golden_node_counts(golden_rows):
-    # sha256 over the node counts of the same rows, recorded with the
-    # witness digest; 73 of the 1350 rows search. A pruning records this
-    # again and gives its reason in CHANGES.md.
+    # sha256 over the node counts of the same rows; 73 of the 1350 rows
+    # search. A pruning records this again and gives its reason in
+    # CHANGES.md.
     nodes = [nodes for *_, nodes in golden_rows]
     assert sum(count > 0 for count in nodes) == 73
     digest = hashlib.sha256(repr(nodes).encode()).hexdigest()
-    assert digest == "8bb6a4c64a956ae4285c3ac7e40355631bc001cb717b541aae52c8ad42d42c22"
+    assert digest == "7d9c8022c7fa805c86e29fb2155d2cc92a3def113e8d94b01b2dd8f03976cec8"
 
 
 def test_golden_corpus_same_in_both_units(monkeypatch, golden_rows):
@@ -656,6 +668,57 @@ def test_golden_corpus_same_in_both_units(monkeypatch, golden_rows):
     monkeypatch.setattr(core, "UNIT_BITS", 0)
     assert core.unit_sizes(gen_random(6, 2, "mixed", 0).sizes)[0] == 1
     assert written(_golden_rows()) == written(golden_rows)
+
+
+def _repeated_sizes():
+    """Instances full of equal sizes: 3-partition reductions for k = 3, 4, 5
+    (m = 2, 3), and ``mixed`` instances over denominators up to 4."""
+    rng = random.Random(61)
+    out = []
+    for k in (3, 4, 5):
+        for m in (2, 3):
+            for _ in range(6):
+                target = rng.choice([20, 24, 28])
+                out.append(gen_from_3partition(_three_partition(rng, m, target), target, k))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generators, "MAX_DENOMINATOR", 4)
+        for _ in range(120):
+            k = rng.choice([2, 3, 4])
+            out.append(gen_random(rng.randint(6, 10), k, "mixed", rng.randrange(2**30)))
+    return out
+
+
+@pytest.mark.parametrize("corpus", ["golden", "repeated-sizes"])
+def test_twin_rule_matches_reference_loop(corpus, golden_rows):
+    # against the candidate loop before the twin rule: where the reference
+    # answers, the same OPT or decision and the same witness bytes; never
+    # more nodes; out of budget only where the reference is too
+    if corpus == "golden":
+        instances, budget, rows = _golden_corpus(), GOLDEN_BUDGET, golden_rows
+    else:
+        instances = _repeated_sizes()
+        budget = SearchBudget(max_items=15, max_bins=20, max_structures=3000)
+        rows = _rows(instances, budget)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_ForestSearch", reference_forest.ForestSearch)
+        want = _rows(instances, budget)
+    assert len(rows) == len(want) == 3 * len(instances)
+    fewer = solved = 0
+    for r, (row, ref_row) in enumerate(zip(rows, want)):
+        (answer, witness, nodes), (ref_answer, ref_witness, ref_nodes) = row, ref_row
+        assert nodes <= ref_nodes
+        fewer += nodes < ref_nodes
+        if ref_answer == "-":
+            solved += answer != "-"
+            if witness is not None:
+                assert validate_packing(instances[r // 3], witness) == []
+            continue
+        assert answer == ref_answer
+        assert (witness is None) == (ref_witness is None)
+        if witness is not None:
+            assert io.dumps_packing(witness) == io.dumps_packing(ref_witness)
+    # the golden corpus keeps its 61 budget rows (test_golden_witnesses)
+    assert fewer > 0 and (solved > 0 or corpus == "golden")
 
 
 def test_forest_loops_track_min_loops():
