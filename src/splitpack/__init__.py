@@ -10,12 +10,7 @@ from .core import (
     Instance,
     InternalError,
     InvalidPackingError,
-    ItemClass,
     Packing,
-    PackingGraph,
-    classify,
-    graph_of,
-    item_weight,
     lower_bounds,
     parse_rational,
     validate_packing,
@@ -51,22 +46,17 @@ __all__ = [
     "Instance",
     "InternalError",
     "InvalidPackingError",
-    "ItemClass",
     "NfTrace",
     "Packing",
-    "PackingGraph",
     "SearchBudget",
     "StepLabel",
     "check_block_inequality",
-    "classify",
     "exact_opt",
     "feasible_in",
     "gen_a75_worst",
     "gen_from_3partition",
     "gen_nf_worst",
     "gen_random",
-    "graph_of",
-    "item_weight",
     "lower_bounds",
     "next_fit",
     "normalization_violations",

@@ -9,7 +9,7 @@ groups (S3, S6) and the pairs of spare smalls (S5), is one call of the
 kernel ``nextfit.next_fit_bins`` with k = 2.
 
 Bin labels record the step that produced each bin, so reports and repair
-triggers can classify bins without re-deriving history.
+triggers can tell bins apart without re-deriving history.
 """
 
 from __future__ import annotations

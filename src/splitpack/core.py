@@ -9,10 +9,7 @@ at most ``k`` parts with at most one part per item (same-item parts merge).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -51,7 +48,7 @@ class InternalError(AssertionError):
 
 
 class InvalidPackingError(ValueError):
-    """A packing handed to a rewrite or graph view is not valid.
+    """A packing handed to a rewrite is not valid.
 
     ``violations`` is the full ``validate_packing`` list; the message quotes
     its first entry.
@@ -64,10 +61,16 @@ class InvalidPackingError(ValueError):
 
 def brief_repr(value: object) -> str:
     """``repr(value)`` cut after ``MAX_QUOTED`` characters (marked by "..."),
-    so that an error message stays short however large the input."""
+    so that an error message stays short however large the input. A value
+    that ``repr`` refuses, such as an int past the interpreter's digit
+    limit, is named by its type (and an int by its bit length)."""
     if isinstance(value, str):
         value = value[: MAX_QUOTED + 1]
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:
+        bits = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{bits}>"
     if len(text) > MAX_QUOTED:
         return text[:MAX_QUOTED] + "..."
     return text
@@ -128,29 +131,11 @@ def render_rational(value: Fraction) -> str:
     return str(value)
 
 
-class ItemClass(Enum):
-    SMALL = "small"
-    MEDIUM = "medium"
-    LARGE = "large"
-
-
-def classify(size: Fraction) -> ItemClass:
-    """Classify by size: (0, 1/2] small, (1/2, 1] medium, above 1 large.
-
-    The tests run on the numerator and denominator (positive), so no
-    ``Fraction`` is built or compared."""
-    num, den = size.numerator, size.denominator
-    if 2 * num <= den:
-        return ItemClass.SMALL
-    if num <= den:
-        return ItemClass.MEDIUM
-    return ItemClass.LARGE
-
-
 def size_type(size: Fraction) -> int:
-    """Half-unit bracket index i with size in ((i-1)/2, i/2]; small items are
-    type 1. The ceiling of 2 * size is taken on the numerator and denominator
-    (positive), as ``classify`` tests them."""
+    """Half-unit bracket index i with size in ((i-1)/2, i/2]: type 1 is a
+    small item (at most 1/2), type 2 a medium one (above 1/2, at most 1) and
+    type 3 or more a large one. The ceiling of 2 * size is taken on the
+    numerator and denominator (positive), so no ``Fraction`` is built."""
     return max(1, -(-2 * size.numerator // size.denominator))
 
 
@@ -402,14 +387,6 @@ def parts_needed(sizes: Iterable[Fraction]) -> int:
     return sum(-(-s.numerator // s.denominator) for s in sizes)
 
 
-def item_weight(size: Fraction, k: int) -> Fraction:
-    """Per-item contribution to the optimum: ceil(size) parts are unavoidable
-    and a bin absorbs at most k parts, so each item accounts for ceil(size)/k."""
-    if size <= 0:
-        raise ValueError(f"size must be positive, got {size}")
-    return Fraction(math.ceil(size), k)
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Three lower bounds on the optimal bin count and their maximum."""
@@ -491,60 +468,3 @@ def is_acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     edges count as cycles; loops never do)."""
     sets = DisjointSets(n)
     return all(sets.union(u, v) for u, v in edges if u != v)
-
-
-@dataclass(frozen=True)
-class PackingGraph:
-    """Multigraph view of a k=2 packing: nodes are items, one edge per bin.
-
-    ``edges[j]`` gives bin j's endpoints as (u, v) with u <= v; a single-item
-    bin appears as the loop (u, u). Edge position doubles as the bin index,
-    which makes the mapping invertible up to bin order.
-
-    Per-item adjacency is indexed once by ``shared_bins``, on the first
-    neighbour query, so ``degree``, ``neighbor_edges`` and
-    ``neighbor_count`` cost O(degree); an id outside 0..n-1 has no edges.
-    ``splitpack.normalize`` builds the same index over its working bins.
-    """
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def _edge_bins(self) -> list[list[int]]:
-        """Non-loop edge indices per item, ascending."""
-        return shared_bins(self.n, [{u, v} for u, v in self.edges])
-
-    @cached_property
-    def _loops(self) -> Counter[int]:
-        return Counter(u for u, v in self.edges if u == v)
-
-    def degree(self, item: int) -> int:
-        """Number of bins containing a part of the item (loops included)."""
-        return self.neighbor_count(item) + self._loops[item]
-
-    def neighbor_edges(self, item: int) -> list[int]:
-        """Indices of non-loop edges incident to the item."""
-        return list(self._edge_bins[item]) if 0 <= item < self.n else []
-
-    def neighbor_count(self, item: int) -> int:
-        return len(self._edge_bins[item]) if 0 <= item < self.n else 0
-
-    def is_forest(self) -> bool:
-        """True iff the non-loop edges are acyclic (parallel edges count as
-        cycles; loops never do)."""
-        return is_acyclic(self.n, self.edges)
-
-
-def graph_of(inst: Instance, packing: Packing) -> PackingGraph:
-    """Build the packing graph; defined for k = 2 packings only."""
-    if inst.k != 2:
-        raise ValueError(f"packing graphs are defined for k=2 only, got k={inst.k}")
-    problems = validate_packing(inst, packing)
-    if problems:
-        raise InvalidPackingError(problems)
-    edges = []
-    for entries in packing.bins:
-        items = sorted(item for item, _ in entries)
-        edges.append((items[0], items[-1]))
-    return PackingGraph(n=inst.n, edges=tuple(edges))

@@ -76,8 +76,10 @@ from .core import (
     Packing,
     Scaled,
     bin_violations,
+    brief_repr,
     lower_bounds,
     shared_bins,
+    too_many_digits,
     unit_packing,
     unit_sizes,
 )
@@ -120,7 +122,11 @@ class SearchBudget:
 
     @staticmethod
     def from_spec(spec: str) -> "SearchBudget":
-        """Parse "items=10,bins=12,structures=2000000" style overrides."""
+        """Parse "items=10,bins=12,structures=2000000" style overrides.
+
+        A value is ASCII digits, at most ``core.MAX_NUMERAL_DIGITS`` of
+        them; any other component raises ``ValueError`` quoting it through
+        ``core.brief_repr``."""
         given: dict[str, int] = {}
         for chunk in spec.split(","):
             chunk = chunk.strip()
@@ -128,9 +134,14 @@ class SearchBudget:
                 continue
             key, _, value = chunk.partition("=")
             field = _SPEC_FIELDS.get(key.strip())
-            if field is None or not value.strip().isdigit():
-                raise ValueError(f"bad budget component: {chunk!r}")
-            given[field] = int(value)
+            digits = value.strip()
+            if (
+                field is None
+                or not (digits.isascii() and digits.isdigit())
+                or too_many_digits(digits)
+            ):
+                raise ValueError(f"bad budget component: {brief_repr(chunk)}")
+            given[field] = int(digits)
         return SearchBudget(**given)
 
 

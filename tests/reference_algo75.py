@@ -9,7 +9,8 @@ with ``validate_packing``, and ``next_fit`` feeds the kernel the instance's
 ``core.unit_sizes`` and must return equal packings, reports and traces.
 The two repairs are the ``Fraction`` versions too, kept unchanged: they
 rewrite the main pass's bins in place, and ``pack_75`` validates whatever
-they leave. The trailing group and the next-fit kernel are shared.
+they leave. The trailing group and the next-fit kernel are shared; the
+size classes are the ``Fraction`` forms of ``reference_normalize``.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from splitpack.core import (
     Instance,
     InternalError,
     Item,
-    ItemClass,
     Packing,
-    classify,
     validate_packing,
 )
 from splitpack.nextfit import NF_LABEL, CloseReason, NfTrace, next_fit_bins
+
+from reference_normalize import ItemClass, classify
 
 
 def split_2b(medium: Fraction, s_a: Fraction, s_b: Fraction) -> tuple[Fraction, Fraction]:

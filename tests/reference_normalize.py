@@ -4,22 +4,28 @@ This is the original scan-and-restart implementation, kept unchanged: every
 rewrite pass and every neighbour query rescans all bins, so it is quadratic,
 but its choice order is the specification the indexed version must follow.
 ``ReferenceGraph`` is the matching edge-scanning packing-graph view. The
-size classes are local ``Fraction`` forms, so no class test is shared with
-the package.
+size classes (``ItemClass``, ``classify``) are local ``Fraction`` forms, so
+no class test is shared with the package; ``reference_algo75`` uses them too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from splitpack.core import (
     Instance,
-    ItemClass,
     Packing,
     validate_packing,
 )
+
+
+class ItemClass(Enum):
+    SMALL = "small"
+    MEDIUM = "medium"
+    LARGE = "large"
 
 
 def classify(size: Fraction) -> ItemClass:

@@ -258,6 +258,24 @@ def test_malformed_budget_env_is_usage_error(tmp_path, capsys, monkeypatch, argv
 
 
 @pytest.mark.parametrize(
+    "spec",
+    ["items=" + "1" * 100_000, "items=²"],
+    ids=["100k-digits", "superscript-digit"],
+)
+def test_bad_budget_env_message_is_short(tmp_path, capsys, monkeypatch, spec):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2, "items": ["1/2", "3/4"]}))
+    monkeypatch.setenv("SPLITPACK_BUDGET", spec)
+    code, out, err = run_cli(
+        "solve", "--algo", "exact", "--input", str(inst), capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad SPLITPACK_BUDGET: bad budget component: ")
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (("solve", "--algo", "exact", "--budget-nodes", "-5"),

@@ -11,12 +11,8 @@ from reference_core import scaled_sizes
 from splitpack import (
     InvalidPackingError,
     Instance,
-    ItemClass,
     Packing,
-    classify,
     gen_random,
-    graph_of,
-    item_weight,
     lower_bounds,
     next_fit,
     normalize,
@@ -27,6 +23,9 @@ from splitpack.core import (
     MAX_DECIMAL_EXPONENT,
     MAX_NUMERAL_DIGITS,
     bin_violations,
+    brief_repr,
+    is_acyclic,
+    parts_needed,
     shared_bins,
     size_type,
     too_many_digits,
@@ -59,6 +58,26 @@ def test_parse_rational_limits():
     ):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**5000, -(10**5000), [10**5000]],
+    ids=["huge-int", "huge-negative-int", "list-of-huge-int"],
+)
+def test_parse_rational_quotes_an_unprintable_value_briefly(value):
+    # repr refuses an int past the interpreter's digit limit
+    with pytest.raises(ValueError) as exc:
+        parse_rational(value)
+    message = str(exc.value)
+    assert message.startswith("expected a rational as string")
+    assert len(message) < 200
+
+
+def test_brief_repr_names_what_repr_refuses():
+    assert brief_repr(10**5000) == "<int of 16610 bits>"
+    assert brief_repr([10**5000]) == "<list>"
+    assert brief_repr(10**50) == repr(10**50)
 
 
 def test_too_many_digits_is_the_parsers_rule():
@@ -159,20 +178,29 @@ def test_instance_keeps_fractions_and_converts_the_rest():
         Instance(k=2, sizes=(half, F(-1, 3)))
 
 
+# The item classes are size_type brackets: 1 is small, 2 is medium, 3 or
+# more is large.
+SMALL, MEDIUM, LARGE = 1, 2, 3
+
+
+def _class_of(size):
+    return min(size_type(size), LARGE)
+
+
 def test_classify_boundaries():
-    assert classify(F(1, 2)) is ItemClass.SMALL
-    assert classify(F(1, 2) + F(1, 100)) is ItemClass.MEDIUM
-    assert classify(F(1)) is ItemClass.MEDIUM
-    assert classify(F(1) + F(1, 100)) is ItemClass.LARGE
+    assert _class_of(F(1, 2)) == SMALL
+    assert _class_of(F(1, 2) + F(1, 100)) == MEDIUM
+    assert _class_of(F(1)) == MEDIUM
+    assert _class_of(F(1) + F(1, 100)) == LARGE
 
 
 def _classify_fraction(size):
     # the definition: (0, 1/2] small, (1/2, 1] medium, above 1 large
     if size <= F(1, 2):
-        return ItemClass.SMALL
+        return SMALL
     if size <= 1:
-        return ItemClass.MEDIUM
-    return ItemClass.LARGE
+        return MEDIUM
+    return LARGE
 
 
 def test_classify_matches_fraction_definition():
@@ -189,13 +217,14 @@ def test_classify_matches_fraction_definition():
     sizes = [s for s in sizes if s > 0]
     assert len(sizes) > 200
     for size in sizes:
-        assert classify(size) is _classify_fraction(size), size
+        assert _class_of(size) == _classify_fraction(size), size
+        assert size_type(size) == max(1, math.ceil(2 * size)), size
 
 
 @given(num=st.integers(1, 10**1000), den=st.integers(1, 10**1000))
 def test_classify_matches_fraction_definition_drawn(num, den):
     size = F(num, den)
-    assert classify(size) is _classify_fraction(size)
+    assert _class_of(size) == _classify_fraction(size)
 
 
 def test_size_type_brackets():
@@ -215,7 +244,8 @@ def test_size_type_brackets():
     ],
 )
 def test_item_weight(size, k, expected):
-    assert item_weight(size, k) == expected
+    # an item's weight is its ceil(size) parts over the k a bin takes
+    assert F(parts_needed([size]), k) == expected
 
 
 @given(
@@ -227,8 +257,9 @@ def test_item_weight(size, k, expected):
 def test_item_weight_monotone_and_scales(num, den, bump, k):
     size = F(num, den)
     bigger = size + F(bump, den)
-    assert item_weight(size, k) <= item_weight(bigger, k)
-    assert item_weight(size, k) == item_weight(size, 1) / k
+    assert parts_needed([size]) <= parts_needed([bigger])
+    assert parts_needed([size]) == math.ceil(size)
+    assert parts_needed([size, bigger]) == math.ceil(size) + math.ceil(bigger)
 
 
 def test_validate_packing_accepts_single_item():
@@ -438,7 +469,9 @@ def test_lower_bounds_match_rational_formulas():
         ]
         report = lower_bounds(Instance(k=k, sizes=sizes))
         assert report.size_bound == math.ceil(sum(sizes, F(0)))
-        assert report.weight_bound == math.ceil(sum(item_weight(s, k) for s in sizes))
+        assert report.weight_bound == math.ceil(
+            sum(F(math.ceil(s), k) for s in sizes)
+        )
         assert report.count_bound == math.ceil(F(len(sizes), k))
 
 
@@ -449,14 +482,23 @@ def test_shared_bins_lists_multi_item_bins_per_item():
     assert shared_bins(2, []) == [[], []]
 
 
+def _members(packing):
+    return [[item for item, _ in entries] for entries in packing.bins]
+
+
+def _edges(packing):
+    """The packing graph of a k = 2 packing as (u, v) pairs, one per bin; a
+    one-item bin is the loop (u, u)."""
+    return [(ids[0], ids[-1]) for ids in _members(packing)]
+
+
 def test_graph_of_edges_and_loops():
     inst = Instance(k=2, sizes=(F(1, 2), F(1, 2), F(1, 2)))
     shared = Packing.build([[(0, F(1, 2)), (1, F(1, 2))], [(2, F(1, 2))]])
-    graph = graph_of(inst, shared)
-    assert graph.edges == ((0, 1), (2, 2))
-    assert graph.degree(0) == 1 and graph.degree(2) == 1
-    assert graph.neighbor_count(2) == 0  # a loop is not a neighbor
-    assert graph.is_forest()
+    # a one-item bin (a loop) neighbours nothing and closes no cycle
+    assert shared_bins(inst.n, _members(shared)) == [[0], [0], []]
+    assert is_acyclic(inst.n, _edges(shared))
+    assert is_acyclic(1, [(0, 0), (0, 0)])
 
 
 def test_graph_of_chain():
@@ -465,29 +507,22 @@ def test_graph_of_chain():
     packing = Packing.build(
         [[(0, F(3, 5)), (1, F(2, 5))], [(1, F(1, 5)), (2, F(3, 5))]]
     )
-    graph = graph_of(inst, packing)
-    assert sorted(graph.edges) == [(0, 1), (1, 2)]
-    assert len(graph.edges) == packing.n_bins
-    assert graph.degree(1) == 2
+    assert shared_bins(inst.n, _members(packing)) == [[0], [0, 1], [1]]
+    assert is_acyclic(inst.n, _edges(packing))
 
 
 def test_graph_edge_positions_invert_to_bins():
-    # edge j is bin j, so the packing is recoverable from the graph view
+    # shared_bins indexes bin positions, so each entry names a bin that
+    # holds the item
     inst = Instance(k=2, sizes=(F(1, 2), F(1, 2), F(1)))
     packing = Packing.build(
         [[(2, F(1, 2)), (0, F(1, 2))], [(1, F(1, 2)), (2, F(1, 2))]]
     )
-    graph = graph_of(inst, packing)
-    for j, (u, v) in enumerate(graph.edges):
-        items = {item for item, _ in packing.bins[j]}
-        assert items == ({u, v} if u != v else {u})
-
-
-def test_graph_of_rejects_k3():
-    inst = Instance(k=3, sizes=(F(1, 2),))
-    packing = Packing.build([[(0, F(1, 2))]])
-    with pytest.raises(ValueError):
-        graph_of(inst, packing)
+    index = shared_bins(inst.n, _members(packing))
+    assert index == [[0], [1], [0, 1]]
+    for item, bins in enumerate(index):
+        for b in bins:
+            assert item in {i for i, _ in packing.bins[b]}
 
 
 def test_graph_detects_cycles():
@@ -499,17 +534,19 @@ def test_graph_detects_cycles():
             [(2, F(1, 3)), (0, F(1, 3))],
         ]
     )
-    assert not graph_of(inst, cycle).is_forest()
+    assert not is_acyclic(inst.n, _edges(cycle))
+    # two bins of one pair are parallel edges: a cycle of length 2
+    assert not is_acyclic(2, [(0, 1), (0, 1)])
 
 
 def test_degree_counts_bins_with_item():
+    # item 0 sits in two bins, only one of them beside another item: the
+    # one-item bin is not indexed
     inst = Instance(k=2, sizes=(F(3, 2), F(1, 2)))
     packing = Packing.build(
         [[(0, F(1))], [(0, F(1, 2)), (1, F(1, 2))]]
     )
-    graph = graph_of(inst, packing)
-    assert graph.degree(0) == 2
-    assert graph.neighbor_count(0) == 1
+    assert shared_bins(inst.n, _members(packing)) == [[1], [1]]
 
 
 def test_validate_packing_detects_mutations():

@@ -179,6 +179,22 @@ def test_budget_spec_parsing():
         SearchBudget.from_spec("bogus=3")
 
 
+@pytest.mark.parametrize(
+    "spec,quoted",
+    [
+        ("items=²", "'items=²'"),  # str.isdigit accepts a superscript
+        ("bins=٣", "'bins=٣'"),
+        ("items=" + "9" * 5000, "'items=" + "9" * 53 + "..."),
+        ("x" * 100_000, "'" + "x" * 59 + "..."),
+    ],
+    ids=["superscript-digit", "arabic-indic-digit", "5000-digits", "100k-chars"],
+)
+def test_bad_budget_component_is_quoted_briefly(spec, quoted):
+    with pytest.raises(ValueError) as exc:
+        SearchBudget.from_spec(spec)
+    assert str(exc.value) == f"bad budget component: {quoted}"
+
+
 def test_budget_env_override(monkeypatch):
     # The CLI is the one reader of the variable.
     no_flags = argparse.Namespace(max_bins=None, budget_nodes=None)

@@ -5,7 +5,6 @@ import pytest
 
 from splitpack import (
     Instance,
-    classify,
     exact_opt,
     feasible_in,
     gen_a75_worst,
@@ -16,7 +15,7 @@ from splitpack import (
     three_partition_brute,
     validate_packing,
 )
-from splitpack.core import ItemClass
+from splitpack.core import size_type
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -58,8 +57,8 @@ def test_a75_worst_composition():
 
 def test_a75_worst_classes_from_five():
     inst, _ = gen_a75_worst(5)
-    kinds = {classify(s) for s in inst.sizes}
-    assert kinds == {ItemClass.SMALL, ItemClass.MEDIUM}
+    # size_type brackets: 1 is small, 2 is medium, 3 or more is large
+    assert {size_type(s) for s in inst.sizes} == {1, 2}
 
 
 def test_a75_worst_rejects_small_n():

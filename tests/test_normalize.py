@@ -11,7 +11,6 @@ from splitpack import (
     bound_degrees,
     exact_opt,
     gen_random,
-    graph_of,
     next_fit,
     normalization_violations,
     normalize,
@@ -19,7 +18,21 @@ from splitpack import (
     smalls_to_leaves,
     validate_packing,
 )
-from splitpack.core import InternalError
+from splitpack.core import InternalError, is_acyclic, shared_bins
+
+
+def members(packing):
+    return [[item for item, _ in entries] for entries in packing.bins]
+
+
+def is_forest(inst, packing):
+    """True iff the two-item bins of a k = 2 packing form a forest."""
+    return is_acyclic(inst.n, (ids for ids in members(packing) if len(ids) == 2))
+
+
+def neighbor_counts(inst, packing):
+    """Per item, the number of bins it shares with another item."""
+    return [len(edges) for edges in shared_bins(inst.n, members(packing))]
 
 
 def three_cycle():
@@ -39,7 +52,7 @@ def test_remove_cycles_merges_three_cycle():
     out = remove_cycles(inst, packing)
     assert out.n_bins == 2
     assert validate_packing(inst, out) == []
-    assert graph_of(inst, out).is_forest()
+    assert is_forest(inst, out)
     # the two bins carry a whole item plus a half of the middle item
     assert sorted(sorted(p for _, p in b) for b in out.bins) == [
         [F(1, 3), F(2, 3)],
@@ -63,7 +76,7 @@ def test_remove_cycles_parallel_edge():
     )
     out = remove_cycles(inst, packing)
     assert validate_packing(inst, out) == []
-    assert graph_of(inst, out).is_forest()
+    assert is_forest(inst, out)
     assert out.n_bins <= 2
 
 
@@ -77,7 +90,7 @@ def test_smalls_to_leaves_slice_branch():
     out = smalls_to_leaves(inst, packing)
     assert out.n_bins == 2
     assert validate_packing(inst, out) == []
-    assert graph_of(inst, out).neighbor_count(0) == 1
+    assert neighbor_counts(inst, out)[0] == 1
     assert out.key() == (
         ((0, F(2, 5)), (2, F(2, 5))),
         ((1, F(7, 10)), (2, F(1, 5))),
@@ -97,7 +110,7 @@ def test_smalls_to_leaves_move_branch():
     )
     out = smalls_to_leaves(inst, packing)
     assert validate_packing(inst, out) == []
-    assert graph_of(inst, out).neighbor_count(0) == 1
+    assert neighbor_counts(inst, out)[0] == 1
     assert out.n_bins == 3
     assert ((0, F(1, 2)), (2, F(1, 5))) in out.bins
 
@@ -114,8 +127,8 @@ def test_smalls_to_leaves_pair_of_smalls():
     )
     out = smalls_to_leaves(inst, packing)
     assert validate_packing(inst, out) == []
-    graph = graph_of(inst, out)
-    assert graph.neighbor_count(0) <= 1 and graph.neighbor_count(1) <= 1
+    counts = neighbor_counts(inst, out)
+    assert counts[0] <= 1 and counts[1] <= 1
     assert out.n_bins == 3
 
 
@@ -137,8 +150,7 @@ def test_bound_degrees_merges_three_neighbors():
     out = bound_degrees(inst, packing)
     assert validate_packing(inst, out) == []
     assert out.n_bins == 3
-    graph = graph_of(inst, out)
-    assert graph.neighbor_count(0) == 2
+    assert neighbor_counts(inst, out)[0] == 2
     assert out.key() == (
         ((0, F(1, 2)), (1, F(1, 2))),
         ((0, F(1, 2)), (3, F(1, 2))),

@@ -12,7 +12,6 @@ import reference_normalize as ref
 from splitpack import (
     Instance,
     Packing,
-    PackingGraph,
     bound_degrees,
     gen_random,
     next_fit,
@@ -22,7 +21,13 @@ from splitpack import (
     remove_cycles,
     smalls_to_leaves,
 )
-from splitpack.core import UNIT_BITS, classify, size_type, unit_sizes
+from splitpack.core import (
+    UNIT_BITS,
+    is_acyclic,
+    shared_bins,
+    size_type,
+    unit_sizes,
+)
 
 STEPS = (
     (remove_cycles, ref.remove_cycles),
@@ -175,13 +180,10 @@ def test_graph_queries_match_brute_force():
             u = rng.randrange(n)
             v = u if rng.random() < 0.3 else rng.randrange(n)
             edges.append((min(u, v), max(u, v)))
-        fast = PackingGraph(n=n, edges=tuple(edges))
         slow = ref.ReferenceGraph(n=n, edges=tuple(edges))
-        assert fast.is_forest() == slow.is_forest()
-        for item in range(-1, n + 1):
-            assert fast.degree(item) == slow.degree(item)
-            assert fast.neighbor_edges(item) == slow.neighbor_edges(item)
-            assert fast.neighbor_count(item) == slow.neighbor_count(item)
+        assert is_acyclic(n, edges) == slow.is_forest()
+        index = shared_bins(n, [{u, v} for u, v in edges])
+        assert index == [slow.neighbor_edges(item) for item in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +297,17 @@ def test_matches_reference_when_parts_do_not_divide_the_sizes_lcm():
             assert_same_rewrites(inst, packing)
 
 
+def size_class(size):
+    """The item class of a ``size_type`` bracket: 1 is small, 2 is medium,
+    3 or more is large."""
+    bracket = size_type(size)
+    if bracket == 1:
+        return ref.ItemClass.SMALL
+    if bracket == 2:
+        return ref.ItemClass.MEDIUM
+    return ref.ItemClass.LARGE
+
+
 _BOUNDARY = st.builds(
     lambda i, eps: F(i, 2) + eps,
     st.integers(1, 60),
@@ -311,7 +324,7 @@ _BOUNDARY = st.builds(
 )
 def test_integer_classes_match_fraction_forms(size):
     assert size_type(size) == ref.size_type(size)
-    assert classify(size) is ref.classify(size)
+    assert size_class(size) is ref.classify(size)
 
 
 def test_integer_classes_match_fraction_forms_at_every_half():
@@ -319,4 +332,4 @@ def test_integer_classes_match_fraction_forms_at_every_half():
     for i in range(1, 401):
         for size in (F(i, 2), F(i, 2) - tiny, F(i, 2) + tiny):
             assert size_type(size) == ref.size_type(size), size
-            assert classify(size) is ref.classify(size), size
+            assert size_class(size) is ref.classify(size), size
