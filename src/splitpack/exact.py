@@ -23,12 +23,21 @@ first over candidate bins ordered by (-sum of ceil(size), bin size, item
 tuple) and accepts the first forest F with |F| + minloops(F) <= B. minloops
 is the sum over the trees of F of one post-order pass per tree
 (``_tree_loops``; ``_min_loops`` runs it on every tree). The walk keeps one
-total per tree (``_ForestLoops``): adding a bin reruns the pass only on the
-tree that bin forms, and backtracking restores the old totals. A branch is
-cut when its items still need more parts than the bins left can hold, or
-when even the best merges left cannot bring |F| + minloops(F) down to B: a
-d-item bin lowers that sum by at most d - 1. Both cuts are sound, so the
-accepted forest is the first one in candidate order.
+total per tree (``_ForestLoops``), and backtracking restores the old totals.
+A branch is cut when its items still need more parts than the bins left can
+hold, or when even the best merges left cannot bring |F| + minloops(F) down
+to B: a d-item bin lowers that sum by at most d - 1. Both cuts are sound, so
+the accepted forest is the first one in candidate order.
+
+A candidate is tested before it is pushed. Most candidates hold only items
+in no chosen bin, and such a bin forms a tree of its own, whose total does
+not depend on F. The search keeps that total per candidate, computed on
+first use and shared by every level, so the child's |F| + minloops(F) is a
+sum of known numbers; a child that its own merge cut would stop is skipped
+without being pushed, and any other is pushed by relabelling the bin's
+items alone. The table grows with the candidates, never with the nodes
+walked. Only a bin that joins chosen bins reruns the pass, on the one tree
+it forms, and its undo record names only the items it relabels.
 
 The witness gives each item the loops its part count needs and hands out the
 remaining loops in the first split, in ``_extra_loop_splits`` order, that
@@ -268,30 +277,44 @@ def _tree_loops(
 ) -> int:
     """Fewest loops to add to base[i] loops per item i of one tree, given in
     ``_tree_order``, so that its bins and the loops hold its items. The
-    minimum does not depend on the root."""
-    pushes: dict[int, list[int]] = {}
+    minimum does not depend on the root.
+
+    A bin no child pushes into costs one subtraction, and a bin with one
+    pusher one more: a single push never exceeds cap. Only several pushers
+    are summed, and sorted only when they overfill the bin."""
+    pushes: dict[int, list[Scaled]] = {}
     loops = 0
     for i, up in reversed(order):
         excess = scaled[i] - base[i] * cap
         for b in item_bins[i]:
             if b == up:
                 continue
-            held = pushes.get(b, ())
-            total = sum(held)
-            if total > cap:
-                for push in sorted(held, reverse=True):
-                    total -= push
-                    loops += 1
-                    if total <= cap:
-                        break
-            excess -= cap - total
+            held = pushes.get(b)
+            if held is None:
+                excess -= cap
+            elif len(held) == 1:
+                excess -= cap - held[0]
+            else:
+                total = sum(held)
+                if total > cap:
+                    for push in sorted(held, reverse=True):
+                        total -= push
+                        loops += 1
+                        if total <= cap:
+                            break
+                excess -= cap - total
         if excess > 0:
             whole = -(-excess // cap)
             if up == -1:
                 loops += whole
             else:
                 loops += whole - 1
-                pushes.setdefault(up, []).append(excess - (whole - 1) * cap)
+                excess -= (whole - 1) * cap
+                held = pushes.get(up)
+                if held is None:
+                    pushes[up] = [excess]
+                else:
+                    held.append(excess)
     return loops
 
 
@@ -319,14 +342,31 @@ def _min_loops(
     return loops
 
 
+def _alone_loops(scaled: Sequence[Scaled], cap: int, members: tuple[int, ...]) -> int:
+    """The min-loop total of one bin with no other bin, at zero base loops:
+    ``_tree_loops`` on that bin's one-bin order."""
+    bins = (members,)
+    item_bins = shared_bins(len(scaled), bins)
+    order = _tree_order(bins, item_bins, members[0])
+    return _tree_loops(scaled, cap, bins, item_bins, order, [0] * len(scaled))
+
+
 class _ForestLoops:
     """A growing forest of multi-item bins and ``loops``, its min-loop total
     at zero base loops, kept as one total per tree.
 
     ``tree[i]`` names the tree of item i (an item of it); ``tree_loops``
-    holds each tree's total under that name. ``push`` adds a bin whose items
-    lie in distinct trees and reruns the tree DP on the one tree it forms;
-    ``pop`` undoes the last push.
+    holds each tree's total under that name. An item in no bin is its own
+    tree, with ceil(size) loops.
+
+    ``push_alone`` adds a bin none of whose items lies in a bin yet, given
+    that bin's total alone (the search keeps those per candidate): it
+    relabels the bin's items and runs no DP. ``push`` adds a bin whose
+    items lie in distinct trees, at least one of them in a bin: one walk
+    of the tree the bin forms gives the ``_tree_order`` and relabels the
+    items outside the first item's tree, and ``_tree_loops`` reruns on
+    that order. ``pop`` undoes the last push; its record holds the old tree
+    of each relabelled item, not a copy of ``tree``.
     """
 
     def __init__(self, scaled: Sequence[Scaled], cap: int, ceils: Sequence[int]):
@@ -340,34 +380,69 @@ class _ForestLoops:
         # An item alone needs ceil(size) loops.
         self.tree_loops = list(ceils)
         self.loops = sum(ceils)
-        self._undo: list[tuple[list[int], int, int, int]] = []
+        # Per push: the relabelled items, their old trees, the new tree's
+        # name, that name's old total and the old forest total.
+        self._undo: list[
+            tuple[Sequence[int], Sequence[int], int, int, int]
+        ] = []
+
+    def push_alone(self, members: tuple[int, ...], loops: int, ceil_sum: int) -> None:
+        """Add a bin of items in no bin yet, whose ceil(size) sum to
+        ceil_sum; loops is the bin's min-loop total alone."""
+        tree = self.tree
+        top = members[0]
+        self._undo.append((members, members, top, self.tree_loops[top], self.loops))
+        b = len(self.bins)
+        self.bins.append(members)
+        item_bins = self.item_bins
+        for i in members:
+            item_bins[i].append(b)
+            tree[i] = top
+        self.tree_loops[top] = loops
+        self.loops += loops - ceil_sum
 
     def push(self, members: tuple[int, ...]) -> None:
         tree = self.tree
         tree_loops = self.tree_loops
+        bins = self.bins
+        item_bins = self.item_bins
         top = tree[members[0]]
-        self._undo.append((tree[:], top, tree_loops[top], self.loops))
         merged = 0
         for i in members:
             merged += tree_loops[tree[i]]
-        b = len(self.bins)
-        self.bins.append(members)
+        b = len(bins)
+        bins.append(members)
         for i in members:
-            self.item_bins[i].append(b)
-        order = _tree_order(self.bins, self.item_bins, members[0])
-        for i, _ in order:
-            tree[i] = top
-        loops = _tree_loops(
-            self.scaled, self.cap, self.bins, self.item_bins, order, self.no_loops
-        )
+            item_bins[i].append(b)
+        # ``_tree_order`` from members[0]; the walk relabels as it goes and
+        # records only what it changes.
+        order = [(members[0], -1)]
+        moved: list[int] = []
+        olds: list[int] = []
+        for i, up in order:
+            old = tree[i]
+            if old != top:
+                moved.append(i)
+                olds.append(old)
+                tree[i] = top
+            for c in item_bins[i]:
+                if c != up:
+                    for j in bins[c]:
+                        if j != i:
+                            order.append((j, c))
+        self._undo.append((moved, olds, top, tree_loops[top], self.loops))
+        loops = _tree_loops(self.scaled, self.cap, bins, item_bins, order, self.no_loops)
         tree_loops[top] = loops
         self.loops += loops - merged
 
     def pop(self) -> None:
-        saved, top, kept, loops = self._undo.pop()
+        moved, olds, top, kept, loops = self._undo.pop()
+        item_bins = self.item_bins
         for i in self.bins.pop():
-            self.item_bins[i].pop()
-        self.tree[:] = saved
+            item_bins[i].pop()
+        tree = self.tree
+        for i, old in zip(moved, olds):
+            tree[i] = old
         self.tree_loops[top] = kept
         self.loops = loops
 
@@ -396,9 +471,11 @@ class _Counter:
     def tick(self) -> None:
         self.value += 1
         if self.value > self.limit:
-            raise BudgetExceeded(
-                f"structure search exceeded {self.limit} nodes"
-            )
+            raise self.exceeded()
+
+    def exceeded(self) -> BudgetExceeded:
+        """The error of a search past its node limit."""
+        return BudgetExceeded(f"structure search exceeded {self.limit} nodes")
 
 
 class _ForestSearch:
@@ -441,11 +518,15 @@ class _ForestSearch:
             )
         ranked.sort()
         # Each row: the candidate, its items, its items whose twin it does
-        # not hold ("lonely"), and the items it takes out of ``free``.
+        # not hold ("lonely"), the items it takes out of ``free``, and the sum
+        # of its items' ceil(size).
         self.rows = [
-            (members, mask, mask & twinned & ~held, mask | held)
-            for _, _, members, mask, held in ranked
+            (members, mask, mask & twinned & ~held, mask | held, -neg_ceil)
+            for neg_ceil, _, members, mask, held in ranked
         ]
+        # Per row, the min-loop total of its bin alone, or -1 until the
+        # search first needs it; shared by every level.
+        self.alone = [-1] * len(self.rows)
 
     def level(self, n_bins: int) -> Packing | None:
         """A witness with at most n_bins bins, or None when none exists."""
@@ -461,20 +542,25 @@ class _ForestSearch:
         n = self.inst.n
         width = self.width
         ceils = self.ceils
+        scaled, cap = self.scaled, self.cap
         rows = self.rows
+        alone = self.alone
         n_rows = len(rows)
         counter = self.counter
         limit = counter.limit
-        forest = _ForestLoops(self.scaled, self.cap, ceils)
+        forest = _ForestLoops(scaled, cap, ceils)
         chosen = forest.bins
         tree = forest.tree
         item_bins = forest.item_bins
         # Items that may need more than one part.
         multi = sum(1 << i for i in range(n) if ceils[i] > 1)
 
-        def recurse(start: int, need: int, merges_left: int, short: int, free: int):
+        def recurse(
+            start: int, need: int, merges_left: int, short: int, free: int, touched: int
+        ):
             # short: the items still below ceil(size) parts. free: the items
-            # j with a twin i such that no chosen bin holds i or j.
+            # j with a twin i such that no chosen bin holds i or j. touched:
+            # the items in a chosen bin.
             left = n_bins - len(chosen)
             used = len(chosen) + forest.loops
             if used <= n_bins:
@@ -483,22 +569,38 @@ class _ForestSearch:
                 return None
             # Each bin left holds at most `width` of the parts still needed.
             most = (left - 1) * width
+            # A child's merge cut allows the least of its merges left and this.
+            child_room = (left - 1) * (width - 1)
             for t in range(start, n_rows):
-                members, mask, lonely, taken = rows[t]
+                members, mask, lonely, taken, ceil_sum = rows[t]
                 if lonely & free:
                     continue
-                if len(members) == 2:
-                    if tree[members[0]] == tree[members[1]]:
+                joins = mask & touched
+                if joins:
+                    if len(members) == 2:
+                        if tree[members[0]] == tree[members[1]]:
+                            continue
+                    elif len({tree[i] for i in members}) < len(members):
                         continue
-                elif len({tree[i] for i in members}) < len(members):
-                    continue
                 counter.value += 1
                 if counter.value > limit:
-                    raise BudgetExceeded(f"structure search exceeded {limit} nodes")
+                    raise counter.exceeded()
                 relief = (mask & short).bit_count()
                 if need - relief > most:
                     continue
-                forest.push(members)
+                child_merges = merges_left - len(members) + 1
+                if joins:
+                    forest.push(members)
+                else:
+                    # A fresh tree: the child's used comes from the table,
+                    # and a child its merge cut would stop is never pushed.
+                    loops = alone[t]
+                    if loops < 0:
+                        loops = alone[t] = _alone_loops(scaled, cap, members)
+                    child_used = used + 1 + loops - ceil_sum
+                    if child_used - min(child_merges, child_room) > n_bins:
+                        continue
+                    forest.push_alone(members, loops, ceil_sum)
                 after = short & ~mask
                 if mask & multi:
                     for i in members:
@@ -507,9 +609,10 @@ class _ForestSearch:
                 hit = recurse(
                     t + 1,
                     need - relief,
-                    merges_left - len(members) + 1,
+                    child_merges,
                     after,
                     free & ~taken,
+                    touched | mask,
                 )
                 forest.pop()
                 if hit is not None:
@@ -517,7 +620,7 @@ class _ForestSearch:
             return None
 
         counter.tick()
-        return recurse(0, sum(ceils), n - 1, (1 << n) - 1, self.twinned)
+        return recurse(0, sum(ceils), n - 1, (1 << n) - 1, self.twinned, 0)
 
     def _witness(self, forest: list[tuple[int, ...]], n_bins: int) -> Packing:
         n = self.inst.n

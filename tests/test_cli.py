@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import io
 import json
 import math
@@ -640,6 +641,38 @@ def test_normalize_refuses_an_unreadable_part_before_writing(
     assert code == 3
     assert err.endswith("digits (bin 0)\n")
     assert out == "" and not out_file.exists()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_normalize_leaves_the_collector_as_it_found_it(tmp_path, capsys, collecting):
+    # normalize runs with the cyclic collector paused; after an exit 0, an
+    # exit 5 (invalid input) and an exit 3 (an output part the reader
+    # refuses) it is on again only if it was on before
+    inst = tmp_path / "inst.json"
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    inst.write_text('{"k": 2, "items": ["2/3", "2/3", "2/3"]}')
+    good.write_text(
+        '{"bins": [[{"item": 0, "part": "2/3"}], [{"item": 1, "part": "2/3"}],'
+        ' [{"item": 2, "part": "2/3"}]]}'
+    )
+    bad.write_text('{"bins": [[{"item": 0, "part": "2/3"}]]}')
+    argv = ("normalize", "--check", "--instance", str(inst))
+    out_file = str(tmp_path / "out.json")
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert run_cli(*argv, "--input", str(good), capsys=capsys)[0] == 0
+        assert gc.isenabled() == collecting
+        assert run_cli(*argv, "--input", str(bad), capsys=capsys)[0] == 5
+        assert gc.isenabled() == collecting
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spio, "too_many_digits", lambda text: True)
+            code = run_cli(*argv, "--input", str(good), "--output", out_file, capsys=capsys)[0]
+        assert code == 3
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_normalize_reports_every_violation_of_an_invalid_input(tmp_path, capsys):

@@ -30,6 +30,7 @@ from splitpack import cli, core, exact, generators, io
 from splitpack.core import InternalError
 from splitpack.exact import (
     EXACT_LABEL,
+    _alone_loops,
     _extra_loop_splits,
     _flow_bins,
     _ForestLoops,
@@ -737,32 +738,77 @@ def test_twin_rule_matches_reference_loop(corpus, golden_rows):
     assert fewer > 0 and (solved > 0 or corpus == "golden")
 
 
-def test_forest_loops_track_min_loops():
+def test_forest_loops_track_min_loops(monkeypatch):
     # after every push and pop, each tree's total is the whole-forest DP on
-    # that tree's items alone, and the totals add up to the whole-forest DP
-    rng = random.Random(23)
-    for _ in range(150):
-        k = rng.choice([2, 3, 4])
-        n = rng.randint(2, 9)
-        den = rng.choice([2, 3, 4, 5, 6])
-        cap, scaled = scaled_sizes([F(rng.randint(1, 3 * den), den) for _ in range(n)])
-        forest = _ForestLoops(scaled, cap, [-(-s // cap) for s in scaled])
-        for _ in range(4 * n):
-            members = tuple(sorted(rng.sample(range(n), rng.randint(2, min(k, n)))))
-            acyclic = len({forest.tree[i] for i in members}) == len(members)
-            if forest.bins and (rng.random() < 0.3 or not acyclic):
-                forest.pop()
-            elif acyclic:
-                forest.push(members)
-            else:
-                continue
-            trees = set(forest.tree)
-            assert len(trees) == n - sum(len(b) - 1 for b in forest.bins)
-            for b in forest.bins:
-                assert len({forest.tree[i] for i in b}) == 1
-            for t in trees:
-                alone = [s if forest.tree[i] == t else 0 for i, s in enumerate(scaled)]
-                alone_loops = _min_loops(alone, cap, forest.bins, [0] * n)
-                assert forest.tree_loops[t] == alone_loops
-            assert forest.loops == sum(forest.tree_loops[t] for t in trees)
-            assert forest.loops == _min_loops(scaled, cap, forest.bins, [0] * n)
+    # that tree's items alone, the totals add up to the whole-forest DP, and
+    # labels and total agree with the reference ForestLoops; a bin of
+    # untouched items goes through push_alone half the time, the general
+    # push evicts pushers from an overfull bin at least once, and every
+    # entry a short search fills in its per-candidate table is the DP of
+    # that candidate's bin alone; in the integer unit and, with
+    # UNIT_BITS = 0, on the Fractions at cap 1
+    evictions = 0
+    pushing = False
+
+    def spy_sorted(*args, **kwargs):
+        nonlocal evictions
+        evictions += pushing
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "sorted", spy_sorted, raising=False)
+    filled = 0
+    for bits in (core.UNIT_BITS, 0):
+        monkeypatch.setattr(core, "UNIT_BITS", bits)
+        rng = random.Random(23)
+        for _ in range(150):
+            k = rng.choice([2, 3, 4, 5])
+            n = rng.randint(2, 9)
+            den = rng.choice([2, 3, 4, 5, 6])
+            inst = Instance(k=k, sizes=tuple(F(rng.randint(1, 3 * den), den) for _ in range(n)))
+            cap, scaled = core.unit_sizes(inst.sizes)
+            assert all(isinstance(s, int) for s in scaled) == (bits > 0)
+            search = exact._ForestSearch(inst, cap, scaled, exact._Counter(300))
+            try:
+                for level in range(1, n + 1):
+                    search._first_forest(level)
+            except BudgetExceeded:
+                pass
+            for (members, *_), loops in zip(search.rows, search.alone):
+                if loops >= 0:
+                    filled += 1
+                    alone = [s if i in members else 0 for i, s in enumerate(scaled)]
+                    assert loops == _min_loops(alone, cap, [members], [0] * n)
+            ceils = [-(-s // cap) for s in scaled]
+            forest = _ForestLoops(scaled, cap, ceils)
+            ref = reference_forest.ForestLoops(scaled, cap, ceils)
+            for _ in range(4 * n):
+                members = tuple(sorted(rng.sample(range(n), rng.randint(2, min(k, n)))))
+                acyclic = len({forest.tree[i] for i in members}) == len(members)
+                fresh = all(not forest.item_bins[i] for i in members)
+                if forest.bins and (rng.random() < 0.3 or not acyclic):
+                    forest.pop()
+                    ref.pop()
+                elif fresh and rng.random() < 0.5:
+                    loops = _alone_loops(scaled, cap, members)
+                    forest.push_alone(members, loops, sum(ceils[i] for i in members))
+                    ref.push(members)
+                elif acyclic:
+                    pushing = True
+                    forest.push(members)
+                    pushing = False
+                    ref.push(members)
+                else:
+                    continue
+                assert forest.tree == ref.tree and forest.loops == ref.loops
+                trees = set(forest.tree)
+                assert len(trees) == n - sum(len(b) - 1 for b in forest.bins)
+                for b in forest.bins:
+                    assert len({forest.tree[i] for i in b}) == 1
+                for t in trees:
+                    alone = [s if forest.tree[i] == t else 0 for i, s in enumerate(scaled)]
+                    alone_loops = _min_loops(alone, cap, forest.bins, [0] * n)
+                    assert forest.tree_loops[t] == alone_loops
+                assert forest.loops == sum(forest.tree_loops[t] for t in trees)
+                assert forest.loops == _min_loops(scaled, cap, forest.bins, [0] * n)
+    assert evictions > 0 and filled > 0
+
