@@ -46,7 +46,7 @@ from .generators import (
     gen_random,
     three_partition_brute,
 )
-from .nextfit import check_block_inequality, next_fit
+from .nextfit import NfTrace, check_block_inequality, next_fit
 from .normalize import normalization_violations, normalize
 
 EXIT_OK = 0
@@ -163,6 +163,15 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     return dataclasses.replace(budget, **given)
 
 
+def _checked_next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
+    """``next_fit`` and its trace, once the trace passes the block weight
+    inequality; a trace that fails it is an ``InternalError``."""
+    packing, trace = next_fit(inst)
+    if not check_block_inequality(inst, trace):
+        raise InternalError("block weight inequality failed on a trace")
+    return packing, trace
+
+
 def _decimal(value: Fraction) -> str:
     """Display-only 6-place rendering of an exact ratio."""
     scaled = value.numerator * 10**6
@@ -197,9 +206,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             reverse = args.presort == "decreasing"
             order = sorted(range(inst.n), key=inst.sizes.__getitem__, reverse=reverse)
             run_inst = Instance(k=inst.k, sizes=tuple(inst.sizes[i] for i in order))
-        packing, trace = next_fit(run_inst)
-        if not check_block_inequality(run_inst, trace):
-            raise InternalError("block weight inequality failed on a trace")
+        packing, trace = _checked_next_fit(run_inst)
         trace_doc = {
             "blocks": [list(span) for span in trace.blocks],
             "close_reasons": [r.value for r in trace.close_reasons],
@@ -358,10 +365,7 @@ def _experiment_nf(
         if use_a75:
             alg_bins = pack_75(inst).n_bins
         else:
-            packing, trace = next_fit(inst)
-            if not check_block_inequality(inst, trace):
-                raise InternalError("block weight inequality failed on a trace")
-            alg_bins = packing.n_bins
+            alg_bins = _checked_next_fit(inst)[0].n_bins
         try:
             opt, _ = exact_opt(inst, budget)
         except BudgetExceeded:

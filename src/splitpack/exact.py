@@ -22,8 +22,10 @@ count is optimal by construction. At level B it walks the forests depth
 first over candidate bins ordered by (-sum of ceil(size), bin size, item
 tuple) and accepts the first forest F with |F| + minloops(F) <= B. minloops
 is the sum over the trees of F of one post-order pass per tree
-(``_tree_loops``; ``_min_loops`` runs it on every tree). The walk keeps one
-total per tree (``_ForestLoops``), and backtracking restores the old totals.
+(``_tree_loops``). ``_ForestLoops`` is its one driver: it keeps one total
+per tree, a push walks the one tree the new bin forms and reruns the pass on
+it, and a pop restores the old totals. The walk pushes and pops as it goes,
+and ``_min_loops`` is a forest pushed bin by bin.
 A branch is cut when its items still need more parts than the bins left can
 hold, or when even the best merges left cannot bring |F| + minloops(F) down
 to B: a d-item bin lowers that sum by at most d - 1. Both cuts are sound, so
@@ -32,12 +34,13 @@ the accepted forest is the first one in candidate order.
 A candidate is tested before it is pushed. Most candidates hold only items
 in no chosen bin, and such a bin forms a tree of its own, whose total does
 not depend on F. The search keeps that total per candidate, computed on
-first use and shared by every level, so the child's |F| + minloops(F) is a
-sum of known numbers; a child that its own merge cut would stop is skipped
-without being pushed, and any other is pushed by relabelling the bin's
-items alone. The table grows with the candidates, never with the nodes
-walked. Only a bin that joins chosen bins reruns the pass, on the one tree
-it forms, and its undo record names only the items it relabels.
+first use by a push and a pop in the walk's own forest and shared by every
+level, so the child's |F| + minloops(F) is a sum of known numbers; a child
+that its own merge cut would stop is skipped without being pushed, and any
+other is pushed by relabelling the bin's items alone. The table grows with
+the candidates, never with the nodes walked. Only a bin that joins chosen
+bins reruns the pass, on the one tree it forms, and its undo record names
+only the items it relabels.
 
 The witness gives each item the loops its part count needs and hands out the
 remaining loops in the first split, in ``_extra_loop_splits`` order, that
@@ -54,8 +57,7 @@ acyclicity, leaves the chosen bins as they are and maps the candidate to an
 earlier one in candidate order; so every forest through the skipped
 candidate has an image of equal cost that comes first, the first feasible
 forest is never skipped, and the witnesses are those of the walk without the
-rule. Only the node counts fall, which is why the node-count digest of the
-golden corpus was recorded again when the rule came in.
+rule. Only the node counts fall.
 
 One budget node is one candidate bin that passes the acyclicity and twin
 tests, or one loop split the witness tries.
@@ -252,21 +254,6 @@ def _flow_bins(
 # leaves its parent the most room.
 
 
-def _tree_order(
-    forest: Sequence[Sequence[int]], item_bins: Sequence[Sequence[int]], root: int
-) -> list[tuple[int, int]]:
-    """The tree holding `root`, breadth first from it, as (item, parent bin)
-    pairs; the root's parent bin is -1. Parents come before children."""
-    order = [(root, -1)]
-    for i, up in order:
-        for b in item_bins[i]:
-            if b != up:
-                for j in forest[b]:
-                    if j != i:
-                        order.append((j, b))
-    return order
-
-
 def _tree_loops(
     scaled: Sequence[Scaled],
     cap: int,
@@ -275,9 +262,9 @@ def _tree_loops(
     order: Sequence[tuple[int, int]],
     base: Sequence[int],
 ) -> int:
-    """Fewest loops to add to base[i] loops per item i of one tree, given in
-    ``_tree_order``, so that its bins and the loops hold its items. The
-    minimum does not depend on the root.
+    """Fewest loops to add to base[i] loops per item i of one tree, given
+    breadth first from a root as (item, parent bin) pairs, so that its bins
+    and the loops hold its items. The minimum does not depend on the root.
 
     A bin no child pushes into costs one subtraction, and a bin with one
     pusher one more: a single push never exceeds cap. Only several pushers
@@ -318,68 +305,36 @@ def _tree_loops(
     return loops
 
 
-def _min_loops(
-    scaled: Sequence[Scaled],
-    cap: int,
-    forest: Sequence[Sequence[int]],
-    base: Sequence[int],
-) -> int:
-    """Fewest loops to add to base[i] loops per item i so that the forest's
-    multi-item bins and the loops hold every item; sizes are scaled by cap
-    (integers, or the ``Fraction``s at cap 1).
-    Zero means the structure with exactly base loops is feasible."""
-    n = len(scaled)
-    item_bins = shared_bins(n, forest)
-    seen = [False] * n
-    loops = 0
-    for root in range(n):
-        if seen[root]:
-            continue
-        order = _tree_order(forest, item_bins, root)
-        for i, _ in order:
-            seen[i] = True
-        loops += _tree_loops(scaled, cap, forest, item_bins, order, base)
-    return loops
-
-
-def _alone_loops(scaled: Sequence[Scaled], cap: int, members: tuple[int, ...]) -> int:
-    """The min-loop total of one bin with no other bin, at zero base loops:
-    ``_tree_loops`` on that bin's one-bin order."""
-    bins = (members,)
-    item_bins = shared_bins(len(scaled), bins)
-    order = _tree_order(bins, item_bins, members[0])
-    return _tree_loops(scaled, cap, bins, item_bins, order, [0] * len(scaled))
-
-
 class _ForestLoops:
     """A growing forest of multi-item bins and ``loops``, its min-loop total
-    at zero base loops, kept as one total per tree.
+    over base[i] loops per item i, kept as one total per tree.
 
     ``tree[i]`` names the tree of item i (an item of it); ``tree_loops``
     holds each tree's total under that name. An item in no bin is its own
-    tree, with ceil(size) loops.
+    tree, with max(0, ceil(size) - base[i]) loops.
 
-    ``push_alone`` adds a bin none of whose items lies in a bin yet, given
-    that bin's total alone (the search keeps those per candidate): it
-    relabels the bin's items and runs no DP. ``push`` adds a bin whose
-    items lie in distinct trees, at least one of them in a bin: one walk
-    of the tree the bin forms gives the ``_tree_order`` and relabels the
-    items outside the first item's tree, and ``_tree_loops`` reruns on
-    that order. ``pop`` undoes the last push; its record holds the old tree
-    of each relabelled item, not a copy of ``tree``.
+    ``push`` adds a bin whose items lie in distinct trees. It is the one
+    tree walk of the oracle: a breadth-first walk of the tree the bin forms,
+    from the bin's first item, relabels the items outside that item's tree
+    and gives ``_tree_loops`` its order. ``_min_loops`` pushes every bin of
+    a forest, and the search fills its per-candidate table by a push and a
+    pop. ``push_alone`` adds a bin none of whose items lies in a bin yet,
+    given that bin's total alone: it relabels the bin's items and runs no
+    DP, and it holds only at zero base loops, where that total is the
+    table's. ``pop`` undoes the last push; its record holds the old tree of
+    each relabelled item, not a copy of ``tree``.
     """
 
-    def __init__(self, scaled: Sequence[Scaled], cap: int, ceils: Sequence[int]):
+    def __init__(self, scaled: Sequence[Scaled], cap: int, base: Sequence[int]):
         n = len(scaled)
         self.scaled = scaled
         self.cap = cap
-        self.no_loops = [0] * n
+        self.base = base
         self.bins: list[tuple[int, ...]] = []
         self.item_bins: list[list[int]] = [[] for _ in range(n)]
         self.tree = list(range(n))
-        # An item alone needs ceil(size) loops.
-        self.tree_loops = list(ceils)
-        self.loops = sum(ceils)
+        self.tree_loops = [max(0, -(-s // cap) - b) for s, b in zip(scaled, base)]
+        self.loops = sum(self.tree_loops)
         # Per push: the relabelled items, their old trees, the new tree's
         # name, that name's old total and the old forest total.
         self._undo: list[
@@ -414,8 +369,8 @@ class _ForestLoops:
         bins.append(members)
         for i in members:
             item_bins[i].append(b)
-        # ``_tree_order`` from members[0]; the walk relabels as it goes and
-        # records only what it changes.
+        # (item, parent bin) pairs, parents first; the root's parent is -1.
+        # The walk relabels as it goes and records only what it changes.
         order = [(members[0], -1)]
         moved: list[int] = []
         olds: list[int] = []
@@ -431,7 +386,7 @@ class _ForestLoops:
                         if j != i:
                             order.append((j, c))
         self._undo.append((moved, olds, top, tree_loops[top], self.loops))
-        loops = _tree_loops(self.scaled, self.cap, bins, item_bins, order, self.no_loops)
+        loops = _tree_loops(self.scaled, self.cap, bins, item_bins, order, self.base)
         tree_loops[top] = loops
         self.loops += loops - merged
 
@@ -445,6 +400,22 @@ class _ForestLoops:
             tree[i] = old
         self.tree_loops[top] = kept
         self.loops = loops
+
+
+def _min_loops(
+    scaled: Sequence[Scaled],
+    cap: int,
+    forest: Sequence[tuple[int, ...]],
+    base: Sequence[int],
+) -> int:
+    """Fewest loops to add to base[i] loops per item i so that the forest's
+    multi-item bins and the loops hold every item; sizes are scaled by cap
+    (integers, or the ``Fraction``s at cap 1).
+    Zero means the structure with exactly base loops is feasible."""
+    trees = _ForestLoops(scaled, cap, base)
+    for members in forest:
+        trees.push(members)
+    return trees.loops
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +513,12 @@ class _ForestSearch:
         n = self.inst.n
         width = self.width
         ceils = self.ceils
-        scaled, cap = self.scaled, self.cap
         rows = self.rows
         alone = self.alone
         n_rows = len(rows)
         counter = self.counter
         limit = counter.limit
-        forest = _ForestLoops(scaled, cap, ceils)
+        forest = _ForestLoops(self.scaled, self.cap, [0] * n)
         chosen = forest.bins
         tree = forest.tree
         item_bins = forest.item_bins
@@ -596,7 +566,9 @@ class _ForestSearch:
                     # and a child its merge cut would stop is never pushed.
                     loops = alone[t]
                     if loops < 0:
-                        loops = alone[t] = _alone_loops(scaled, cap, members)
+                        forest.push(members)
+                        loops = alone[t] = forest.tree_loops[members[0]]
+                        forest.pop()
                     child_used = used + 1 + loops - ceil_sum
                     if child_used - min(child_merges, child_room) > n_bins:
                         continue

@@ -13,7 +13,9 @@ with ``_tree_order`` and reruns ``_tree_loops`` on it, and a pop restores the
 copy. ``_tree_order`` and ``_tree_loops`` are ``exact._tree_order`` and
 ``exact._tree_loops`` of that time: the DP sums and sorts the pushes into
 every bin. The reference loop runs on them, so the differential tests
-compare two independent tree DPs.
+compare two independent tree DPs. ``tree_totals`` runs them tree by tree on
+a whole forest, at any base loops, as ``exact._min_loops`` did before it
+became a loop of ``_ForestLoops`` pushes.
 """
 
 from __future__ import annotations
@@ -69,6 +71,33 @@ def _tree_loops(
                 loops += whole - 1
                 pushes.setdefault(up, []).append(excess - (whole - 1) * cap)
     return loops
+
+
+def tree_totals(
+    scaled: Sequence[Scaled],
+    cap: int,
+    forest: Sequence[Sequence[int]],
+    base: Sequence[int],
+) -> dict[int, tuple[list[int], int]]:
+    """Per tree of the forest, keyed by its least item: its items and the
+    fewest loops to add to base[i] per item i so that its bins and the loops
+    hold them."""
+    n = len(scaled)
+    item_bins: list[list[int]] = [[] for _ in range(n)]
+    for b, members in enumerate(forest):
+        for i in members:
+            item_bins[i].append(b)
+    seen = [False] * n
+    totals = {}
+    for root in range(n):
+        if seen[root]:
+            continue
+        order = _tree_order(forest, item_bins, root)
+        for i, _ in order:
+            seen[i] = True
+        loops = _tree_loops(scaled, cap, forest, item_bins, order, base)
+        totals[root] = ([i for i, _ in order], loops)
+    return totals
 
 
 class ForestLoops:

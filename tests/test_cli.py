@@ -726,6 +726,30 @@ def test_experiment_nf_ratio_deterministic(tmp_path, capsys):
     assert ratio <= 1.5
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (("solve", "--algo", "nf", "--input", "{inst}"), None),
+        (
+            ("experiment", "--suite", "nf-ratio", "--trials", "3"),
+            "trial,n,k,dist,sizes,alg_bins,opt_bins,ratio,ratio_decimal,status\n",
+        ),
+    ],
+)
+def test_failed_block_inequality_is_an_internal_error(tmp_path, monkeypatch, argv, written):
+    # solve and the nf-ratio experiment run one next-fit self-check: a trace
+    # that fails the block weight inequality ends the command in
+    # InternalError before solve writes anything or the experiment writes a
+    # row past its header
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "out"
+    assert main(["gen", "random", "--n", "6", "--k", "2", "--seed", "1", "--output", str(inst)]) == 0
+    monkeypatch.setattr(cli, "check_block_inequality", lambda inst, trace: False)
+    with pytest.raises(cli.InternalError, match="^block weight inequality failed on a trace$"):
+        main([arg.format(inst=inst) for arg in argv] + ["--output", str(out)])
+    assert (out.read_text() if out.exists() else None) == written
+
+
 def test_experiment_a75_ratio(tmp_path, capsys):
     out_file = tmp_path / "a75.csv"
     code, _, _ = run_cli(

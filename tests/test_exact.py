@@ -30,7 +30,6 @@ from splitpack import cli, core, exact, generators, io
 from splitpack.core import InternalError
 from splitpack.exact import (
     EXACT_LABEL,
-    _alone_loops,
     _extra_loop_splits,
     _flow_bins,
     _ForestLoops,
@@ -738,15 +737,36 @@ def test_twin_rule_matches_reference_loop(corpus, golden_rows):
     assert fewer > 0 and (solved > 0 or corpus == "golden")
 
 
+def _alone_total(scaled, cap, members):
+    """The reference DP of one bin alone, at zero base loops."""
+    trees = reference_forest.tree_totals(scaled, cap, [members], [0] * len(scaled))
+    return trees[members[0]][1]
+
+
+def _assert_matches_reference(forest, scaled, cap, base):
+    # each tree's items share one label, whose total is the reference DP of
+    # that tree; the forest total is their sum, and so is _min_loops
+    trees = reference_forest.tree_totals(scaled, cap, forest.bins, base)
+    assert len(set(forest.tree)) == len(trees)
+    for items, loops in trees.values():
+        label = forest.tree[items[0]]
+        assert {forest.tree[i] for i in items} == {label}
+        assert forest.tree_loops[label] == loops
+    total = sum(loops for _, loops in trees.values())
+    assert forest.loops == total == _min_loops(scaled, cap, forest.bins, base)
+
+
 def test_forest_loops_track_min_loops(monkeypatch):
-    # after every push and pop, each tree's total is the whole-forest DP on
-    # that tree's items alone, the totals add up to the whole-forest DP, and
-    # labels and total agree with the reference ForestLoops; a bin of
-    # untouched items goes through push_alone half the time, the general
-    # push evicts pushers from an overfull bin at least once, and every
-    # entry a short search fills in its per-candidate table is the DP of
-    # that candidate's bin alone; in the integer unit and, with
-    # UNIT_BITS = 0, on the Fractions at cap 1
+    # after every push and pop, each tree's label and total and the forest
+    # total match the reference DP, run tree by tree on the pushed bins, at
+    # zero base loops and at random base loops (some above ceil(size)); at
+    # zero base a bin of untouched items goes through push_alone half the
+    # time, and labels and total also match the reference ForestLoops. The
+    # general push evicts pushers from an overfull bin at least once. Every
+    # entry a short search fills in its per-candidate table, and every
+    # _min_loops its witness tries (at nonzero base loops too), match the
+    # reference DP. In the integer unit and, with UNIT_BITS = 0, on the
+    # Fractions at cap 1.
     evictions = 0
     pushing = False
 
@@ -755,8 +775,16 @@ def test_forest_loops_track_min_loops(monkeypatch):
         evictions += pushing
         return sorted(*args, **kwargs)
 
+    tries = []
+
+    def spy_min_loops(scaled, cap, forest, base):
+        loops = _min_loops(scaled, cap, forest, base)
+        tries.append((scaled, cap, list(forest), list(base), loops))
+        return loops
+
     monkeypatch.setattr(exact, "sorted", spy_sorted, raising=False)
-    filled = 0
+    monkeypatch.setattr(exact, "_min_loops", spy_min_loops)
+    filled = based = 0
     for bits in (core.UNIT_BITS, 0):
         monkeypatch.setattr(core, "UNIT_BITS", bits)
         rng = random.Random(23)
@@ -768,47 +796,81 @@ def test_forest_loops_track_min_loops(monkeypatch):
             cap, scaled = core.unit_sizes(inst.sizes)
             assert all(isinstance(s, int) for s in scaled) == (bits > 0)
             search = exact._ForestSearch(inst, cap, scaled, exact._Counter(300))
+            tries.clear()
             try:
                 for level in range(1, n + 1):
-                    search._first_forest(level)
+                    search.level(level)
             except BudgetExceeded:
                 pass
             for (members, *_), loops in zip(search.rows, search.alone):
                 if loops >= 0:
                     filled += 1
-                    alone = [s if i in members else 0 for i, s in enumerate(scaled)]
-                    assert loops == _min_loops(alone, cap, [members], [0] * n)
+                    assert loops == _alone_total(scaled, cap, members)
+            for tried_scaled, tried_cap, forest, base, loops in tries:
+                based += any(base)
+                want = reference_forest.tree_totals(tried_scaled, tried_cap, forest, base)
+                assert loops == sum(total for _, total in want.values())
             ceils = [-(-s // cap) for s in scaled]
-            forest = _ForestLoops(scaled, cap, ceils)
-            ref = reference_forest.ForestLoops(scaled, cap, ceils)
-            for _ in range(4 * n):
-                members = tuple(sorted(rng.sample(range(n), rng.randint(2, min(k, n)))))
-                acyclic = len({forest.tree[i] for i in members}) == len(members)
-                fresh = all(not forest.item_bins[i] for i in members)
-                if forest.bins and (rng.random() < 0.3 or not acyclic):
-                    forest.pop()
-                    ref.pop()
-                elif fresh and rng.random() < 0.5:
-                    loops = _alone_loops(scaled, cap, members)
-                    forest.push_alone(members, loops, sum(ceils[i] for i in members))
-                    ref.push(members)
-                elif acyclic:
-                    pushing = True
-                    forest.push(members)
-                    pushing = False
-                    ref.push(members)
-                else:
-                    continue
-                assert forest.tree == ref.tree and forest.loops == ref.loops
-                trees = set(forest.tree)
-                assert len(trees) == n - sum(len(b) - 1 for b in forest.bins)
-                for b in forest.bins:
-                    assert len({forest.tree[i] for i in b}) == 1
-                for t in trees:
-                    alone = [s if forest.tree[i] == t else 0 for i, s in enumerate(scaled)]
-                    alone_loops = _min_loops(alone, cap, forest.bins, [0] * n)
-                    assert forest.tree_loops[t] == alone_loops
-                assert forest.loops == sum(forest.tree_loops[t] for t in trees)
-                assert forest.loops == _min_loops(scaled, cap, forest.bins, [0] * n)
-    assert evictions > 0 and filled > 0
+            zero = [0] * n
+            for base in (zero, [rng.randint(0, c + 1) for c in ceils]):
+                forest = _ForestLoops(scaled, cap, base)
+                ref = reference_forest.ForestLoops(scaled, cap, ceils) if base is zero else None
+                for _ in range(4 * n):
+                    members = tuple(sorted(rng.sample(range(n), rng.randint(2, min(k, n)))))
+                    acyclic = len({forest.tree[i] for i in members}) == len(members)
+                    fresh = all(not forest.item_bins[i] for i in members)
+                    if forest.bins and (rng.random() < 0.3 or not acyclic):
+                        forest.pop()
+                        if ref is not None:
+                            ref.pop()
+                    elif fresh and ref is not None and rng.random() < 0.5:
+                        loops = _alone_total(scaled, cap, members)
+                        forest.push_alone(members, loops, sum(ceils[i] for i in members))
+                        ref.push(members)
+                    elif acyclic:
+                        pushing = True
+                        forest.push(members)
+                        pushing = False
+                        if ref is not None:
+                            ref.push(members)
+                    else:
+                        continue
+                    if ref is not None:
+                        assert forest.tree == ref.tree and forest.loops == ref.loops
+                    _assert_matches_reference(forest, scaled, cap, base)
+    assert evictions > 0 and filled > 0 and based > 0
 
+
+def test_warm_alone_table_walks_like_a_cold_one():
+    # a per-candidate table that earlier searches filled changes neither the
+    # forest _first_forest returns (or its BudgetExceeded) nor its node
+    # count: filling an entry leaves the walk's forest as it found it
+    rng = random.Random(29)
+    compared = 0
+    for _ in range(60):
+        k = rng.choice([2, 3, 4, 5])
+        n = rng.randint(3, 9)
+        den = rng.choice([2, 3, 4, 5, 6])
+        inst = Instance(k=k, sizes=tuple(F(rng.randint(1, 3 * den), den) for _ in range(n)))
+        cap, scaled = core.unit_sizes(inst.sizes)
+        levels = range(1, sum(-(-s // cap) for s in scaled) + 1)
+        warm = exact._ForestSearch(inst, cap, scaled, exact._Counter(500))
+        for level in levels:
+            warm.counter = exact._Counter(500)
+            try:
+                warm._first_forest(level)
+            except BudgetExceeded:
+                pass
+        for level in levels:
+            cold = exact._ForestSearch(inst, cap, scaled, exact._Counter(500))
+            outcomes = []
+            for search in (cold, warm):
+                search.counter = exact._Counter(500)
+                try:
+                    outcomes.append(search._first_forest(level))
+                except BudgetExceeded:
+                    outcomes.append(BudgetExceeded)
+                outcomes.append(search.counter.value)
+            assert outcomes[:2] == outcomes[2:], (inst, level)
+            compared += isinstance(outcomes[0], list)
+    assert compared > 0
