@@ -22,7 +22,7 @@ from .exact import (
     exact_opt,
     feasible_in,
 )
-from .algo75 import A75Report, StepLabel, pack_75, split_2b
+from .algo75 import A75Report, StepLabel, pack_75
 from .normalize import (
     bound_degrees,
     normalization_violations,
@@ -65,7 +65,6 @@ __all__ = [
     "parse_rational",
     "remove_cycles",
     "smalls_to_leaves",
-    "split_2b",
     "three_partition_brute",
     "validate_packing",
     "bound_degrees",

@@ -1,12 +1,17 @@
 """Two-stage approximation algorithm for k = 2 with repair passes.
 
 Items are classified small (at most 1/2), medium ((1/2, 1]) and large
-(above 1). The main pass works through the mediums against the sorted
-smalls, then sweeps larges through small-seeded bins; two narrow repair
-passes repack the rare configurations where the plain output could land
-above 7/5 of the optimum. Every next-fit run of the main pass, the leftover
-groups (S3, S6) and the pairs of spare smalls (S5), is one call of the
-kernel ``nextfit.next_fit_bins`` with k = 2.
+(above 1). The main pass takes the mediums largest first: each one joins
+the smallest small that fits beside it (S2a) or is split over the two
+largest smalls, filling the first bin exactly (S2b). A lone small that no
+later medium fits beside turns medium. With smalls left, the larges sweep
+through small-seeded bins (S4), running on next fit if the seeds run out
+(S6), and the spare smalls pair up (S5); with none left, the leftover
+mediums and larges run next fit (S3). Every next-fit run is one call of the
+kernel ``nextfit.next_fit_bins`` with k = 2. Two narrow repair passes
+repack the rare configurations where the plain output could land above 7/5
+of the optimum: a prescribed two-bin repack and an exhaustive seven-bin
+search.
 
 Bin labels record the step that produced each bin, so reports and repair
 triggers can tell bins apart without re-deriving history.
@@ -57,36 +62,6 @@ class A75Report:
     @property
     def n_bins(self) -> int:
         return self.packing.n_bins
-
-
-def split_2b(
-    medium: Scaled, s_a: Scaled, s_b: Scaled, cap: int = 1
-) -> tuple[Scaled, Scaled]:
-    """Split a medium item over two bins beside the two largest smalls, in
-    bins of capacity `cap` (sizes and parts share its unit).
-
-    The first bin {s_a, part1} is made exactly full (part1 = cap - s_a); the
-    remainder lands beside s_b. With s_a >= s_b both at most cap/2 and
-    medium + s_a > cap, the remainder is positive and the second bin fits.
-    """
-    if not (0 < s_b <= s_a and 2 * s_a <= cap):
-        raise ValueError(f"need two small items with s_a >= s_b, got {s_a}, {s_b}")
-    if not (cap < 2 * medium and medium <= cap):
-        raise ValueError(f"need a medium item, got {medium}")
-    if medium + s_a <= cap:
-        raise ValueError(f"{medium} fits beside {s_a}; splitting not needed")
-    part1 = cap - s_a
-    part2 = medium - part1
-    return part1, part2
-
-
-def reclassify_lone_small(
-    remaining_mediums: list[Scaled], small: Scaled, cap: int = 1
-) -> bool:
-    """When one small is left and a medium needs two: does the small turn
-    into a medium for the rest of the run? True iff no unpacked medium fits
-    beside it in a bin of capacity `cap`."""
-    return all(m + small > cap for m in remaining_mediums)
 
 
 def large_into_smalls(
@@ -152,40 +127,37 @@ def _repair_two_bin(
     when the instance has a single large item: medium first, then the large
     item split over both bins, then the small. Bins, sizes and parts share
     the main pass's unit, bins of capacity `cap`. Returns whether it was
-    triggered; it may be triggered and leave the packing as it is."""
+    triggered; it may be triggered and leave the packing as it is.
+
+    The main pass builds the pair bin as [medium m, small s], both whole.
+    Once triggered, the repack is made iff the trailing bins hold parts of
+    one item `big` alone, `big` is large (above `cap`), those parts sum to
+    its size l, and l + m + s <= 2 * cap. The new bins are [m, cap - m of
+    `big`] (m alone when m = cap) and [the rest of `big`, s]: the last
+    condition is that the second one fits."""
     if len(trail) != 2 or labels.count(StepLabel.S2A) != 1:
         return False
     if sum(s > cap for s in sizes) != 1:
         return False
-    involved = [labels.index(StepLabel.S2A)] + trail
-    coverage: dict[int, Scaled] = {}
-    for b in involved:
-        for i, p in bins[b]:
-            coverage[i] = coverage.get(i, 0) + p
-    if any(coverage[i] != sizes[i] for i in coverage):
+    pair = labels.index(StepLabel.S2A)
+    (m, m_size), (s, s_size) = bins[pair]
+    tail = [entry for b in trail for entry in bins[b]]
+    big = tail[0][0]
+    l_size = sizes[big]
+    if (
+        any(i != big for i, _ in tail)
+        or l_size <= cap
+        or sum(p for _, p in tail) != l_size
+        or l_size + m_size + s_size > 2 * cap
+    ):
         return True
-    # Class 0 small (2s <= cap), 1 medium, 2 large (s > cap).
-    by_class: dict[int, list[int]] = {}
-    for i in coverage:
-        by_class.setdefault((2 * sizes[i] > cap) + (sizes[i] > cap), []).append(i)
-    if any(len(by_class.get(c, ())) != 1 for c in range(3)):
-        return True
-    (s,), (m,), (big,) = by_class[0], by_class[1], by_class[2]
-    m_size, s_size, l_size = sizes[m], sizes[s], sizes[big]
     first = [(m, m_size)]
     if m_size < cap:
         first.append((big, cap - m_size))
-    second = [(big, l_size - (cap - m_size)), (s, s_size)]
-    candidate = [first, second]
-    if any(
-        sum(p for _, p in entries) > cap or any(p <= 0 for _, p in entries)
-        for entries in candidate
-    ):
-        return True
-    for b in sorted(involved, reverse=True):
+    for b in sorted([pair] + trail, reverse=True):
         del bins[b]
         del labels[b]
-    bins.extend(candidate)
+    bins.extend([first, [(big, l_size - (cap - m_size)), (s, s_size)]])
     labels.extend([StepLabel.REPACKED] * 2)
     return True
 
@@ -220,17 +192,15 @@ def _repair_seven_bin(inst: Instance) -> Packing | None:
 
 
 def _main_pass(
-    inst: Instance, cap: int = 1, sizes: Sequence[Scaled] | None = None
+    cap: int, sizes: Sequence[Scaled]
 ) -> tuple[list[list[Item]], list[str], Item | None]:
-    """Stage one on a k = 2 instance: the raw bins, their step labels and the
-    lone small moved into the next-fit stream, if any.
+    """Stage one on the sizes of a k = 2 instance in bins of capacity `cap`
+    (the instance's sizes at capacity 1, or the sizes and capacity of
+    ``core.unit_sizes``; parts share their unit): the raw bins, their step
+    labels and the lone small moved into the next-fit stream, if any.
 
-    Sizes and parts share one unit: by default the instance's sizes in bins
-    of capacity 1, or the sizes and capacity of ``core.unit_sizes``. Each
-    class is sorted by size alone; the sorts are stable, so equal sizes keep
-    ascending ids (also under ``reverse=True``)."""
-    if sizes is None:
-        sizes = inst.sizes
+    Each class is sorted by size alone; the sorts are stable, so equal
+    sizes keep ascending ids (also under ``reverse=True``)."""
     smalls: list[int] = []
     mediums: list[int] = []
     larges: list[int] = []
@@ -249,13 +219,12 @@ def _main_pass(
     bins: list[list[Item]] = []
     labels: list[str] = []
     lo, hi = 0, len(smalls) - 1
-    deferred: list[int] = []
-    rest_mediums: list[int] = []
+    leftover: list[int] = []
     reclassified: Item | None = None
 
     for idx, mid in enumerate(mediums):
         if lo > hi:
-            rest_mediums = mediums[idx:]
+            leftover += mediums[idx:]
             break
         msize = sizes[mid]
         s_lo_id = smalls[lo]
@@ -264,25 +233,26 @@ def _main_pass(
             bins.append([(mid, msize), (s_lo_id, s_lo)])
             labels.append(StepLabel.S2A)
             lo += 1
-        elif hi - lo + 1 >= 2:
+        elif hi > lo:
+            # S2b: the medium fills the bin of the largest small exactly;
+            # as it does not fit beside the smallest, the rest is positive,
+            # and it fits beside the second largest small.
             sa_id, sb_id = smalls[hi], smalls[hi - 1]
-            sa, sb = sizes[sa_id], sizes[sb_id]
-            part1, part2 = split_2b(msize, sa, sb, cap)
-            bins.append([(sa_id, sa), (mid, part1)])
-            labels.append(StepLabel.S2B)
-            bins.append([(mid, part2), (sb_id, sb)])
-            labels.append(StepLabel.S2B)
+            part1 = cap - sizes[sa_id]
+            bins.append([(sa_id, sizes[sa_id]), (mid, part1)])
+            bins.append([(mid, msize - part1), (sb_id, sizes[sb_id])])
+            labels += [StepLabel.S2B, StepLabel.S2B]
             hi -= 2
         else:
-            deferred.append(mid)
-            # Mediums go largest first, so the last one is the smallest left.
-            later = [sizes[mediums[-1]]] if idx + 1 < len(mediums) else []
-            if reclassify_lone_small(later, s_lo, cap):
+            leftover.append(mid)
+            # The lone small turns medium unless a later medium fits beside
+            # it. Mediums go largest first, so the last is the smallest left.
+            if idx + 1 == len(mediums) or sizes[mediums[-1]] + s_lo > cap:
                 reclassified = (s_lo_id, s_lo)
                 lo += 1
 
     smalls_left = [(i, sizes[i]) for i in smalls[lo : hi + 1]]
-    stream = [(i, sizes[i]) for i in deferred + rest_mediums]
+    stream = [(i, sizes[i]) for i in leftover]
     if reclassified is not None:
         stream.append(reclassified)
     large_items = [(i, sizes[i]) for i in larges]
@@ -315,7 +285,7 @@ def pack_75(inst: Instance) -> A75Report:
     if inst.k != 2:
         raise ValueError(f"this algorithm requires k=2, got k={inst.k}")
     cap, sizes = unit_sizes(inst.sizes)
-    bins, labels, reclassified = _main_pass(inst, cap, sizes)
+    bins, labels, reclassified = _main_pass(cap, sizes)
     # The group is read from the entry order the main pass left, which
     # unit_packing sorts by item id.
     trail = _trailing_group(bins, labels)

@@ -140,6 +140,15 @@ def _dumps_packing(packing: Packing) -> str:
         raise _CliError(EXIT_PARSE, f"bad instance file: its {exc}")
 
 
+def _bounded(what: str, count: int, noun: str) -> None:
+    """More than ``MAX_PARTS`` items or parts, which follow from the flags,
+    is a usage error, reported before anything is generated."""
+    if count > MAX_PARTS:
+        raise _CliError(
+            EXIT_USAGE, f"{what} would make {count} {noun}, more than {MAX_PARTS}"
+        )
+
+
 def _at_least(flag: str, value: int, least: int) -> None:
     if value < least:
         raise _CliError(EXIT_USAGE, f"{flag} must be at least {least}, got {value}")
@@ -270,29 +279,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
     """The item count, which follows from the flags, is checked against
     ``MAX_PARTS`` before generating, and --certified-output of a family
     without a certificate is rejected before writing."""
-
-    def bounded(items: int) -> None:
-        if items > MAX_PARTS:
-            raise _CliError(
-                EXIT_USAGE,
-                f"gen {args.family} would make {items} items, more than {MAX_PARTS}",
-            )
-
+    what = f"gen {args.family}"
     certified = None
     try:
         if args.family == "nf-worst":
             # k < 2 counts one item, so that the generator reports the k.
-            bounded(1 + args.m * args.k * max(args.k - 1, 0))
+            _bounded(what, 1 + args.m * args.k * max(args.k - 1, 0), "items")
             inst, certified = gen_nf_worst(args.k, args.m)
         elif args.family == "a75-worst":
-            bounded(9 * args.n)
+            _bounded(what, 9 * args.n, "items")
             inst, certified = gen_a75_worst(args.n)
         elif args.family == "reduce3p":
             numbers = [int(x) for x in args.numbers.split(",") if x.strip()]
-            bounded(len(numbers) + len(numbers) // 3 * (args.k - 3))
+            _bounded(what, len(numbers) + len(numbers) // 3 * (args.k - 3), "items")
             inst = gen_from_3partition(numbers, args.b, args.k)
         else:  # random
-            bounded(args.n)
+            _bounded(what, args.n, "items")
             inst = gen_random(args.n, args.k, args.dist, args.seed)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
@@ -465,7 +467,8 @@ def _experiment_normalize(
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """A suite flag given to a suite that does not read it is a usage error;
-    one not given takes its default."""
+    one not given takes its default. So is a draw that could need more than
+    ``MAX_PARTS`` parts."""
     for flag, name, default, suites in (
         ("--max-n", "max_n", 6, ("nf-ratio", "a75-ratio", "normalize-check")),
         ("--k", "k", 2, ("nf-ratio", "reduction-check")),
@@ -480,8 +483,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _at_least("--max-n", args.max_n, 1)
     _at_least("--k", args.k, 2)
     _at_least("--trials", args.trials, 0)
-    if args.suite == "reduction-check" and args.k < 3:
-        raise _CliError(EXIT_USAGE, f"reduction-check requires k >= 3, got k={args.k}")
+    if args.suite == "reduction-check":
+        if args.k < 3:
+            raise _CliError(
+                EXIT_USAGE, f"reduction-check requires k >= 3, got k={args.k}"
+            )
+        # Six numbers and 2(k - 3) padding items, each below 1.
+        parts = 6 + 2 * (args.k - 3)
+    else:
+        # Up to max_n sizes of at most 2, or at most k under heavy.
+        parts = args.max_n * (args.k if args.dist == "heavy" else 2)
+    _bounded(f"experiment {args.suite}", parts, "parts in a draw")
     budget = _budget(args)
     out = sys.stdout if args.output is None else _open(
         "CSV", args.output, "w", newline=""

@@ -127,10 +127,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {brief_repr(text)}") from exc
 
 
-def render_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def size_type(size: Fraction) -> int:
     """Half-unit bracket index i with size in ((i-1)/2, i/2]: type 1 is a
     small item (at most 1/2), type 2 a medium one (above 1/2, at most 1) and

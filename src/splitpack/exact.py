@@ -80,7 +80,6 @@ from operator import neg
 from typing import Iterator, Sequence
 
 from .core import (
-    EMPTY_PACKING,
     Instance,
     InternalError,
     Item,
@@ -707,8 +706,6 @@ def exact_opt(
         raise BudgetExceeded(
             f"{inst.n} items exceed the budget of {budget.max_items}"
         )
-    if inst.n == 0:
-        return 0, EMPTY_PACKING
     lb = lower_bounds(inst).best
     cap, scaled = unit_sizes(inst.sizes)
     upper = _upper_bound_packing(inst, cap, scaled)

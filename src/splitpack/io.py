@@ -21,7 +21,6 @@ from .core import (
     Packing,
     brief_repr,
     parse_rational,
-    render_rational,
     too_many_digits,
 )
 
@@ -44,10 +43,6 @@ def _numeral_parser() -> Callable[[Any], Fraction]:
         return value
 
     return parse
-
-
-def instance_to_json(inst: Instance) -> dict[str, Any]:
-    return {"k": inst.k, "items": [render_rational(s) for s in inst.sizes]}
 
 
 def instance_from_json(doc: Any) -> Instance:
@@ -108,7 +103,8 @@ def packing_from_json(doc: Any) -> Packing:
 
 
 def dumps_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_json(inst), indent=2) + "\n"
+    doc = {"k": inst.k, "items": [str(s) for s in inst.sizes]}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # One bin entry in the ``json.dumps(..., indent=2)`` layout.
@@ -135,11 +131,11 @@ def dumps_packing(packing: Packing) -> str:
     bins = []
     for b, entries in enumerate(packing.bins):
         text = "    " + _json_list(
-            [_ENTRY.format(item, render_rational(part)) for item, part in entries],
+            [_ENTRY.format(item, str(part)) for item, part in entries],
             "    ",
         )
         if too_many_digits(text) and any(
-            too_many_digits(render_rational(part)) for _, part in entries
+            too_many_digits(str(part)) for _, part in entries
         ):
             raise ValueError(
                 f"packing needs a part of more than {MAX_NUMERAL_DIGITS} digits "

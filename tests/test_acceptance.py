@@ -311,13 +311,13 @@ def test_criterion_7_normalization_suite(corpus_k2):
 def test_criterion_8_repair_passes():
     # prescribed two-bin repack exists: three bins collapse to two
     inst = Instance(k=2, sizes=(F(3, 5), F(1, 5), F(6, 5)))
-    before, _, _ = _main_pass(inst)
+    before, _, _ = _main_pass(1, inst.sizes)
     after = pack_75(inst)
     assert len(before) == 3 and after.n_bins == 2
     assert after.fallback_triggered == TWO_BIN_REPACK
     # trigger matches but the layout overflows: never worse
     inst = Instance(k=2, sizes=(F(3, 5), F(2, 5), F(9, 5)))
-    before, _, _ = _main_pass(inst)
+    before, _, _ = _main_pass(1, inst.sizes)
     after = pack_75(inst)
     assert after.fallback_triggered == TWO_BIN_REPACK
     assert after.n_bins == len(before)
@@ -328,7 +328,7 @@ def test_criterion_8_repair_passes():
     seven_yes = Instance(
         k=2, sizes=(F(1, 50),) * 5 + (F(99, 100),) * 2 + (F(11, 20), F(401, 100))
     )
-    before, labels, _ = _main_pass(seven_yes)
+    before, labels, _ = _main_pass(1, seven_yes.sizes)
     assert Counter(labels) == {
         StepLabel.S2B: 4,
         StepLabel.S2A: 1,
@@ -342,7 +342,7 @@ def test_criterion_8_repair_passes():
     seven_no = Instance(
         k=2, sizes=(F(1, 50),) * 5 + (F(99, 100),) * 2 + (F(19, 20), F(401, 100))
     )
-    before, _, _ = _main_pass(seven_no)
+    before, _, _ = _main_pass(1, seven_no.sizes)
     after = pack_75(seven_no)
     assert after.fallback_triggered == SEVEN_BIN_SEARCH
     assert after.n_bins == len(before) == 10

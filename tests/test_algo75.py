@@ -14,7 +14,6 @@ from splitpack import (
     gen_a75_worst,
     gen_random,
     pack_75,
-    split_2b,
     validate_packing,
 )
 from splitpack.algo75 import (
@@ -24,7 +23,6 @@ from splitpack.algo75 import (
     _main_pass,
     _trailing_group,
     large_into_smalls,
-    reclassify_lone_small,
 )
 
 
@@ -50,33 +48,32 @@ def test_split_step_example():
 
 
 @pytest.mark.parametrize(
-    "medium,s_a,s_b,expected",
+    "sizes, parts",
     [
-        (F(9, 10), F(3, 10), F(1, 5), (F(7, 10), F(1, 5))),
-        (F(1), F(1, 2), F(1, 2), (F(1, 2), F(1, 2))),
-        (F(3, 5), F(1, 2), F(1, 2), (F(1, 2), F(1, 10))),
+        ((F(9, 10), F(3, 10), F(1, 5)), (F(7, 10), F(1, 5))),
+        ((F(1), F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
+        ((F(3, 5), F(1, 2), F(1, 2)), (F(1, 2), F(1, 10))),
     ],
 )
-def test_split_2b_values(medium, s_a, s_b, expected):
-    part1, part2 = split_2b(medium, s_a, s_b)
-    assert (part1, part2) == expected
-    assert part2 > 0 and part2 + s_b <= 1
-    assert s_a + part1 == 1
+def test_split_step_parts(sizes, parts):
+    # item 0, the medium, does not fit beside the smallest small: it fills
+    # the largest small's bin exactly and the rest goes beside the other
+    inst = Instance(k=2, sizes=sizes)
+    report = pack_75(inst)
+    assert report.label_counts == {StepLabel.S2B: 2}
+    first, second = report.packing.bins
+    assert (dict(first)[0], dict(second)[0]) == parts
+    assert sum(p for _, p in first) == 1
+    assert validate_packing(inst, report.packing) == []
 
 
-def test_split_2b_preconditions():
-    with pytest.raises(ValueError):
-        split_2b(F(3, 5), F(1, 4), F(1, 4))  # it would fit beside s_a
-    with pytest.raises(ValueError):
-        split_2b(F(9, 10), F(1, 5), F(3, 10))  # s_a below s_b
-    with pytest.raises(ValueError):
-        split_2b(F(3, 2), F(1, 2), F(1, 2))  # not a medium item
-
-
-def test_reclassify_decision():
-    assert reclassify_lone_small([F(9, 10)], F(1, 4))
-    assert not reclassify_lone_small([F(9, 10), F(7, 10)], F(1, 4))
-    assert reclassify_lone_small([], F(1, 4))
+def test_lone_small_beside_the_last_medium_is_reclassified():
+    # no later medium can take the small, so it joins the next-fit stream
+    inst = Instance(k=2, sizes=(F(9, 10), F(1, 4)))
+    report = pack_75(inst)
+    assert report.reclassified_small
+    assert report.label_counts == {StepLabel.S3: 2}
+    assert validate_packing(inst, report.packing) == []
 
 
 def test_reclassified_small_joins_medium_stream():
@@ -183,7 +180,7 @@ def test_two_bin_repack_success():
 def test_two_bin_repack_infeasible_keeps_packing():
     # the prescribed two-bin layout overflows, so the result stays put
     inst = Instance(k=2, sizes=(F(3, 5), F(2, 5), F(9, 5)))
-    plain, _, _ = _main_pass(inst)
+    plain, _, _ = _main_pass(1, inst.sizes)
     report = pack_75(inst)
     assert report.fallback_triggered == TWO_BIN_REPACK
     assert report.n_bins == len(plain)
@@ -203,7 +200,7 @@ SEVEN_NO = (F(1, 50),) * 5 + (F(99, 100),) * 2 + (F(19, 20), F(401, 100))
 
 def test_seven_bin_search_pattern():
     inst = Instance(k=2, sizes=SEVEN_YES)
-    plain, labels, _ = _main_pass(inst)
+    plain, labels, _ = _main_pass(1, inst.sizes)
     assert len(plain) == 10
     assert Counter(labels) == {
         StepLabel.S2B: 4,
@@ -337,7 +334,7 @@ def test_trailing_group_matches_item_set_walk():
     for dist in ("uniform", "mixed", "heavy"):
         for seed in range(670):
             inst = gen_random(seed % 14 + 1, 2, dist, seed)
-            bins, labels, _ = _main_pass(inst)
+            bins, labels, _ = _main_pass(1, inst.sizes)
             got = _trailing_group(bins, labels)
             assert got == _trailing_group_by_item_sets(bins, labels), (dist, seed)
             lengths[len(got)] += 1

@@ -16,14 +16,14 @@ from hypothesis import given, settings, strategies as st
 import reference_algo75 as ref
 from reference_core import scaled_sizes
 from splitpack import Instance, core, gen_random, io, next_fit, pack_75
-from splitpack.algo75 import SEVEN_BIN_SEARCH, TWO_BIN_REPACK, _main_pass
+from splitpack.algo75 import SEVEN_BIN_SEARCH, TWO_BIN_REPACK, StepLabel, _main_pass
 from splitpack.core import UNIT_BITS, unit_sizes
 
 
 def assert_same(inst):
     if inst.k == 2:
         cap, sizes = unit_sizes(inst.sizes)
-        bins, labels, reclassified = _main_pass(inst, cap, sizes)
+        bins, labels, reclassified = _main_pass(cap, sizes)
         want_bins, want_labels, want_reclassified = ref._main_pass(inst)
         # the raw bins with their entry order, which the trailing group reads
         assert [[(i, F(p, cap)) for i, p in entries] for entries in bins] == want_bins
@@ -111,6 +111,25 @@ def test_repair_patterns_match_fraction_reference(monkeypatch, sizes, fallback):
     assert got == want
     assert repr(got) == repr(want)
     assert io.dumps_packing(got.packing) == io.dumps_packing(want.packing)
+
+
+def test_two_bin_repair_matches_fraction_reference():
+    # One small, one medium and one large in twelfths, plus up to two more
+    # items: the shapes where the two-bin repair triggers, repacks or keeps.
+    rng = random.Random(20261019)
+    outcomes = Counter()
+    for _ in range(3000):
+        twelfths = [rng.randint(1, 6), rng.randint(7, 12), rng.randint(13, 24)]
+        twelfths += [rng.randint(1, 24) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(twelfths)
+        inst = Instance(k=2, sizes=tuple(F(t, 12) for t in twelfths))
+        got, want = pack_75(inst), ref.pack_75(inst)
+        assert got == want, inst.sizes
+        assert repr(got) == repr(want)
+        if got.fallback_triggered == TWO_BIN_REPACK:
+            outcomes[StepLabel.REPACKED in got.label_counts] += 1
+    # triggered and kept, and triggered and repacked
+    assert outcomes[False] > 100 and outcomes[True] > 10, outcomes
 
 
 _SMALL_DENOMINATOR_SIZE = st.integers(1, 12).flatmap(

@@ -340,6 +340,41 @@ def test_experiment_rejects_out_of_range_numbers(tmp_path, capsys, argv, message
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, parts",
+    [
+        (("--suite", "nf-ratio", "--k", "1000000000", "--dist", "heavy"), 6 * 10**9),
+        (("--suite", "a75-ratio", "--max-n", "1000000000"), 2 * 10**9),
+        (("--suite", "reduction-check", "--k", "1000000000"), 6 + 2 * (10**9 - 3)),
+    ],
+    ids=["nf-heavy-k", "a75-max-n", "reduction-k"],
+)
+def test_experiment_rejects_draws_past_max_parts_fast(tmp_path, capsys, argv, parts):
+    # heavy sizes reach k, the others 2; the reduction pads with 2(k - 3)
+    # items: such a draw would need about 10^9 parts
+    out_file = tmp_path / "out.csv"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "experiment", *argv, "--output", str(out_file), capsys=capsys
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        f"experiment {argv[1]} would make {parts} parts in a draw, "
+        f"more than {MAX_PARTS}\n"
+    )
+    assert not out_file.exists()
+    assert time.perf_counter() - start < 0.25
+
+
+def test_experiment_draw_bound_is_tight(capsys):
+    for max_n, want in ((MAX_PARTS // 2, 0), (MAX_PARTS // 2 + 1, 2)):
+        code, _, _ = run_cli(
+            "experiment", "--suite", "normalize-check", "--trials", "0",
+            "--max-n", str(max_n), capsys=capsys,
+        )
+        assert code == want, max_n
+
+
 def _run_quietly(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
         io.StringIO()
