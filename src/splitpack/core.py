@@ -217,9 +217,6 @@ class Packing:
         return tuple(sorted(self.bins))
 
 
-EMPTY_PACKING = Packing((), ())
-
-
 def validate_packing(inst: Instance, packing: Packing) -> list[str]:
     """Return every violated packing invariant, empty iff feasible.
 

@@ -38,9 +38,17 @@ first use by a push and a pop in the walk's own forest and shared by every
 level, so the child's |F| + minloops(F) is a sum of known numbers; a child
 that its own merge cut would stop is skipped without being pushed, and any
 other is pushed by relabelling the bin's items alone. The table grows with
-the candidates, never with the nodes walked. Only a bin that joins chosen
-bins reruns the pass, on the one tree it forms, and its undo record names
-only the items it relabels.
+the candidates, never with the nodes walked. A bin that joins chosen bins
+is tested against the room of the tree it would form: that tree's bins
+times cap less its items' sizes, summed from the rooms of the trees it
+joins. Its bins and loops must hold its items, so it needs at least
+max(0, ceil(-room / cap)) loops, and a child whose merge cut would stop it
+even at that bound is skipped without being pushed. Every cut stays the
+child's own, so the walk, its node counts and its witnesses are those of
+pushing every candidate. Only a joining bin that passes reruns the pass, on
+the one tree it forms, and its undo record names only the items it
+relabels. The acyclicity test runs only for a bin with two or more items in
+chosen bins: an item in none is a tree of its own and closes no cycle.
 
 The witness gives each item the loops its part count needs and hands out the
 remaining loops in the first split, in ``_extra_loop_splits`` order, that
@@ -256,7 +264,6 @@ def _flow_bins(
 def _tree_loops(
     scaled: Sequence[Scaled],
     cap: int,
-    forest: Sequence[Sequence[int]],
     item_bins: Sequence[Sequence[int]],
     order: Sequence[tuple[int, int]],
     base: Sequence[int],
@@ -309,8 +316,11 @@ class _ForestLoops:
     over base[i] loops per item i, kept as one total per tree.
 
     ``tree[i]`` names the tree of item i (an item of it); ``tree_loops``
-    holds each tree's total under that name. An item in no bin is its own
-    tree, with max(0, ceil(size) - base[i]) loops.
+    holds each tree's total under that name, and ``tree_room`` its bins
+    times cap less its items' sizes, whatever the base loops. An item in no
+    bin is its own tree, with max(0, ceil(size) - base[i]) loops and room
+    -size; a pushed bin's tree has room cap plus the rooms of the trees it
+    joins.
 
     ``push`` adds a bin whose items lie in distinct trees. It is the one
     tree walk of the oracle: a breadth-first walk of the tree the bin forms,
@@ -321,7 +331,8 @@ class _ForestLoops:
     given that bin's total alone: it relabels the bin's items and runs no
     DP, and it holds only at zero base loops, where that total is the
     table's. ``pop`` undoes the last push; its record holds the old tree of
-    each relabelled item, not a copy of ``tree``.
+    each relabelled item, not a copy of ``tree``, and the new tree's name's
+    old total and room.
     """
 
     def __init__(self, scaled: Sequence[Scaled], cap: int, base: Sequence[int]):
@@ -333,37 +344,48 @@ class _ForestLoops:
         self.item_bins: list[list[int]] = [[] for _ in range(n)]
         self.tree = list(range(n))
         self.tree_loops = [max(0, -(-s // cap) - b) for s, b in zip(scaled, base)]
+        self.tree_room = [-s for s in scaled]
         self.loops = sum(self.tree_loops)
         # Per push: the relabelled items, their old trees, the new tree's
-        # name, that name's old total and the old forest total.
+        # name, that name's old total and room, and the old forest total.
         self._undo: list[
-            tuple[Sequence[int], Sequence[int], int, int, int]
+            tuple[Sequence[int], Sequence[int], int, int, Scaled, int]
         ] = []
 
     def push_alone(self, members: tuple[int, ...], loops: int, ceil_sum: int) -> None:
         """Add a bin of items in no bin yet, whose ceil(size) sum to
         ceil_sum; loops is the bin's min-loop total alone."""
         tree = self.tree
+        tree_room = self.tree_room
         top = members[0]
-        self._undo.append((members, members, top, self.tree_loops[top], self.loops))
+        self._undo.append(
+            (members, members, top, self.tree_loops[top], tree_room[top], self.loops)
+        )
         b = len(self.bins)
         self.bins.append(members)
         item_bins = self.item_bins
+        room = self.cap
         for i in members:
             item_bins[i].append(b)
             tree[i] = top
+            room += tree_room[i]
         self.tree_loops[top] = loops
+        tree_room[top] = room
         self.loops += loops - ceil_sum
 
     def push(self, members: tuple[int, ...]) -> None:
         tree = self.tree
         tree_loops = self.tree_loops
+        tree_room = self.tree_room
         bins = self.bins
         item_bins = self.item_bins
         top = tree[members[0]]
         merged = 0
+        room = self.cap
         for i in members:
-            merged += tree_loops[tree[i]]
+            joined = tree[i]
+            merged += tree_loops[joined]
+            room += tree_room[joined]
         b = len(bins)
         bins.append(members)
         for i in members:
@@ -384,13 +406,14 @@ class _ForestLoops:
                     for j in bins[c]:
                         if j != i:
                             order.append((j, c))
-        self._undo.append((moved, olds, top, tree_loops[top], self.loops))
-        loops = _tree_loops(self.scaled, self.cap, bins, item_bins, order, self.base)
+        self._undo.append((moved, olds, top, tree_loops[top], tree_room[top], self.loops))
+        loops = _tree_loops(self.scaled, self.cap, item_bins, order, self.base)
         tree_loops[top] = loops
+        tree_room[top] = room
         self.loops += loops - merged
 
     def pop(self) -> None:
-        moved, olds, top, kept, loops = self._undo.pop()
+        moved, olds, top, kept, room, loops = self._undo.pop()
         item_bins = self.item_bins
         for i in self.bins.pop():
             item_bins[i].pop()
@@ -398,6 +421,7 @@ class _ForestLoops:
         for i, old in zip(moved, olds):
             tree[i] = old
         self.tree_loops[top] = kept
+        self.tree_room[top] = room
         self.loops = loops
 
 
@@ -520,6 +544,9 @@ class _ForestSearch:
         forest = _ForestLoops(self.scaled, self.cap, [0] * n)
         chosen = forest.bins
         tree = forest.tree
+        tree_loops = forest.tree_loops
+        tree_room = forest.tree_room
+        cap = self.cap
         item_bins = forest.item_bins
         # Items that may need more than one part.
         multi = sum(1 << i for i in range(n) if ceils[i] > 1)
@@ -545,7 +572,9 @@ class _ForestSearch:
                 if lonely & free:
                     continue
                 joins = mask & touched
-                if joins:
+                # Two items in chosen bins may already share a tree; an item
+                # in none is a tree of its own.
+                if joins & (joins - 1):
                     if len(members) == 2:
                         if tree[members[0]] == tree[members[1]]:
                             continue
@@ -559,6 +588,17 @@ class _ForestSearch:
                     continue
                 child_merges = merges_left - len(members) + 1
                 if joins:
+                    # The new tree's room bounds its total from below: the
+                    # child is pushed only if its merge cut may pass.
+                    merged = 0
+                    room = cap
+                    for i in members:
+                        joined = tree[i]
+                        merged += tree_loops[joined]
+                        room += tree_room[joined]
+                    least = -(room // cap) if room < 0 else 0
+                    if used + 1 + least - merged - min(child_merges, child_room) > n_bins:
+                        continue
                     forest.push(members)
                 else:
                     # A fresh tree: the child's used comes from the table,

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from splitpack.core import (
-    EMPTY_PACKING,
     Instance,
     Packing,
     lower_bounds,
@@ -596,7 +595,7 @@ def exact_opt(
             f"{inst.n} items exceed the budget of {budget.max_items}"
         )
     if inst.n == 0:
-        return 0, EMPTY_PACKING
+        return 0, Packing((), ())
     lb = lower_bounds(inst).best
     upper = _upper_bound_packing(inst)
     if upper.n_bins == lb:

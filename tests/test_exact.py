@@ -756,6 +756,22 @@ def _assert_matches_reference(forest, scaled, cap, base):
     assert forest.loops == total == _min_loops(scaled, cap, forest.bins, base)
 
 
+def _assert_rooms(forest, scaled, cap):
+    """Each tree's room is its bins times cap less its items' sizes, and
+    max(0, ceil(-room / cap)) is at most its total at zero base loops.
+    Returns the number of trees whose total is exactly that bound."""
+    tight = 0
+    zero = [0] * len(scaled)
+    for items, loops in reference_forest.tree_totals(scaled, cap, forest.bins, zero).values():
+        n_bins = len({b for i in items for b in forest.item_bins[i]})
+        room = n_bins * cap - sum(scaled[i] for i in items)
+        assert forest.tree_room[forest.tree[items[0]]] == room
+        least = max(0, -(room // cap))
+        assert least <= loops
+        tight += least == loops
+    return tight
+
+
 def test_forest_loops_track_min_loops(monkeypatch):
     # after every push and pop, each tree's label and total and the forest
     # total match the reference DP, run tree by tree on the pushed bins, at
@@ -765,8 +781,10 @@ def test_forest_loops_track_min_loops(monkeypatch):
     # general push evicts pushers from an overfull bin at least once. Every
     # entry a short search fills in its per-candidate table, and every
     # _min_loops its witness tries (at nonzero base loops too), match the
-    # reference DP. In the integer unit and, with UNIT_BITS = 0, on the
-    # Fractions at cap 1.
+    # reference DP. Each tree's room, recomputed from its bins and items,
+    # matches tree_room, and its volume bound is at most its total; on
+    # integer sizes, the last case, every tree meets its bound. In the
+    # integer unit and, with UNIT_BITS = 0, on the Fractions at cap 1.
     evictions = 0
     pushing = False
 
@@ -784,16 +802,22 @@ def test_forest_loops_track_min_loops(monkeypatch):
 
     monkeypatch.setattr(exact, "sorted", spy_sorted, raising=False)
     monkeypatch.setattr(exact, "_min_loops", spy_min_loops)
-    filled = based = 0
+    filled = based = tight = 0
     for bits in (core.UNIT_BITS, 0):
         monkeypatch.setattr(core, "UNIT_BITS", bits)
         rng = random.Random(23)
-        for _ in range(150):
-            k = rng.choice([2, 3, 4, 5])
-            n = rng.randint(2, 9)
-            den = rng.choice([2, 3, 4, 5, 6])
-            inst = Instance(k=k, sizes=tuple(F(rng.randint(1, 3 * den), den) for _ in range(n)))
+        for case in range(151):
+            if case < 150:
+                k = rng.choice([2, 3, 4, 5])
+                n = rng.randint(2, 9)
+                den = rng.choice([2, 3, 4, 5, 6])
+                sizes = tuple(F(rng.randint(1, 3 * den), den) for _ in range(n))
+            else:
+                k, n = 3, 7
+                sizes = tuple(map(F, (2, 1, 1, 2, 1, 2, 1)))
+            inst = Instance(k=k, sizes=sizes)
             cap, scaled = core.unit_sizes(inst.sizes)
+            integral = all(s % cap == 0 for s in scaled)
             assert all(isinstance(s, int) for s in scaled) == (bits > 0)
             search = exact._ForestSearch(inst, cap, scaled, exact._Counter(300))
             tries.clear()
@@ -838,7 +862,11 @@ def test_forest_loops_track_min_loops(monkeypatch):
                     if ref is not None:
                         assert forest.tree == ref.tree and forest.loops == ref.loops
                     _assert_matches_reference(forest, scaled, cap, base)
-    assert evictions > 0 and filled > 0 and based > 0
+                    trees = _assert_rooms(forest, scaled, cap)
+                    if integral:
+                        assert trees == len(set(forest.tree))
+                        tight += trees
+    assert evictions > 0 and filled > 0 and based > 0 and tight > 0
 
 
 def test_warm_alone_table_walks_like_a_cold_one():

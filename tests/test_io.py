@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splitpack import Instance, Packing
-from splitpack.core import EMPTY_PACKING, parse_rational, too_many_digits
+from splitpack.core import parse_rational, too_many_digits
 from splitpack import io as spio
 
 
@@ -180,7 +180,7 @@ def test_dumps_packing_matches_json_module(rows):
 @pytest.mark.parametrize(
     "packing",
     [
-        EMPTY_PACKING,
+        Packing((), ()),
         Packing(((), ((0, F(1, 2)),), ()), ("", "a", "b")),
         Packing(
             tuple(((i, F(1, 3)),) for i in range(7)),
