@@ -131,10 +131,14 @@ def _repair_two_bin(
 
     The main pass builds the pair bin as [medium m, small s], both whole.
     Once triggered, the repack is made iff the trailing bins hold parts of
-    one item `big` alone, `big` is large (above `cap`), those parts sum to
-    its size l, and l + m + s <= 2 * cap. The new bins are [m, cap - m of
-    `big`] (m alone when m = cap) and [the rest of `big`, s]: the last
-    condition is that the second one fits."""
+    one item `big` alone and its size l has l + m + s <= 2 * cap. The new
+    bins are [m, cap - m of `big`] (m alone when m = cap) and [the rest of
+    `big`, s]: the fit test is that the second one fits. No more is needed:
+    `big` alone in the group's first bin opened an empty next-fit bin and
+    still split, so it is above `cap`. On the S3 path all of its parts lie
+    in the group. On the S6 path it also has an S4 part of at least cap/2
+    beside a rest above `cap`, so l + m > 2 * cap and the fit test
+    refuses."""
     if len(trail) != 2 or labels.count(StepLabel.S2A) != 1:
         return False
     if sum(s > cap for s in sizes) != 1:
@@ -144,12 +148,7 @@ def _repair_two_bin(
     tail = [entry for b in trail for entry in bins[b]]
     big = tail[0][0]
     l_size = sizes[big]
-    if (
-        any(i != big for i, _ in tail)
-        or l_size <= cap
-        or sum(p for _, p in tail) != l_size
-        or l_size + m_size + s_size > 2 * cap
-    ):
+    if any(i != big for i, _ in tail) or l_size + m_size + s_size > 2 * cap:
         return True
     first = [(m, m_size)]
     if m_size < cap:

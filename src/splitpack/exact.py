@@ -24,26 +24,26 @@ tuple) and accepts the first forest F with |F| + minloops(F) <= B. minloops
 is the sum over the trees of F of one post-order pass per tree
 (``_tree_loops``). ``_ForestLoops`` is its one driver: it keeps one total
 per tree, a push walks the one tree the new bin forms and reruns the pass on
-it, and a pop restores the old totals. The walk pushes and pops as it goes,
-and ``_min_loops`` is a forest pushed bin by bin.
+it unless handed that tree's total, and a pop restores the old totals. The
+walk pushes and pops as it goes, and ``_min_loops`` is a forest pushed bin
+by bin.
 A branch is cut when its items still need more parts than the bins left can
 hold, or when even the best merges left cannot bring |F| + minloops(F) down
 to B: a d-item bin lowers that sum by at most d - 1. Both cuts are sound, so
 the accepted forest is the first one in candidate order.
 
-A candidate is tested before it is pushed. Most candidates hold only items
-in no chosen bin, and such a bin forms a tree of its own, whose total does
-not depend on F. The search keeps that total per candidate, computed on
-first use by a push and a pop in the walk's own forest and shared by every
-level, so the child's |F| + minloops(F) is a sum of known numbers; a child
-that its own merge cut would stop is skipped without being pushed, and any
-other is pushed by relabelling the bin's items alone. The table grows with
-the candidates, never with the nodes walked. A bin that joins chosen bins
-is tested against the room of the tree it would form: that tree's bins
-times cap less its items' sizes, summed from the rooms of the trees it
-joins. Its bins and loops must hold its items, so it needs at least
-max(0, ceil(-room / cap)) loops, and a child whose merge cut would stop it
-even at that bound is skipped without being pushed. Every cut stays the
+A candidate is tested before it is pushed, by one test: the child's own
+merge cut on a lower bound of the total of the tree the bin forms. A child
+that cut would stop is skipped without being pushed. Most candidates hold
+only items in no chosen bin, and such a bin forms a tree of its own, whose
+total does not depend on F. The search keeps that total per candidate,
+computed on first use by a push and a pop in the walk's own forest and
+shared by every level; the bound is the total itself, and the push is handed
+it and runs no DP. The table grows with the candidates, never with the nodes
+walked. A bin that joins chosen bins is bounded by the room of the tree it
+would form: that tree's bins times cap less its items' sizes, summed from
+the rooms of the trees it joins. Its bins and loops must hold its items, so
+it needs at least max(0, ceil(-room / cap)) loops. Every cut stays the
 child's own, so the walk, its node counts and its witnesses are those of
 pushing every candidate. Only a joining bin that passes reruns the pass, on
 the one tree it forms, and its undo record names only the items it
@@ -52,10 +52,11 @@ chosen bins: an item in none is a tree of its own and closes no cycle.
 
 The witness gives each item the loops its part count needs and hands out the
 remaining loops in the first split, in ``_extra_loop_splits`` order, that
-completes the forest. ``_flow_bins`` then realises the forest and its loops,
-in sorted bin order, as raw bins of parts in the search's unit, and
-``core.unit_packing`` turns them into the witness ``Packing``, as it does
-every solver output.
+completes the forest. l loops on an item of size s act in the tree DP as an
+item of size s - l * cap, so ``_min_loops`` on those sizes tests a split.
+``_flow_bins`` then realises the forest and its loops, in sorted bin order,
+as raw bins of parts in the search's unit, and ``core.unit_packing`` turns
+them into the witness ``Packing``, as it does every solver output.
 
 Equal sizes make many forests relabellings of one another, so the walk
 breaks that symmetry. An item's twin is the largest earlier item of the same
@@ -266,11 +267,12 @@ def _tree_loops(
     cap: int,
     item_bins: Sequence[Sequence[int]],
     order: Sequence[tuple[int, int]],
-    base: Sequence[int],
 ) -> int:
-    """Fewest loops to add to base[i] loops per item i of one tree, given
-    breadth first from a root as (item, parent bin) pairs, so that its bins
-    and the loops hold its items. The minimum does not depend on the root.
+    """Fewest loops so that the bins of one tree, given breadth first from a
+    root as (item, parent bin) pairs, and the loops hold its items. The
+    minimum does not depend on the root. An item of size at most 0 needs
+    nothing, so b loops already given to an item of size s count as its
+    size s - b * cap.
 
     A bin no child pushes into costs one subtraction, and a bin with one
     pusher one more: a single push never exceeds cap. Only several pushers
@@ -278,7 +280,7 @@ def _tree_loops(
     pushes: dict[int, list[Scaled]] = {}
     loops = 0
     for i, up in reversed(order):
-        excess = scaled[i] - base[i] * cap
+        excess = scaled[i]
         for b in item_bins[i]:
             if b == up:
                 continue
@@ -312,38 +314,35 @@ def _tree_loops(
 
 
 class _ForestLoops:
-    """A growing forest of multi-item bins and ``loops``, its min-loop total
-    over base[i] loops per item i, kept as one total per tree.
+    """A growing forest of multi-item bins and ``loops``, its min-loop total,
+    kept as one total per tree.
 
     ``tree[i]`` names the tree of item i (an item of it); ``tree_loops``
     holds each tree's total under that name, and ``tree_room`` its bins
-    times cap less its items' sizes, whatever the base loops. An item in no
-    bin is its own tree, with max(0, ceil(size) - base[i]) loops and room
-    -size; a pushed bin's tree has room cap plus the rooms of the trees it
-    joins.
+    times cap less its items' sizes. An item in no bin is its own tree, with
+    max(0, ceil(size)) loops and room -size; a pushed bin's tree has room
+    cap plus the rooms of the trees it joins.
 
     ``push`` adds a bin whose items lie in distinct trees. It is the one
     tree walk of the oracle: a breadth-first walk of the tree the bin forms,
     from the bin's first item, relabels the items outside that item's tree
-    and gives ``_tree_loops`` its order. ``_min_loops`` pushes every bin of
-    a forest, and the search fills its per-candidate table by a push and a
-    pop. ``push_alone`` adds a bin none of whose items lies in a bin yet,
-    given that bin's total alone: it relabels the bin's items and runs no
-    DP, and it holds only at zero base loops, where that total is the
-    table's. ``pop`` undoes the last push; its record holds the old tree of
-    each relabelled item, not a copy of ``tree``, and the new tree's name's
-    old total and room.
+    and gives ``_tree_loops`` its order. A caller that knows the new tree's
+    total passes it, and no DP runs: the search does so for a bin of items
+    in no bin, from its per-candidate table. ``_min_loops`` pushes every bin
+    of a forest, and the search fills that table by a push and a pop.
+    ``pop`` undoes the last push; its record holds the old tree of each
+    relabelled item, not a copy of ``tree``, and the new tree's name's old
+    total and room.
     """
 
-    def __init__(self, scaled: Sequence[Scaled], cap: int, base: Sequence[int]):
+    def __init__(self, scaled: Sequence[Scaled], cap: int):
         n = len(scaled)
         self.scaled = scaled
         self.cap = cap
-        self.base = base
         self.bins: list[tuple[int, ...]] = []
         self.item_bins: list[list[int]] = [[] for _ in range(n)]
         self.tree = list(range(n))
-        self.tree_loops = [max(0, -(-s // cap) - b) for s, b in zip(scaled, base)]
+        self.tree_loops = [max(0, -(-s // cap)) for s in scaled]
         self.tree_room = [-s for s in scaled]
         self.loops = sum(self.tree_loops)
         # Per push: the relabelled items, their old trees, the new tree's
@@ -352,28 +351,9 @@ class _ForestLoops:
             tuple[Sequence[int], Sequence[int], int, int, Scaled, int]
         ] = []
 
-    def push_alone(self, members: tuple[int, ...], loops: int, ceil_sum: int) -> None:
-        """Add a bin of items in no bin yet, whose ceil(size) sum to
-        ceil_sum; loops is the bin's min-loop total alone."""
-        tree = self.tree
-        tree_room = self.tree_room
-        top = members[0]
-        self._undo.append(
-            (members, members, top, self.tree_loops[top], tree_room[top], self.loops)
-        )
-        b = len(self.bins)
-        self.bins.append(members)
-        item_bins = self.item_bins
-        room = self.cap
-        for i in members:
-            item_bins[i].append(b)
-            tree[i] = top
-            room += tree_room[i]
-        self.tree_loops[top] = loops
-        tree_room[top] = room
-        self.loops += loops - ceil_sum
-
-    def push(self, members: tuple[int, ...]) -> None:
+    def push(self, members: tuple[int, ...], loops: int = -1) -> None:
+        """Add a bin; loops, when not negative, is the total of the tree it
+        forms."""
         tree = self.tree
         tree_loops = self.tree_loops
         tree_room = self.tree_room
@@ -407,7 +387,8 @@ class _ForestLoops:
                         if j != i:
                             order.append((j, c))
         self._undo.append((moved, olds, top, tree_loops[top], tree_room[top], self.loops))
-        loops = _tree_loops(self.scaled, self.cap, item_bins, order, self.base)
+        if loops < 0:
+            loops = _tree_loops(self.scaled, self.cap, item_bins, order)
         tree_loops[top] = loops
         tree_room[top] = room
         self.loops += loops - merged
@@ -426,16 +407,12 @@ class _ForestLoops:
 
 
 def _min_loops(
-    scaled: Sequence[Scaled],
-    cap: int,
-    forest: Sequence[tuple[int, ...]],
-    base: Sequence[int],
+    scaled: Sequence[Scaled], cap: int, forest: Sequence[tuple[int, ...]]
 ) -> int:
-    """Fewest loops to add to base[i] loops per item i so that the forest's
-    multi-item bins and the loops hold every item; sizes are scaled by cap
-    (integers, or the ``Fraction``s at cap 1).
-    Zero means the structure with exactly base loops is feasible."""
-    trees = _ForestLoops(scaled, cap, base)
+    """Fewest loops so that the forest's multi-item bins and the loops hold
+    every item; sizes are scaled by cap (integers, or the ``Fraction``s at
+    cap 1). Zero means the bins alone hold them."""
+    trees = _ForestLoops(scaled, cap)
     for members in forest:
         trees.push(members)
     return trees.loops
@@ -541,7 +518,7 @@ class _ForestSearch:
         n_rows = len(rows)
         counter = self.counter
         limit = counter.limit
-        forest = _ForestLoops(self.scaled, self.cap, [0] * n)
+        forest = _ForestLoops(self.scaled, self.cap)
         chosen = forest.bins
         tree = forest.tree
         tree_loops = forest.tree_loops
@@ -587,9 +564,10 @@ class _ForestSearch:
                 if need - relief > most:
                     continue
                 child_merges = merges_left - len(members) + 1
+                # The child's merge cut, on a lower bound of the new tree's
+                # total: a fresh tree's is in the table, and a joining bin's
+                # is bounded by its room. A child it would stop is skipped.
                 if joins:
-                    # The new tree's room bounds its total from below: the
-                    # child is pushed only if its merge cut may pass.
                     merged = 0
                     room = cap
                     for i in members:
@@ -597,21 +575,17 @@ class _ForestSearch:
                         merged += tree_loops[joined]
                         room += tree_room[joined]
                     least = -(room // cap) if room < 0 else 0
-                    if used + 1 + least - merged - min(child_merges, child_room) > n_bins:
-                        continue
-                    forest.push(members)
+                    loops = -1
                 else:
-                    # A fresh tree: the child's used comes from the table,
-                    # and a child its merge cut would stop is never pushed.
                     loops = alone[t]
                     if loops < 0:
                         forest.push(members)
                         loops = alone[t] = forest.tree_loops[members[0]]
                         forest.pop()
-                    child_used = used + 1 + loops - ceil_sum
-                    if child_used - min(child_merges, child_room) > n_bins:
-                        continue
-                    forest.push_alone(members, loops, ceil_sum)
+                    merged, least = ceil_sum, loops
+                if used + 1 + least - merged - min(child_merges, child_room) > n_bins:
+                    continue
+                forest.push(members, loops)
                 after = short & ~mask
                 if mask & multi:
                     for i in members:
@@ -641,7 +615,9 @@ class _ForestSearch:
         for bump in _extra_loop_splits(extra, n):
             self.counter.tick()
             loops = [need[i] + bump[i] for i in range(n)]
-            if _min_loops(self.scaled, self.cap, forest, loops) != 0:
+            # l loops on an item of size s act as an item of size s - l * cap.
+            rest = [s - l * self.cap for s, l in zip(self.scaled, loops)]
+            if _min_loops(rest, self.cap, forest) != 0:
                 continue
             bins = _flow_bins(
                 self.cap,

@@ -528,6 +528,36 @@ def _random_forest(rng, n, k):
     return bins
 
 
+def _reduced(scaled, cap, base):
+    """The sizes that base[i] loops per item i leave to the bins."""
+    return [s - b * cap for s, b in zip(scaled, base)]
+
+
+def test_min_loops_on_reduced_sizes_matches_base_loops(monkeypatch):
+    # b loops on an item of size s act as an item of size s - b * cap: on
+    # random forests, with base loops 0..ceil(size) + 1 per item (so some
+    # reduced sizes are at most 0), _min_loops on the reduced sizes is the
+    # reference DP's total at those base loops, in both units
+    nonpositive = 0
+    for bits in (core.UNIT_BITS, 0):
+        monkeypatch.setattr(core, "UNIT_BITS", bits)
+        rng = random.Random(31)
+        for _ in range(300):
+            k = rng.choice([2, 3, 4, 5])
+            n = rng.randint(1, 8)
+            den = rng.choice([2, 3, 4, 5, 6])
+            sizes = tuple(F(rng.randint(1, 3 * den), den) for _ in range(n))
+            cap, scaled = core.unit_sizes(sizes)
+            assert all(isinstance(s, int) for s in scaled) == (bits > 0)
+            forest = _random_forest(rng, n, k)
+            base = [rng.randint(0, -(-s // cap) + 1) for s in scaled]
+            rest = _reduced(scaled, cap, base)
+            nonpositive += any(s <= 0 for s in rest)
+            want = reference_forest.tree_totals(scaled, cap, forest, base)
+            assert _min_loops(rest, cap, forest) == sum(t for _, t in want.values())
+    assert nonpositive > 0
+
+
 def test_min_loops_matches_max_flow():
     # minloops(F) is the fewest loops with which max-flow realizes F, and
     # the DP's zero test with fixed loops is max-flow's feasibility test.
@@ -541,17 +571,18 @@ def test_min_loops_matches_max_flow():
         forest = _random_forest(rng, n, k)
         cap = math.lcm(1, *(s.denominator for s in sizes))
         scaled = [int(s * cap) for s in sizes]
-        least = _min_loops(scaled, cap, forest, [0] * n)
+        least = _min_loops(scaled, cap, forest)
 
         def realizes(loops):
             bins = forest + [(i,) for i in range(n) for _ in range(loops[i])]
             return ref.feasible(inst, ref.IncidenceStructure.build(bins)) is not None
 
         # loops only ever help, so no split of fewer than least - 1 loops can
-        # be feasible when none of least - 1 is
+        # be feasible when none of least - 1 is; a split's loops l count as
+        # an item of size s - l * cap
         for total in range(max(0, least - 1), least + 1):
             outcomes = [
-                (_min_loops(scaled, cap, forest, split) == 0, realizes(split))
+                (_min_loops(_reduced(scaled, cap, split), cap, forest) == 0, realizes(split))
                 for split in _extra_loop_splits(total, n)
             ]
             assert all(dp == flow for dp, flow in outcomes), (inst, forest)
@@ -745,7 +776,9 @@ def _alone_total(scaled, cap, members):
 
 def _assert_matches_reference(forest, scaled, cap, base):
     # each tree's items share one label, whose total is the reference DP of
-    # that tree; the forest total is their sum, and so is _min_loops
+    # that tree at the base loops; the forest total is their sum, and so is
+    # _min_loops on the sizes the base loops leave, which the forest holds
+    assert forest.scaled == _reduced(scaled, cap, base)
     trees = reference_forest.tree_totals(scaled, cap, forest.bins, base)
     assert len(set(forest.tree)) == len(trees)
     for items, loops in trees.values():
@@ -753,14 +786,15 @@ def _assert_matches_reference(forest, scaled, cap, base):
         assert {forest.tree[i] for i in items} == {label}
         assert forest.tree_loops[label] == loops
     total = sum(loops for _, loops in trees.values())
-    assert forest.loops == total == _min_loops(scaled, cap, forest.bins, base)
+    assert forest.loops == total == _min_loops(forest.scaled, cap, forest.bins)
 
 
-def _assert_rooms(forest, scaled, cap):
+def _assert_rooms(forest, cap):
     """Each tree's room is its bins times cap less its items' sizes, and
-    max(0, ceil(-room / cap)) is at most its total at zero base loops.
-    Returns the number of trees whose total is exactly that bound."""
+    max(0, ceil(-room / cap)) is at most its total. Returns the number of
+    trees whose total is exactly that bound."""
     tight = 0
+    scaled = forest.scaled
     zero = [0] * len(scaled)
     for items, loops in reference_forest.tree_totals(scaled, cap, forest.bins, zero).values():
         n_bins = len({b for i in items for b in forest.item_bins[i]})
@@ -775,16 +809,18 @@ def _assert_rooms(forest, scaled, cap):
 def test_forest_loops_track_min_loops(monkeypatch):
     # after every push and pop, each tree's label and total and the forest
     # total match the reference DP, run tree by tree on the pushed bins, at
-    # zero base loops and at random base loops (some above ceil(size)); at
-    # zero base a bin of untouched items goes through push_alone half the
-    # time, and labels and total also match the reference ForestLoops. The
-    # general push evicts pushers from an overfull bin at least once. Every
-    # entry a short search fills in its per-candidate table, and every
-    # _min_loops its witness tries (at nonzero base loops too), match the
-    # reference DP. Each tree's room, recomputed from its bins and items,
-    # matches tree_room, and its volume bound is at most its total; on
-    # integer sizes, the last case, every tree meets its bound. In the
-    # integer unit and, with UNIT_BITS = 0, on the Fractions at cap 1.
+    # zero base loops and at random base loops (some above ceil(size)), the
+    # latter pushed on the sizes they leave; at zero base a bin of untouched
+    # items is pushed with its total alone half the time, and labels and
+    # total also match the reference ForestLoops. The DP evicts pushers
+    # from an overfull bin at least once. Every entry a short search fills
+    # in its per-candidate table, and every _min_loops its witness tries
+    # (on sizes that nonzero loops reduce too), match the reference DP at
+    # the loops the sizes leave out. Each tree's room, recomputed from its
+    # bins and items, matches tree_room, and its volume bound is at most its
+    # total; on sizes that are whole and not negative (every size of the
+    # last case at zero base) every tree meets its bound. In the integer
+    # unit and, with UNIT_BITS = 0, on the Fractions at cap 1.
     evictions = 0
     pushing = False
 
@@ -795,9 +831,9 @@ def test_forest_loops_track_min_loops(monkeypatch):
 
     tries = []
 
-    def spy_min_loops(scaled, cap, forest, base):
-        loops = _min_loops(scaled, cap, forest, base)
-        tries.append((scaled, cap, list(forest), list(base), loops))
+    def spy_min_loops(scaled, cap, forest):
+        loops = _min_loops(scaled, cap, forest)
+        tries.append((scaled, cap, list(forest), loops))
         return loops
 
     monkeypatch.setattr(exact, "sorted", spy_sorted, raising=False)
@@ -830,14 +866,17 @@ def test_forest_loops_track_min_loops(monkeypatch):
                 if loops >= 0:
                     filled += 1
                     assert loops == _alone_total(scaled, cap, members)
-            for tried_scaled, tried_cap, forest, base, loops in tries:
+            for rest, tried_cap, forest, loops in tries:
+                assert tried_cap == cap
+                base = [(s - r) // cap for s, r in zip(scaled, rest)]
+                assert rest == _reduced(scaled, cap, base)
                 based += any(base)
-                want = reference_forest.tree_totals(tried_scaled, tried_cap, forest, base)
+                want = reference_forest.tree_totals(scaled, cap, forest, base)
                 assert loops == sum(total for _, total in want.values())
             ceils = [-(-s // cap) for s in scaled]
             zero = [0] * n
             for base in (zero, [rng.randint(0, c + 1) for c in ceils]):
-                forest = _ForestLoops(scaled, cap, base)
+                forest = _ForestLoops(_reduced(scaled, cap, base), cap)
                 ref = reference_forest.ForestLoops(scaled, cap, ceils) if base is zero else None
                 for _ in range(4 * n):
                     members = tuple(sorted(rng.sample(range(n), rng.randint(2, min(k, n)))))
@@ -848,8 +887,7 @@ def test_forest_loops_track_min_loops(monkeypatch):
                         if ref is not None:
                             ref.pop()
                     elif fresh and ref is not None and rng.random() < 0.5:
-                        loops = _alone_total(scaled, cap, members)
-                        forest.push_alone(members, loops, sum(ceils[i] for i in members))
+                        forest.push(members, _alone_total(scaled, cap, members))
                         ref.push(members)
                     elif acyclic:
                         pushing = True
@@ -862,8 +900,8 @@ def test_forest_loops_track_min_loops(monkeypatch):
                     if ref is not None:
                         assert forest.tree == ref.tree and forest.loops == ref.loops
                     _assert_matches_reference(forest, scaled, cap, base)
-                    trees = _assert_rooms(forest, scaled, cap)
-                    if integral:
+                    trees = _assert_rooms(forest, cap)
+                    if integral and min(forest.scaled) >= 0:
                         assert trees == len(set(forest.tree))
                         tight += trees
     assert evictions > 0 and filled > 0 and based > 0 and tight > 0
