@@ -6,12 +6,15 @@ Packing:  {"bins": [[{"item": id, "part": "p/q"}, ...], ...], "labels": [...]}
 Sizes travel as strings so exactness survives serialization; every rational
 is rendered in lowest terms. A reader parses each distinct numeral string
 once per document: instances and packings repeat a few values many times.
+The packing writer prints ``json.dumps``'s ``indent=2`` layout itself, a run
+of a few hundred bins per ``%`` format call.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable
 
 from .core import (
@@ -107,15 +110,20 @@ def dumps_instance(inst: Instance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-# One bin entry in the ``json.dumps(..., indent=2)`` layout.
-_ENTRY = '      {{\n        "item": {},\n        "part": "{}"\n      }}'
+# One bin entry in the ``json.dumps(..., indent=2)`` layout, a ``%`` format
+# over the item id and the part's text.
+_ENTRY = '      {\n        "item": %s,\n        "part": "%s"\n      }'
+
+# Bins rendered per ``%`` call: one call over the whole packing is as fast,
+# but holds every id and part string at once.
+_RUN = 256
 
 
-def _json_list(rows: list[str], indent: str) -> str:
-    """A JSON list of already-indented rows, closed at `indent`."""
-    if not rows:
-        return "[]"
-    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+def _bin_layout(m: int) -> str:
+    """The ``%`` format of a bin of m entries, indented as in a packing."""
+    if not m:
+        return "    []"
+    return "    [\n" + ",\n".join([_ENTRY] * m) + "\n    ]"
 
 
 def dumps_packing(packing: Packing) -> str:
@@ -123,30 +131,39 @@ def dumps_packing(packing: Packing) -> str:
     directly: a rendered rational needs no escaping, and each distinct label
     is escaped once by ``json.dumps``.
 
+    Each bin of m entries is rendered from one layout per m, built once per
+    call; the bins are formatted ``_RUN`` at a time, by one ``%`` over the
+    run's item ids (``%s``, so ``str``) and part strings, and the document
+    is one join of the runs.
+
     A part with more digits than ``parse_rational`` accepts
-    (``core.too_many_digits``) raises ``ValueError`` naming its bin, so
-    nothing is written that the reader refuses. Only a bin whose text
-    breaks that rule can hold such a part, so one test per bin is enough
-    for every other bin."""
-    bins = []
-    for b, entries in enumerate(packing.bins):
-        text = "    " + _json_list(
-            [_ENTRY.format(item, str(part)) for item, part in entries],
-            "    ",
-        )
-        if too_many_digits(text) and any(
-            too_many_digits(str(part)) for _, part in entries
-        ):
-            raise ValueError(
-                f"packing needs a part of more than {MAX_NUMERAL_DIGITS} digits "
-                f"(bin {b})"
-            )
-        bins.append(text)
-    quoted = {label: json.dumps(label) for label in set(packing.labels)}
-    labels = ["    " + quoted[label] for label in packing.labels]
-    return (
-        '{\n  "bins": ' + _json_list(bins, "  ")
-        + ',\n  "labels": ' + _json_list(labels, "  ") + "\n}\n"
+    (``core.too_many_digits``, consulted for every part) raises
+    ``ValueError`` naming its bin, the first such, so nothing is written
+    that the reader refuses."""
+    bins = packing.bins
+    if not bins:
+        return '{\n  "bins": [],\n  "labels": []\n}\n'
+    layouts = {m: _bin_layout(m) for m in set(map(len, bins))}
+    runs = []
+    for start in range(0, len(bins), _RUN):
+        run = bins[start : start + _RUN]
+        # item, part, item, part, ... with each part as its string
+        flat = list(chain.from_iterable(chain.from_iterable(run)))
+        parts = flat[1::2] = list(map(str, flat[1::2]))
+        if any(map(too_many_digits, parts)):
+            for b, entries in enumerate(run, start):
+                if any(too_many_digits(str(part)) for _, part in entries):
+                    raise ValueError(
+                        "packing needs a part of more than "
+                        f"{MAX_NUMERAL_DIGITS} digits (bin {b})"
+                    )
+        # every run but the first opens with the separator from the run before
+        layout = ",\n".join([layouts[len(e)] for e in run])
+        runs.append((",\n" + layout if start else layout) % tuple(flat))
+    quoted = {label: "    " + json.dumps(label) for label in set(packing.labels)}
+    labels = ",\n".join(map(quoted.__getitem__, packing.labels))
+    return "".join(
+        ['{\n  "bins": [\n', *runs, '\n  ],\n  "labels": [\n', labels, "\n  ]\n}\n"]
     )
 
 

@@ -78,7 +78,11 @@ class NfTrace:
 
 def spill(item: int, rest: Scaled, cap: int = 1) -> list[list[Item]]:
     """The ceil(rest / cap) fresh bins an item's remainder `rest` fills: each
-    holds a part of cap except the last, which holds the rest."""
+    holds a part of cap except the last, which holds the rest. A rest of at
+    most cap is the one bin ``[[(item, rest)]]``, returned without a
+    division."""
+    if rest <= cap:
+        return [[(item, rest)]]
     whole = -(-rest // cap) - 1
     return [[(item, cap)] for _ in range(whole)] + [[(item, rest - whole * cap)]]
 
@@ -101,31 +105,36 @@ def next_fit_bins(
 
     Returns the raw bins, unmerged, and one close reason per bin. Sizes may
     exceed cap, and the first entry may be the remainder of an item whose
-    other parts lie elsewhere.
+    other parts lie elsewhere. The open bin, always the last of the bins, is
+    held in a local with its fill, so an item that fits costs one append.
     """
     bins: list[list[Item]] = []
     reasons: list[CloseReason] = []
-    fill = 0
+    # The open bin and its fill; a fill of cap opens a bin for the first item.
+    current: list[Item] = []
+    fill = cap
     for item, size in stream:
-        if not bins or fill == cap or len(bins[-1]) == k:
+        if fill == cap or len(current) == k:
             if bins:
-                reasons.append(_close_reason(bins[-1], fill, k, cap))
-            bins.append([])
+                reasons.append(_close_reason(current, fill, k, cap))
+            current = []
+            bins.append(current)
             fill = 0
         space = cap - fill
         if size <= space:
-            bins[-1].append((item, size))
+            current.append((item, size))
             fill += size
             continue
         # Overflow: a full bin was closed above, so the item's head takes the
         # open bin's room and the rest spills into fresh bins.
-        bins[-1].append((item, space))
+        current.append((item, space))
         fresh = spill(item, size - space, cap)
         reasons.extend([CloseReason.FILLED] * len(fresh))
         bins.extend(fresh)
-        fill = fresh[-1][0][1]
+        current = fresh[-1]
+        fill = current[0][1]
     if bins:
-        reasons.append(_close_reason(bins[-1], fill, k, cap))
+        reasons.append(_close_reason(current, fill, k, cap))
     return bins, reasons
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction as F
 
@@ -196,6 +197,45 @@ def test_dumps_packing_matches_json_module(rows):
 )
 def test_dumps_packing_matches_json_module_fixed(packing):
     assert spio.dumps_packing(packing) == _json_reference(packing)
+
+
+def _many_runs_packing():
+    # about 600 bins of 0..5 entries, more than two of the writer's runs,
+    # with labels that need escaping
+    rng = random.Random(20261019)
+    labels = ['say "hi"', "back\\slash", "tab\tnew\nline", "café", "\U0001f600", "nf"]
+    bins = []
+    for _ in range(601):
+        items = sorted(rng.sample(range(-3, 2000), rng.randint(0, 5)))
+        parts = [F(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4)) for _ in items]
+        bins.append(tuple(zip(items, parts)))
+    return Packing(tuple(bins), tuple(rng.choice(labels) for _ in bins))
+
+
+def test_dumps_packing_matches_json_module_over_many_runs():
+    packing = _many_runs_packing()
+    assert len(packing.bins) > 2 * spio._RUN
+    assert {len(entries) for entries in packing.bins} == {0, 1, 2, 3, 4, 5}
+    assert spio.dumps_packing(packing) == _json_reference(packing)
+
+
+def test_unreadable_part_in_a_later_run_names_its_bin(tmp_path):
+    # a part of 1001 digits in bin 517, past the first two runs; one of
+    # 1000 digits in an earlier bin is readable and passes
+    packing = _many_runs_packing()
+    assert 517 > 2 * spio._RUN
+    bins = [list(entries) for entries in packing.bins]
+    bins[3] = [(0, F(10**999 + 7, 1))]  # 1000 digits
+    bins[517] = bins[517] + [(2001, F(-(10**1000) - 1, 1))]  # 1001 digits
+    bins[560] = [(0, F(1, 10**1000))]
+    packing = Packing(tuple(map(tuple, bins)), packing.labels)
+    message = "packing needs a part of more than 1000 digits (bin 517)"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        spio.dumps_packing(packing)
+    path = tmp_path / "packing.json"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spio.save_packing(str(path), packing)
+    assert not path.exists()
 
 
 # A reader parses each distinct numeral string once per document; these

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_nextfit
 from reference_core import scaled_sizes
 from splitpack import (
     CloseReason,
@@ -15,6 +17,7 @@ from splitpack import (
     next_fit,
     validate_packing,
 )
+from splitpack.core import unit_sizes
 from splitpack.nextfit import next_fit_bins, spill
 
 
@@ -227,3 +230,51 @@ def test_next_fit_golden_10k_items(k, n_bins, digest):
     reasons = [r.value for r in trace.close_reasons]
     key = (packing.bins, packing.labels, reasons, trace.blocks)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
+def _typed(bins):
+    # equal parts of different types compare equal; the kernels must agree
+    # on the types too
+    return [[(i, type(p), p) for i, p in entries] for entries in bins]
+
+
+# Sizes on a grid of twelfths close bins exactly full; sizes up to 4 spill
+# over several bins, and the optional head is a remainder above the
+# capacity, as pack_75's S6 group opens.
+_sizes_st = st.lists(
+    st.builds(F, st.integers(1, 48), st.sampled_from([1, 2, 3, 4, 6, 12])),
+    max_size=14,
+)
+_head_st = st.none() | st.builds(F, st.integers(13, 60), st.just(12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 5), sizes=_sizes_st, head=_head_st)
+@example(k=2, sizes=[F(1, 2), F(3, 5)], head=F(7, 4))
+@example(k=2, sizes=[F(1, 2), F(1, 2), F(1, 3), F(2, 3)], head=None)
+@example(k=3, sizes=[F(1, 3), F(7, 2), F(1, 2), F(3)], head=None)
+def test_next_fit_bins_matches_reference_kernel(k, sizes, head):
+    # the kernel gives the bins and close reasons of the code it replaced, in
+    # the Fraction unit at capacity 1 and in core.unit_sizes' integers
+    stream = list(enumerate(sizes, 1))
+    if head is not None:
+        stream.insert(0, (0, head))
+    ids = [i for i, _ in stream]
+    cap, scaled = unit_sizes([size for _, size in stream])
+    assert all(type(size) is int for size in scaled)
+    for unit_stream, unit_cap in ((stream, 1), (list(zip(ids, scaled)), cap)):
+        bins, reasons = next_fit_bins(unit_stream, k, unit_cap)
+        want_bins, want_reasons = reference_nextfit.next_fit_bins(
+            unit_stream, k, unit_cap
+        )
+        assert _typed(bins) == _typed(want_bins)
+        assert reasons == want_reasons
+
+
+@pytest.mark.parametrize("cap", [1, 6])
+def test_spill_matches_reference_spill(cap):
+    rests = [F(n, 12) * cap for n in range(1, 73)] + list(range(1, 4 * cap + 1))
+    for rest in rests:
+        assert _typed(spill(5, rest, cap)) == _typed(
+            reference_nextfit.spill(5, rest, cap)
+        )
