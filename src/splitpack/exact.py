@@ -9,6 +9,13 @@ forest F of multi-item bins, each holding 2..min(k, n) items, completed by
 single-item bins ("loops"). Loops never close a cycle, so the forest only
 has to be acyclic in its multi-item bins.
 
+Both public entry points are thin callers of one private ``_solve``, driven
+by two values: a goal, at or below which the upper bound is taken without a
+search, and a top, the highest level searched. ``exact_opt`` asks for goal 0
+and top ``max_bins``; ``feasible_in(inst, B)`` asks for goal and top B and
+pads the packing it gets to B bins. So the budget checks, the bounds and the
+level loop below exist once.
+
 Each call takes its unit once from ``core.unit_sizes``: the sizes as
 integers over their common denominator, in bins of that capacity, while it
 has at most ``core.UNIT_BITS`` bits, and the ``Fraction``s themselves in
@@ -132,7 +139,9 @@ class SearchBudget:
 
     max_structures counts search nodes: every candidate bin of the level
     search that passes the acyclicity and twin tests, plus every loop split
-    tried while building a witness.
+    tried while building a witness. It does not bound the set-up: the
+    search ranks all sum_{s=2}^{min(k, n)} C(n, s) candidate bins before it
+    counts a node, and only max_items bounds that work.
     """
 
     max_items: int = 8
@@ -684,7 +693,7 @@ def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[Scaled]) -> 
     return unit_packing(inst, bins, cap, scaled, [label] * len(bins))
 
 
-def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
+def _pad_to(packing: Packing, n_bins: int) -> Packing:
     """Grow a valid packing to exactly n_bins bins by halving parts into
     fresh single-entry bins; splitting never violates capacity or the part
     limit."""
@@ -707,7 +716,32 @@ def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
 
 
 # ---------------------------------------------------------------------------
-# Public search entry points.
+# Search entry points.
+
+
+def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing | None:
+    """The one path of both entry points: the upper bound when it has at
+    most max(goal, LB) bins; else the first witness of the levels LB .. top
+    below the upper bound, which has as many bins as its level; else the
+    upper bound when it has at most top + 1 bins, so that every level below
+    it was searched; else None."""
+    if inst.n > budget.max_items:
+        raise BudgetExceeded(f"{inst.n} items exceed the budget of {budget.max_items}")
+    if top > budget.max_bins:
+        raise BudgetExceeded(f"{top} bins exceed the budget of {budget.max_bins}")
+    lb = lower_bounds(inst).best
+    cap, scaled = unit_sizes(inst.sizes)
+    upper = _upper_bound_packing(inst, cap, scaled)
+    if upper.n_bins <= max(goal, lb):
+        return upper
+    levels = range(lb, min(upper.n_bins - 1, top) + 1)
+    if levels:
+        search = _ForestSearch(inst, cap, scaled, _Counter(budget.max_structures))
+        for n_bins in levels:
+            witness = search.level(n_bins)
+            if witness is not None:
+                return witness
+    return upper if upper.n_bins <= top + 1 else None
 
 
 def exact_opt(
@@ -718,26 +752,10 @@ def exact_opt(
     The search ascends from the combined lower bound and stops at the first
     feasible level, so the result is optimal.
     """
-    if inst.n > budget.max_items:
-        raise BudgetExceeded(
-            f"{inst.n} items exceed the budget of {budget.max_items}"
-        )
-    lb = lower_bounds(inst).best
-    cap, scaled = unit_sizes(inst.sizes)
-    upper = _upper_bound_packing(inst, cap, scaled)
-    if upper.n_bins == lb:
-        return lb, upper
-    search = _ForestSearch(inst, cap, scaled, _Counter(budget.max_structures))
-    top = min(upper.n_bins - 1, budget.max_bins)
-    for n_bins in range(lb, top + 1):
-        witness = search.level(n_bins)
-        if witness is not None:
-            return n_bins, witness
-    if upper.n_bins - 1 <= budget.max_bins:
-        return upper.n_bins, upper
-    raise BudgetExceeded(
-        f"optimum lies above the bin budget of {budget.max_bins}"
-    )
+    packing = _solve(inst, budget, 0, budget.max_bins)
+    if packing is None:
+        raise BudgetExceeded(f"optimum lies above the bin budget of {budget.max_bins}")
+    return packing.n_bins, packing
 
 
 def feasible_in(
@@ -751,26 +769,7 @@ def feasible_in(
     """
     if n_bins < 1:
         raise ValueError(f"bin count must be at least 1, got {n_bins}")
-    if inst.n > budget.max_items:
-        raise BudgetExceeded(
-            f"{inst.n} items exceed the budget of {budget.max_items}"
-        )
-    if n_bins > budget.max_bins:
-        raise BudgetExceeded(
-            f"{n_bins} bins exceed the budget of {budget.max_bins}"
-        )
-    if inst.n == 0:
+    packing = _solve(inst, budget, n_bins, n_bins)
+    if inst.n == 0 or packing is None or packing.n_bins > n_bins:
         return None
-    lb = lower_bounds(inst).best
-    if n_bins < lb:
-        return None
-    cap, scaled = unit_sizes(inst.sizes)
-    upper = _upper_bound_packing(inst, cap, scaled)
-    if upper.n_bins <= n_bins:
-        return _pad_to(inst, upper, n_bins)
-    search = _ForestSearch(inst, cap, scaled, _Counter(budget.max_structures))
-    for level in range(lb, n_bins + 1):
-        witness = search.level(level)
-        if witness is not None:
-            return _pad_to(inst, witness, n_bins)
-    return None
+    return _pad_to(packing, n_bins)

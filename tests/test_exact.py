@@ -166,6 +166,62 @@ def test_budget_errors():
         exact_opt(Instance(k=2, sizes=(F(51, 100),) * 5), tiny_search)
 
 
+# ---------------------------------------------------------------------------
+# The steps of ``exact._solve``, the one path behind both entry points.
+
+# Five just-over-half items at k = 2: LB 3, and the heuristics certify 4.
+OVER_HALF = Instance(k=2, sizes=(F(51, 100),) * 5)
+
+
+def _counted(monkeypatch, call):
+    """call()'s result and the search nodes it counted."""
+    counters = []
+
+    class Recording(exact._Counter):
+        def __init__(self, limit):
+            super().__init__(limit)
+            counters.append(self)
+
+    monkeypatch.setattr(exact, "_Counter", Recording)
+    result = call()
+    return result, sum(c.value for c in counters)
+
+
+def _upper(inst):
+    return _upper_bound_packing(inst, *core.unit_sizes(inst.sizes))
+
+
+def test_solve_refuses_when_levels_below_the_upper_bound_stay_unsearched():
+    assert lower_bounds(OVER_HALF).best == 3 and _upper(OVER_HALF).n_bins == 4
+    # two allowed bins leave level 3 unsearched, so 4 bins are not certified
+    with pytest.raises(BudgetExceeded, match="^optimum lies above the bin budget of 2$"):
+        exact_opt(OVER_HALF, SearchBudget(max_bins=2))
+
+
+def test_solve_takes_the_upper_bound_one_above_top():
+    # level 3 searched and infeasible: the 4-bin upper bound is optimal
+    assert exact_opt(OVER_HALF, SearchBudget(max_bins=3)) == (4, _upper(OVER_HALF))
+
+
+def test_feasible_in_drops_an_upper_bound_above_its_bin_count():
+    upper = _upper(OVER_HALF)
+    assert exact._solve(OVER_HALF, SearchBudget(), 3, 3) == upper
+    assert feasible_in(OVER_HALF, 3) is None
+
+
+def test_feasible_in_below_lower_bound_searches_nothing(monkeypatch):
+    assert _counted(monkeypatch, lambda: feasible_in(OVER_HALF, 2)) == (None, 0)
+
+
+def test_upper_bound_at_lower_bound_is_taken_past_the_bin_budget(monkeypatch):
+    # a packing at the lower bound is optimal whatever the bin budget
+    inst = Instance(k=2, sizes=(F(1, 2), F(1, 3), F(1, 4)))
+    upper = _upper(inst)
+    assert upper.n_bins == lower_bounds(inst).best == 2
+    counted = _counted(monkeypatch, lambda: exact_opt(inst, SearchBudget(max_bins=0)))
+    assert counted == ((2, upper), 0)
+
+
 def test_budget_spec_parsing():
     budget = SearchBudget.from_spec("items=10,bins=12,structures=1000")
     assert (budget.max_items, budget.max_bins, budget.max_structures) == (
@@ -437,6 +493,24 @@ def test_forest_oracle_matches_reference(corpus):
             searched += ref._upper_bound_packing(inst).n_bins > lower_bounds(inst).best
     # every corpus but the retired tests' small ones reaches the level search
     assert searched > 0 or corpus in ("forest-k2-n5", "duplicated-sizes")
+
+
+def _small_random(rng):
+    # sizes up to 2 keep OPT + 1 within WIDE's 20 bins
+    k = rng.choice([2, 3, 4])
+    dist = rng.choice(["uniform", "mixed"])
+    return gen_random(rng.randint(1, 7), k, dist, seed=rng.randrange(2**30))
+
+
+def test_feasible_in_answers_exactly_from_opt():
+    # the two callers of ``exact._solve`` agree: B bins suffice iff B >= OPT
+    for inst in _drawn(24, 600, _small_random):
+        opt, _ = exact_opt(inst, WIDE)
+        for n_bins in range(1, opt + 2):
+            got = feasible_in(inst, n_bins, WIDE)
+            assert (got is None) == (n_bins < opt), (inst, n_bins)
+            if got is not None:
+                assert validate_packing(inst, got) == [] and got.n_bins == n_bins
 
 
 def _three_partition(rng, m, target):
