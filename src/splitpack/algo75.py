@@ -29,10 +29,8 @@ from .core import (
     Item,
     Packing,
     Scaled,
-    bin_violations,
-    unit_packing,
+    checked_packing,
     unit_sizes,
-    validate_packing,
 )
 from . import exact as exact_mod
 from .nextfit import next_fit_bins
@@ -176,8 +174,8 @@ def _seven_bin_pattern(labels: list[str], trail: list[int]) -> bool:
 
 def _repair_seven_bin(inst: Instance) -> Packing | None:
     """Search exhaustively for a seven-bin packing of the whole instance:
-    ``exact.feasible_in``'s witness, relabelled as repacked, or None when
-    none exists or the search runs out of its budget."""
+    ``exact.feasible_in``'s witness, or None when none exists or the search
+    runs out of its budget."""
     # A fixed budget, so that the packing never depends on the environment.
     try:
         witness = exact_mod.feasible_in(
@@ -185,9 +183,7 @@ def _repair_seven_bin(inst: Instance) -> Packing | None:
         )
     except exact_mod.BudgetExceeded:
         return None
-    if witness is None:
-        return None
-    return Packing(witness.bins, (StepLabel.REPACKED,) * witness.n_bins)
+    return witness
 
 
 def _main_pass(
@@ -275,11 +271,14 @@ def pack_75(inst: Instance) -> A75Report:
     Stage one pairs each medium with the smallest small that fits, or splits
     it over the two largest smalls; leftovers flow through next-fit. It runs
     once, in the instance's ``core.unit_sizes`` unit, and so does the
-    two-bin repair on its bins. One ``bin_violations`` call checks what
-    they leave in that unit before the parts turn back into ``Fraction``s
-    once: that check certifies the packing, since the conversion is exact.
-    A seven-bin witness that the repair adopts replaces the packing and is
-    validated alone. Output is always a valid packing.
+    two-bin repair on its bins. A seven-bin witness that the repair adopts
+    replaces those bins, relabelled as repacked, in ``Fraction``s at
+    capacity 1. ``core.checked_packing`` checks the bins once, in their
+    unit, before the parts turn back into ``Fraction``s once: that check
+    certifies the packing, since the conversion is exact, so the packing is
+    returned marked as checked for inst and ``validate_packing`` does not
+    repeat it. A failed check is an ``InternalError``; output is always a
+    valid packing.
     """
     if inst.k != 2:
         raise ValueError(f"this algorithm requires k=2, got k={inst.k}")
@@ -289,21 +288,16 @@ def pack_75(inst: Instance) -> A75Report:
     # unit_packing sorts by item id.
     trail = _trailing_group(bins, labels)
     fallback: str | None = None
-    packing = None
     # The two-bin repair leaves the packing as it is unless it triggers.
     if _repair_two_bin(bins, labels, trail, cap, sizes):
         fallback = TWO_BIN_REPACK
     elif _seven_bin_pattern(labels, trail):
         fallback = SEVEN_BIN_SEARCH
-        packing = _repair_seven_bin(inst)
-    if packing is None:
-        problems = bin_violations(inst, bins, cap, sizes)
-    else:
-        problems = validate_packing(inst, packing)
-    if problems:
-        raise InternalError(f"algorithm produced an invalid packing: {problems[0]}")
-    if packing is None:
-        packing = unit_packing(inst, bins, cap, sizes, labels)
+        witness = _repair_seven_bin(inst)
+        if witness is not None:
+            bins, cap, sizes = witness.bins, 1, inst.sizes
+            labels = [StepLabel.REPACKED] * witness.n_bins
+    packing = checked_packing(inst, bins, cap, sizes, labels)
     return A75Report(
         packing=packing,
         label_counts=dict(Counter(packing.labels)),

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Any, Collection, Iterable, Iterator, Sequence
 
 # One (item_id, size or part) entry: an item of a stream or a part in a bin.
 Item = tuple[int, Fraction]
@@ -216,14 +217,68 @@ class Packing:
         """Bin-order-independent canonical form, for equality up to reordering."""
         return tuple(sorted(self.bins))
 
+    def __getstate__(self) -> dict[str, Any]:
+        return unmarked_state(self)
+
+
+# The attribute marking a packing or next-fit trace whose bins passed
+# ``bin_violations`` for an instance: (k, sizes, bins) of that check. It
+# counts only while k is equal and the instance's sizes and the object's
+# bins are those very objects, so it never moves to another instance or to
+# other bins.
+_MARK = "_checked_for"
+
+
+def mark_checked(inst: Instance, obj: Any) -> None:
+    """Mark obj (a ``Packing`` or a next-fit trace), whose bins have just
+    passed ``bin_violations`` for inst, as checked for inst. Nothing is
+    marked for an instance whose sizes were replaced by a mutable
+    sequence."""
+    if type(inst.sizes) is tuple:
+        object.__setattr__(obj, _MARK, (inst.k, inst.sizes, obj.bins))
+
+
+def unmarked_state(obj: Any) -> dict[str, Any]:
+    """The pickle and copy state of a markable object, without its mark: a
+    copy is new bins, checked again in full."""
+    return {name: v for name, v in obj.__dict__.items() if name != _MARK}
+
+
+def checked_violations(inst: Instance, obj: Any) -> list[str]:
+    """``bin_violations(inst, obj.bins)``, or ``[]`` at once when obj is
+    marked as checked for inst. A clean check marks obj when nothing can
+    change its bins in place: a tuple of tuples of entry tuples."""
+    mark = getattr(obj, _MARK, None)
+    bins = obj.bins
+    if mark and mark[0] == inst.k and mark[1] is inst.sizes and mark[2] is bins:
+        return []
+    problems = bin_violations(inst, bins)
+    if not problems and _frozen(bins):
+        mark_checked(inst, obj)
+    return problems
+
+
+def _frozen(bins: Any) -> bool:
+    return (
+        type(bins) is tuple
+        and {tuple}.issuperset(map(type, bins))
+        and {tuple}.issuperset(map(type, chain.from_iterable(bins)))
+    )
+
 
 def validate_packing(inst: Instance, packing: Packing) -> list[str]:
     """Return every violated packing invariant, empty iff feasible.
 
     Checks: known item ids, per-bin cardinality <= k, per-bin capacity <= 1,
     strictly positive parts, exact per-item coverage, and no empty bins.
+
+    A packing that a solver or rewrite of this package returned for inst
+    was checked when it was built, in its unit, and is not checked again
+    (see ``checked_violations``); a packing loaded from a file, built by
+    hand, copied, or checked against another instance always gets the
+    full check.
     """
-    return bin_violations(inst, packing.bins)
+    return checked_violations(inst, packing)
 
 
 def bin_violations(
@@ -373,6 +428,30 @@ def unit_packing(
         row.sort()
         out.append(tuple(row))
     return Packing(tuple(out), tuple(labels))
+
+
+def checked_packing(
+    inst: Instance,
+    bins: Iterable[Collection[Item]],
+    cap: int,
+    sizes: Sequence[Scaled],
+    labels: Sequence[str],
+) -> Packing:
+    """The ``unit_packing`` of a solver's raw bins, marked as checked for
+    inst, once ``bin_violations`` accepts them in their unit (cap, sizes);
+    a bin that fails raises ``InternalError`` with the first problem. The
+    map to ``Fraction``s is exact, so the check in the unit certifies the
+    packing and ``validate_packing`` need not repeat it. The bins are
+    iterated twice."""
+    problems = bin_violations(inst, bins, cap, sizes)
+    if problems:
+        raise InternalError(
+            f"a solver or rewrite built an invalid packing (bin capacity {cap}): "
+            f"{problems[0]}"
+        )
+    packing = unit_packing(inst, bins, cap, sizes, labels)
+    mark_checked(inst, packing)
+    return packing
 
 
 def parts_needed(sizes: Iterable[Fraction]) -> int:

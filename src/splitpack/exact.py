@@ -81,11 +81,11 @@ tests, or one loop split the witness tries.
 Validated heuristic packings serve as upper bounds: a valid packing is a
 certificate, so the search only has to exhaust the levels below it. Next fit
 (through the one ``nextfit.next_fit_bins`` kernel) and best fit decreasing
-run in the call's unit; the winner's bins pass ``core.bin_violations``
+run in the call's unit; ``core.checked_packing`` checks the winner's bins
 against the unit's sizes and capacity, the same checks ``validate_packing``
-makes, before ``core.unit_packing`` turns the parts back into ``Fraction``s
-for one ``Packing``. Dividing by cap is exact, so the check is a certificate
-for that packing; a failed check raises ``InternalError``.
+makes, before the parts turn back into ``Fraction``s for one ``Packing``.
+Dividing by cap is exact, so the check is a certificate for that packing,
+which is marked as checked; a failed check raises ``InternalError``.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ from .core import (
     Item,
     Packing,
     Scaled,
-    bin_violations,
     brief_repr,
+    checked_packing,
     lower_bounds,
     shared_bins,
     too_many_digits,
@@ -677,20 +677,16 @@ def _best_fit_split(
 
 def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[Scaled]) -> Packing:
     """The fewer-bin packing of next fit (kept on ties) and best fit, both
-    run on the sizes scaled by cap. The winner's bins are checked against
-    the scaled sizes before one ``Packing`` with parts p/cap is built by
-    ``unit_packing``; that map is exact, so the check certifies the
-    packing."""
+    run on the sizes scaled by cap. ``checked_packing`` checks the winner's
+    bins against the scaled sizes before it builds one ``Packing`` with
+    parts p/cap; that map is exact, so the check certifies the packing."""
     bins, _ = next_fit_bins(enumerate(scaled), inst.k, cap)
     label = NF_LABEL
     bf_bins = _best_fit_split(inst, cap, scaled)
     if len(bf_bins) < len(bins):
         # "ffd" stays: byte-stable witnesses carry it whenever this meets the LB.
         bins, label = bf_bins, "ffd"
-    problems = bin_violations(inst, bins, cap, scaled)
-    if problems:
-        raise InternalError(f"heuristic produced an invalid packing: {problems[0]}")
-    return unit_packing(inst, bins, cap, scaled, [label] * len(bins))
+    return checked_packing(inst, bins, cap, scaled, [label] * len(bins))
 
 
 def _pad_to(packing: Packing, n_bins: int) -> Packing:

@@ -134,29 +134,42 @@ def dumps_packing(packing: Packing) -> str:
     Each bin of m entries is rendered from one layout per m, built once per
     call; the bins are formatted ``_RUN`` at a time, by one ``%`` over the
     run's item ids (``%s``, so ``str``) and part strings, and the document
-    is one join of the runs.
+    is one join of the runs. Solvers share one part object among many
+    entries, so each distinct part object is rendered once per call, keyed
+    by its ``id`` while the packing holds it.
 
     A part with more digits than ``parse_rational`` accepts
-    (``core.too_many_digits``, consulted for every part) raises
+    (``core.too_many_digits``, consulted once per rendered part) raises
     ``ValueError`` naming its bin, the first such, so nothing is written
     that the reader refuses."""
     bins = packing.bins
     if not bins:
         return '{\n  "bins": [],\n  "labels": []\n}\n'
     layouts = {m: _bin_layout(m) for m in set(map(len, bins))}
+    texts: dict[int, str] = {}
     runs = []
     for start in range(0, len(bins), _RUN):
         run = bins[start : start + _RUN]
         # item, part, item, part, ... with each part as its string
         flat = list(chain.from_iterable(chain.from_iterable(run)))
-        parts = flat[1::2] = list(map(str, flat[1::2]))
-        if any(map(too_many_digits, parts)):
-            for b, entries in enumerate(run, start):
-                if any(too_many_digits(str(part)) for _, part in entries):
+        parts = []
+        for part in flat[1::2]:
+            text = texts.get(id(part))
+            if text is None:
+                text = texts[id(part)] = str(part)
+                if too_many_digits(text):
+                    # the part's first entry: no earlier part was refused
+                    b = next(
+                        b
+                        for b, entries in enumerate(run, start)
+                        if any(p is part for _, p in entries)
+                    )
                     raise ValueError(
                         "packing needs a part of more than "
                         f"{MAX_NUMERAL_DIGITS} digits (bin {b})"
                     )
+            parts.append(text)
+        flat[1::2] = parts
         # every run but the first opens with the separator from the run before
         layout = ",\n".join([layouts[len(e)] for e in run])
         runs.append((",\n" + layout if start else layout) % tuple(flat))

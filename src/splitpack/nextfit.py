@@ -43,10 +43,12 @@ from .core import (
     Item,
     Packing,
     Scaled,
-    bin_violations,
+    checked_packing,
+    checked_violations,
+    mark_checked,
     parts_needed,
-    unit_packing,
     unit_sizes,
+    unmarked_state,
 )
 
 NF_LABEL = "nf"
@@ -74,6 +76,9 @@ class NfTrace:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    def __getstate__(self) -> dict:
+        return unmarked_state(self)
 
 
 def spill(item: int, rest: Scaled, cap: int = 1) -> list[list[Item]]:
@@ -141,9 +146,12 @@ def next_fit_bins(
 def next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
     """Run NEXT FIT over the instance in the given order.
 
-    Runs the kernel once, in the instance's ``core.unit_sizes`` unit, and
-    converts the parts back to ``Fraction``s once. Returns the packing plus
-    the trace. Total on all valid instances; the packing of a prefix of the
+    Runs the kernel once, in the instance's ``core.unit_sizes`` unit,
+    checks its bins there with ``core.checked_packing`` (a failure is an
+    ``InternalError``) and converts the parts back to ``Fraction``s once.
+    Returns the packing plus the trace, both marked as checked for inst, so
+    ``validate_packing`` and ``check_block_inequality`` do not check them
+    again. Total on all valid instances; the packing of a prefix of the
     input is a prefix of the full packing except for the still-open current
     bin.
     """
@@ -156,12 +164,13 @@ def next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
             blocks.append((start, i - start + 1))
             start = i + 1
 
-    packing = unit_packing(inst, bins, cap, sizes, [NF_LABEL] * len(bins))
+    packing = checked_packing(inst, bins, cap, sizes, [NF_LABEL] * len(bins))
     trace = NfTrace(
         bins=packing.bins,
         close_reasons=tuple(reasons),
         blocks=tuple(blocks),
     )
+    mark_checked(inst, trace)
     return packing, trace
 
 
@@ -174,8 +183,13 @@ def check_block_inequality(inst: Instance, trace: NfTrace) -> bool:
     is full and each non-final block ends at k parts, which forces at least
     k-1 unsplit items into that closing bin. A False return means the trace
     does not come from this implementation's NEXT FIT.
+
+    The trace's bins must be a valid packing of inst, or ``ValueError`` is
+    raised. A trace that ``next_fit`` returned for inst was checked when it
+    was built and is not checked again; any other trace, such as one
+    rebuilt by hand or passed with another instance, gets the full check.
     """
-    problems = bin_violations(inst, trace.bins)
+    problems = checked_violations(inst, trace)
     if problems:
         raise ValueError(f"trace does not match the instance: {problems[0]}")
     nf = trace.n_bins

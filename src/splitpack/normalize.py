@@ -36,14 +36,17 @@ common capacity, so a fill, a slice or a merge is an integer sum and every
 comparison an integer test. Dividing by the capacity keeps every comparison,
 so every choice and output byte is the one exact ``Fraction`` arithmetic
 gives; when the common denominator passes ``core.UNIT_BITS`` the same code
-runs on the ``Fraction`` parts at capacity 1. The input is validated and the
-output converted back once each. Each item's size type (1 for a small item)
-is computed once. The rewrites share one packing-graph index, built once by
-``core.shared_bins`` over the working bins and updated in place: each item's
-edge bins (the two-item bins holding it) as a list sorted by bin index. No
-rewrite rescans the packing. remove_cycles walks the tree each cycle lies
-in once, a BFS that yields both the cycle's path and the tree's items,
-resumes its scan at the closing bin and re-joins only that tree;
+runs on the ``Fraction`` parts at capacity 1. The input is validated once
+(not at all when ``validate_packing`` has already passed it for the
+instance); the output is checked in the unit and converted back once, by
+``core.checked_packing``, so it is returned marked as checked. Each item's
+size type (1 for a small item) is computed once. The rewrites share one
+packing-graph index, built once by ``core.shared_bins`` over the working
+bins and updated in place: each item's edge bins (the two-item bins holding
+it) as a list sorted by bin index. No rewrite rescans the packing.
+remove_cycles walks the tree each cycle lies in once, a BFS that yields
+both the cycle's path and the tree's items, resumes its scan at the
+closing bin and re-joins only that tree;
 smalls_to_leaves needs one forward scan per phase, because no rewrite
 creates a new collapse candidate or raises a small item's neighbor count;
 bound_degrees is one resumable sweep, since a merge at x rewires only edges
@@ -66,10 +69,10 @@ from .core import (
     Packing,
     Scaled,
     bin_violations,
+    checked_packing,
     is_acyclic,
     shared_bins,
     size_type,
-    unit_packing,
     unit_sizes,
     validate_packing,
 )
@@ -154,8 +157,11 @@ class _Work:
             raise InternalError("a rewrite left a cycle in the packing graph")
 
     def packing(self) -> Packing:
+        """The output ``Packing``, marked as checked: its bins pass the
+        validity half of ``check`` in the unit first (``checked_packing``),
+        and a failure is an ``InternalError``."""
         live = [b for b, entries in enumerate(self.bins) if entries is not None]
-        return unit_packing(
+        return checked_packing(
             self.inst,
             [self.bins[b].items() for b in live],
             self.cap,
@@ -448,9 +454,13 @@ def normalize(inst: Instance, packing: Packing) -> Packing:
     idempotent up to bin order. The steps rewrite one working copy and share
     its index and unit, making their choices in the order the module
     docstring states; between steps the copy is checked, in the unit, as
-    each public step checks its input, and a failure raises
-    ``InternalError``. An invalid input raises ``InvalidPackingError`` with
-    every violation.
+    each public step checks its input, and the output's bins are checked
+    for validity in the unit before it is built; a failure raises
+    ``InternalError``. The output is marked as checked, so
+    ``validate_packing`` and ``normalization_violations`` do not check its
+    validity again. An invalid input raises ``InvalidPackingError`` with
+    every violation; an input that ``validate_packing`` has passed for inst
+    is not validated again.
     """
     work = _Work(inst, packing)
     _remove_cycles(work)

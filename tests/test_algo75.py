@@ -10,6 +10,7 @@ from splitpack import (
     Instance,
     Packing,
     algo75,
+    core,
     exact_opt,
     gen_a75_worst,
     gen_random,
@@ -237,8 +238,9 @@ def test_seven_bin_search_not_triggered_elsewhere():
 
 
 def test_one_check_per_run(monkeypatch):
-    # one bin_violations in the unit certifies every run that adopts no
-    # seven-bin witness; an adopted witness is validated alone
+    # one checked_packing, one bin_violations in the unit, certifies every
+    # run; an adopted seven-bin witness is checked there too, at capacity 1,
+    # and nothing is validated again in Fractions
     calls = Counter()
 
     def counting(name, fn):
@@ -248,18 +250,26 @@ def test_one_check_per_run(monkeypatch):
 
         return wrapper
 
-    for name in ("bin_violations", "validate_packing"):
-        monkeypatch.setattr(algo75, name, counting(name, getattr(algo75, name)))
+    for module, name in (
+        (algo75, "checked_packing"),
+        (core, "bin_violations"),
+        (core, "validate_packing"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(Packing, "build", staticmethod(counting("build", Packing.build)))
     plain = [gen_random(n, 2, "mixed", n) for n in range(0, 40, 3)]
     two_bin = [(F(3, 5), F(1, 5), F(6, 5)), (F(3, 5), F(2, 5), F(9, 5))]
-    for sizes in [inst.sizes for inst in plain] + two_bin + [SEVEN_NO]:
+    for sizes in [inst.sizes for inst in plain] + two_bin:
         calls.clear()
         pack_75(Instance(k=2, sizes=sizes))
-        assert calls == {"bin_violations": 1}, sizes
-    calls.clear()
-    assert pack_75(Instance(k=2, sizes=SEVEN_YES)).n_bins == 7
-    assert calls["validate_packing"] == 1 and calls["bin_violations"] == 0
+        assert calls == {"checked_packing": 1, "bin_violations": 1}, sizes
+    # the seven-bin search also checks the oracle's own upper bound
+    for sizes, n_bins in ((SEVEN_NO, 10), (SEVEN_YES, 7)):
+        calls.clear()
+        report = pack_75(Instance(k=2, sizes=sizes))
+        assert report.fallback_triggered == SEVEN_BIN_SEARCH
+        assert report.n_bins == n_bins
+        assert calls["checked_packing"] == 1 and calls["validate_packing"] == 0
 
 
 def test_worst_family_counts():

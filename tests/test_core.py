@@ -1,21 +1,28 @@
+import dataclasses
 import math
+import pickle
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_core as ref
 from reference_core import scaled_sizes
 from splitpack import (
+    InternalError,
     InvalidPackingError,
     Instance,
     Packing,
+    check_block_inequality,
+    core,
     gen_random,
+    io,
     lower_bounds,
     next_fit,
     normalize,
+    pack_75,
     parse_rational,
     validate_packing,
 )
@@ -24,12 +31,15 @@ from splitpack.core import (
     MAX_NUMERAL_DIGITS,
     bin_violations,
     brief_repr,
+    checked_packing,
     is_acyclic,
     parts_needed,
     shared_bins,
     size_type,
     too_many_digits,
+    unit_sizes,
 )
+from splitpack.exact import _upper_bound_packing
 
 
 def test_parse_rational_forms():
@@ -577,3 +587,135 @@ def test_validate_packing_detects_mutations():
         assert issues, (inst.sizes, kind, bins)
         caught += 1
     assert caught == 120
+
+
+# Mersenne primes of 89 and 107 bits: a size over either has no integer unit,
+# so the solvers and rewrites run on its Fractions at capacity 1.
+_NO_UNIT = (2**89 - 1, 2**107 - 1)
+
+
+@st.composite
+def _unit_instances(draw):
+    """k = 2..5, up to eight sizes of at most 2, over small denominators (the
+    integer unit) or over the primes of ``_NO_UNIT`` (the Fraction unit)."""
+    dens = _NO_UNIT if draw(st.booleans()) else range(1, 13)
+    sizes = []
+    for _ in range(draw(st.integers(1, 8))):
+        den = draw(st.sampled_from(dens))
+        sizes.append(F(draw(st.integers(1, 2 * den)), den))
+    return Instance(k=draw(st.integers(2, 5)), sizes=tuple(sizes))
+
+
+@settings(deadline=None)
+@given(inst=_unit_instances(), seed=st.integers(0, 2**30))
+def test_validate_packing_matches_a_full_check(inst, seed):
+    # marked solver and rewrite outputs, and packings that carry no mark
+    # (loaded, hand-built, replaced, some invalid): validate_packing always
+    # gives the full Fraction check's answer, also when asked again
+    packing, trace = next_fit(inst)
+    outputs = [packing, _upper_bound_packing(inst, *unit_sizes(inst.sizes))]
+    if inst.k == 2:
+        outputs += [pack_75(inst).packing, normalize(inst, packing)]
+    cap = unit_sizes(inst.sizes)[0]
+    rng = random.Random(seed)
+    bins = [list(entries) for entries in packing.bins]
+    unmarked = [io.loads_packing(io.dumps_packing(out)) for out in outputs]
+    unmarked += [dataclasses.replace(out) for out in outputs]
+    traces = [trace]
+    for mutated in _mutations(inst, bins, F(1, cap), rng):
+        hand = Packing.build(mutated)
+        replaced = dataclasses.replace(packing, bins=hand.bins, labels=hand.labels)
+        unmarked += [hand, replaced]
+        traces.append(dataclasses.replace(trace, bins=hand.bins))
+    for out in outputs + unmarked:
+        expected = bin_violations(inst, out.bins)
+        assert validate_packing(inst, out) == expected
+        assert validate_packing(inst, out) == expected
+    for tr in traces:
+        if bin_violations(inst, tr.bins):
+            with pytest.raises(ValueError, match="trace does not match the instance"):
+                check_block_inequality(inst, tr)
+        else:
+            full = check_block_inequality(inst, dataclasses.replace(tr))
+            assert check_block_inequality(inst, tr) == full
+
+
+def _counting_checks(monkeypatch):
+    """Count the full checks ``validate_packing`` and the trace check run."""
+    calls = []
+    full = core.bin_violations
+
+    def counting(*args):
+        calls.append(args)
+        return full(*args)
+
+    monkeypatch.setattr(core, "bin_violations", counting)
+    return calls
+
+
+def test_a_mark_holds_only_for_its_instance_and_bins(monkeypatch):
+    inst = gen_random(40, 2, "mixed", 5)
+    packing, _ = next_fit(inst)
+    calls = _counting_checks(monkeypatch)
+    assert validate_packing(inst, packing) == [] and not calls
+    # an equal but distinct instance: checked in full, as is a replaced copy
+    assert validate_packing(Instance(k=2, sizes=inst.sizes), packing) == []
+    assert validate_packing(inst, dataclasses.replace(packing)) == []
+    assert len(calls) == 2
+    # bins swapped in place of the checked ones are checked in full (a
+    # fresh output: each clean check above marks the packing anew)
+    packing, _ = next_fit(inst)
+    wrong = packing.bins[:-1]
+    object.__setattr__(packing, "bins", wrong)
+    assert validate_packing(inst, packing) == bin_violations(inst, wrong) != []
+
+
+def test_a_mark_holds_only_for_its_k(monkeypatch):
+    # the same sizes object under a smaller k: the 3-part bins now fail
+    inst = gen_random(30, 3, "mixed", 2)
+    packing, _ = next_fit(inst)
+    assert max(map(len, packing.bins)) == 3
+    other = Instance(k=2, sizes=(F(1),))
+    object.__setattr__(other, "sizes", inst.sizes)
+    assert validate_packing(other, packing) == bin_violations(other, packing.bins) != []
+
+
+def test_a_mark_does_not_survive_pickling(monkeypatch):
+    inst = gen_random(40, 2, "mixed", 6)
+    packing, trace = next_fit(inst)
+    calls = _counting_checks(monkeypatch)
+    # the pair travels together, so sizes and bins stay shared after loading
+    inst2, packing2, trace2 = pickle.loads(pickle.dumps((inst, packing, trace)))
+    assert packing2 == packing and trace2 == trace
+    assert validate_packing(inst2, packing2) == []
+    assert check_block_inequality(inst2, trace2)
+    assert len(calls) == 2
+    # a checked copy is marked in its turn
+    assert validate_packing(inst2, packing2) == [] and len(calls) == 2
+
+
+def test_a_clean_check_marks_only_immutable_bins(monkeypatch):
+    inst = Instance(k=2, sizes=(F(1, 2), F(1, 2)))
+    pair = Packing.build([[(0, F(1, 2)), (1, F(1, 2))]])
+    loaded = io.loads_packing(io.dumps_packing(pair))
+    calls = _counting_checks(monkeypatch)
+    assert validate_packing(inst, loaded) == [] == validate_packing(inst, loaded)
+    assert len(calls) == 1
+    # list bins could change in place, so each call checks them again
+    bins = [[(0, F(1, 2)), (1, F(1, 2))]]
+    listed = Packing(bins, ("bin",))
+    assert validate_packing(inst, listed) == []
+    bins[0][1] = (1, F(1, 4))
+    assert validate_packing(inst, listed) == ["coverage: item 1 covered 1/4 of 1/2"]
+    assert len(calls) == 3
+
+
+def test_checked_packing_raises_on_bins_that_fail_in_their_unit():
+    inst = Instance(k=2, sizes=(F(1, 4), F(3, 4)))
+    cap, scaled = unit_sizes(inst.sizes)
+    packing = checked_packing(inst, [[(0, 1), (1, 3)]], cap, scaled, ["x"])
+    assert packing.bins == (((0, F(1, 4)), (1, F(3, 4))),)
+    with pytest.raises(InternalError, match=r"\(bin capacity 4\): capacity: bin 0"):
+        checked_packing(inst, [[(0, 2), (1, 3)]], cap, scaled, ["x"])
+    with pytest.raises(InternalError, match="coverage: item 1 covered 2 of 3"):
+        checked_packing(inst, [[(0, 1), (1, 2)]], cap, scaled, ["x"])

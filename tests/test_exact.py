@@ -371,9 +371,9 @@ def test_corrupted_heuristic_raises_internal_error(monkeypatch, heuristic):
         monkeypatch.setattr(
             exact, heuristic, lambda *args: _corrupt_first_part(original(*args))
         )
-    with pytest.raises(InternalError, match="heuristic produced an invalid packing"):
+    with pytest.raises(InternalError, match="built an invalid packing"):
         exact_opt(inst)
-    with pytest.raises(InternalError, match="heuristic produced an invalid packing"):
+    with pytest.raises(InternalError, match="built an invalid packing"):
         feasible_in(inst, 3)
 
 

@@ -238,6 +238,46 @@ def test_unreadable_part_in_a_later_run_names_its_bin(tmp_path):
     assert not path.exists()
 
 
+class _CountedStr(F):
+    """A Fraction that counts the times it is rendered."""
+
+    renders = 0
+
+    def __str__(self):
+        _CountedStr.renders += 1
+        return super().__str__()
+
+
+def test_a_shared_part_object_is_rendered_once_per_call():
+    # one part object in every bin of three runs, beside distinct parts: the
+    # bytes are the json module's, and the shared object is rendered once
+    shared = _CountedStr(3, 7)
+    packing = _many_runs_packing()
+    bins = [((-5, shared),) + entries for entries in packing.bins]
+    packing = Packing(tuple(bins), packing.labels)
+    _CountedStr.renders = 0
+    text = spio.dumps_packing(packing)
+    assert _CountedStr.renders == 1
+    _CountedStr.renders = 0
+    assert text == _json_reference(packing)
+    assert _CountedStr.renders == len(bins)
+
+
+def test_a_shared_unreadable_part_names_its_first_bin():
+    # one refused part object in bins 300 and 517 and an equal one in bin
+    # 400: the first bin holding either is named
+    packing = _many_runs_packing()
+    bins = [list(entries) for entries in packing.bins]
+    shared = F(-(10**1000) - 1, 1)
+    for b in (300, 517):
+        bins[b].append((2001, shared))
+    bins[400].append((2001, F(-(10**1000) - 1, 1)))
+    packing = Packing(tuple(map(tuple, bins)), packing.labels)
+    message = "packing needs a part of more than 1000 digits (bin 300)"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        spio.dumps_packing(packing)
+
+
 # A reader parses each distinct numeral string once per document; these
 # cases pin that the errors, their bin indices and the values are those of
 # parsing every numeral on its own.

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -10,8 +12,10 @@ from reference_core import scaled_sizes
 from splitpack import (
     CloseReason,
     Instance,
+    InternalError,
     NfTrace,
     check_block_inequality,
+    core,
     gen_nf_worst,
     gen_random,
     next_fit,
@@ -109,12 +113,41 @@ def test_block_inequality_values():
     assert not check_block_inequality(inst, NfTrace(bins, reasons, ((0, 1), (1, 2))))
 
 
-def test_block_inequality_rejects_mismatched_trace():
+def test_block_inequality_rejects_mismatched_trace(monkeypatch):
     inst, _ = gen_nf_worst(2, 1)
     _, trace = next_fit(inst)
     other = Instance(k=2, sizes=(F(1, 2),))
     with pytest.raises(ValueError):
         check_block_inequality(other, trace)
+    # next_fit's mark holds for its own instance only: an equal but distinct
+    # instance, or a rebuilt trace, gets the full check
+    calls = []
+    full = core.bin_violations
+    monkeypatch.setattr(core, "bin_violations", lambda *a: calls.append(a) or full(*a))
+    assert check_block_inequality(inst, trace) and not calls
+    assert check_block_inequality(Instance(k=2, sizes=inst.sizes), trace)
+    assert check_block_inequality(inst, dataclasses.replace(trace))
+    assert len(calls) == 2
+    # so does a trace whose bins were swapped in place (a fresh one: each
+    # clean check above marks the trace anew)
+    _, trace = next_fit(inst)
+    object.__setattr__(trace, "bins", trace.bins[1:])
+    with pytest.raises(ValueError, match="trace does not match the instance"):
+        check_block_inequality(inst, trace)
+
+
+def test_next_fit_checks_its_bins_in_the_unit(monkeypatch):
+    # a kernel that loses a part is caught before the trace is made
+    nextfit = importlib.import_module("splitpack.nextfit")
+    kernel = nextfit.next_fit_bins
+
+    def lossy(stream, k, cap):
+        bins, reasons = kernel(stream, k, cap)
+        return bins[:-1], reasons[:-1]
+
+    monkeypatch.setattr(nextfit, "next_fit_bins", lossy)
+    with pytest.raises(InternalError, match=r"\(bin capacity 10\): coverage"):
+        next_fit(Instance(k=2, sizes=(F(1, 2), F(7, 10), F(1, 5))))
 
 
 def test_online_prefix_property():
