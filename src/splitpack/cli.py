@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import gc
 import json
 import os
 import random
@@ -314,20 +313,12 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     packing = _load(io.load_packing, "packing", args.input)
     if inst.k != 2:
         raise _CliError(EXIT_USAGE, f"normalize requires k=2, instance has k={inst.k}")
-    # normalize builds many small objects that live until it returns; the
-    # cyclic collector's passes over them cost a sixth to a third of its
-    # time on a next-fit packing of 10^5 items.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         result = normalize(inst, packing)
     except InvalidPackingError as exc:
         for line in exc.violations:
             print(line)
         return EXIT_VERIFY
-    finally:
-        if collecting:
-            gc.enable()
     if args.check:
         problems = normalization_violations(inst, result)
         if problems or result.n_bins > packing.n_bins:

@@ -298,10 +298,21 @@ def bin_violations(
     unit give a valid packing with parts ``Fraction(p, cap)``.
 
     Every sum runs on numerator/denominator pairs (see ``_add``), so a bin
-    of one-part items needs no ``Fraction`` operator.
+    of one-part items needs no ``Fraction`` operator. Bins given as a list
+    or tuple in a solver's integer unit (``sizes`` passed, and not
+    ``inst.sizes`` itself) first get one pass in native integers
+    (``_valid_in_ints``); it returns ``[]`` when it finds nothing, and on
+    any problem the pair path below writes the list, so every message and
+    its order is the pair path's.
     """
     if sizes is None:
         sizes = inst.sizes
+    elif (
+        sizes is not inst.sizes
+        and type(bins) in (list, tuple)
+        and _valid_in_ints(inst.k, bins, cap, sizes)
+    ):
+        return []
     n = len(sizes)
     k = inst.k
     violations: list[str] = []
@@ -357,6 +368,37 @@ def bin_violations(
                 f"coverage: item {item} covered {Fraction(cn, cd)} of {size}"
             )
     return violations
+
+
+def _valid_in_ints(
+    k: int, bins: Sequence[Collection[Item]], cap: int, sizes: Sequence[Scaled]
+) -> bool:
+    """True only if the bins pass every test of ``bin_violations`` with
+    native ``+`` and comparisons: 1 to k entries per bin, known item ids,
+    no item twice in a bin, positive parts, every bin total an ``int`` of
+    at most cap, and coverage equal to the sizes. A bin total of any other
+    type (a ``Fraction`` or float part) gives False, so the pass never
+    decides on anything but integers; an entry that native operators
+    refuse gives False too, and the pair path handles it as it would have."""
+    n = len(sizes)
+    covered = [0] * n
+    last_bin = [-1] * n
+    try:
+        for b, entries in enumerate(bins):
+            if not 0 < len(entries) <= k:
+                return False
+            total = 0
+            for item, part in entries:
+                if not (0 <= item < n and part > 0) or last_bin[item] == b:
+                    return False
+                last_bin[item] = b
+                covered[item] += part
+                total += part
+            if type(total) is not int or total > cap:
+                return False
+    except TypeError:
+        return False
+    return covered == sizes
 
 
 def _add(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
@@ -473,19 +515,23 @@ def lower_bounds(inst: Instance) -> BoundsReport:
     """size: total volume; weight: ceil-size parts over k per bin; count:
     every item needs a part and bins take at most k of them.
 
-    All three are computed on integers. The volume sums the numerators per
+    All three are computed on integers, in one pass that reads each size's
+    numerator and denominator once. The volume sums the numerators per
     denominator, then adds those sums in lowest terms, one step per distinct
     denominator; it builds no ``Fraction`` and never scales the instance to
-    one common denominator."""
+    one common denominator. The same pass sums ceil(size), as
+    ``parts_needed`` does."""
     numerators: dict[int, int] = {}
+    parts = 0
     for s in inst.sizes:
-        den = s.denominator
-        numerators[den] = numerators.get(den, 0) + s.numerator
+        num, den = s.numerator, s.denominator
+        numerators[den] = numerators.get(den, 0) + num
+        parts -= -num // den
     num, den = 0, 1
     for d, n in numerators.items():
         num, den = _add(num, den, n, d)
     size_bound = -(-num // den)
-    weight_bound = -(-parts_needed(inst.sizes) // inst.k)
+    weight_bound = -(-parts // inst.k)
     count_bound = -(-inst.n // inst.k)
     return BoundsReport(
         size_bound=size_bound,

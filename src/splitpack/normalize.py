@@ -57,6 +57,7 @@ cycle lies in, the work is near-linear in the bin count.
 from __future__ import annotations
 
 import bisect
+import gc
 import heapq
 from collections import deque
 from typing import Iterator
@@ -461,14 +462,25 @@ def normalize(inst: Instance, packing: Packing) -> Packing:
     validity again. An invalid input raises ``InvalidPackingError`` with
     every violation; an input that ``validate_packing`` has passed for inst
     is not validated again.
+
+    The steps build many small objects that live until it returns, and the
+    cyclic collector's passes over them cost a sixth to a third of its time
+    on a next-fit packing of 10^5 items; so the collector is paused for the
+    call, and on again at return only if it was on before.
     """
-    work = _Work(inst, packing)
-    _remove_cycles(work)
-    work.check()
-    _smalls_to_leaves(work)
-    work.check()
-    _bound_degrees(work)
-    return work.packing()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        work = _Work(inst, packing)
+        _remove_cycles(work)
+        work.check()
+        _smalls_to_leaves(work)
+        work.check()
+        _bound_degrees(work)
+        return work.packing()
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def normalization_violations(inst: Instance, packing: Packing) -> list[str]:

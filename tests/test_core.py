@@ -719,3 +719,102 @@ def test_checked_packing_raises_on_bins_that_fail_in_their_unit():
         checked_packing(inst, [[(0, 2), (1, 3)]], cap, scaled, ["x"])
     with pytest.raises(InternalError, match="coverage: item 1 covered 2 of 3"):
         checked_packing(inst, [[(0, 1), (1, 2)]], cap, scaled, ["x"])
+
+
+def _in_unit(inst, packing):
+    """The packing's bins in the unit of ``unit_sizes`` over the sizes and
+    its parts, as lists: integer parts over cap, or the Fractions at cap 1."""
+    cap, sizes = unit_sizes(
+        inst.sizes, (part for entries in packing.bins for _, part in entries)
+    )
+    if sizes is inst.sizes:
+        return cap, sizes, [list(entries) for entries in packing.bins]
+    bins = [
+        [(i, p.numerator * (cap // p.denominator)) for i, p in entries]
+        for entries in packing.bins
+    ]
+    return cap, sizes, bins
+
+
+def _shaped(bins):
+    """The bins as lists, as tuples and as a generator of tuples."""
+    yield [list(entries) for entries in bins]
+    yield tuple(tuple(entries) for entries in bins)
+    yield (tuple(entries) for entries in bins)
+
+
+@settings(deadline=None)
+@given(inst=_unit_instances(), seed=st.integers(0, 2**30))
+def test_bin_violations_integer_pass_matches_pair_path(inst, seed):
+    # solver and rewrite bins, valid and with one fault of each kind: the
+    # integer pass returns [] exactly when the pair path finds nothing, and
+    # bin_violations returns the pair path's list (a list iterator takes
+    # it) and the reference's for every shape of bins; in the Fraction unit
+    # the pass finds nothing to decide
+    packing = next_fit(inst)[0]
+    outputs = [packing, _upper_bound_packing(inst, *unit_sizes(inst.sizes))]
+    if inst.k == 2:
+        outputs += [pack_75(inst).packing, normalize(inst, packing)]
+    rng = random.Random(seed)
+    for out in outputs:
+        cap, sizes, bins = _in_unit(inst, out)
+        in_ints = sizes is not inst.sizes
+        step = 1 if in_ints else F(1, max(s.denominator for s in inst.sizes))
+        cases = [(m, True) for m in _mutations(inst, bins, step, rng)]
+        b = rng.randrange(len(bins))
+        item, part = bins[b][0]
+        twice = [list(entries) for entries in bins]
+        twice[b].append((item, part))  # one item twice in a bin
+        cases.append((twice, False))
+        absent = [i for i in range(inst.n) if i not in {j for j, _ in bins[b]}]
+        if absent and len(bins[b]) < inst.k:  # a zero part, and nothing else
+            zero = [list(entries) for entries in bins]
+            zero[b].append((absent[0], 0 * part))
+            cases.append((zero, True))
+        if part > 1:  # the same coverage, split over two entries of one bin
+            split = [list(entries) for entries in bins]
+            split[b][0:1] = [(item, 1), (item, part - 1)]
+            cases.append((split, False))
+        for mutated, ref_reports_all in cases:
+            pair = bin_violations(inst, iter(mutated), cap, sizes)
+            assert core._valid_in_ints(inst.k, mutated, cap, sizes) == (
+                in_ints and not pair
+            )
+            if ref_reports_all:  # the reference does not detect duplicates
+                assert pair == ref.bin_violations(inst, mutated, cap, sizes)
+            for shaped in _shaped(mutated):
+                assert bin_violations(inst, shaped, cap, sizes) == pair
+            if not in_ints:
+                assert bin_violations(inst, mutated) == pair
+
+
+def test_integer_pass_runs_only_in_the_integer_unit(monkeypatch):
+    calls = []
+    full = core._valid_in_ints
+    monkeypatch.setattr(
+        core, "_valid_in_ints", lambda *a: calls.append(full(*a)) or calls[-1]
+    )
+    inst = gen_random(50, 3, "mixed", 4)
+    next_fit(inst)
+    assert calls == [True]
+    # sizes over an 89-bit prime: no integer unit, so bins of Fractions
+    hostile = Instance(k=2, sizes=(F(3, _NO_UNIT[0]), F(1, 3), F(5, 4)))
+    packing = next_fit(hostile)[0]
+    assert validate_packing(hostile, dataclasses.replace(packing)) == []
+    assert bin_violations(hostile, list(packing.bins), 1, hostile.sizes) == []
+    assert calls == [True]
+
+
+def _two_pass_bounds(inst):
+    """The bounds from two passes over the sizes: the volume as a sum of
+    Fractions, and ceil(size) summed by ``parts_needed``."""
+    size_bound = math.ceil(sum(inst.sizes, F(0)))
+    weight_bound = -(-parts_needed(inst.sizes) // inst.k)
+    count_bound = -(-inst.n // inst.k)
+    best = max(size_bound, weight_bound, count_bound)
+    return core.BoundsReport(size_bound, weight_bound, count_bound, best)
+
+
+@given(inst=_unit_instances())
+def test_lower_bounds_one_pass_matches_two_passes(inst):
+    assert lower_bounds(inst) == _two_pass_bounds(inst)

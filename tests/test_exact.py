@@ -752,18 +752,83 @@ def golden_rows():
     return _golden_rows()
 
 
+# The golden corpus is pinned as three things apart, so that a change that
+# answers more rows or finds other witnesses re-records only its own pin:
+# the answer of every row answered when the pins were recorded, those rows'
+# witnesses, and the set of rows that run out of the 3000-node budget.
+# Together they pin exactly what one digest over (answer, witness key) of
+# every row pinned before.
+#
+# One character per row, one line per (k, n) of ``_golden_corpus``: for
+# exact_opt, OPT - LB; for feasible_in at LB and LB + 1, 1 if it found a
+# packing and 0 if not; "-" for a row out of budget when recorded.
+GOLDEN_ANSWERS = "".join((
+    "011011011011011011011011011011011011011011101011011011011011011011011011011011011011011011",
+    "011011011011011011011011011011011011011011011011011011011101011011011011011011011011011011",
+    "011011--1011011011011--1011011011011011011--1011011011101011011011011011011011011011011011",
+    "011--1--1011011011011011011011011011011--1011--1011--1011--1011011011011011011011011011011",
+    "--1011011--1011011011011011011011011011011--1011011--1011---011011011011011011011011011011",
+    "011011011011011011011011011011011011011011011011011011011011011011011011011011011011011011",
+    "011011011011011011011011011011011011011011011011011011011011011011011011011011011011011011",
+    "011011011011011011011011011011011011011011011011011011--1011011011011011011011011011011011",
+    "011011011011011011011011011011011011011011011011011011011011011011011011011011011011011011",
+    "01101101101101101101101101101101101101101101101101101101101101101101-01101101101-011011011",
+    "011011011011011011011011011011011011011011011011011011011011011011011011011011011011011011",
+    "01101101101101101101101101101101101101101101101101101101101101101101101101101101101101101-",
+    "01101101101101101101101101101101101101101101101101101101101101101101-01-0110110110110110--",
+    "01101101101101101101101101101101101101101101101101101101101101-0110--0--01101-0110110110--",
+    "0110110110110110110110110110110110110110110110110110110110110--0110--0--0--0--01101-0--0--",
+))
+
+# The rows out of budget: 61 of the 1350.
+GOLDEN_BUDGET_ROWS = frozenset({
+    186, 187, 201, 202, 222, 223, 273, 274, 276, 277, 309, 310, 315, 316, 321,
+    322, 327, 328, 360, 361, 369, 370, 402, 403, 411, 412, 417, 418, 419, 684,
+    685, 878, 890, 1079, 1148, 1151, 1168, 1169, 1232, 1237, 1238, 1240, 1241,
+    1247, 1258, 1259, 1321, 1322, 1327, 1328, 1330, 1331, 1333, 1334, 1336,
+    1337, 1343, 1345, 1346, 1348, 1349,
+})
+
+
+def _answer_code(inst, row, r):
+    answer, witness, _ = row
+    if answer == "-":
+        return "-"
+    if r % 3 == 0:
+        return str(answer - lower_bounds(inst).best)
+    return "1" if witness is not None else "0"
+
+
+def test_golden_answers(golden_rows):
+    # every row answered when the pins were recorded stays answered, with
+    # the same OPT or decision
+    instances = _golden_corpus()
+    assert len(GOLDEN_ANSWERS) == len(golden_rows) == 1350
+    for r, row in enumerate(golden_rows):
+        if GOLDEN_ANSWERS[r] != "-":
+            assert _answer_code(instances[r // 3], row, r) == GOLDEN_ANSWERS[r], r
+
+
+def test_golden_budget_rows(golden_rows):
+    # a change that answers more rows shows it here, as a smaller set
+    budget = {r for r, (answer, *_) in enumerate(golden_rows) if answer == "-"}
+    assert budget == GOLDEN_BUDGET_ROWS
+
+
 def test_golden_witnesses(golden_rows):
-    # sha256 over (OPT or "-" on budget, witness key), recorded before the
-    # witness flow moved into the search's unit, which kept it; 61 of the
-    # 1350 rows run out of the 3000-node budget. Every change that keeps the
-    # witness bytes, and every sound pruning, keeps this digest.
-    rows = [
-        (answer, None if witness is None else witness.key())
-        for answer, witness, _ in golden_rows
-    ]
-    assert sum(answer == "-" for answer, _ in rows) == 61
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "ed2ba431aa294111f04039a4c4d8bf2ee3d6342b2a791aa4beb58e8dc790ba40"
+    # sha256 over (row, witness key) of the rows answered when the pins were
+    # recorded. Every change that keeps the witness bytes, and every sound
+    # pruning, keeps this digest; a witness of a row answered since is not
+    # in it. Every witness is valid.
+    instances = _golden_corpus()
+    keys = []
+    for r, (_, witness, _) in enumerate(golden_rows):
+        if witness is not None:
+            assert validate_packing(instances[r // 3], witness) == [], r
+            if GOLDEN_ANSWERS[r] != "-":
+                keys.append((r, witness.key()))
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == "d7edab051c291ee1fe3954c563b134af7de4ff1e873d5d5194aba9f77e9d53d1"
 
 
 def test_golden_node_counts(golden_rows):
@@ -838,7 +903,7 @@ def test_twin_rule_matches_reference_loop(corpus, golden_rows):
         assert (witness is None) == (ref_witness is None)
         if witness is not None:
             assert io.dumps_packing(witness) == io.dumps_packing(ref_witness)
-    # the golden corpus keeps its 61 budget rows (test_golden_witnesses)
+    # the golden corpus keeps its 61 budget rows (test_golden_budget_rows)
     assert fewer > 0 and (solved > 0 or corpus == "golden")
 
 

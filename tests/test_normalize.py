@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import random
@@ -268,3 +269,29 @@ def test_checks_between_steps_catch_a_broken_rewrite(monkeypatch):
         match=r"broke the packing \(bin capacity 3\): coverage: item 0 covered 0 of 2",
     ):
         normalize(inst, packing)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_normalize_pauses_the_cyclic_collector(monkeypatch, collecting):
+    # paused while the steps run, and on again afterwards only if it was on
+    # before, also when normalize raises
+    norm = importlib.import_module("splitpack.normalize")
+    inst, packing = three_cycle()
+    seen = []
+    step = norm._remove_cycles
+
+    def recording(work):
+        seen.append(gc.isenabled())
+        step(work)
+
+    monkeypatch.setattr(norm, "_remove_cycles", recording)
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        normalize(inst, packing)
+        assert seen == [False] and gc.isenabled() == collecting
+        with pytest.raises(ValueError):
+            normalize(inst, Packing.build([[(0, F(1, 2))]]))
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
