@@ -425,16 +425,18 @@ def unit_sizes(
     (1, sizes) itself. A packing's parts need not divide the sizes' lcm (a
     rewrite may halve a part), so a caller that scales parts names them.
 
-    This is the package's one scaling of rationals to integers. The
-    denominator is built one distinct denominator at a time and given up as
-    soon as it passes the bound, so values with huge coprime denominators
-    cost one step per distinct denominator, never a huge product."""
+    This is the package's one scaling of rationals to integers. Each size
+    is read once, as its integer ratio. The denominator is built one
+    distinct denominator at a time and given up as soon as it passes the
+    bound, so values with huge coprime denominators cost one step per
+    distinct denominator, never a huge product."""
+    ratios = [s.as_integer_ratio() for s in sizes]
     scale = 1
-    for den in {s.denominator for s in sizes}.union(p.denominator for p in parts):
+    for den in {den for _, den in ratios}.union(p.denominator for p in parts):
         scale = math.lcm(scale, den)
         if scale.bit_length() > UNIT_BITS:
             return 1, sizes
-    return scale, [s.numerator * (scale // s.denominator) for s in sizes]
+    return scale, [num * (scale // den) for num, den in ratios]
 
 
 def unit_packing(

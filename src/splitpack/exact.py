@@ -24,16 +24,16 @@ the private max-flow ``_flow_bins`` run in that unit through the same code;
 every test they make is scale-invariant, so both units give the same answers
 and witnesses.
 
-The search ascends from the combined lower bound, so the first feasible bin
-count is optimal by construction. At level B it walks the forests depth
-first over candidate bins ordered by (-sum of ceil(size), bin size, item
-tuple) and accepts the first forest F with |F| + minloops(F) <= B. minloops
-is the sum over the trees of F of one post-order pass per tree
-(``_tree_loops``). ``_ForestLoops`` is its one driver: it keeps one total
-per tree, a push walks the one tree the new bin forms and reruns the pass on
-it unless handed that tree's total, and a pop restores the old totals. The
-walk pushes and pops as it goes, and ``_min_loops`` is a forest pushed bin
-by bin.
+The search ascends from the first level the partition bound (below) does
+not rule out, so the first feasible bin count is optimal by construction.
+At level B it walks the forests depth first over candidate bins ordered by
+(-sum of ceil(size), bin size, item tuple) and accepts the first forest F
+with |F| + minloops(F) <= B. minloops is the sum over the trees of F of one
+post-order pass per tree (``_tree_loops``). ``_ForestLoops`` is its one
+driver: it keeps one total per tree, a push walks the one tree the new bin
+forms and reruns the pass on it unless handed that tree's total, and a pop
+restores the old totals. The walk pushes and pops as it goes, and
+``_min_loops`` is a forest pushed bin by bin.
 A branch is cut when its items still need more parts than the bins left can
 hold, or when even the best merges left cannot bring |F| + minloops(F) down
 to B: a d-item bin lowers that sum by at most d - 1. Both cuts are sound, so
@@ -75,8 +75,19 @@ candidate has an image of equal cost that comes first, the first feasible
 forest is never skipped, and the witnesses are those of the walk without the
 rule. Only the node counts fall.
 
+The levels are ruled out before the search is built. The item sets of the
+trees of a forest-shaped packing partition the items, and a tree with item
+set G needs at least g(G) bins (``_partition_level`` gives g); so level L
+is infeasible when no partition has sum g(G) <= L. This rests on the forest
+lemma, as the search does. Only such levels are skipped, and the upper bound
+is taken when the bound rules out every level below it, so every answer and
+witness is the one the search from the combined lower bound finds. The bound's work is capped by its own count of groups tried,
+``_PARTITION_STEPS``, not by the node budget; past the cap it leaves the
+level it was deciding, and those above, to the search.
+
 One budget node is one candidate bin that passes the acyclicity and twin
-tests, or one loop split the witness tries.
+tests, or one loop split the witness tries. A call the partition bound
+settles counts no node.
 
 Validated heuristic packings serve as upper bounds: a valid packing is a
 certificate, so the search only has to exhaust the levels below it. Next fit
@@ -141,7 +152,9 @@ class SearchBudget:
     search that passes the acyclicity and twin tests, plus every loop split
     tried while building a witness. It does not bound the set-up: the
     search ranks all sum_{s=2}^{min(k, n)} C(n, s) candidate bins before it
-    counts a node, and only max_items bounds that work.
+    counts a node, and only max_items bounds that work. The partition bound
+    that rules out levels before the search counts no node either: its work
+    is capped on its own, at ``_PARTITION_STEPS`` groups per call.
     """
 
     max_items: int = 8
@@ -642,6 +655,109 @@ class _ForestSearch:
 
 
 # ---------------------------------------------------------------------------
+# The partition lower bound.
+
+# Candidate groups one call of ``_partition_level`` may try before it gives
+# up and leaves the levels from the one it was deciding to the search.
+_PARTITION_STEPS = 2000
+
+
+class _GiveUp(Exception):
+    """The partition bound tried ``_PARTITION_STEPS`` groups."""
+
+
+def _partition_level(k: int, cap: int, scaled: Sequence[Scaled], levels: range) -> int:
+    """The first level of ``levels`` that the partition bound does not rule
+    out, or ``levels.stop`` when it rules out each one.
+
+    A tree of a forest-shaped packing, with item set G, needs g(G) =
+    max(ceil(s(G)), ceil((|G| - 1) / (k - 1)), sum_G ceil(s_i) - |G| + 1,
+    ceil(sum_G ceil(s_i) / k)) bins: its b bins hold |G| + b - 1 parts, at
+    most k * b and at least sum_G ceil(s_i). Level L is ruled out when no
+    partition of the items into groups has sum g(G) <= L, that is, when no
+    partition fits in the waste L * cap - s of the level, where a group
+    costs g(G) * cap - s(G) >= 0.
+
+    A depth-first search over the items sorted by decreasing size decides
+    it. It groups the first item left with some of the others, grown in
+    item order, and runs on the rest with the waste the group leaves.
+    Since (k - 1) * g(G) * cap >= (|G| - 1) * cap, a group fits only while
+    sum_G (cap - (k - 1) * s_j) <= (k - 1) * waste + cap; the sort makes the
+    terms non-decreasing, so growth stops at the first item that passes
+    it. A rest whose ceil(size) or ceil(parts / k) bound already costs more
+    than the waste left fails. Equal sizes join a group first come first,
+    so each multiset of sizes is tried once, and a failed rest is memoized
+    with the most waste it failed with. Every level shares the memo and the
+    ``_PARTITION_STEPS`` cap; past it the level being decided is returned.
+    """
+    sizes = sorted(scaled, reverse=True)
+    n = len(sizes)
+    ceils = [-(-s // cap) for s in sizes]
+    spreads = [cap - (k - 1) * s for s in sizes]
+    failed: dict[int, Scaled] = {}
+    steps = 0
+
+    def fits(rest: int, size: Scaled, ceil_sum: int, waste: Scaled) -> bool:
+        # rest: the items left, of total size and ceil(size) sum.
+        if not rest:
+            return True
+        if failed.get(rest, -1) >= waste:
+            return False
+        if max(-(-size // cap), -(-ceil_sum // k)) * cap - size > waste:
+            return False
+        first = (rest & -rest).bit_length() - 1
+        others = [j for j in range(first + 1, n) if rest >> j & 1]
+        limit = (k - 1) * waste + cap
+
+        def grow(
+            at: int, group: int, g_size: Scaled, count: int, g_ceil: int, spread: Scaled
+        ) -> bool:
+            nonlocal steps
+            steps += 1
+            if steps > _PARTITION_STEPS:
+                raise _GiveUp
+            for t in range(at, len(others)):
+                j = others[t]
+                if spread + spreads[j] > limit:
+                    break
+                if t > at and sizes[j] == sizes[others[t - 1]]:
+                    continue
+                if grow(
+                    t + 1,
+                    group | 1 << j,
+                    g_size + sizes[j],
+                    count + 1,
+                    g_ceil + ceils[j],
+                    spread + spreads[j],
+                ):
+                    return True
+            bins = max(
+                -(-g_size // cap),
+                -(-(count - 1) // (k - 1)),
+                g_ceil - count + 1,
+                -(-g_ceil // k),
+            )
+            cost = bins * cap - g_size
+            return cost <= waste and fits(
+                rest & ~group, size - g_size, ceil_sum - g_ceil, waste - cost
+            )
+
+        if grow(0, 1 << first, sizes[first], 1, ceils[first], spreads[first]):
+            return True
+        failed[rest] = waste
+        return False
+
+    total = sum(sizes)
+    for level in levels:
+        try:
+            if fits((1 << n) - 1, total, sum(ceils), level * cap - total):
+                return level
+        except _GiveUp:
+            return level
+    return levels.stop
+
+
+# ---------------------------------------------------------------------------
 # Heuristic upper bounds: any valid packing certifies its own bin count.
 
 
@@ -718,9 +834,10 @@ def _pad_to(packing: Packing, n_bins: int) -> Packing:
 def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing | None:
     """The one path of both entry points: the upper bound when it has at
     most max(goal, LB) bins; else the first witness of the levels LB .. top
-    below the upper bound, which has as many bins as its level; else the
+    below the upper bound, which has as many bins as its level, searched
+    from the first level the partition bound does not rule out; else the
     upper bound when it has at most top + 1 bins, so that every level below
-    it was searched; else None."""
+    it was searched or ruled out; else None."""
     if inst.n > budget.max_items:
         raise BudgetExceeded(f"{inst.n} items exceed the budget of {budget.max_items}")
     if top > budget.max_bins:
@@ -731,6 +848,7 @@ def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing
     if upper.n_bins <= max(goal, lb):
         return upper
     levels = range(lb, min(upper.n_bins - 1, top) + 1)
+    levels = range(_partition_level(inst.k, cap, scaled, levels), levels.stop)
     if levels:
         search = _ForestSearch(inst, cap, scaled, _Counter(budget.max_structures))
         for n_bins in levels:

@@ -6,6 +6,9 @@ loops with a tree check, and for k >= 3 an enumeration of general incidence
 structures decided by Hall's cut condition and a max-flow, with the
 ``forest_only``, ``symmetry`` and ``maximal_only`` knobs. Its answers and,
 for k = 2, its witnesses are the specification the forest oracle must meet.
+
+``partition_lower_bound`` is the plain subset DP of the partition lower
+bound, the specification of the oracle's pruned decision.
 """
 
 from __future__ import annotations
@@ -659,3 +662,45 @@ def feasible_in(
         if witness is not None:
             return _pad_to(inst, witness, n_bins)
     return None
+
+
+# ---------------------------------------------------------------------------
+# The partition lower bound, by a DP over all 3^n (set, subset) pairs.
+
+
+def partition_lower_bound(inst: Instance) -> int:
+    """The least sum of g(G) over the partitions of the items into groups,
+    where g(G) = max(ceil(s(G)), ceil((|G| - 1) / (k - 1)),
+    sum_G ceil(s_i) - |G| + 1, ceil(sum_G ceil(s_i) / k)) bins are needed
+    by one tree of a forest-shaped packing with item set G."""
+    n, k = inst.n, inst.k
+    full = (1 << n) - 1
+    size = [Fraction(0)] * (full + 1)
+    ceil_sum = [0] * (full + 1)
+    count = [0] * (full + 1)
+    need = [0] * (full + 1)
+    for group in range(1, full + 1):
+        low = group & -group
+        i = low.bit_length() - 1
+        size[group] = size[group ^ low] + inst.sizes[i]
+        ceil_sum[group] = ceil_sum[group ^ low] + math.ceil(inst.sizes[i])
+        count[group] = count[group ^ low] + 1
+        need[group] = max(
+            math.ceil(size[group]),
+            -(-(count[group] - 1) // (k - 1)),
+            ceil_sum[group] - count[group] + 1,
+            -(-ceil_sum[group] // k),
+        )
+    best = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        # the group of the lowest item, with every subset of the others
+        low = mask & -mask
+        others = mask ^ low
+        least = need[mask]
+        sub = others
+        while sub:
+            sub = (sub - 1) & others
+            group = sub | low
+            least = min(least, need[group] + best[mask ^ group])
+        best[mask] = least
+    return best[full]

@@ -15,7 +15,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitpack import cli, pack_75
+from splitpack import cli, gen_random, pack_75
 from splitpack import io as spio
 from splitpack.cli import main
 from splitpack.core import MAX_NUMERAL_DIGITS, MAX_PARTS
@@ -540,15 +540,36 @@ def test_gen_random_fuzz_exits_with_documented_codes(n, k, dist, seed):
     assert code == (cli.EXIT_USAGE if n < 0 or k < 2 else cli.EXIT_OK)
 
 
+def _searched_instance(tmp_path):
+    """An instance file the oracle must search: LB = OPT = 4, the
+    heuristics need 5, and the partition bound does not rule out level 4."""
+    inst = tmp_path / "inst.json"
+    spio.save_instance(str(inst), gen_random(8, 3, "mixed", 8))
+    return inst
+
+
 def test_solve_budget_exhaustion(tmp_path, capsys):
+    inst = _searched_instance(tmp_path)
+    for nodes in ("0", "1"):
+        code, _, err = run_cli(
+            "solve", "--algo", "exact", "--input", str(inst),
+            "--budget-nodes", nodes,
+            capsys=capsys,
+        )
+        assert code == 4 and err.startswith("oracle budget exhausted"), nodes
+
+
+def test_solve_over_half_needs_no_search_nodes(tmp_path, capsys):
+    # five items of 51/100: LB 3, but the partition bound rules out level 3,
+    # so the heuristics' 4 bins are certified with a zero node budget
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"k": 2, "items": ["51/100"] * 5}))
-    code, _, err = run_cli(
+    code, out, _ = run_cli(
         "solve", "--algo", "exact", "--input", str(inst),
-        "--budget-nodes", "1",
+        "--budget-nodes", "0",
         capsys=capsys,
     )
-    assert code == 4
+    assert code == 0 and out.startswith("bins=4 ")
 
 
 def test_verify_accepts_certificate(nf_worst_files, capsys):
@@ -827,7 +848,7 @@ NF_RATIO_SKIPS = """\
 trial,n,k,dist,sizes,alg_bins,opt_bins,ratio,ratio_decimal,status
 0,3,2,mixed,2|1/12|1/3,3,3,1,1.000000,ok
 1,5,2,mixed,1|2|1|1/3|7/6,6,6,1,1.000000,ok
-2,8,2,mixed,11/12|1|1|4/11|1/2|4/11|1/2|1/3,6,,,,skipped
+2,8,2,mixed,11/12|1|1|4/11|1/2|4/11|1/2|1/3,6,6,1,1.000000,ok
 3,8,2,mixed,2|5/4|2/11|2/3|1/5|9/8|1/2|3/7,8,,,,skipped
 4,4,2,mixed,1/12|1/2|1/2|2/5,2,2,1,1.000000,ok
 5,8,2,mixed,1/3|9/10|2/3|3/4|3/7|1/3|1/4|4/5,6,5,6/5,1.200000,ok
@@ -837,16 +858,20 @@ trial,n,k,dist,sizes,alg_bins,opt_bins,ratio,ratio_decimal,status
 9,2,2,mixed,1/3|1/6,1,1,1,1.000000,ok
 10,1,2,mixed,1,1,1,1,1.000000,ok
 11,1,2,mixed,2/5,1,1,1,1.000000,ok
-summary,,2,mixed,,,,6/5,1.200000,ok=9;skipped=3
+summary,,2,mixed,,,,6/5,1.200000,ok=10;skipped=2
 """
 
+# The partition bound decides every "no" reduction with no search; a "yes"
+# whose heuristics miss two bins is skipped (trial 5).
 REDUCTION_SKIPS = """\
 trial,k,target,numbers,brute,packed,agree
-0,3,20,6 6 6 6 9 7,0,,skipped
+0,3,20,6 6 6 6 9 7,0,0,1
 1,3,20,7 7 7 6 7 6,1,1,1
 2,3,20,7 7 6 8 6 6,1,1,1
-3,3,20,6 6 6 9 6 7,0,,skipped
-summary,3,20,,,,2/2
+3,3,20,6 6 6 9 6 7,0,0,1
+4,3,20,6 8 6 6 8 6,1,1,1
+5,3,20,7 6 6 6 7 8,1,,skipped
+summary,3,20,,,,5/5
 """
 
 # trial 3's oracle call runs out of nodes, so it keeps next fit's packing
@@ -869,7 +894,7 @@ summary,,,,,8/8
     [
         (("--suite", "nf-ratio", "--dist", "mixed", "--trials", "12", "--max-n", "8"),
          NF_RATIO_SKIPS),
-        (("--suite", "reduction-check", "--k", "3", "--trials", "4"), REDUCTION_SKIPS),
+        (("--suite", "reduction-check", "--k", "3", "--trials", "6"), REDUCTION_SKIPS),
         (
             ("--suite", "normalize-check", "--dist", "mixed", "--trials", "8",
              "--max-n", "8"),
@@ -949,8 +974,7 @@ def test_solve_a75_report(tmp_path, capsys):
 
 
 def test_solve_budget_env_under_flags(tmp_path, capsys, monkeypatch):
-    inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({"k": 2, "items": ["51/100"] * 5}))
+    inst = _searched_instance(tmp_path)
     argv = ("solve", "--algo", "exact", "--input", str(inst))
     monkeypatch.setenv("SPLITPACK_BUDGET", "structures=1")
     code, _, err = run_cli(*argv, capsys=capsys)
@@ -960,7 +984,7 @@ def test_solve_budget_env_under_flags(tmp_path, capsys, monkeypatch):
     assert code == 0 and "bins=4" in out
     monkeypatch.setenv("SPLITPACK_BUDGET", "items=4,structures=1")
     code, _, err = run_cli(*argv, "--budget-nodes", "100000", capsys=capsys)
-    assert code == 4 and "5 items exceed the budget of 4" in err
+    assert code == 4 and "8 items exceed the budget of 4" in err
 
 
 def test_solve_exact_max_bins_flag(tmp_path, capsys):

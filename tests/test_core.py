@@ -818,3 +818,39 @@ def _two_pass_bounds(inst):
 @given(inst=_unit_instances())
 def test_lower_bounds_one_pass_matches_two_passes(inst):
     assert lower_bounds(inst) == _two_pass_bounds(inst)
+
+
+def _two_read_unit_sizes(sizes, parts=()):
+    """``unit_sizes`` as it read each size twice: the set of denominators,
+    then the scaled list from the numerators and denominators."""
+    scale = 1
+    for den in {s.denominator for s in sizes}.union(p.denominator for p in parts):
+        scale = math.lcm(scale, den)
+        if scale.bit_length() > core.UNIT_BITS:
+            return 1, sizes
+    return scale, [s.numerator * (scale // s.denominator) for s in sizes]
+
+
+@st.composite
+def _rationals(draw, max_size):
+    """Up to max_size Fractions over small denominators, the primes of
+    ``_NO_UNIT`` or products of both."""
+    dens = st.sampled_from([1, 2, 3, 7, 12, 2**40 + 15, *_NO_UNIT, 6 * _NO_UNIT[0]])
+    return [
+        F(draw(st.integers(1, 4 * den)), den)
+        for den in draw(st.lists(dens, max_size=max_size))
+    ]
+
+
+@given(sizes=_rationals(10), parts=_rationals(4))
+def test_unit_sizes_reads_each_size_once(sizes, parts):
+    # the same unit as the two-read form, with and without parts, also where
+    # the lcm passes UNIT_BITS and the sizes come back as they are
+    for extra in ((), parts):
+        cap, scaled = unit_sizes(sizes, extra)
+        want_cap, want = _two_read_unit_sizes(sizes, extra)
+        assert (cap, list(scaled)) == (want_cap, list(want))
+        assert (scaled is sizes) == (want is sizes)
+        if scaled is not sizes:
+            assert all(type(s) is int for s in scaled)
+            assert [F(s, cap) for s in scaled] == sizes

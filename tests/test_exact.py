@@ -6,6 +6,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_exact as ref
 import reference_forest
@@ -154,22 +155,30 @@ def test_reduction_yes_and_no():
     assert feasible_in(no, 2) is None
 
 
+# LB = OPT = 4 and the heuristics need 5: level 4 must be searched.
+K3_SEARCHED = gen_random(8, 3, "mixed", 8)
+
+
 def test_budget_errors():
     big = Instance(k=2, sizes=(F(1, 2),) * 9)
     with pytest.raises(BudgetExceeded):
         exact_opt(big, SearchBudget(max_items=8))
     with pytest.raises(BudgetExceeded):
         feasible_in(Instance(k=2, sizes=(F(1, 2),)), 11, SearchBudget())
-    tiny_search = SearchBudget(max_structures=1)
-    with pytest.raises(BudgetExceeded):
-        # needs a real level search: heuristics land above the lower bound
-        exact_opt(Instance(k=2, sizes=(F(51, 100),) * 5), tiny_search)
+    # needs a real level search: heuristics land above the lower bound, and
+    # the partition bound leaves level LB = OPT = 4 open
+    assert lower_bounds(K3_SEARCHED).best == 4 and _upper(K3_SEARCHED).n_bins == 5
+    assert exact_opt(K3_SEARCHED)[0] == 4
+    for nodes in (0, 1):
+        with pytest.raises(BudgetExceeded, match=f"^structure search exceeded {nodes} nodes$"):
+            exact_opt(K3_SEARCHED, SearchBudget(max_structures=nodes))
 
 
 # ---------------------------------------------------------------------------
 # The steps of ``exact._solve``, the one path behind both entry points.
 
 # Five just-over-half items at k = 2: LB 3, and the heuristics certify 4.
+# The partition bound is 4 as well: level 3 is ruled out with no search.
 OVER_HALF = Instance(k=2, sizes=(F(51, 100),) * 5)
 
 
@@ -211,6 +220,15 @@ def test_feasible_in_drops_an_upper_bound_above_its_bin_count():
 
 def test_feasible_in_below_lower_bound_searches_nothing(monkeypatch):
     assert _counted(monkeypatch, lambda: feasible_in(OVER_HALF, 2)) == (None, 0)
+
+
+def test_partition_bound_answers_over_half_with_no_search(monkeypatch):
+    # the bound rules out level 3, so a zero node budget still certifies the
+    # 4-bin upper bound, and feasible_in(3) says no, both with no node
+    upper = _upper(OVER_HALF)
+    zero = SearchBudget(max_structures=0)
+    assert _counted(monkeypatch, lambda: exact_opt(OVER_HALF, zero)) == ((4, upper), 0)
+    assert _counted(monkeypatch, lambda: feasible_in(OVER_HALF, 3, zero)) == (None, 0)
 
 
 def test_upper_bound_at_lower_bound_is_taken_past_the_bin_budget(monkeypatch):
@@ -780,8 +798,17 @@ GOLDEN_ANSWERS = "".join((
     "0110110110110110110110110110110110110110110110110110110110110--0110--0--0--0--01101-0--0--",
 ))
 
-# The rows out of budget: 61 of the 1350.
+# The rows out of budget: 40 of the 1350.
 GOLDEN_BUDGET_ROWS = frozenset({
+    201, 202, 321, 322, 402, 403, 411, 412, 684, 685, 878, 890, 1079, 1148,
+    1151, 1168, 1169, 1232, 1237, 1238, 1240, 1241, 1247, 1258, 1259, 1321,
+    1322, 1327, 1328, 1330, 1331, 1333, 1334, 1336, 1337, 1343, 1345, 1346,
+    1348, 1349,
+})
+
+# The 61 rows out of budget before the partition bound skipped the levels
+# it rules out: that only ever saves nodes, so no row leaves this set.
+GOLDEN_BUDGET_ROWS_BEFORE_PLB = frozenset({
     186, 187, 201, 202, 222, 223, 273, 274, 276, 277, 309, 310, 315, 316, 321,
     322, 327, 328, 360, 361, 369, 370, 402, 403, 411, 412, 417, 418, 419, 684,
     685, 878, 890, 1079, 1148, 1151, 1168, 1169, 1232, 1237, 1238, 1240, 1241,
@@ -813,6 +840,7 @@ def test_golden_budget_rows(golden_rows):
     # a change that answers more rows shows it here, as a smaller set
     budget = {r for r, (answer, *_) in enumerate(golden_rows) if answer == "-"}
     assert budget == GOLDEN_BUDGET_ROWS
+    assert GOLDEN_BUDGET_ROWS < GOLDEN_BUDGET_ROWS_BEFORE_PLB
 
 
 def test_golden_witnesses(golden_rows):
@@ -832,13 +860,13 @@ def test_golden_witnesses(golden_rows):
 
 
 def test_golden_node_counts(golden_rows):
-    # sha256 over the node counts of the same rows; 73 of the 1350 rows
-    # search. A pruning records this again and gives its reason in
-    # CHANGES.md.
+    # sha256 over the node counts of the same rows; 48 of the 1350 rows
+    # search (73 before the partition bound). A pruning records this again
+    # and gives its reason in CHANGES.md.
     nodes = [nodes for *_, nodes in golden_rows]
-    assert sum(count > 0 for count in nodes) == 73
+    assert sum(count > 0 for count in nodes) == 48
     digest = hashlib.sha256(repr(nodes).encode()).hexdigest()
-    assert digest == "7d9c8022c7fa805c86e29fb2155d2cc92a3def113e8d94b01b2dd8f03976cec8"
+    assert digest == "1b83774f9d6351fc114241cb13e10a4aa55e7bbf1b9f561b022b8ecfedbde416"
 
 
 def test_golden_corpus_same_in_both_units(monkeypatch, golden_rows):
@@ -903,7 +931,7 @@ def test_twin_rule_matches_reference_loop(corpus, golden_rows):
         assert (witness is None) == (ref_witness is None)
         if witness is not None:
             assert io.dumps_packing(witness) == io.dumps_packing(ref_witness)
-    # the golden corpus keeps its 61 budget rows (test_golden_budget_rows)
+    # the golden corpus keeps its budget rows (test_golden_budget_rows)
     assert fewer > 0 and (solved > 0 or corpus == "golden")
 
 
@@ -1079,3 +1107,106 @@ def test_warm_alone_table_walks_like_a_cold_one():
             assert outcomes[:2] == outcomes[2:], (inst, level)
             compared += isinstance(outcomes[0], list)
     assert compared > 0
+
+
+# ---------------------------------------------------------------------------
+# The partition lower bound against the subset DP in ``reference_exact``.
+
+
+def _decides(inst, level):
+    """Whether ``_partition_level`` leaves the one level open, in the unit
+    ``core.unit_sizes`` gives."""
+    cap, scaled = core.unit_sizes(inst.sizes)
+    got = exact._partition_level(inst.k, cap, scaled, range(level, level + 1))
+    assert got in (level, level + 1)
+    return got == level
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    k=st.integers(2, 5),
+    dist=st.sampled_from(["uniform", "mixed", "heavy"]),
+    seed=st.integers(0, 2**30),
+)
+def test_partition_level_matches_reference_plb(n, k, dist, seed):
+    # the pruned decision is "PLB <= L" at L = PLB - 1 and L = PLB, in the
+    # integer unit and on the Fractions at cap 1; over LB .. PLB + 1 it opens
+    # the level max(LB, PLB) first
+    inst = gen_random(n, k, dist, seed)
+    plb = ref.partition_lower_bound(inst)
+    lb = lower_bounds(inst).best
+    assert plb >= lb
+    for bits in (core.UNIT_BITS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "UNIT_BITS", bits)
+            assert (_decides(inst, plb - 1), _decides(inst, plb)) == (False, True)
+            cap, scaled = core.unit_sizes(inst.sizes)
+            assert all(isinstance(s, int) for s in scaled) == (bits > 0)
+            assert exact._partition_level(k, cap, scaled, range(lb, plb + 2)) == plb
+
+
+PLB_CORPORA = sorted(CORPORA) + ["golden", "repeated-sizes"]
+
+
+@pytest.mark.parametrize("corpus", PLB_CORPORA)
+def test_partition_bound_never_passes_opt(corpus, golden_rows):
+    # PLB <= OPT wherever the oracle answers, so a level the bound rules
+    # out is never a feasible one: the reference DP's PLB up to 10 items
+    # (the 3^n DP takes seconds past that), the pruned decision on all
+    if corpus == "golden":
+        instances = _golden_corpus()
+        opts = [answer for answer, *_ in golden_rows[::3]]
+    else:
+        if corpus == "repeated-sizes":
+            instances = _repeated_sizes()
+            budget = SearchBudget(max_items=15, max_bins=20, max_structures=3000)
+        else:
+            instances, budget = CORPORA[corpus](), WIDE
+        opts = []
+        for inst in instances:
+            try:
+                opts.append(exact_opt(inst, budget)[0])
+            except BudgetExceeded:
+                opts.append("-")
+    answered = 0
+    for inst, opt in zip(instances, opts):
+        if opt != "-" and inst.n:
+            answered += 1
+            assert _decides(inst, opt), inst
+            if inst.n <= 10:
+                assert ref.partition_lower_bound(inst) <= opt, inst
+    assert answered > 0
+
+
+def test_partition_bound_gives_up_after_its_step_cap(monkeypatch):
+    # 20 items: the bound tries its _PARTITION_STEPS groups at level LB = 13
+    # and leaves that level to the search, whose outcome (here the node
+    # budget) and node count are those of no bound at all
+    inst = gen_random(20, 2, "uniform", 3)
+    cap, scaled = core.unit_sizes(inst.sizes)
+    levels = range(lower_bounds(inst).best, _upper(inst).n_bins)
+    assert list(levels) == [13]
+    gave_up = []
+
+    class Recording(exact._GiveUp):
+        def __init__(self):
+            super().__init__()
+            gave_up.append(True)
+
+    monkeypatch.setattr(exact, "_GiveUp", Recording)
+    start = time.perf_counter()
+    assert exact._partition_level(inst.k, cap, scaled, levels) == 13
+    assert time.perf_counter() - start < 0.5 and gave_up == [True]
+    budget = SearchBudget(max_items=20, max_bins=20, max_structures=2000)
+
+    def outcome():
+        try:
+            return exact_opt(inst, budget)
+        except BudgetExceeded as exc:
+            return str(exc)
+
+    bounded = _counted(monkeypatch, outcome)
+    assert bounded == ("structure search exceeded 2000 nodes", 2001)
+    monkeypatch.setattr(exact, "_partition_level", lambda k, cap, scaled, levels: levels.start)
+    assert _counted(monkeypatch, outcome) == bounded
