@@ -285,7 +285,7 @@ def pack_75(inst: Instance) -> A75Report:
     cap, sizes = unit_sizes(inst.sizes)
     bins, labels, reclassified = _main_pass(cap, sizes)
     # The group is read from the entry order the main pass left, which
-    # unit_packing sorts by item id.
+    # checked_packing sorts by item id.
     trail = _trailing_group(bins, labels)
     fallback: str | None = None
     # The two-bin repair leaves the packing as it is unless it triggers.

@@ -26,6 +26,7 @@ from .core import (
     InternalError,
     InvalidPackingError,
     Packing,
+    brief_repr,
     lower_bounds,
     parts_needed,
     validate_packing,
@@ -141,16 +142,20 @@ def _dumps_packing(packing: Packing) -> str:
 
 def _bounded(what: str, count: int, noun: str) -> None:
     """More than ``MAX_PARTS`` items or parts, which follow from the flags,
-    is a usage error, reported before anything is generated."""
+    is a usage error, reported before anything is generated. Flag integers
+    are quoted through ``brief_repr``, so the message stays short."""
     if count > MAX_PARTS:
         raise _CliError(
-            EXIT_USAGE, f"{what} would make {count} {noun}, more than {MAX_PARTS}"
+            EXIT_USAGE,
+            f"{what} would make {brief_repr(count)} {noun}, more than {MAX_PARTS}",
         )
 
 
 def _at_least(flag: str, value: int, least: int) -> None:
     if value < least:
-        raise _CliError(EXIT_USAGE, f"{flag} must be at least {least}, got {value}")
+        raise _CliError(
+            EXIT_USAGE, f"{flag} must be at least {least}, got {brief_repr(value)}"
+        )
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:

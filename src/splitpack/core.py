@@ -77,6 +77,14 @@ def brief_repr(value: object) -> str:
     return text
 
 
+def brief_fraction(value: Fraction) -> str:
+    """``str(value)``, with its numerator and denominator each quoted
+    through ``brief_repr``: the exact text for an ordinary value, and a
+    short one however many digits it has."""
+    num = brief_repr(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{brief_repr(value.denominator)}"
+
+
 def too_many_digits(text: str) -> bool:
     """True iff the numeral has more than ``MAX_NUMERAL_DIGITS`` digits: the
     rule by which ``parse_rational`` refuses a numeral, which a writer tests
@@ -149,14 +157,14 @@ class Instance:
 
     def __post_init__(self) -> None:
         if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
+            raise ValueError(f"k must be at least 2, got {brief_repr(self.k)}")
         sizes = tuple(
             s if type(s) is Fraction else Fraction(s) for s in self.sizes
         )
         object.__setattr__(self, "sizes", sizes)
         for i, s in enumerate(sizes):
             if s.numerator <= 0:
-                raise ValueError(f"item {i} has non-positive size {s}")
+                raise ValueError(f"item {i} has non-positive size {brief_fraction(s)}")
 
     @property
     def n(self) -> int:
@@ -439,23 +447,32 @@ def unit_sizes(
     return scale, [num * (scale // den) for num, den in ratios]
 
 
-def unit_packing(
+def checked_packing(
     inst: Instance,
-    bins: Iterable[Iterable[Item]],
+    bins: Iterable[Collection[Item]],
     cap: int,
     sizes: Sequence[Scaled],
     labels: Sequence[str],
 ) -> Packing:
-    """The ``Packing`` of raw bins whose parts share the unit (cap, sizes),
-    none of which lists an item twice (``bin_violations`` reports that).
+    """The ``Packing`` of a solver's raw bins, whose parts share the unit
+    (cap, sizes), marked as checked for inst once ``bin_violations`` accepts
+    them in that unit; a bin that fails raises ``InternalError`` with the
+    first problem. This is the one exit of every solver and rewrite.
 
     Each part turns back into a ``Fraction`` once: a part equal to its
     item's size is the instance's own size object, and any other part p
     becomes ``Fraction(p, cap)`` (``Fraction(p)`` at cap 1, which keeps a
     ``Fraction`` part as it is), one object per distinct p. Entries are
-    sorted by item id, as ``Packing.build`` orders them; with no item twice
-    in a bin there is nothing to merge. The map divides by cap exactly, so
-    bins that ``bin_violations`` accepts in the unit give a valid packing."""
+    sorted by item id, as ``Packing.build`` orders them; a checked bin lists
+    no item twice, so there is nothing to merge. The map divides by cap
+    exactly, so the check in the unit certifies the packing and
+    ``validate_packing`` need not repeat it. The bins are iterated twice."""
+    problems = bin_violations(inst, bins, cap, sizes)
+    if problems:
+        raise InternalError(
+            f"a solver or rewrite built an invalid packing (bin capacity {cap}): "
+            f"{problems[0]}"
+        )
     whole = inst.sizes
     made: dict[Scaled, Fraction] = {}
     out = []
@@ -471,29 +488,7 @@ def unit_packing(
                 row.append((i, part))
         row.sort()
         out.append(tuple(row))
-    return Packing(tuple(out), tuple(labels))
-
-
-def checked_packing(
-    inst: Instance,
-    bins: Iterable[Collection[Item]],
-    cap: int,
-    sizes: Sequence[Scaled],
-    labels: Sequence[str],
-) -> Packing:
-    """The ``unit_packing`` of a solver's raw bins, marked as checked for
-    inst, once ``bin_violations`` accepts them in their unit (cap, sizes);
-    a bin that fails raises ``InternalError`` with the first problem. The
-    map to ``Fraction``s is exact, so the check in the unit certifies the
-    packing and ``validate_packing`` need not repeat it. The bins are
-    iterated twice."""
-    problems = bin_violations(inst, bins, cap, sizes)
-    if problems:
-        raise InternalError(
-            f"a solver or rewrite built an invalid packing (bin capacity {cap}): "
-            f"{problems[0]}"
-        )
-    packing = unit_packing(inst, bins, cap, sizes, labels)
+    packing = Packing(tuple(out), tuple(labels))
     mark_checked(inst, packing)
     return packing
 

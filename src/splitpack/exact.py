@@ -62,8 +62,9 @@ remaining loops in the first split, in ``_extra_loop_splits`` order, that
 completes the forest. l loops on an item of size s act in the tree DP as an
 item of size s - l * cap, so ``_min_loops`` on those sizes tests a split.
 ``_flow_bins`` then realises the forest and its loops, in sorted bin order,
-as raw bins of parts in the search's unit, and ``core.unit_packing`` turns
-them into the witness ``Packing``, as it does every solver output.
+as raw bins of parts in the search's unit, and ``core.checked_packing``
+checks them there and turns them into the witness ``Packing``, marked as
+checked, as it does every solver output.
 
 Equal sizes make many forests relabellings of one another, so the walk
 breaks that symmetry. An item's twin is the largest earlier item of the same
@@ -117,7 +118,6 @@ from .core import (
     lower_bounds,
     shared_bins,
     too_many_digits,
-    unit_packing,
     unit_sizes,
 )
 from .nextfit import NF_LABEL, next_fit_bins, spill
@@ -641,16 +641,12 @@ class _ForestSearch:
             rest = [s - l * self.cap for s, l in zip(self.scaled, loops)]
             if _min_loops(rest, self.cap, forest) != 0:
                 continue
-            bins = _flow_bins(
-                self.cap,
-                self.scaled,
-                sorted(forest + [(i,) for i in range(n) for _ in range(loops[i])]),
-            )
+            loop_bins = [(i,) for i in range(n) for _ in range(loops[i])]
+            bins = _flow_bins(self.cap, self.scaled, sorted(forest + loop_bins))
             if bins is None:
                 raise InternalError("max-flow rejects a structure the tree DP accepts")
-            return unit_packing(
-                self.inst, bins, self.cap, self.scaled, [EXACT_LABEL] * len(bins)
-            )
+            labels = [EXACT_LABEL] * len(bins)
+            return checked_packing(self.inst, bins, self.cap, self.scaled, labels)
         raise InternalError("no loop split completes an accepted forest")
 
 
@@ -805,10 +801,13 @@ def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[Scaled]) -> 
     return checked_packing(inst, bins, cap, scaled, [label] * len(bins))
 
 
-def _pad_to(packing: Packing, n_bins: int) -> Packing:
+def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
     """Grow a valid packing to exactly n_bins bins by halving parts into
     fresh single-entry bins; splitting never violates capacity or the part
-    limit."""
+    limit. A packing of n_bins bins is returned as it is; a grown one
+    leaves through ``checked_packing``, in ``Fraction``s at capacity 1."""
+    if packing.n_bins == n_bins:
+        return packing
     bins = [list(entries) for entries in packing.bins]
     labels = list(packing.labels)
     while len(bins) < n_bins:
@@ -824,7 +823,7 @@ def _pad_to(packing: Packing, n_bins: int) -> Packing:
         bins[b][e] = (item, part - half)
         bins.append([(item, half)])
         labels.append(labels[b])
-    return Packing.build(bins, labels)
+    return checked_packing(inst, bins, 1, inst.sizes, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -886,4 +885,4 @@ def feasible_in(
     packing = _solve(inst, budget, n_bins, n_bins)
     if inst.n == 0 or packing is None or packing.n_bins > n_bins:
         return None
-    return _pad_to(packing, n_bins)
+    return _pad_to(inst, packing, n_bins)

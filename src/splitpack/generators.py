@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .core import Instance, Packing
+from .core import Instance, Packing, brief_fraction, brief_repr
 
 OPT_LABEL = "opt"
 
@@ -30,9 +30,9 @@ def gen_nf_worst(k: int, big_blocks: int) -> tuple[Instance, Packing]:
     tiny items, using M*k exactly-full bins.
     """
     if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+        raise ValueError(f"k must be at least 2, got {brief_repr(k)}")
     if big_blocks < 1:
-        raise ValueError(f"big_blocks must be at least 1, got {big_blocks}")
+        raise ValueError(f"big_blocks must be at least 1, got {brief_repr(big_blocks)}")
     m = big_blocks
     tiny = Fraction(1, m * k * (k - 1))
     sizes = [Fraction(m * k - 1)] + [tiny] * (m * (k - 1) * k)
@@ -62,7 +62,7 @@ def gen_a75_worst(n_scale: int) -> tuple[Instance, Packing]:
     7N - 6 algorithm bin count additionally needs N even.
     """
     if n_scale < 3:
-        raise ValueError(f"N must be at least 3, got {n_scale}")
+        raise ValueError(f"N must be at least 3, got {brief_repr(n_scale)}")
     n = n_scale
     small = Fraction(2, n)
     med_a = 1 - Fraction(1, n)
@@ -90,21 +90,22 @@ def gen_from_3partition(numbers: list[int], target: int, k: int) -> Instance:
     bins.
     """
     if k < 3:
-        raise ValueError(f"k must be at least 3, got {k}")
+        raise ValueError(f"k must be at least 3, got {brief_repr(k)}")
     if len(numbers) % 3 != 0 or not numbers:
         raise ValueError(f"need 3m numbers, got {len(numbers)}")
     m = len(numbers) // 3
     if sum(numbers) != m * target:
         raise ValueError(
-            f"numbers sum to {sum(numbers)}, expected m*B = {m * target}"
+            f"numbers sum to {brief_repr(sum(numbers))}, "
+            f"expected m*B = {brief_repr(m * target)}"
         )
     quarter = Fraction(target, 4)
     half = Fraction(target, 2)
     for idx, value in enumerate(numbers):
         if not (quarter < value < half):
             raise ValueError(
-                f"number {idx} = {value} outside the open interval "
-                f"({quarter}, {half})"
+                f"number {idx} = {brief_repr(value)} outside the open interval "
+                f"({brief_fraction(quarter)}, {brief_fraction(half)})"
             )
     sizes: list[Fraction] = []
     if k > 3:
@@ -161,7 +162,7 @@ def gen_random(
     stay bounded so the exact oracle stays exact and fast.
     """
     if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+        raise ValueError(f"n must be non-negative, got {brief_repr(n)}")
     if size_distribution not in DISTRIBUTIONS:
         raise ValueError(
             f"unknown distribution {size_distribution!r}, "

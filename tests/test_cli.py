@@ -137,6 +137,9 @@ _HOSTILE = {
     "size-exponent": ("instance", {"k": 2, "items": ["x" * 900000 + "e5000"]}),
     "item-id": ("packing", {"bins": [[{"item": _HUGE, "part": "1/2"}]]}),
     "part-not-a-string": ("packing", {"bins": [[{"item": 0, "part": _HUGE}]]}),
+    # 1000 digits, as many as a numeral may have: the Instance's own checks
+    "k-below-two": ("instance", {"k": -int("9" * 1000), "items": ["1/2"]}),
+    "size-non-positive": ("instance", {"k": 2, "items": [f"-{'9' * 500}/{'7' * 499}"]}),
 }
 
 
@@ -1117,6 +1120,48 @@ def test_gen_reports_a_bad_k_before_the_item_count(capsys):
         "gen", "nf-worst", "--k", "-1", "--m", str(MAX_PARTS), capsys=capsys
     )
     assert code == 2 and err == "k must be at least 2, got -1\n"
+
+
+_NINES = "9" * 4000
+_TRIPLE = 3 * 10**3999
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "random", "--n", _NINES, "--k", "2"),
+        ("gen", "random", "--n", "-" + _NINES, "--k", "2"),
+        ("gen", "random", "--n", "3", "--k", "-" + _NINES),
+        ("gen", "nf-worst", "--k", "2", "--m", _NINES),
+        ("gen", "nf-worst", "--k", "2", "--m", "-" + _NINES),
+        ("gen", "a75-worst", "--n", _NINES),
+        ("gen", "a75-worst", "--n", "-" + _NINES),
+        ("gen", "reduce3p", "--k", _NINES, "--b", "4", "--numbers", "1,1,2"),
+        ("gen", "reduce3p", "--k", "-" + _NINES, "--b", "4", "--numbers", "1,1,2"),
+        ("gen", "reduce3p", "--k", "3", "--b", _NINES, "--numbers", "1,1,2"),
+        ("gen", "reduce3p", "--k", "3", "--b", "4", "--numbers", _NINES + ",1,2"),
+        (
+            "gen", "reduce3p", "--k", "3", "--b", str(_TRIPLE),
+            "--numbers", f"1,{_TRIPLE - 2},1",
+        ),
+        ("experiment", "--suite", "nf-ratio", "--max-n", _NINES),
+        ("experiment", "--suite", "nf-ratio", "--max-n", "-" + _NINES),
+        ("experiment", "--suite", "nf-ratio", "--k", "-" + _NINES),
+        ("experiment", "--suite", "reduction-check", "--k", _NINES),
+        (
+            "experiment", "--suite", "nf-ratio", "--dist", "heavy",
+            "--max-n", _NINES[:3000], "--k", _NINES[:3000],
+        ),
+    ],
+)
+def test_huge_flag_integers_are_quoted_briefly(tmp_path, capsys, argv):
+    # a 4000-digit flag, or a part count past the interpreter's digit limit,
+    # is a usage error whose message stays under 1 KB
+    output = tmp_path / "out"
+    code, out, err = run_cli(*argv, "--output", str(output), capsys=capsys)
+    assert code == 2 and out == ""
+    assert 0 < len(err.encode()) < 1024
+    assert not output.exists()
 
 
 def test_gen_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys):

@@ -17,6 +17,8 @@ from splitpack import (
     Packing,
     check_block_inequality,
     core,
+    exact_opt,
+    feasible_in,
     gen_random,
     io,
     lower_bounds,
@@ -39,7 +41,7 @@ from splitpack.core import (
     too_many_digits,
     unit_sizes,
 )
-from splitpack.exact import _upper_bound_packing
+from splitpack.exact import EXACT_LABEL, _upper_bound_packing
 
 
 def test_parse_rational_forms():
@@ -708,6 +710,24 @@ def test_a_clean_check_marks_only_immutable_bins(monkeypatch):
     bins[0][1] = (1, F(1, 4))
     assert validate_packing(inst, listed) == ["coverage: item 1 covered 1/4 of 1/2"]
     assert len(calls) == 3
+
+
+def test_every_solver_output_leaves_checked(monkeypatch):
+    # next fit, pack_75, an exact_opt search witness, feasible_in at the
+    # optimum and padded past it, and normalize: each output was checked
+    # in its unit on the way out, so validate_packing runs no full check
+    inst = gen_random(6, 2, "mixed", 9)
+    packing, _ = next_fit(inst)
+    opt, witness = exact_opt(inst)
+    padded = feasible_in(inst, opt + 2)
+    outputs = [packing, pack_75(inst).packing, witness, feasible_in(inst, opt)]
+    outputs += [padded, normalize(inst, packing)]
+    assert set(witness.labels) == set(outputs[3].labels) == {EXACT_LABEL}
+    assert padded.n_bins == opt + 2
+    calls = _counting_checks(monkeypatch)
+    for out in outputs:
+        assert validate_packing(inst, out) == []
+    assert not calls
 
 
 def test_checked_packing_raises_on_bins_that_fail_in_their_unit():

@@ -51,7 +51,7 @@ def _flow_packings(monkeypatch, inst, bins):
         packings.append(
             None
             if raw is None
-            else core.unit_packing(inst, raw, cap, scaled, [EXACT_LABEL] * len(raw))
+            else core.checked_packing(inst, raw, cap, scaled, [EXACT_LABEL] * len(raw))
         )
     return packings
 
@@ -393,6 +393,19 @@ def test_corrupted_heuristic_raises_internal_error(monkeypatch, heuristic):
         exact_opt(inst)
     with pytest.raises(InternalError, match="built an invalid packing"):
         feasible_in(inst, 3)
+
+
+def test_corrupted_flow_witness_raises_internal_error(monkeypatch):
+    # the search witness leaves through checked_packing: a max-flow that
+    # shaves one part fails its check in the unit
+    inst = gen_random(6, 2, "mixed", 9)
+    assert set(exact_opt(inst)[1].labels) == {EXACT_LABEL}
+    original = exact._flow_bins
+    monkeypatch.setattr(
+        exact, "_flow_bins", lambda *args: _corrupt_first_part(original(*args))
+    )
+    with pytest.raises(InternalError, match="built an invalid packing"):
+        exact_opt(inst)
 
 
 def test_exact_respects_worst_family_certificates():
