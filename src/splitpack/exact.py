@@ -82,18 +82,32 @@ set G needs at least g(G) bins (``_partition_level`` gives g); so level L
 is infeasible when no partition has sum g(G) <= L. This rests on the forest
 lemma, as the search does. Only such levels are skipped, and the upper bound
 is taken when the bound rules out every level below it, so every answer and
-witness is the one the search from the combined lower bound finds. The bound's work is capped by its own count of groups tried,
+witness is the one the search from the combined lower bound finds. The
+bound's work is capped by its own count of groups tried,
 ``_PARTITION_STEPS``, not by the node budget; past the cap it leaves the
 level it was deciding, and those above, to the search.
 
+A level whose search runs out of nodes falls back on the partition bound's
+groups (``_pack_groups``). The bound is asked again at that level, closing
+each group before it grows it, and each group G of the partition it finds
+is packed on its own into g(G) bins: a single item is spilled, a group with
+g(G) = 1 is one bin, and any other group gets a ``_solve`` of its own items
+with goal and top g(G), which does not fall back in turn. Every level below
+was searched or ruled out, so the union, of sum g(G) bins, is optimal. A
+partition of one group, or a group that does not pack, raises the search's
+own error again. The fallback runs only where the search raises, so every
+answer and witness the search gives stays the same.
+
 One budget node is one candidate bin that passes the acyclicity and twin
 tests, or one loop split the witness tries. A call the partition bound
-settles counts no node.
+settles counts no node. The group fallback counts on a fresh counter of its
+own, one node per group and the nodes of its groups' searches.
 
 Validated heuristic packings serve as upper bounds: a valid packing is a
 certificate, so the search only has to exhaust the levels below it. Next fit
-(through the one ``nextfit.next_fit_bins`` kernel) and best fit decreasing
-run in the call's unit; ``core.checked_packing`` checks the winner's bins
+(through the one ``nextfit.next_fit_bins`` kernel) and, when next fit misses
+the lower bound, best fit decreasing run in the call's unit;
+``core.checked_packing`` checks the winner's bins
 against the unit's sizes and capacity, the same checks ``validate_packing``
 makes, before the parts turn back into ``Fraction``s for one ``Packing``.
 Dividing by cap is exact, so the check is a certificate for that packing,
@@ -150,11 +164,15 @@ class SearchBudget:
 
     max_structures counts search nodes: every candidate bin of the level
     search that passes the acyclicity and twin tests, plus every loop split
-    tried while building a witness. It does not bound the set-up: the
-    search ranks all sum_{s=2}^{min(k, n)} C(n, s) candidate bins before it
-    counts a node, and only max_items bounds that work. The partition bound
-    that rules out levels before the search counts no node either: its work
-    is capped on its own, at ``_PARTITION_STEPS`` groups per call.
+    tried while building a witness. It is a fresh allowance per call. When
+    the search runs out of it, the group fallback gets one more fresh
+    allowance, shared by its groups: each group ticks one node, and each
+    group's own search counts its nodes there. It does not bound the
+    set-up: the search ranks all sum_{s=2}^{min(k, n)} C(n, s) candidate
+    bins before it counts a node, and only max_items bounds that work. The
+    partition bound that rules out levels before the search, and finds the
+    fallback's groups, counts no node either: its work is capped on its
+    own, at ``_PARTITION_STEPS`` groups per call.
     """
 
     max_items: int = 8
@@ -662,9 +680,13 @@ class _GiveUp(Exception):
     """The partition bound tried ``_PARTITION_STEPS`` groups."""
 
 
-def _partition_level(k: int, cap: int, scaled: Sequence[Scaled], levels: range) -> int:
+def _partition_level(
+    k: int, cap: int, scaled: Sequence[Scaled], levels: range, close_first: bool = False
+) -> tuple[int, list[tuple[tuple[int, ...], int]] | None]:
     """The first level of ``levels`` that the partition bound does not rule
-    out, or ``levels.stop`` when it rules out each one.
+    out, or ``levels.stop`` when it rules out each one; with it, the
+    partition found to fit that level, as (items, g(G)) per group, or None
+    when the bound ruled out every level or gave up.
 
     A tree of a forest-shaped packing, with item set G, needs g(G) =
     max(ceil(s(G)), ceil((|G| - 1) / (k - 1)), sum_G ceil(s_i) - |G| + 1,
@@ -685,13 +707,23 @@ def _partition_level(k: int, cap: int, scaled: Sequence[Scaled], levels: range) 
     so each multiset of sizes is tried once, and a failed rest is memoized
     with the most waste it failed with. Every level shares the memo and the
     ``_PARTITION_STEPS`` cap; past it the level being decided is returned.
+    A partition that fits is collected as its groups close on the way back.
+
+    A group grows before it closes, unless close_first: then it closes
+    before it grows, so the partition found tends to have more and smaller
+    groups. Both orders try the same groups, but in another order, so they
+    can reach the step cap at other levels; the search's levels are decided
+    in the default order alone.
     """
-    sizes = sorted(scaled, reverse=True)
+    order = sorted(range(len(scaled)), key=lambda i: -scaled[i])
+    sizes = [scaled[i] for i in order]
     n = len(sizes)
     ceils = [-(-s // cap) for s in sizes]
     spreads = [cap - (k - 1) * s for s in sizes]
     failed: dict[int, Scaled] = {}
     steps = 0
+    # The groups of the partition found, innermost first, as (mask, g(G)).
+    found: list[tuple[int, int]] = []
 
     def fits(rest: int, size: Scaled, ceil_sum: int, waste: Scaled) -> bool:
         # rest: the items left, of total size and ceil(size) sum.
@@ -705,6 +737,22 @@ def _partition_level(k: int, cap: int, scaled: Sequence[Scaled], levels: range) 
         others = [j for j in range(first + 1, n) if rest >> j & 1]
         limit = (k - 1) * waste + cap
 
+        def close(group: int, g_size: Scaled, count: int, g_ceil: int) -> bool:
+            # Whether the group, closed, leaves a rest that fits.
+            bins = max(
+                -(-g_size // cap),
+                -(-(count - 1) // (k - 1)),
+                g_ceil - count + 1,
+                -(-g_ceil // k),
+            )
+            cost = bins * cap - g_size
+            if cost <= waste and fits(
+                rest & ~group, size - g_size, ceil_sum - g_ceil, waste - cost
+            ):
+                found.append((group, bins))
+                return True
+            return False
+
         def grow(
             at: int, group: int, g_size: Scaled, count: int, g_ceil: int, spread: Scaled
         ) -> bool:
@@ -712,6 +760,8 @@ def _partition_level(k: int, cap: int, scaled: Sequence[Scaled], levels: range) 
             steps += 1
             if steps > _PARTITION_STEPS:
                 raise _GiveUp
+            if close_first and close(group, g_size, count, g_ceil):
+                return True
             for t in range(at, len(others)):
                 j = others[t]
                 if spread + spreads[j] > limit:
@@ -727,16 +777,7 @@ def _partition_level(k: int, cap: int, scaled: Sequence[Scaled], levels: range) 
                     spread + spreads[j],
                 ):
                     return True
-            bins = max(
-                -(-g_size // cap),
-                -(-(count - 1) // (k - 1)),
-                g_ceil - count + 1,
-                -(-g_ceil // k),
-            )
-            cost = bins * cap - g_size
-            return cost <= waste and fits(
-                rest & ~group, size - g_size, ceil_sum - g_ceil, waste - cost
-            )
+            return not close_first and close(group, g_size, count, g_ceil)
 
         if grow(0, 1 << first, sizes[first], 1, ceils[first], spreads[first]):
             return True
@@ -747,10 +788,13 @@ def _partition_level(k: int, cap: int, scaled: Sequence[Scaled], levels: range) 
     for level in levels:
         try:
             if fits((1 << n) - 1, total, sum(ceils), level * cap - total):
-                return level
+                return level, [
+                    (tuple(sorted(order[j] for j in range(n) if group >> j & 1)), bins)
+                    for group, bins in reversed(found)
+                ]
         except _GiveUp:
-            return level
-    return levels.stop
+            return level, None
+    return levels.stop, None
 
 
 # ---------------------------------------------------------------------------
@@ -787,17 +831,23 @@ def _best_fit_split(
     return bins
 
 
-def _upper_bound_packing(inst: Instance, cap: int, scaled: Sequence[Scaled]) -> Packing:
+def _upper_bound_packing(
+    inst: Instance, cap: int, scaled: Sequence[Scaled], lb: int
+) -> Packing:
     """The fewer-bin packing of next fit (kept on ties) and best fit, both
-    run on the sizes scaled by cap. ``checked_packing`` checks the winner's
-    bins against the scaled sizes before it builds one ``Packing`` with
-    parts p/cap; that map is exact, so the check certifies the packing."""
+    run on the sizes scaled by cap. Best fit runs only when next fit has
+    more than lb bins, the instance's lower bound: it cannot beat a
+    packing at the bound, and next fit keeps ties. ``checked_packing``
+    checks the winner's bins against the scaled sizes before it builds one
+    ``Packing`` with parts p/cap; that map is exact, so the check
+    certifies the packing."""
     bins, _ = next_fit_bins(enumerate(scaled), inst.k, cap)
     label = NF_LABEL
-    bf_bins = _best_fit_split(inst, cap, scaled)
-    if len(bf_bins) < len(bins):
-        # "ffd" stays: byte-stable witnesses carry it whenever this meets the LB.
-        bins, label = bf_bins, "ffd"
+    if len(bins) > lb:
+        bf_bins = _best_fit_split(inst, cap, scaled)
+        if len(bf_bins) < len(bins):
+            # "ffd" stays: byte-stable witnesses carry it whenever this meets the LB.
+            bins, label = bf_bins, "ffd"
     return checked_packing(inst, bins, cap, scaled, [label] * len(bins))
 
 
@@ -830,31 +880,98 @@ def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
 # Search entry points.
 
 
-def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing | None:
+def _solve(
+    inst: Instance,
+    budget: SearchBudget,
+    goal: int,
+    top: int,
+    counter: _Counter | None = None,
+) -> Packing | None:
     """The one path of both entry points: the upper bound when it has at
     most max(goal, LB) bins; else the first witness of the levels LB .. top
     below the upper bound, which has as many bins as its level, searched
     from the first level the partition bound does not rule out; else the
     upper bound when it has at most top + 1 bins, so that every level below
-    it was searched or ruled out; else None."""
+    it was searched or ruled out; else None.
+
+    A level whose search runs out of nodes falls back on packing the groups
+    of a partition that fits it one at a time (``_pack_groups``); the
+    search's own ``BudgetExceeded`` is raised again when that gives no
+    packing. A call given a counter is one group of that fallback: its
+    search counts on the fallback's counter, and it does not fall back."""
     if inst.n > budget.max_items:
         raise BudgetExceeded(f"{inst.n} items exceed the budget of {budget.max_items}")
     if top > budget.max_bins:
         raise BudgetExceeded(f"{top} bins exceed the budget of {budget.max_bins}")
     lb = lower_bounds(inst).best
     cap, scaled = unit_sizes(inst.sizes)
-    upper = _upper_bound_packing(inst, cap, scaled)
+    upper = _upper_bound_packing(inst, cap, scaled, lb)
     if upper.n_bins <= max(goal, lb):
         return upper
     levels = range(lb, min(upper.n_bins - 1, top) + 1)
-    levels = range(_partition_level(inst.k, cap, scaled, levels), levels.stop)
+    levels = range(_partition_level(inst.k, cap, scaled, levels)[0], levels.stop)
     if levels:
-        search = _ForestSearch(inst, cap, scaled, _Counter(budget.max_structures))
+        fresh = counter is None
+        search = _ForestSearch(
+            inst, cap, scaled, _Counter(budget.max_structures) if fresh else counter
+        )
         for n_bins in levels:
-            witness = search.level(n_bins)
+            try:
+                witness = search.level(n_bins)
+            except BudgetExceeded:
+                if not fresh:
+                    raise
+                witness = _pack_groups(inst, budget, cap, scaled, n_bins)
+                if witness is None:
+                    raise
             if witness is not None:
                 return witness
     return upper if upper.n_bins <= top + 1 else None
+
+
+def _pack_groups(
+    inst: Instance, budget: SearchBudget, cap: int, scaled: Sequence[Scaled], level: int
+) -> Packing | None:
+    """A packing of ``level`` bins made of each group G of a partition with
+    sum g(G) <= level packed on its own into g(G) bins, or None when the
+    partition bound finds no partition, it finds one of a single group, or
+    some group does not pack.
+
+    The partition is the one ``_partition_level`` finds at ``level`` with
+    its groups closed first, so that it tends to have many small groups. A
+    single item is spilled over its ceil(size) bins, and a group with g(G)
+    = 1 is one bin. Any other group is a ``_solve`` of its own items with
+    goal and top g(G). The groups share one fresh node counter, which also
+    ticks once per group. The caller searched or ruled out every level
+    below ``level``, so the union, which keeps the instance's item ids, has
+    exactly ``level`` bins and is optimal; its bins, all labelled
+    ``EXACT_LABEL``, leave through ``checked_packing`` at capacity 1."""
+    levels = range(level, level + 1)
+    groups = _partition_level(inst.k, cap, scaled, levels, close_first=True)[1]
+    if groups is None or len(groups) < 2:
+        return None
+    counter = _Counter(budget.max_structures)
+    bins: list[list[Item]] = []
+    try:
+        for members, n_bins in groups:
+            counter.tick()
+            if len(members) == 1:
+                bins.extend(spill(members[0], inst.sizes[members[0]]))
+            elif n_bins == 1:
+                bins.append([(i, inst.sizes[i]) for i in members])
+            else:
+                sub = Instance(inst.k, tuple(inst.sizes[i] for i in members))
+                packing = _solve(sub, budget, n_bins, n_bins, counter)
+                if packing is None or packing.n_bins > n_bins:
+                    return None
+                bins.extend(
+                    [(members[j], part) for j, part in entries] for entries in packing.bins
+                )
+    except BudgetExceeded:
+        return None
+    if len(bins) != level:
+        raise InternalError(f"the groups of level {level} pack into {len(bins)} bins")
+    return checked_packing(inst, bins, 1, inst.sizes, [EXACT_LABEL] * len(bins))
 
 
 def exact_opt(

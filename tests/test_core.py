@@ -615,7 +615,8 @@ def test_validate_packing_matches_a_full_check(inst, seed):
     # (loaded, hand-built, replaced, some invalid): validate_packing always
     # gives the full Fraction check's answer, also when asked again
     packing, trace = next_fit(inst)
-    outputs = [packing, _upper_bound_packing(inst, *unit_sizes(inst.sizes))]
+    upper = _upper_bound_packing(inst, *unit_sizes(inst.sizes), lower_bounds(inst).best)
+    outputs = [packing, upper]
     if inst.k == 2:
         outputs += [pack_75(inst).packing, normalize(inst, packing)]
     cap = unit_sizes(inst.sizes)[0]
@@ -772,7 +773,8 @@ def test_bin_violations_integer_pass_matches_pair_path(inst, seed):
     # it) and the reference's for every shape of bins; in the Fraction unit
     # the pass finds nothing to decide
     packing = next_fit(inst)[0]
-    outputs = [packing, _upper_bound_packing(inst, *unit_sizes(inst.sizes))]
+    upper = _upper_bound_packing(inst, *unit_sizes(inst.sizes), lower_bounds(inst).best)
+    outputs = [packing, upper]
     if inst.k == 2:
         outputs += [pack_75(inst).packing, normalize(inst, packing)]
     rng = random.Random(seed)
