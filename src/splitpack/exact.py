@@ -88,15 +88,17 @@ bound's work is capped by its own count of groups tried,
 level it was deciding, and those above, to the search.
 
 A level whose search runs out of nodes falls back on the partition bound's
-groups (``_pack_groups``). The bound is asked again at that level, closing
-each group before it grows it, and each group G of the partition it finds
-is packed on its own into g(G) bins: a single item is spilled, a group with
-g(G) = 1 is one bin, and any other group gets a ``_solve`` of its own items
-with goal and top g(G), which does not fall back in turn. Every level below
-was searched or ruled out, so the union, of sum g(G) bins, is optimal. A
-partition of one group, or a group that does not pack, raises the search's
-own error again. The fallback runs only where the search raises, so every
-answer and witness the search gives stays the same.
+groups (``_pack_groups``). The bound is asked again at that level, and each
+group G of the partition it finds is packed on its own into g(G) bins, in
+the caller's unit: by the upper-bound packing of its items when that has
+g(G) bins (next fit puts a single item into ceil(size) bins and a group
+with g(G) = 1 into one), and else by the forest search of its items at
+level g(G) alone. Every level below was searched or ruled out, so in a
+union that succeeds no group fits in fewer than g(G) bins, and the union,
+of sum g(G) bins, is optimal. A partition of one group, or a group that
+does not pack, raises the search's own error again. The fallback runs only
+where the search raises, so every answer and witness the search gives
+stays the same.
 
 One budget node is one candidate bin that passes the acyclicity and twin
 tests, or one loop split the witness tries. A call the partition bound
@@ -166,13 +168,13 @@ class SearchBudget:
     search that passes the acyclicity and twin tests, plus every loop split
     tried while building a witness. It is a fresh allowance per call. When
     the search runs out of it, the group fallback gets one more fresh
-    allowance, shared by its groups: each group ticks one node, and each
-    group's own search counts its nodes there. It does not bound the
-    set-up: the search ranks all sum_{s=2}^{min(k, n)} C(n, s) candidate
-    bins before it counts a node, and only max_items bounds that work. The
-    partition bound that rules out levels before the search, and finds the
-    fallback's groups, counts no node either: its work is capped on its
-    own, at ``_PARTITION_STEPS`` groups per call.
+    allowance, shared by its groups: each group ticks one node, and the
+    search of a group at its level g(G) counts its nodes there. It does not
+    bound the set-up: the search ranks all sum_{s=2}^{min(k, n)} C(n, s)
+    candidate bins before it counts a node, and only max_items bounds that
+    work. The partition bound that rules out levels before the search, and
+    finds the fallback's groups, counts no node either: its work is capped
+    on its own, at ``_PARTITION_STEPS`` groups per call.
     """
 
     max_items: int = 8
@@ -681,7 +683,7 @@ class _GiveUp(Exception):
 
 
 def _partition_level(
-    k: int, cap: int, scaled: Sequence[Scaled], levels: range, close_first: bool = False
+    k: int, cap: int, scaled: Sequence[Scaled], levels: range
 ) -> tuple[int, list[tuple[tuple[int, ...], int]] | None]:
     """The first level of ``levels`` that the partition bound does not rule
     out, or ``levels.stop`` when it rules out each one; with it, the
@@ -697,8 +699,10 @@ def _partition_level(
     costs g(G) * cap - s(G) >= 0.
 
     A depth-first search over the items sorted by decreasing size decides
-    it. It groups the first item left with some of the others, grown in
-    item order, and runs on the rest with the waste the group leaves.
+    it. It groups the first item left with some of the others, and runs on
+    the rest with the waste the group leaves: each group is closed before
+    it grows by one more item, in item order, so the partition found tends
+    to have many small groups, which the group fallback packs one at a time.
     Since (k - 1) * g(G) * cap >= (|G| - 1) * cap, a group fits only while
     sum_G (cap - (k - 1) * s_j) <= (k - 1) * waste + cap; the sort makes the
     terms non-decreasing, so growth stops at the first item that passes
@@ -708,12 +712,6 @@ def _partition_level(
     with the most waste it failed with. Every level shares the memo and the
     ``_PARTITION_STEPS`` cap; past it the level being decided is returned.
     A partition that fits is collected as its groups close on the way back.
-
-    A group grows before it closes, unless close_first: then it closes
-    before it grows, so the partition found tends to have more and smaller
-    groups. Both orders try the same groups, but in another order, so they
-    can reach the step cap at other levels; the search's levels are decided
-    in the default order alone.
     """
     order = sorted(range(len(scaled)), key=lambda i: -scaled[i])
     sizes = [scaled[i] for i in order]
@@ -737,8 +735,14 @@ def _partition_level(
         others = [j for j in range(first + 1, n) if rest >> j & 1]
         limit = (k - 1) * waste + cap
 
-        def close(group: int, g_size: Scaled, count: int, g_ceil: int) -> bool:
-            # Whether the group, closed, leaves a rest that fits.
+        def grow(
+            at: int, group: int, g_size: Scaled, count: int, g_ceil: int, spread: Scaled
+        ) -> bool:
+            # Whether the group, closed or grown, leaves a rest that fits.
+            nonlocal steps
+            steps += 1
+            if steps > _PARTITION_STEPS:
+                raise _GiveUp
             bins = max(
                 -(-g_size // cap),
                 -(-(count - 1) // (k - 1)),
@@ -750,17 +754,6 @@ def _partition_level(
                 rest & ~group, size - g_size, ceil_sum - g_ceil, waste - cost
             ):
                 found.append((group, bins))
-                return True
-            return False
-
-        def grow(
-            at: int, group: int, g_size: Scaled, count: int, g_ceil: int, spread: Scaled
-        ) -> bool:
-            nonlocal steps
-            steps += 1
-            if steps > _PARTITION_STEPS:
-                raise _GiveUp
-            if close_first and close(group, g_size, count, g_ceil):
                 return True
             for t in range(at, len(others)):
                 j = others[t]
@@ -777,7 +770,7 @@ def _partition_level(
                     spread + spreads[j],
                 ):
                     return True
-            return not close_first and close(group, g_size, count, g_ceil)
+            return False
 
         if grow(0, 1 << first, sizes[first], 1, ceils[first], spreads[first]):
             return True
@@ -880,13 +873,7 @@ def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
 # Search entry points.
 
 
-def _solve(
-    inst: Instance,
-    budget: SearchBudget,
-    goal: int,
-    top: int,
-    counter: _Counter | None = None,
-) -> Packing | None:
+def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing | None:
     """The one path of both entry points: the upper bound when it has at
     most max(goal, LB) bins; else the first witness of the levels LB .. top
     below the upper bound, which has as many bins as its level, searched
@@ -897,8 +884,7 @@ def _solve(
     A level whose search runs out of nodes falls back on packing the groups
     of a partition that fits it one at a time (``_pack_groups``); the
     search's own ``BudgetExceeded`` is raised again when that gives no
-    packing. A call given a counter is one group of that fallback: its
-    search counts on the fallback's counter, and it does not fall back."""
+    packing."""
     if inst.n > budget.max_items:
         raise BudgetExceeded(f"{inst.n} items exceed the budget of {budget.max_items}")
     if top > budget.max_bins:
@@ -911,16 +897,11 @@ def _solve(
     levels = range(lb, min(upper.n_bins - 1, top) + 1)
     levels = range(_partition_level(inst.k, cap, scaled, levels)[0], levels.stop)
     if levels:
-        fresh = counter is None
-        search = _ForestSearch(
-            inst, cap, scaled, _Counter(budget.max_structures) if fresh else counter
-        )
+        search = _ForestSearch(inst, cap, scaled, _Counter(budget.max_structures))
         for n_bins in levels:
             try:
                 witness = search.level(n_bins)
             except BudgetExceeded:
-                if not fresh:
-                    raise
                 witness = _pack_groups(inst, budget, cap, scaled, n_bins)
                 if witness is None:
                     raise
@@ -937,17 +918,18 @@ def _pack_groups(
     partition bound finds no partition, it finds one of a single group, or
     some group does not pack.
 
-    The partition is the one ``_partition_level`` finds at ``level`` with
-    its groups closed first, so that it tends to have many small groups. A
-    single item is spilled over its ceil(size) bins, and a group with g(G)
-    = 1 is one bin. Any other group is a ``_solve`` of its own items with
-    goal and top g(G). The groups share one fresh node counter, which also
+    The partition is the one ``_partition_level`` finds at ``level``. Each
+    group runs in the caller's unit (cap, scaled) on its own sizes: it takes
+    the upper-bound packing when that has g(G) bins, which next fit gives a
+    single item and a group with g(G) = 1, and else the forest search at
+    level g(G) alone. The groups share one fresh node counter, which also
     ticks once per group. The caller searched or ruled out every level
-    below ``level``, so the union, which keeps the instance's item ids, has
-    exactly ``level`` bins and is optimal; its bins, all labelled
-    ``EXACT_LABEL``, leave through ``checked_packing`` at capacity 1."""
-    levels = range(level, level + 1)
-    groups = _partition_level(inst.k, cap, scaled, levels, close_first=True)[1]
+    below ``level``, so in a union that succeeds no group fits in fewer
+    than g(G) bins, and the levels below g(G) need no search. The union,
+    which keeps the instance's item ids, has exactly ``level`` bins and is
+    optimal; its bins, all labelled ``EXACT_LABEL``, leave through
+    ``checked_packing`` at capacity 1."""
+    groups = _partition_level(inst.k, cap, scaled, range(level, level + 1))[1]
     if groups is None or len(groups) < 2:
         return None
     counter = _Counter(budget.max_structures)
@@ -955,18 +937,16 @@ def _pack_groups(
     try:
         for members, n_bins in groups:
             counter.tick()
-            if len(members) == 1:
-                bins.extend(spill(members[0], inst.sizes[members[0]]))
-            elif n_bins == 1:
-                bins.append([(i, inst.sizes[i]) for i in members])
-            else:
-                sub = Instance(inst.k, tuple(inst.sizes[i] for i in members))
-                packing = _solve(sub, budget, n_bins, n_bins, counter)
-                if packing is None or packing.n_bins > n_bins:
+            sub = Instance(inst.k, tuple(inst.sizes[i] for i in members))
+            sizes = [scaled[i] for i in members]
+            packing = _upper_bound_packing(sub, cap, sizes, n_bins)
+            if packing.n_bins > n_bins:
+                packing = _ForestSearch(sub, cap, sizes, counter).level(n_bins)
+                if packing is None:
                     return None
-                bins.extend(
-                    [(members[j], part) for j, part in entries] for entries in packing.bins
-                )
+            bins.extend(
+                [(members[j], part) for j, part in entries] for entries in packing.bins
+            )
     except BudgetExceeded:
         return None
     if len(bins) != level:

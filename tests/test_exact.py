@@ -6,7 +6,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_exact as ref
 import reference_forest
@@ -1270,7 +1270,7 @@ def test_partition_bound_gives_up_after_its_step_cap(monkeypatch):
     monkeypatch.setattr(
         exact,
         "_partition_level",
-        lambda k, cap, scaled, levels, close_first=False: (levels.start, None),
+        lambda k, cap, scaled, levels: (levels.start, None),
     )
     assert _counted(monkeypatch, outcome) == bounded
 
@@ -1359,6 +1359,55 @@ def test_group_fallback_golden_rows_match_the_uncapped_search(monkeypatch, golde
             assert answer == witness.n_bins >= opt, r
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    k=st.integers(2, 3),
+    dist=st.sampled_from(["uniform", "mixed", "heavy"]),
+    seed=st.integers(0, 2**30),
+    nodes=st.integers(0, 50),
+)
+@example(n=8, k=3, dist="uniform", seed=178755768, nodes=5)
+@example(n=8, k=2, dist="mixed", seed=809318870, nodes=20)
+def test_tiny_node_budgets_answer_the_uncapped_opt(n, k, dist, seed, nodes):
+    # under a node budget small enough that the search often runs out and
+    # the fallback answers (as in both examples), every answer is the
+    # uncapped search's OPT and its witness validates, in both units
+    inst = gen_random(n, k, dist, seed)
+    budget = SearchBudget(max_items=10, max_bins=20, max_structures=nodes)
+    for bits in (core.UNIT_BITS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "UNIT_BITS", bits)
+            opt = _uncapped_opt(patch, inst)
+            try:
+                answer, witness = exact_opt(inst, budget)
+            except BudgetExceeded:
+                continue
+            assert answer == witness.n_bins == opt
+            assert validate_packing(inst, witness) == []
+
+
+def test_group_fallback_pins(monkeypatch, golden_rows):
+    # the witness bytes and node counts of every row that only the fallback
+    # answers: the GROUP_ROWS under exact_opt, then the 8 rescued golden rows
+    witnesses, nodes = [], []
+    for row in GROUP_ROWS:
+        inst = gen_random(*row)
+        (_, witness), count = _counted(monkeypatch, lambda: exact_opt(inst, GROUP_BUDGET))
+        witnesses.append(io.dumps_packing(witness))
+        nodes.append(count)
+    for r in sorted(GOLDEN_BUDGET_ROWS_BEFORE_GROUPS - GOLDEN_BUDGET_ROWS):
+        _, witness, count = golden_rows[r]
+        witnesses.append(io.dumps_packing(witness))
+        nodes.append(count)
+    assert nodes == [
+        1009, 1010, 1004, 1011, 1008, 1057, 1065, 1025, 1012, 1020, 1004, 1005, 1003, 1032,
+        3006, 3006, 3010, 3010, 3011, 3011, 3010, 3010,
+    ]
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
+    assert digest == "fe290629d02b0d2c1eb0b58499cbe7473eb608495d3b066cb4e6570e3aa1a0e8"
+
+
 def test_single_group_partition_raises_the_search_error(monkeypatch):
     # every partition that fits LB = OPT = 4 is one group of all 7 items,
     # so the fallback has nothing to split: the search's own error stands,
@@ -1366,11 +1415,10 @@ def test_single_group_partition_raises_the_search_error(monkeypatch):
     inst = gen_random(7, 3, "uniform", 545898255)
     cap, scaled = core.unit_sizes(inst.sizes)
     lb = lower_bounds(inst).best
-    for close_first in (False, True):
-        assert exact._partition_level(3, cap, scaled, range(lb, lb + 1), close_first) == (
-            lb,
-            [(tuple(range(7)), lb)],
-        )
+    assert exact._partition_level(3, cap, scaled, range(lb, lb + 1)) == (
+        lb,
+        [(tuple(range(7)), lb)],
+    )
     assert _uncapped_opt(monkeypatch, inst) == lb == 4
 
     def outcome():
@@ -1383,14 +1431,21 @@ def test_single_group_partition_raises_the_search_error(monkeypatch):
 
 def test_failed_group_raises_the_search_error(monkeypatch):
     # a group that does not pack into its g(G) bins ends the fallback, and
-    # the search's own error is raised again
-    inst = gen_random(10, 2, "mixed", 673352903)
+    # the search's own error is raised again. Here the upper bound packs
+    # every group but one of 7 items, whose search at g(G) = 6 is made to
+    # fail
+    inst = gen_random(9, 2, "mixed", 10935879)
     assert exact_opt(inst, GROUP_BUDGET)[0] == 7
-    solve = exact._solve
+    level = exact._ForestSearch.level
+    failed = []
 
-    def no_group_packs(inst, budget, goal, top, counter=None):
-        return None if counter is not None else solve(inst, budget, goal, top)
+    def no_group_packs(search, n_bins):
+        if search.inst is inst:
+            return level(search, n_bins)
+        failed.append(search.inst)
+        return None
 
-    monkeypatch.setattr(exact, "_solve", no_group_packs)
+    monkeypatch.setattr(exact._ForestSearch, "level", no_group_packs)
     with pytest.raises(BudgetExceeded, match="^structure search exceeded 1000 nodes$"):
         exact_opt(inst, GROUP_BUDGET)
+    assert [sub.n for sub in failed] == [7]
