@@ -14,7 +14,10 @@ by two values: a goal, at or below which the upper bound is taken without a
 search, and a top, the highest level searched. ``exact_opt`` asks for goal 0
 and top ``max_bins``; ``feasible_in(inst, B)`` asks for goal and top B and
 pads the packing it gets to B bins. So the budget checks, the bounds and the
-level loop below exist once.
+level loop below exist once, and so does the exit: everything below
+``_solve`` returns raw bins in the call's unit, and ``_solve`` turns the one
+answer into the one ``Packing`` of the call through one
+``core.checked_packing``.
 
 Each call takes its unit once from ``core.unit_sizes``: the sizes as
 integers over their common denominator, in bins of that capacity, while it
@@ -62,9 +65,10 @@ remaining loops in the first split, in ``_extra_loop_splits`` order, that
 completes the forest. l loops on an item of size s act in the tree DP as an
 item of size s - l * cap, so ``_min_loops`` on those sizes tests a split.
 ``_flow_bins`` then realises the forest and its loops, in sorted bin order,
-as raw bins of parts in the search's unit, and ``core.checked_packing``
-checks them there and turns them into the witness ``Packing``, marked as
-checked, as it does every solver output.
+as raw bins of parts in the search's unit, and the search returns those.
+When they are the answer, ``_solve``'s ``core.checked_packing`` checks them
+there and turns them into the witness ``Packing``, marked as checked, as it
+does every solver output.
 
 Equal sizes make many forests relabellings of one another, so the walk
 breaks that symmetry. An item's twin is the largest earlier item of the same
@@ -88,32 +92,39 @@ bound's work is capped by its own count of groups tried,
 level it was deciding, and those above, to the search.
 
 A level whose search runs out of nodes falls back on the partition bound's
-groups (``_pack_groups``). The bound is asked again at that level, and each
-group G of the partition it finds is packed on its own into g(G) bins, in
-the caller's unit: by the upper-bound packing of its items when that has
-g(G) bins (next fit puts a single item into ceil(size) bins and a group
-with g(G) = 1 into one), and else by the forest search of its items at
-level g(G) alone. Every level below was searched or ruled out, so in a
-union that succeeds no group fits in fewer than g(G) bins, and the union,
-of sum g(G) bins, is optimal. A partition of one group, or a group that
-does not pack, raises the search's own error again. The fallback runs only
-where the search raises, so every answer and witness the search gives
-stays the same.
+groups (``_pack_groups``). At the first level searched that is the
+partition that opened the level; at a later one, which that partition
+cannot pack, or one the bound gave up on, the bound is asked again at that
+level. Each group G of the partition is
+packed on its own into g(G) bins, in the caller's unit: by the upper-bound
+bins of its items when they are g(G) (next fit puts a single item into
+ceil(size) bins and a group with g(G) = 1 into one), and else by the forest
+search of its items at level g(G) alone. No group's bins are checked on
+their own: their union, under the instance's item ids and in the same
+unit, is the answer that ``_solve`` checks. Every level below was searched
+or ruled out, so in a union that succeeds no group fits in fewer than g(G)
+bins, and the union, of sum g(G) bins, is optimal. A partition of one
+group, or a group that does not pack, raises the search's own error again.
+The fallback runs only where the search raises, so every answer and
+witness the search gives stays the same.
 
 One budget node is one candidate bin that passes the acyclicity and twin
 tests, or one loop split the witness tries. A call the partition bound
 settles counts no node. The group fallback counts on a fresh counter of its
 own, one node per group and the nodes of its groups' searches.
 
-Validated heuristic packings serve as upper bounds: a valid packing is a
+Heuristic packings serve as upper bounds: a valid packing is a
 certificate, so the search only has to exhaust the levels below it. Next fit
 (through the one ``nextfit.next_fit_bins`` kernel) and, when next fit misses
-the lower bound, best fit decreasing run in the call's unit;
-``core.checked_packing`` checks the winner's bins
-against the unit's sizes and capacity, the same checks ``validate_packing``
-makes, before the parts turn back into ``Fraction``s for one ``Packing``.
-Dividing by cap is exact, so the check is a certificate for that packing,
-which is marked as checked; a failed check raises ``InternalError``.
+the lower bound, best fit decreasing run in the call's unit, and the winner
+stays raw bins there. Only when the upper bound is the answer does
+``_solve``'s ``core.checked_packing`` check its bins against the unit's
+sizes and capacity, the same checks ``validate_packing`` makes, before the
+parts turn back into ``Fraction``s for one ``Packing``. Dividing by cap is
+exact, so the check is a certificate for that packing, which is marked as
+checked; a failed check raises ``InternalError``. So there is one
+``Packing``, and one check, per oracle answer; ``feasible_in`` checks once
+more only when ``_pad_to`` grows the answer to its bin count.
 """
 
 from __future__ import annotations
@@ -492,16 +503,14 @@ class _Counter:
 
 
 class _ForestSearch:
-    """The level search of one instance, sharing one node budget; sizes come
-    scaled by cap."""
+    """The level search of k-part bins over sizes scaled by cap, sharing one
+    node budget. ``level`` answers in that unit, with raw bins that no one
+    has checked yet: the caller's one ``checked_packing`` does."""
 
-    def __init__(
-        self, inst: Instance, cap: int, scaled: Sequence[Scaled], counter: _Counter
-    ):
-        n = inst.n
-        self.inst = inst
+    def __init__(self, k: int, cap: int, scaled: Sequence[Scaled], counter: _Counter):
+        self.n = n = len(scaled)
         self.counter = counter
-        self.width = min(inst.k, n)
+        self.width = min(k, n)
         self.cap, self.scaled = cap, scaled
         self.ceils = ceils = [-(-s // cap) for s in scaled]
         # An item's twin is the largest earlier item of the same size.
@@ -541,18 +550,38 @@ class _ForestSearch:
         # search first needs it; shared by every level.
         self.alone = [-1] * len(self.rows)
 
-    def level(self, n_bins: int) -> Packing | None:
-        """A witness with at most n_bins bins, or None when none exists."""
+    def level(self, n_bins: int) -> list[list[Item]] | None:
+        """The raw bins of a witness with at most n_bins bins, or None when
+        none exists: the first forest that fits, with each item's needed
+        loops and the first split of the loops left, in
+        ``_extra_loop_splits`` order, that completes it, realised by
+        ``_flow_bins``."""
         forest = self._first_forest(n_bins)
         if forest is None:
             return None
-        return self._witness(forest, n_bins)
+        n = self.n
+        item_bins = shared_bins(n, forest)
+        need = [max(0, c - len(bins)) for c, bins in zip(self.ceils, item_bins)]
+        extra = n_bins - len(forest) - sum(need)
+        for bump in _extra_loop_splits(extra, n):
+            self.counter.tick()
+            loops = [need[i] + bump[i] for i in range(n)]
+            # l loops on an item of size s act as an item of size s - l * cap.
+            rest = [s - l * self.cap for s, l in zip(self.scaled, loops)]
+            if _min_loops(rest, self.cap, forest) != 0:
+                continue
+            loop_bins = [(i,) for i in range(n) for _ in range(loops[i])]
+            bins = _flow_bins(self.cap, self.scaled, sorted(forest + loop_bins))
+            if bins is None:
+                raise InternalError("max-flow rejects a structure the tree DP accepts")
+            return bins
+        raise InternalError("no loop split completes an accepted forest")
 
     def _first_forest(self, n_bins: int) -> list[tuple[int, ...]] | None:
         """The first forest in candidate order whose bins and loops fit in
         n_bins bins, or None; the module docstring gives its cuts and the
         twin rule."""
-        n = self.inst.n
+        n = self.n
         width = self.width
         ceils = self.ceils
         rows = self.rows
@@ -648,26 +677,6 @@ class _ForestSearch:
 
         counter.tick()
         return recurse(0, sum(ceils), n - 1, (1 << n) - 1, self.twinned, 0)
-
-    def _witness(self, forest: list[tuple[int, ...]], n_bins: int) -> Packing:
-        n = self.inst.n
-        item_bins = shared_bins(n, forest)
-        need = [max(0, c - len(bins)) for c, bins in zip(self.ceils, item_bins)]
-        extra = n_bins - len(forest) - sum(need)
-        for bump in _extra_loop_splits(extra, n):
-            self.counter.tick()
-            loops = [need[i] + bump[i] for i in range(n)]
-            # l loops on an item of size s act as an item of size s - l * cap.
-            rest = [s - l * self.cap for s, l in zip(self.scaled, loops)]
-            if _min_loops(rest, self.cap, forest) != 0:
-                continue
-            loop_bins = [(i,) for i in range(n) for _ in range(loops[i])]
-            bins = _flow_bins(self.cap, self.scaled, sorted(forest + loop_bins))
-            if bins is None:
-                raise InternalError("max-flow rejects a structure the tree DP accepts")
-            labels = [EXACT_LABEL] * len(bins)
-            return checked_packing(self.inst, bins, self.cap, self.scaled, labels)
-        raise InternalError("no loop split completes an accepted forest")
 
 
 # ---------------------------------------------------------------------------
@@ -794,18 +803,15 @@ def _partition_level(
 # Heuristic upper bounds: any valid packing certifies its own bin count.
 
 
-def _best_fit_split(
-    inst: Instance, cap: int, scaled: Sequence[Scaled]
-) -> list[list[Item]]:
+def _best_fit_split(k: int, cap: int, scaled: Sequence[Scaled]) -> list[list[Item]]:
     """Best fit decreasing on the sizes scaled by cap, as raw bins of scaled
     parts: items go largest first, each whole into the open bin with below k
     parts whose free room is least but still fits it (the first such bin on
     ties); an item that fits nowhere whole spills over ceil(size) fresh
     bins."""
-    k = inst.k
     bins: list[list[Item]] = []
     fills: list[int] = []
-    for item in sorted(range(inst.n), key=lambda i: (-scaled[i], i)):
+    for item in sorted(range(len(scaled)), key=lambda i: (-scaled[i], i)):
         size = scaled[item]
         best = -1
         best_free = cap + 1
@@ -825,23 +831,22 @@ def _best_fit_split(
 
 
 def _upper_bound_packing(
-    inst: Instance, cap: int, scaled: Sequence[Scaled], lb: int
-) -> Packing:
-    """The fewer-bin packing of next fit (kept on ties) and best fit, both
-    run on the sizes scaled by cap. Best fit runs only when next fit has
-    more than lb bins, the instance's lower bound: it cannot beat a
-    packing at the bound, and next fit keeps ties. ``checked_packing``
-    checks the winner's bins against the scaled sizes before it builds one
-    ``Packing`` with parts p/cap; that map is exact, so the check
-    certifies the packing."""
-    bins, _ = next_fit_bins(enumerate(scaled), inst.k, cap)
+    k: int, cap: int, scaled: Sequence[Scaled], lb: int
+) -> tuple[list[list[Item]], str]:
+    """The raw bins, in the unit (cap, scaled), of the fewer-bin packing of
+    next fit (kept on ties) and best fit, with its label. Best fit runs only
+    when next fit has more than lb bins, a lower bound of the items: it
+    cannot beat a packing at the bound, and next fit keeps ties. The bins
+    are not checked here; the one that ``_solve`` returns is checked there,
+    and a group's within the union of ``_pack_groups``."""
+    bins, _ = next_fit_bins(enumerate(scaled), k, cap)
     label = NF_LABEL
     if len(bins) > lb:
-        bf_bins = _best_fit_split(inst, cap, scaled)
+        bf_bins = _best_fit_split(k, cap, scaled)
         if len(bf_bins) < len(bins):
             # "ffd" stays: byte-stable witnesses carry it whenever this meets the LB.
             bins, label = bf_bins, "ffd"
-    return checked_packing(inst, bins, cap, scaled, [label] * len(bins))
+    return bins, label
 
 
 def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
@@ -874,62 +879,75 @@ def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
 
 
 def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing | None:
-    """The one path of both entry points: the upper bound when it has at
-    most max(goal, LB) bins; else the first witness of the levels LB .. top
-    below the upper bound, which has as many bins as its level, searched
-    from the first level the partition bound does not rule out; else the
-    upper bound when it has at most top + 1 bins, so that every level below
-    it was searched or ruled out; else None.
+    """The one path of both entry points and the oracle's one exit: the
+    upper bound when it has at most max(goal, LB) bins; else the first
+    witness of the levels LB .. top below the upper bound, which has as many
+    bins as its level, searched from the first level the partition bound
+    does not rule out; else the upper bound when it has at most top + 1
+    bins, so that every level below it was searched or ruled out; else
+    None. The answer's raw bins, in the call's unit, become its one
+    ``Packing`` through one ``checked_packing``.
 
     A level whose search runs out of nodes falls back on packing the groups
     of a partition that fits it one at a time (``_pack_groups``); the
     search's own ``BudgetExceeded`` is raised again when that gives no
-    packing."""
+    packing. At the first level searched the partition is the one that
+    opened it; a later level, which that partition cannot pack, is decided
+    again, and so is a level the bound gave up on."""
     if inst.n > budget.max_items:
         raise BudgetExceeded(f"{inst.n} items exceed the budget of {budget.max_items}")
     if top > budget.max_bins:
         raise BudgetExceeded(f"{top} bins exceed the budget of {budget.max_bins}")
+    k = inst.k
     lb = lower_bounds(inst).best
     cap, scaled = unit_sizes(inst.sizes)
-    upper = _upper_bound_packing(inst, cap, scaled, lb)
-    if upper.n_bins <= max(goal, lb):
-        return upper
-    levels = range(lb, min(upper.n_bins - 1, top) + 1)
-    levels = range(_partition_level(inst.k, cap, scaled, levels)[0], levels.stop)
-    if levels:
-        search = _ForestSearch(inst, cap, scaled, _Counter(budget.max_structures))
-        for n_bins in levels:
-            try:
-                witness = search.level(n_bins)
-            except BudgetExceeded:
-                witness = _pack_groups(inst, budget, cap, scaled, n_bins)
-                if witness is None:
-                    raise
-            if witness is not None:
-                return witness
-    return upper if upper.n_bins <= top + 1 else None
+    bins, label = _upper_bound_packing(k, cap, scaled, lb)
+    if len(bins) > max(goal, lb):
+        levels = range(lb, min(len(bins) - 1, top) + 1)
+        start, groups = _partition_level(k, cap, scaled, levels)
+        found = None
+        if start < levels.stop:
+            search = _ForestSearch(k, cap, scaled, _Counter(budget.max_structures))
+            for n_bins in range(start, levels.stop):
+                try:
+                    found = search.level(n_bins)
+                except BudgetExceeded:
+                    if n_bins > start or groups is None:
+                        groups = _partition_level(k, cap, scaled, range(n_bins, n_bins + 1))[1]
+                    found = _pack_groups(k, budget, cap, scaled, groups, n_bins)
+                    if found is None:
+                        raise
+                if found is not None:
+                    break
+        if found is not None:
+            bins, label = found, EXACT_LABEL
+        elif len(bins) > top + 1:
+            return None
+    return checked_packing(inst, bins, cap, scaled, [label] * len(bins))
 
 
 def _pack_groups(
-    inst: Instance, budget: SearchBudget, cap: int, scaled: Sequence[Scaled], level: int
-) -> Packing | None:
-    """A packing of ``level`` bins made of each group G of a partition with
-    sum g(G) <= level packed on its own into g(G) bins, or None when the
-    partition bound finds no partition, it finds one of a single group, or
-    some group does not pack.
+    k: int,
+    budget: SearchBudget,
+    cap: int,
+    scaled: Sequence[Scaled],
+    groups: list[tuple[tuple[int, ...], int]] | None,
+    level: int,
+) -> list[list[Item]] | None:
+    """The raw bins of a packing of ``level`` bins made of each group G of
+    ``groups``, a partition with sum g(G) <= level, packed on its own into
+    g(G) bins, or None when there is no partition, it has a single group,
+    or some group does not pack.
 
-    The partition is the one ``_partition_level`` finds at ``level``. Each
-    group runs in the caller's unit (cap, scaled) on its own sizes: it takes
-    the upper-bound packing when that has g(G) bins, which next fit gives a
+    Each group runs in the caller's unit (cap, scaled) on its own sizes: it
+    takes the upper-bound bins when they are g(G), which next fit gives a
     single item and a group with g(G) = 1, and else the forest search at
     level g(G) alone. The groups share one fresh node counter, which also
     ticks once per group. The caller searched or ruled out every level
     below ``level``, so in a union that succeeds no group fits in fewer
-    than g(G) bins, and the levels below g(G) need no search. The union,
-    which keeps the instance's item ids, has exactly ``level`` bins and is
-    optimal; its bins, all labelled ``EXACT_LABEL``, leave through
-    ``checked_packing`` at capacity 1."""
-    groups = _partition_level(inst.k, cap, scaled, range(level, level + 1))[1]
+    than g(G) bins, and the levels below g(G) need no search. The union is
+    returned in the caller's unit under the instance's item ids, unchecked,
+    with exactly ``level`` bins; it is optimal, and ``_solve`` checks it."""
     if groups is None or len(groups) < 2:
         return None
     counter = _Counter(budget.max_structures)
@@ -937,21 +955,18 @@ def _pack_groups(
     try:
         for members, n_bins in groups:
             counter.tick()
-            sub = Instance(inst.k, tuple(inst.sizes[i] for i in members))
             sizes = [scaled[i] for i in members]
-            packing = _upper_bound_packing(sub, cap, sizes, n_bins)
-            if packing.n_bins > n_bins:
-                packing = _ForestSearch(sub, cap, sizes, counter).level(n_bins)
-                if packing is None:
+            packed, _ = _upper_bound_packing(k, cap, sizes, n_bins)
+            if len(packed) > n_bins:
+                packed = _ForestSearch(k, cap, sizes, counter).level(n_bins)
+                if packed is None:
                     return None
-            bins.extend(
-                [(members[j], part) for j, part in entries] for entries in packing.bins
-            )
+            bins.extend([(members[j], part) for j, part in entries] for entries in packed)
     except BudgetExceeded:
         return None
     if len(bins) != level:
         raise InternalError(f"the groups of level {level} pack into {len(bins)} bins")
-    return checked_packing(inst, bins, 1, inst.sizes, [EXACT_LABEL] * len(bins))
+    return bins
 
 
 def exact_opt(

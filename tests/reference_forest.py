@@ -146,7 +146,7 @@ class ForestLoops:
 
 class ForestSearch(exact._ForestSearch):
     def _first_forest(self, n_bins: int) -> list[tuple[int, ...]] | None:
-        n = self.inst.n
+        n = self.n
         width = self.width
         ceils = self.ceils
         candidates = [members for members, *_ in self.rows]

@@ -263,13 +263,15 @@ def test_one_check_per_run(monkeypatch):
         calls.clear()
         pack_75(Instance(k=2, sizes=sizes))
         assert calls == {"checked_packing": 1, "bin_violations": 1}, sizes
-    # the seven-bin search also checks the oracle's own upper bound
-    for sizes, n_bins in ((SEVEN_NO, 10), (SEVEN_YES, 7)):
+    # the seven-bin search adds the oracle's one check of its answer: of the
+    # witness it finds, and of nothing when it finds none
+    for sizes, n_bins, checks in ((SEVEN_NO, 10, 1), (SEVEN_YES, 7, 2)):
         calls.clear()
         report = pack_75(Instance(k=2, sizes=sizes))
         assert report.fallback_triggered == SEVEN_BIN_SEARCH
         assert report.n_bins == n_bins
         assert calls["checked_packing"] == 1 and calls["validate_packing"] == 0
+        assert calls["bin_violations"] == checks, sizes
 
 
 def test_worst_family_counts():

@@ -608,6 +608,14 @@ def _unit_instances(draw):
     return Instance(k=draw(st.integers(2, 5)), sizes=tuple(sizes))
 
 
+def _upper_packing(inst):
+    """The oracle's upper bound as the checked ``Packing`` that
+    ``exact._solve`` makes of it when it is the answer."""
+    cap, scaled = unit_sizes(inst.sizes)
+    bins, label = _upper_bound_packing(inst.k, cap, scaled, lower_bounds(inst).best)
+    return checked_packing(inst, bins, cap, scaled, [label] * len(bins))
+
+
 @settings(deadline=None)
 @given(inst=_unit_instances(), seed=st.integers(0, 2**30))
 def test_validate_packing_matches_a_full_check(inst, seed):
@@ -615,7 +623,7 @@ def test_validate_packing_matches_a_full_check(inst, seed):
     # (loaded, hand-built, replaced, some invalid): validate_packing always
     # gives the full Fraction check's answer, also when asked again
     packing, trace = next_fit(inst)
-    upper = _upper_bound_packing(inst, *unit_sizes(inst.sizes), lower_bounds(inst).best)
+    upper = _upper_packing(inst)
     outputs = [packing, upper]
     if inst.k == 2:
         outputs += [pack_75(inst).packing, normalize(inst, packing)]
@@ -773,7 +781,7 @@ def test_bin_violations_integer_pass_matches_pair_path(inst, seed):
     # it) and the reference's for every shape of bins; in the Fraction unit
     # the pass finds nothing to decide
     packing = next_fit(inst)[0]
-    upper = _upper_bound_packing(inst, *unit_sizes(inst.sizes), lower_bounds(inst).best)
+    upper = _upper_packing(inst)
     outputs = [packing, upper]
     if inst.k == 2:
         outputs += [pack_75(inst).packing, normalize(inst, packing)]

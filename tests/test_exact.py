@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -196,8 +197,15 @@ def _counted(monkeypatch, call):
     return result, sum(c.value for c in counters)
 
 
+def _upper_packing(inst, cap, scaled):
+    """The oracle's upper bound in the unit (cap, scaled), as the checked
+    ``Packing`` that ``_solve`` makes of it when it is the answer."""
+    bins, label = _upper_bound_packing(inst.k, cap, scaled, lower_bounds(inst).best)
+    return core.checked_packing(inst, bins, cap, scaled, [label] * len(bins))
+
+
 def _upper(inst):
-    return _upper_bound_packing(inst, *core.unit_sizes(inst.sizes), lower_bounds(inst).best)
+    return _upper_packing(inst, *core.unit_sizes(inst.sizes))
 
 
 def test_solve_refuses_when_levels_below_the_upper_bound_stay_unsearched():
@@ -312,9 +320,7 @@ def test_upper_bound_packing_golden():
         for dist in ("uniform", "mixed", "heavy")
         for seed in range(20)
         for inst in [gen_random(n, k, dist, seed)]
-        for packing in [
-            _upper_bound_packing(inst, *scaled_sizes(inst.sizes), lower_bounds(inst).best)
-        ]
+        for packing in [_upper_packing(inst, *scaled_sizes(inst.sizes))]
     ]
     digest = hashlib.sha256(repr(key).encode()).hexdigest()
     assert digest == "c57d1d1c7631bb8a77ed3b1d1588f26b2041216ed3f416033a657d4843bfd834"
@@ -356,7 +362,7 @@ def test_upper_bound_packing_matches_fraction_heuristics():
         bf_packing = _fraction_best_fit(inst, cap, scaled)
         # next fit is kept on ties
         want = min((nf_packing, bf_packing), key=lambda p: p.n_bins)
-        got = _upper_bound_packing(inst, cap, scaled, lower_bounds(inst).best)
+        got = _upper_packing(inst, cap, scaled)
         assert got == want, inst
         assert validate_packing(inst, got) == []
         wins[got.labels[0]] += 1
@@ -379,7 +385,7 @@ def test_corrupted_heuristic_raises_internal_error(monkeypatch, heuristic):
     inst = instances[heuristic]
     cap, scaled = scaled_sizes(inst.sizes)
     label = "nf" if heuristic == "next_fit_bins" else "ffd"
-    assert _upper_bound_packing(inst, cap, scaled, lower_bounds(inst).best).labels[0] == label
+    assert _upper_packing(inst, cap, scaled).labels[0] == label
     original = getattr(exact, heuristic)
     if heuristic == "next_fit_bins":
         monkeypatch.setattr(
@@ -1049,7 +1055,7 @@ def test_forest_loops_track_min_loops(monkeypatch):
             cap, scaled = core.unit_sizes(inst.sizes)
             integral = all(s % cap == 0 for s in scaled)
             assert all(isinstance(s, int) for s in scaled) == (bits > 0)
-            search = exact._ForestSearch(inst, cap, scaled, exact._Counter(300))
+            search = exact._ForestSearch(inst.k, cap, scaled, exact._Counter(300))
             tries.clear()
             try:
                 for level in range(1, n + 1):
@@ -1114,7 +1120,7 @@ def test_warm_alone_table_walks_like_a_cold_one():
         inst = Instance(k=k, sizes=tuple(F(rng.randint(1, 3 * den), den) for _ in range(n)))
         cap, scaled = core.unit_sizes(inst.sizes)
         levels = range(1, sum(-(-s // cap) for s in scaled) + 1)
-        warm = exact._ForestSearch(inst, cap, scaled, exact._Counter(500))
+        warm = exact._ForestSearch(inst.k, cap, scaled, exact._Counter(500))
         for level in levels:
             warm.counter = exact._Counter(500)
             try:
@@ -1122,7 +1128,7 @@ def test_warm_alone_table_walks_like_a_cold_one():
             except BudgetExceeded:
                 pass
         for level in levels:
-            cold = exact._ForestSearch(inst, cap, scaled, exact._Counter(500))
+            cold = exact._ForestSearch(inst.k, cap, scaled, exact._Counter(500))
             outcomes = []
             for search in (cold, warm):
                 search.counter = exact._Counter(500)
@@ -1408,6 +1414,54 @@ def test_group_fallback_pins(monkeypatch, golden_rows):
     assert digest == "fe290629d02b0d2c1eb0b58499cbe7473eb608495d3b066cb4e6570e3aa1a0e8"
 
 
+def test_group_fallback_reuses_the_opening_partition(monkeypatch):
+    # on every GROUP_ROWS row the search raises at the first level it
+    # searches, so the fallback packs the partition that opened that level:
+    # the partition bound runs once per call
+    levels = []
+    original = exact._partition_level
+
+    def spy(k, cap, scaled, asked):
+        levels.append(asked)
+        return original(k, cap, scaled, asked)
+
+    monkeypatch.setattr(exact, "_partition_level", spy)
+    for row in GROUP_ROWS:
+        inst = gen_random(*row)
+        levels.clear()
+        assert exact_opt(inst, GROUP_BUDGET)[0] == lower_bounds(inst).best
+        assert len(levels) == 1 and levels[0].start == lower_bounds(inst).best, row
+
+
+def test_group_fallback_decides_a_later_level_again(monkeypatch):
+    # LB = 6 < PLB = OPT = 7 < 8 upper-bound bins. Here the first decision
+    # opens LB with one group of all items, as a weaker bound could; the
+    # search proves level 6 infeasible and runs out of nodes at level 7, so
+    # the fallback cannot take the opening partition and decides level 7
+    # again, whose groups pack
+    inst = gen_random(10, 2, "mixed", 9)
+    cap, scaled = core.unit_sizes(inst.sizes)
+    assert lower_bounds(inst).best == 6 and len(_upper(inst).bins) == 8
+    assert exact._partition_level(2, cap, scaled, range(6, 8))[0] == 7
+    search = exact._ForestSearch(2, cap, scaled, exact._Counter(10**6))
+    assert search.level(6) is None
+    levels = []
+    original = exact._partition_level
+
+    def opens_lb(k, cap, scaled, asked):
+        levels.append(asked)
+        if len(levels) == 1:
+            return asked.start, [(tuple(range(inst.n)), asked.start)]
+        return original(k, cap, scaled, asked)
+
+    monkeypatch.setattr(exact, "_partition_level", opens_lb)
+    budget = SearchBudget(max_items=10, max_structures=search.counter.value + 1)
+    opt, witness = exact_opt(inst, budget)
+    assert opt == witness.n_bins == 7 and validate_packing(inst, witness) == []
+    assert set(witness.labels) == {EXACT_LABEL}
+    assert levels == [range(6, 8), range(7, 8)]
+
+
 def test_single_group_partition_raises_the_search_error(monkeypatch):
     # every partition that fits LB = OPT = 4 is one group of all 7 items,
     # so the fallback has nothing to split: the search's own error stands,
@@ -1433,19 +1487,118 @@ def test_failed_group_raises_the_search_error(monkeypatch):
     # a group that does not pack into its g(G) bins ends the fallback, and
     # the search's own error is raised again. Here the upper bound packs
     # every group but one of 7 items, whose search at g(G) = 6 is made to
-    # fail
+    # fail; a group's search is told from the instance's by its item count
     inst = gen_random(9, 2, "mixed", 10935879)
     assert exact_opt(inst, GROUP_BUDGET)[0] == 7
     level = exact._ForestSearch.level
     failed = []
 
     def no_group_packs(search, n_bins):
-        if search.inst is inst:
+        if search.n == inst.n:
             return level(search, n_bins)
-        failed.append(search.inst)
+        failed.append(search.n)
         return None
 
     monkeypatch.setattr(exact._ForestSearch, "level", no_group_packs)
     with pytest.raises(BudgetExceeded, match="^structure search exceeded 1000 nodes$"):
         exact_opt(inst, GROUP_BUDGET)
-    assert [sub.n for sub in failed] == [7]
+    assert failed == [7]
+
+
+@pytest.mark.parametrize("target", ["_upper_bound_packing", "_flow_bins"])
+def test_corrupted_group_bins_cannot_leave(monkeypatch, target):
+    # a group's bins are not checked on their own: their union is the answer
+    # that _solve checks, in the caller's unit. So one corrupted part in the
+    # bins of a group (its upper bound, or the max-flow of its search) raises
+    # InternalError, in the integer unit and on the Fractions at cap 1. On
+    # this row the upper bound packs every group but one, which is searched
+    inst = gen_random(9, 2, "mixed", 10935879)
+    original = getattr(exact, target)
+    corrupted = []
+
+    def corrupt(bins, scaled):
+        # only a group's own sizes are shorter than the instance's
+        if len(scaled) < inst.n and not corrupted:
+            corrupted.append(len(scaled))
+            return _corrupt_first_part(bins)
+        return bins
+
+    if target == "_upper_bound_packing":
+
+        def spy(k, cap, scaled, lb):
+            # a group takes its upper bound only when it meets g(G), its lb
+            bins, label = original(k, cap, scaled, lb)
+            return (corrupt(bins, scaled) if len(bins) <= lb else bins), label
+
+    else:
+
+        def spy(cap, scaled, bins):
+            return corrupt(original(cap, scaled, bins), scaled)
+
+    monkeypatch.setattr(exact, target, spy)
+    for bits in (core.UNIT_BITS, 0):
+        monkeypatch.setattr(core, "UNIT_BITS", bits)
+        corrupted.clear()
+        with pytest.raises(InternalError, match="built an invalid packing"):
+            exact_opt(inst, GROUP_BUDGET)
+        assert corrupted and corrupted[0] < inst.n
+
+
+# ---------------------------------------------------------------------------
+# The one exit: every answer of the oracle is checked once, in ``_solve``.
+
+
+def test_one_check_per_oracle_answer(monkeypatch):
+    # whichever way _solve answers, one checked_packing call and one
+    # bin_violations run certify the answer: the upper bound at LB, the
+    # upper bound once the partition bound rules out the levels below it, a
+    # search witness, the group fallback's union, and the upper bound at
+    # top + 1 after a search that finds nothing (the partition bound off).
+    # feasible_in checks _solve's answer once too, and once more only when
+    # _pad_to grows it; an answer of None checks nothing
+    calls = Counter()
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in ((exact, "checked_packing"), (core, "bin_violations")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    once = {"checked_packing": 1, "bin_violations": 1}
+
+    def checks(call):
+        calls.clear()
+        result, nodes = _counted(monkeypatch, call)
+        return result, nodes, dict(calls)
+
+    at_lb = Instance(k=2, sizes=(F(1, 2), F(1, 2)))
+    searched = gen_random(6, 2, "mixed", 9)
+    grouped = gen_random(*GROUP_ROWS[0])
+    twice = {"checked_packing": 2, "bin_violations": 2}
+    (opt, packing), nodes, counts = checks(lambda: exact_opt(at_lb))
+    assert (opt, packing.labels, nodes, counts) == (1, ("nf",), 0, once)
+    (opt, packing), nodes, counts = checks(lambda: exact_opt(OVER_HALF))
+    assert (opt, nodes, counts) == (4, 0, once) and EXACT_LABEL not in packing.labels
+    for inst, budget in ((searched, WIDE), (grouped, GROUP_BUDGET)):
+        (opt, packing), nodes, counts = checks(lambda: exact_opt(inst, budget))
+        assert set(packing.labels) == {EXACT_LABEL} and counts == once
+        assert nodes > 1001 if inst is grouped else 0 < nodes <= 1000
+        packing, _, counts = checks(lambda: feasible_in(inst, opt, budget))
+        assert set(packing.labels) == {EXACT_LABEL} and counts == once
+    assert checks(lambda: feasible_in(at_lb, 1))[2] == once
+    assert checks(lambda: feasible_in(at_lb, 2))[2] == twice
+    assert checks(lambda: feasible_in(OVER_HALF, 4))[2] == once
+    assert checks(lambda: feasible_in(OVER_HALF, 5))[2] == twice
+    # _solve's answer here is the upper bound at top + 1, which feasible_in
+    # then drops; below LB, _solve answers None
+    assert checks(lambda: feasible_in(OVER_HALF, 3)) == (None, 0, once)
+    assert checks(lambda: feasible_in(OVER_HALF, 2)) == (None, 0, {})
+    monkeypatch.setattr(
+        exact, "_partition_level", lambda k, cap, scaled, levels: (levels.start, None)
+    )
+    (opt, packing), nodes, counts = checks(lambda: exact_opt(OVER_HALF, SearchBudget(max_bins=3)))
+    assert (opt, counts) == (4, once) and nodes > 0
+    assert EXACT_LABEL not in packing.labels
