@@ -12,12 +12,12 @@ has to be acyclic in its multi-item bins.
 Both public entry points are thin callers of one private ``_solve``, driven
 by two values: a goal, at or below which the upper bound is taken without a
 search, and a top, the highest level searched. ``exact_opt`` asks for goal 0
-and top ``max_bins``; ``feasible_in(inst, B)`` asks for goal and top B and
-pads the packing it gets to B bins. So the budget checks, the bounds and the
-level loop below exist once, and so does the exit: everything below
-``_solve`` returns raw bins in the call's unit, and ``_solve`` turns the one
-answer into the one ``Packing`` of the call through one
-``core.checked_packing``.
+and top ``max_bins``; ``feasible_in(inst, B)`` asks for goal and top B,
+gets None for any answer of more than B bins, and pads the packing it gets
+to B bins. So the budget checks, the bounds and the level loop below exist
+once, and so does the exit: everything below ``_solve`` returns raw bins in
+the call's unit, and ``_solve`` turns the one answer into the one
+``Packing`` of the call through one ``core.checked_packing``.
 
 Each call takes its unit once from ``core.unit_sizes``: the sizes as
 integers over their common denominator, in bins of that capacity, while it
@@ -885,8 +885,10 @@ def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing
     bins as its level, searched from the first level the partition bound
     does not rule out; else the upper bound when it has at most top + 1
     bins, so that every level below it was searched or ruled out; else
-    None. The answer's raw bins, in the call's unit, become its one
-    ``Packing`` through one ``checked_packing``.
+    None. A positive goal is a ``feasible_in`` bin count, so an answer with
+    more bins than the goal is None too, unchecked. The answer's raw bins,
+    in the call's unit, become its one ``Packing`` through one
+    ``checked_packing``.
 
     A level whose search runs out of nodes falls back on packing the groups
     of a partition that fits it one at a time (``_pack_groups``); the
@@ -923,6 +925,8 @@ def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing
             bins, label = found, EXACT_LABEL
         elif len(bins) > top + 1:
             return None
+    if goal and len(bins) > goal:
+        return None
     return checked_packing(inst, bins, cap, scaled, [label] * len(bins))
 
 
@@ -995,6 +999,6 @@ def feasible_in(
     if n_bins < 1:
         raise ValueError(f"bin count must be at least 1, got {n_bins}")
     packing = _solve(inst, budget, n_bins, n_bins)
-    if inst.n == 0 or packing is None or packing.n_bins > n_bins:
+    if inst.n == 0 or packing is None:
         return None
     return _pad_to(inst, packing, n_bins)

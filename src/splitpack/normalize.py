@@ -38,9 +38,11 @@ so every choice and output byte is the one exact ``Fraction`` arithmetic
 gives; when the common denominator passes ``core.UNIT_BITS`` the same code
 runs on the ``Fraction`` parts at capacity 1. The input is validated once
 (not at all when ``validate_packing`` has already passed it for the
-instance); the output is checked in the unit and converted back once, by
-``core.checked_packing``, so it is returned marked as checked. Each item's
-size type (1 for a small item) is computed once. The rewrites share one
+instance). The working copy is not checked between rewrites; the output of
+``normalize`` and of each public step is checked once, at the exit: for
+validity in the unit, converted back by ``core.checked_packing`` (so it is
+returned marked as checked), and for a forest graph. Each item's size type
+(1 for a small item) is computed once. The rewrites share one
 packing-graph index, built once by ``core.shared_bins`` over the working
 bins and updated in place: each item's edge bins (the two-item bins holding
 it) as a list sorted by bin index. No rewrite rescans the packing.
@@ -69,7 +71,6 @@ from .core import (
     InvalidPackingError,
     Packing,
     Scaled,
-    bin_violations,
     checked_packing,
     is_acyclic,
     shared_bins,
@@ -144,31 +145,22 @@ class _Work:
         if not self.is_forest():
             raise ValueError("packing graph must be acyclic")
 
-    def check(self) -> None:
-        """The checks between normalize's steps, in the unit: a valid,
-        acyclic packing, as each public step requires of its input. Every
-        rewrite keeps both, so a failure is a bug."""
-        live = [b.items() for b in self.bins if b is not None]
-        problems = bin_violations(self.inst, live, self.cap, self.sizes)
-        if problems:
-            raise InternalError(
-                f"a rewrite broke the packing (bin capacity {self.cap}): {problems[0]}"
-            )
-        if not self.is_forest():
-            raise InternalError("a rewrite left a cycle in the packing graph")
-
     def packing(self) -> Packing:
-        """The output ``Packing``, marked as checked: its bins pass the
-        validity half of ``check`` in the unit first (``checked_packing``),
-        and a failure is an ``InternalError``."""
+        """The output ``Packing``, marked as checked: the one check of every
+        rewrite's result. Its bins pass the validity check in the unit
+        (``checked_packing``) and its graph must be a forest; every rewrite
+        keeps both, so a failure is an ``InternalError``."""
         live = [b for b, entries in enumerate(self.bins) if entries is not None]
-        return checked_packing(
+        packing = checked_packing(
             self.inst,
             [self.bins[b].items() for b in live],
             self.cap,
             self.sizes,
             [self.labels[b] for b in live],
         )
+        if not self.is_forest():
+            raise InternalError("a rewrite left a cycle in the packing graph")
+        return packing
 
 
 def remove_cycles(inst: Instance, packing: Packing) -> Packing:
@@ -454,14 +446,16 @@ def normalize(inst: Instance, packing: Packing) -> Packing:
     All three post-conditions hold on the result and the composition is
     idempotent up to bin order. The steps rewrite one working copy and share
     its index and unit, making their choices in the order the module
-    docstring states; between steps the copy is checked, in the unit, as
-    each public step checks its input, and the output's bins are checked
-    for validity in the unit before it is built; a failure raises
-    ``InternalError``. The output is marked as checked, so
-    ``validate_packing`` and ``normalization_violations`` do not check its
-    validity again. An invalid input raises ``InvalidPackingError`` with
-    every violation; an input that ``validate_packing`` has passed for inst
-    is not validated again.
+    docstring states. The copy is not checked between steps: its result is
+    checked once, as each public step checks its own, for validity in the
+    unit and for a forest graph, and a failure raises ``InternalError``. So
+    a bug that corrupts the copy in the first or second step surfaces at
+    the exit, or as the next step's own exception, not before the next
+    step runs. The output is marked as checked, so ``validate_packing`` and
+    ``normalization_violations`` do not check its validity again. An
+    invalid input raises ``InvalidPackingError`` with every violation; an
+    input that ``validate_packing`` has passed for inst is not validated
+    again.
 
     The steps build many small objects that live until it returns, and the
     cyclic collector's passes over them cost a sixth to a third of its time
@@ -473,9 +467,7 @@ def normalize(inst: Instance, packing: Packing) -> Packing:
     try:
         work = _Work(inst, packing)
         _remove_cycles(work)
-        work.check()
         _smalls_to_leaves(work)
-        work.check()
         _bound_degrees(work)
         return work.packing()
     finally:

@@ -221,8 +221,9 @@ def test_solve_takes_the_upper_bound_one_above_top():
 
 
 def test_feasible_in_drops_an_upper_bound_above_its_bin_count():
-    upper = _upper(OVER_HALF)
-    assert exact._solve(OVER_HALF, SearchBudget(), 3, 3) == upper
+    # the 4-bin upper bound is _solve's answer at top + 1, but above the
+    # goal of 3, so _solve drops it before checking it
+    assert exact._solve(OVER_HALF, SearchBudget(), 3, 3) is None
     assert feasible_in(OVER_HALF, 3) is None
 
 
@@ -1555,7 +1556,8 @@ def test_one_check_per_oracle_answer(monkeypatch):
     # search witness, the group fallback's union, and the upper bound at
     # top + 1 after a search that finds nothing (the partition bound off).
     # feasible_in checks _solve's answer once too, and once more only when
-    # _pad_to grows it; an answer of None checks nothing
+    # _pad_to grows it; an answer of None, or one with more bins than
+    # feasible_in asked for, checks nothing
     calls = Counter()
 
     def spy(name, fn):
@@ -1592,9 +1594,11 @@ def test_one_check_per_oracle_answer(monkeypatch):
     assert checks(lambda: feasible_in(at_lb, 2))[2] == twice
     assert checks(lambda: feasible_in(OVER_HALF, 4))[2] == once
     assert checks(lambda: feasible_in(OVER_HALF, 5))[2] == twice
-    # _solve's answer here is the upper bound at top + 1, which feasible_in
-    # then drops; below LB, _solve answers None
-    assert checks(lambda: feasible_in(OVER_HALF, 3)) == (None, 0, once)
+    # above the bin count asked for: the upper bound at top + 1, and the
+    # upper bound at LB when that count is below LB; below LB, _solve
+    # answers None with no search
+    assert checks(lambda: feasible_in(OVER_HALF, 3)) == (None, 0, {})
+    assert checks(lambda: feasible_in(Instance(k=2, sizes=(1, 1)), 1)) == (None, 0, {})
     assert checks(lambda: feasible_in(OVER_HALF, 2)) == (None, 0, {})
     monkeypatch.setattr(
         exact, "_partition_level", lambda k, cap, scaled, levels: (levels.start, None)

@@ -251,22 +251,24 @@ def test_normalization_violations_rejects_k3():
         normalization_violations(inst, packing)
 
 
-def test_checks_between_steps_catch_a_broken_rewrite(monkeypatch):
-    # Both checks run in the unit on every call; reaching either is a bug.
+def test_exit_check_catches_a_broken_rewrite(monkeypatch):
+    # The working copy is checked once, at the exit of normalize and of each
+    # public step; a failure there is a bug.
     norm = importlib.import_module("splitpack.normalize")
     inst, packing = three_cycle()
     monkeypatch.setattr(norm, "_remove_cycles", lambda work: None)
-    with pytest.raises(InternalError, match="left a cycle in the packing graph"):
-        normalize(inst, packing)
+    for rewrite in (remove_cycles, normalize):
+        with pytest.raises(InternalError, match="left a cycle in the packing graph"):
+            rewrite(inst, packing)
     monkeypatch.undo()
 
     def drop_last_bin(work):
         work.bins[-1] = None
 
-    monkeypatch.setattr(norm, "_smalls_to_leaves", drop_last_bin)
+    monkeypatch.setattr(norm, "_bound_degrees", drop_last_bin)
     with pytest.raises(
         InternalError,
-        match=r"broke the packing \(bin capacity 3\): coverage: item 0 covered 0 of 2",
+        match=r"invalid packing \(bin capacity 3\): coverage: item 0 covered 0 of 2",
     ):
         normalize(inst, packing)
 

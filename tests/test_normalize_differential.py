@@ -44,9 +44,16 @@ def outcome(fn, inst, packing):
         return f"ValueError: {exc}"
 
 
+def chain(inst, packing):
+    """The public steps one after another, each checking its input."""
+    return bound_degrees(inst, smalls_to_leaves(inst, remove_cycles(inst, packing)))
+
+
 def assert_same_rewrites(inst, packing):
     """Every public step and ``normalize`` on the packing and on each
-    intermediate result, plus the violation lists along the way."""
+    intermediate result, plus the violation lists along the way; and
+    ``normalize``, which checks only its output, against the chain of
+    public steps."""
     inputs = [packing]
     rc = ref.remove_cycles(inst, packing)
     inputs += [rc, ref.smalls_to_leaves(inst, rc), ref.bound_degrees(inst, rc)]
@@ -56,6 +63,7 @@ def assert_same_rewrites(inst, packing):
             assert outcome(new, inst, p) == outcome(old, inst, p), (
                 new.__name__, inst.sizes, p.bins,
             )
+        assert outcome(normalize, inst, p) == outcome(chain, inst, p)
         assert normalization_violations(inst, p) == ref.normalization_violations(
             inst, p
         )
