@@ -462,7 +462,9 @@ def checked_packing(
     Each part turns back into a ``Fraction`` once: a part equal to its
     item's size is the instance's own size object, and any other part p
     becomes ``Fraction(p, cap)`` (``Fraction(p)`` at cap 1, which keeps a
-    ``Fraction`` part as it is), one object per distinct p. Entries are
+    ``Fraction`` part as it is), one object per distinct p. A part may be
+    a ``Fraction`` in an integer unit too, such as a half that the oracle's
+    ``feasible_in`` padding splits off an odd part. Entries are
     sorted by item id, as ``Packing.build`` orders them; a checked bin lists
     no item twice, so there is nothing to merge. The map divides by cap
     exactly, so the check in the unit certifies the packing and

@@ -13,11 +13,12 @@ Both public entry points are thin callers of one private ``_solve``, driven
 by two values: a goal, at or below which the upper bound is taken without a
 search, and a top, the highest level searched. ``exact_opt`` asks for goal 0
 and top ``max_bins``; ``feasible_in(inst, B)`` asks for goal and top B,
-gets None for any answer of more than B bins, and pads the packing it gets
-to B bins. So the budget checks, the bounds and the level loop below exist
-once, and so does the exit: everything below ``_solve`` returns raw bins in
-the call's unit, and ``_solve`` turns the one answer into the one
-``Packing`` of the call through one ``core.checked_packing``.
+and ``_solve`` answers it with None for an answer of more than B bins or of
+none, and else grows the answer to B bins before its one check. So the
+budget checks, the bounds and the level loop below exist once, and so does
+the exit: everything below ``_solve`` returns raw bins in the call's unit,
+and ``_solve`` turns the one answer into the one ``Packing`` of the call
+through one ``core.checked_packing``.
 
 Each call takes its unit once from ``core.unit_sizes``: the sizes as
 integers over their common denominator, in bins of that capacity, while it
@@ -123,14 +124,15 @@ sizes and capacity, the same checks ``validate_packing`` makes, before the
 parts turn back into ``Fraction``s for one ``Packing``. Dividing by cap is
 exact, so the check is a certificate for that packing, which is marked as
 checked; a failed check raises ``InternalError``. So there is one
-``Packing``, and one check, per oracle answer; ``feasible_in`` checks once
-more only when ``_pad_to`` grows the answer to its bin count.
+``Packing``, and one check, per oracle answer, a grown ``feasible_in``
+answer included.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import neg
 from typing import Iterator, Sequence
 
@@ -849,31 +851,6 @@ def _upper_bound_packing(
     return bins, label
 
 
-def _pad_to(inst: Instance, packing: Packing, n_bins: int) -> Packing:
-    """Grow a valid packing to exactly n_bins bins by halving parts into
-    fresh single-entry bins; splitting never violates capacity or the part
-    limit. A packing of n_bins bins is returned as it is; a grown one
-    leaves through ``checked_packing``, in ``Fraction``s at capacity 1."""
-    if packing.n_bins == n_bins:
-        return packing
-    bins = [list(entries) for entries in packing.bins]
-    labels = list(packing.labels)
-    while len(bins) < n_bins:
-        best = None
-        for b, entries in enumerate(bins):
-            for e, (item, part) in enumerate(entries):
-                if best is None or part > best[0]:
-                    best = (part, b, e, item)
-        if best is None:
-            raise InternalError("cannot pad an empty packing")
-        part, b, e, item = best
-        half = part / 2
-        bins[b][e] = (item, part - half)
-        bins.append([(item, half)])
-        labels.append(labels[b])
-    return checked_packing(inst, bins, 1, inst.sizes, labels)
-
-
 # ---------------------------------------------------------------------------
 # Search entry points.
 
@@ -886,9 +863,13 @@ def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing
     does not rule out; else the upper bound when it has at most top + 1
     bins, so that every level below it was searched or ruled out; else
     None. A positive goal is a ``feasible_in`` bin count, so an answer with
-    more bins than the goal is None too, unchecked. The answer's raw bins,
-    in the call's unit, become its one ``Packing`` through one
-    ``checked_packing``.
+    more bins than the goal, or with no bins, is None too, unchecked; one
+    with fewer grows to the goal: the first largest part, in bin order and
+    in item order within a bin, is halved into a fresh one-entry bin until
+    there are goal bins, which keeps every bin within capacity and the part
+    limit. A half is ``Fraction(part, 2)``, exact in either unit. The
+    answer's raw bins, in the call's unit, become its one ``Packing``
+    through one ``checked_packing``.
 
     A level whose search runs out of nodes falls back on packing the groups
     of a partition that fits it one at a time (``_pack_groups``); the
@@ -925,8 +906,17 @@ def _solve(inst: Instance, budget: SearchBudget, goal: int, top: int) -> Packing
             bins, label = found, EXACT_LABEL
         elif len(bins) > top + 1:
             return None
-    if goal and len(bins) > goal:
+    if goal and not 0 < len(bins) <= goal:
         return None
+    if len(bins) < goal:
+        bins = [sorted(entries) for entries in bins]
+        while len(bins) < goal:
+            row = max(bins, key=lambda row: max(part for _, part in row))
+            e = max(range(len(row)), key=lambda e: row[e][1])
+            item, part = row[e]
+            half = Fraction(part, 2)
+            row[e] = (item, part - half)
+            bins.append([(item, half)])
     return checked_packing(inst, bins, cap, scaled, [label] * len(bins))
 
 
@@ -994,11 +984,9 @@ def feasible_in(
 
     A packing with fewer bins always extends to exactly n_bins by splitting
     parts, so the search may stop at the first feasible level at or below
-    n_bins.
+    n_bins; ``_solve`` grows its answer and checks it once. An empty
+    instance has no packing of n_bins bins, so it gets None.
     """
     if n_bins < 1:
         raise ValueError(f"bin count must be at least 1, got {n_bins}")
-    packing = _solve(inst, budget, n_bins, n_bins)
-    if inst.n == 0 or packing is None:
-        return None
-    return _pad_to(inst, packing, n_bins)
+    return _solve(inst, budget, n_bins, n_bins)

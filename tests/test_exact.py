@@ -123,11 +123,20 @@ def test_feasible_in_decision():
     assert feasible_in(Instance(k=2, sizes=(F(5, 2),)), 2) is None
 
 
-def test_feasible_in_pads_to_exact_count():
+def test_feasible_in_pads_to_exact_count(monkeypatch):
     inst = Instance(k=2, sizes=(F(1, 2), F(1, 2)))
     witness = feasible_in(inst, 4)
     assert witness is not None and witness.n_bins == 4
     assert validate_packing(inst, witness) == []
+    # the best-fit upper bound of 3 bins lists items out of id order, and
+    # the parts of 2/3 tie: padding to 5 bins halves the first largest part
+    # in bin order and item order within a bin, as the reference pads its
+    # Packing, in either unit
+    inst = Instance(k=2, sizes=(F(1, 3), F(1, 3), F(2, 3), F(2, 3)))
+    want = ref.feasible_in(inst, 5)
+    for bits in (core.UNIT_BITS, 0):
+        monkeypatch.setattr(core, "UNIT_BITS", bits)
+        assert feasible_in(inst, 5) == want
 
 
 def test_feasible_in_empty_instance():
@@ -528,8 +537,8 @@ def test_forest_oracle_matches_reference(corpus):
         if corpus in KNOB_ARMS:
             assert ref.exact_opt(inst, WIDE, **KNOB_ARMS[corpus])[0] == opt, inst
         if inst.n:
-            _assert_same_level(inst, opt - 1)
-            _assert_same_level(inst, opt)
+            for n_bins in range(opt - 1, opt + 3):
+                _assert_same_level(inst, n_bins)
             searched += ref._upper_bound_packing(inst).n_bins > lower_bounds(inst).best
     # every corpus but the retired tests' small ones reaches the level search
     assert searched > 0 or corpus in ("forest-k2-n5", "duplicated-sizes")
@@ -1332,7 +1341,7 @@ def test_group_fallback_answers_the_uncapped_opt(monkeypatch, row):
     assert witness.n_bins == opt and validate_packing(inst, witness) == []
     assert set(witness.labels) == {EXACT_LABEL}
     assert 1001 < nodes <= 2001
-    # feasible_in gains the same reach through _pad_to
+    # feasible_in gains the same reach, padded in _solve
     assert feasible_in(inst, opt + 1, GROUP_BUDGET).n_bins == opt + 1
 
 
@@ -1555,9 +1564,9 @@ def test_one_check_per_oracle_answer(monkeypatch):
     # upper bound once the partition bound rules out the levels below it, a
     # search witness, the group fallback's union, and the upper bound at
     # top + 1 after a search that finds nothing (the partition bound off).
-    # feasible_in checks _solve's answer once too, and once more only when
-    # _pad_to grows it; an answer of None, or one with more bins than
-    # feasible_in asked for, checks nothing
+    # feasible_in's answer is _solve's, checked once, padded or not; an
+    # answer of None, one with more bins than feasible_in asked for, or the
+    # empty instance's, checks nothing
     calls = Counter()
 
     def spy(name, fn):
@@ -1579,7 +1588,6 @@ def test_one_check_per_oracle_answer(monkeypatch):
     at_lb = Instance(k=2, sizes=(F(1, 2), F(1, 2)))
     searched = gen_random(6, 2, "mixed", 9)
     grouped = gen_random(*GROUP_ROWS[0])
-    twice = {"checked_packing": 2, "bin_violations": 2}
     (opt, packing), nodes, counts = checks(lambda: exact_opt(at_lb))
     assert (opt, packing.labels, nodes, counts) == (1, ("nf",), 0, once)
     (opt, packing), nodes, counts = checks(lambda: exact_opt(OVER_HALF))
@@ -1591,15 +1599,16 @@ def test_one_check_per_oracle_answer(monkeypatch):
         packing, _, counts = checks(lambda: feasible_in(inst, opt, budget))
         assert set(packing.labels) == {EXACT_LABEL} and counts == once
     assert checks(lambda: feasible_in(at_lb, 1))[2] == once
-    assert checks(lambda: feasible_in(at_lb, 2))[2] == twice
+    assert checks(lambda: feasible_in(at_lb, 2))[2] == once
     assert checks(lambda: feasible_in(OVER_HALF, 4))[2] == once
-    assert checks(lambda: feasible_in(OVER_HALF, 5))[2] == twice
+    assert checks(lambda: feasible_in(OVER_HALF, 5))[2] == once
     # above the bin count asked for: the upper bound at top + 1, and the
     # upper bound at LB when that count is below LB; below LB, _solve
     # answers None with no search
     assert checks(lambda: feasible_in(OVER_HALF, 3)) == (None, 0, {})
     assert checks(lambda: feasible_in(Instance(k=2, sizes=(1, 1)), 1)) == (None, 0, {})
     assert checks(lambda: feasible_in(OVER_HALF, 2)) == (None, 0, {})
+    assert checks(lambda: feasible_in(Instance(k=2, sizes=()), 1)) == (None, 0, {})
     monkeypatch.setattr(
         exact, "_partition_level", lambda k, cap, scaled, levels: (levels.start, None)
     )
