@@ -29,6 +29,7 @@ from .core import (
     Item,
     Packing,
     Scaled,
+    brief_repr,
     checked_packing,
     unit_sizes,
 )
@@ -281,7 +282,7 @@ def pack_75(inst: Instance) -> A75Report:
     valid packing.
     """
     if inst.k != 2:
-        raise ValueError(f"this algorithm requires k=2, got k={inst.k}")
+        raise ValueError(f"this algorithm requires k=2, got k={brief_repr(inst.k)}")
     cap, sizes = unit_sizes(inst.sizes)
     bins, labels, reclassified = _main_pass(cap, sizes)
     # The group is read from the entry order the main pass left, which

@@ -200,7 +200,8 @@ def _decimal(value: Fraction) -> str:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.input)
     if args.algo == "a75" and inst.k != 2:
-        raise _CliError(EXIT_USAGE, f"--algo a75 requires k=2, instance has k={inst.k}")
+        k = brief_repr(inst.k)
+        raise _CliError(EXIT_USAGE, f"--algo a75 requires k=2, instance has k={k}")
     for flag, value, algo in (
         ("--presort", args.presort, "nf"),
         ("--trace", args.trace, "nf"),
@@ -317,7 +318,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     packing = _load(io.load_packing, "packing", args.input)
     if inst.k != 2:
-        raise _CliError(EXIT_USAGE, f"normalize requires k=2, instance has k={inst.k}")
+        k = brief_repr(inst.k)
+        raise _CliError(EXIT_USAGE, f"normalize requires k=2, instance has k={k}")
     try:
         result = normalize(inst, packing)
     except InvalidPackingError as exc:
@@ -340,10 +342,6 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 # Experiments.
 
 
-def _instance_descriptor(inst: Instance) -> str:
-    return "|".join(str(s) for s in inst.sizes)
-
-
 def _experiment_nf(
     args: argparse.Namespace, writer: "csv.writer", budget: SearchBudget
 ) -> None:
@@ -364,22 +362,17 @@ def _experiment_nf(
             alg_bins = pack_75(inst).n_bins
         else:
             alg_bins = _checked_next_fit(inst)[0].n_bins
+        row = [trial, n, k, dist, "|".join(map(str, inst.sizes)), alg_bins]
         try:
             opt, _ = exact_opt(inst, budget)
         except BudgetExceeded:
             skipped += 1
-            writer.writerow(
-                [trial, n, k, dist, _instance_descriptor(inst),
-                 alg_bins, "", "", "", "skipped"]
-            )
+            writer.writerow(row + ["", "", "", "skipped"])
             continue
         ok += 1
         ratio = Fraction(alg_bins, opt) if opt else Fraction(0)
         max_ratio = max(max_ratio, ratio)
-        writer.writerow(
-            [trial, n, k, dist, _instance_descriptor(inst), alg_bins, opt,
-             str(ratio), _decimal(ratio), "ok"]
-        )
+        writer.writerow(row + [opt, str(ratio), _decimal(ratio), "ok"])
     writer.writerow(
         ["summary", "", k, dist, "", "", "", str(max_ratio),
          _decimal(max_ratio), f"ok={ok};skipped={skipped}"]
@@ -408,21 +401,16 @@ def _experiment_reduction(
         numbers = _random_3partition(rng, target)
         expected = three_partition_brute(numbers, target)
         inst = gen_from_3partition(numbers, target, args.k)
+        row = [trial, args.k, target, " ".join(map(str, numbers)), int(expected)]
         try:
             witness = feasible_in(inst, 2, budget)
         except BudgetExceeded:
             skipped += 1
-            writer.writerow(
-                [trial, args.k, target, " ".join(map(str, numbers)),
-                 int(expected), "", "skipped"]
-            )
+            writer.writerow(row + ["", "skipped"])
             continue
         got = witness is not None
         agree += int(got == expected)
-        writer.writerow(
-            [trial, args.k, target, " ".join(map(str, numbers)),
-             int(expected), int(got), int(got == expected)]
-        )
+        writer.writerow(row + [int(got), int(got == expected)])
     writer.writerow(
         ["summary", args.k, target, "", "", "",
          f"{agree}/{args.trials - skipped}"]
@@ -461,21 +449,34 @@ def _experiment_normalize(
     writer.writerow(["summary", "", "", "", "", f"{ok}/{args.trials}"])
 
 
+# Each experiment suite: its runner and the suite flags that it reads. This
+# table is the one list of suites: `--suite` takes its choices from it, and
+# cmd_experiment its runner and the suites named by the flag rule. A new
+# suite is one row here plus its runner.
+_SUITES = {
+    "nf-ratio": (_experiment_nf, ("--max-n", "--k", "--dist")),
+    "a75-ratio": (_experiment_nf, ("--max-n",)),
+    "reduction-check": (_experiment_reduction, ("--k",)),
+    "normalize-check": (_experiment_normalize, ("--max-n", "--dist")),
+}
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """A suite flag given to a suite that does not read it is a usage error;
+    """Run the ``_SUITES`` row of --suite. A suite flag that its row does
+    not list is a usage error, which names the suites that read the flag;
     one not given takes its default. So is a draw that could need more than
     ``MAX_PARTS`` parts."""
-    for flag, name, default, suites in (
-        ("--max-n", "max_n", 6, ("nf-ratio", "a75-ratio", "normalize-check")),
-        ("--k", "k", 2, ("nf-ratio", "reduction-check")),
-        ("--dist", "dist", "uniform", ("nf-ratio", "normalize-check")),
+    run, reads = _SUITES[args.suite]
+    for flag, name, default in (
+        ("--max-n", "max_n", 6),
+        ("--k", "k", 2),
+        ("--dist", "dist", "uniform"),
     ):
         if getattr(args, name) is None:
             setattr(args, name, default)
-        elif args.suite not in suites:
-            raise _CliError(
-                EXIT_USAGE, f"{flag} only applies to --suite {', '.join(suites)}"
-            )
+        elif flag not in reads:
+            suites = ", ".join(s for s, (_, flags) in _SUITES.items() if flag in flags)
+            raise _CliError(EXIT_USAGE, f"{flag} only applies to --suite {suites}")
     _at_least("--max-n", args.max_n, 1)
     _at_least("--k", args.k, 2)
     _at_least("--trials", args.trials, 0)
@@ -496,12 +497,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     try:
         writer = csv.writer(out, lineterminator="\n")
-        if args.suite in ("nf-ratio", "a75-ratio"):
-            _experiment_nf(args, writer, budget)
-        elif args.suite == "reduction-check":
-            _experiment_reduction(args, writer, budget)
-        else:
-            _experiment_normalize(args, writer, budget)
+        run(args, writer, budget)
     finally:
         if args.output is not None:
             out.close()
@@ -567,11 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     norm.set_defaults(func=cmd_normalize)
 
     exp = sub.add_parser("experiment", help="ratio sweeps with CSV reports")
-    exp.add_argument(
-        "--suite",
-        choices=("nf-ratio", "a75-ratio", "reduction-check", "normalize-check"),
-        required=True,
-    )
+    exp.add_argument("--suite", choices=_SUITES, required=True)
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--seed", type=int, default=0)
     # Defaults are set per suite by cmd_experiment: 6, 2 and uniform.

@@ -350,11 +350,13 @@ def bin_violations(
                     cov_num[item], cov_den[item] = _add(cn, cov_den[item], pn, pd)
             else:
                 violations.append(
-                    f"unknown item: bin {b} references item {item} not in instance"
+                    f"unknown item: bin {b} references item {brief_repr(item)} "
+                    "not in instance"
                 )
             if pn <= 0:
                 violations.append(
-                    f"positivity: bin {b} item {item} has non-positive part {part}"
+                    f"positivity: bin {b} item {brief_repr(item)} has non-positive "
+                    f"part {brief_fraction(part)}"
                 )
             if tn == 0:
                 tn, td = pn, pd
@@ -367,13 +369,15 @@ def bin_violations(
                 f"cardinality: bin {b} has {len(entries)} > k={k} parts"
             )
         if tn > cap * td:
-            violations.append(f"capacity: bin {b} holds {Fraction(tn, td)} > {cap}")
+            total = brief_fraction(Fraction(tn, td))
+            violations.append(f"capacity: bin {b} holds {total} > {brief_repr(cap)}")
     for item, size in enumerate(sizes):
         cn, cd = cov_num[item], cov_den[item]
         sn, sd = size.numerator, size.denominator
         if cn * sd != sn * cd:
             violations.append(
-                f"coverage: item {item} covered {Fraction(cn, cd)} of {size}"
+                f"coverage: item {item} covered {brief_fraction(Fraction(cn, cd))} of "
+                f"{brief_fraction(size)}"
             )
     return violations
 

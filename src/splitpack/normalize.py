@@ -71,6 +71,7 @@ from .core import (
     InvalidPackingError,
     Packing,
     Scaled,
+    brief_repr,
     checked_packing,
     is_acyclic,
     shared_bins,
@@ -94,7 +95,7 @@ class _Work:
     def __init__(self, inst: Instance, packing: Packing) -> None:
         if inst.k != 2:
             raise ValueError(
-                f"normalization is defined for k=2 only, got k={inst.k}"
+                f"normalization is defined for k=2 only, got k={brief_repr(inst.k)}"
             )
         problems = validate_packing(inst, packing)
         if problems:
@@ -483,7 +484,8 @@ def normalization_violations(inst: Instance, packing: Packing) -> list[str]:
     bin, with no working copy. No type allows fewer than two neighbours to
     violate, so only items with two or more have their type computed."""
     if inst.k != 2:
-        raise ValueError(f"normalization is defined for k=2 only, got k={inst.k}")
+        k = brief_repr(inst.k)
+        raise ValueError(f"normalization is defined for k=2 only, got k={k}")
     problems = validate_packing(inst, packing)
     if problems:
         return problems

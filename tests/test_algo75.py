@@ -11,6 +11,7 @@ from splitpack import (
     Packing,
     algo75,
     core,
+    exact,
     exact_opt,
     gen_a75_worst,
     gen_random,
@@ -219,6 +220,21 @@ def test_seven_bin_search_infeasible_keeps_packing():
     report = pack_75(inst)
     assert report.fallback_triggered == SEVEN_BIN_SEARCH
     assert report.n_bins == 10
+
+
+def test_seven_bin_search_out_of_budget_keeps_packing(monkeypatch):
+    # a search that runs out of its budget finds no witness: the pattern is
+    # still reported, and the plain ten bins are kept
+    inst = Instance(k=2, sizes=SEVEN_YES)
+
+    def out_of_budget(*args):
+        raise exact.BudgetExceeded("structure search exceeded 0 nodes")
+
+    monkeypatch.setattr(exact, "feasible_in", out_of_budget)
+    report = pack_75(inst)
+    assert report.fallback_triggered == SEVEN_BIN_SEARCH
+    assert report.n_bins == 10
+    assert report.packing.bins == Packing.build(_main_pass(1, inst.sizes)[0]).bins
 
 
 def test_seven_bin_search_ignores_budget_env(monkeypatch):

@@ -678,6 +678,34 @@ def test_normalize_command(tmp_path, capsys):
     assert spio.load_packing(str(out_file)).n_bins == 2
 
 
+def test_normalize_check_reports_what_normalize_left(tmp_path, capsys, monkeypatch):
+    # a normalize that returns its input keeps the 3-cycle of
+    # test_normalize_command: --check prints the violation, exits 5 and
+    # writes nothing
+    inst = tmp_path / "inst.json"
+    packing = tmp_path / "packing.json"
+    out_file = tmp_path / "out.json"
+    inst.write_text('{"k": 2, "items": ["2/3", "2/3", "2/3"]}')
+    packing.write_text(
+        json.dumps(
+            {
+                "bins": [
+                    [{"item": i, "part": "1/3"}, {"item": (i + 1) % 3, "part": "1/3"}]
+                    for i in range(3)
+                ]
+            }
+        )
+    )
+    monkeypatch.setattr(cli, "normalize", lambda inst, packing: packing)
+    code, out, err = run_cli(
+        "normalize", "--input", str(packing), "--instance", str(inst),
+        "--output", str(out_file), "--check",
+        capsys=capsys,
+    )
+    assert (code, out, err) == (5, "graph has a cycle\n", "")
+    assert not out_file.exists()
+
+
 def test_normalize_refuses_an_unreadable_part_before_writing(
     tmp_path, capsys, monkeypatch
 ):
@@ -1162,6 +1190,36 @@ def test_huge_flag_integers_are_quoted_briefly(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert 0 < len(err.encode()) < 1024
     assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "command, instance, packing, expected",
+    [
+        ("solve", {"k": int(_NINES), "items": ["1/2"]}, None, 2),
+        ("normalize", {"k": int(_NINES), "items": ["1/2"]}, [[(0, "1/2")]], 2),
+        ("verify", {"k": 2, "items": ["1/2"]}, [[(int(_NINES), "1/2")]], 5),
+    ],
+    ids=["solve-a75", "normalize", "verify"],
+)
+def test_huge_input_values_are_quoted_briefly(
+    tmp_path, capsys, command, instance, packing, expected
+):
+    # a 4000-digit k, or a 4000-digit item id, is quoted in at most 60
+    # characters by the k checks and the validator
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    if packing is None:
+        argv = ("solve", "--algo", "a75", "--input", str(inst))
+    else:
+        bins = [[{"item": i, "part": p} for i, p in entries] for entries in packing]
+        doc = tmp_path / "packing.json"
+        doc.write_text(json.dumps({"bins": bins}))
+        flag = "--packing" if command == "verify" else "--input"
+        argv = (command, "--instance", str(inst), flag, str(doc))
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == expected
+    assert out + err
+    assert all(len(line) < 200 for line in (out + err).splitlines())
 
 
 def test_gen_output_that_cannot_be_opened_is_usage_error(tmp_path, capsys):

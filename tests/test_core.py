@@ -23,6 +23,7 @@ from splitpack import (
     io,
     lower_bounds,
     next_fit,
+    normalization_violations,
     normalize,
     pack_75,
     parse_rational,
@@ -441,6 +442,28 @@ def test_bin_violations_long_bin_stays_small():
     assert time.perf_counter() - start < 0.25
     assert issues == ["capacity: bin 0 holds 4000/3 > 1"]
     assert issues == ref.bin_violations(inst, bins)
+
+
+def test_messages_quote_huge_values_briefly():
+    # the validator and the k = 2 checks quote each value in at most 60
+    # characters, however many digits it has
+    huge = 10**4000 + 1
+    inst = Instance(k=2, sizes=(F(1, 2),))
+    for bins in ([[(huge, F(1, 2))]], [[(0, F(huge, 3))]], [[(0, F(-huge, 3))]]):
+        issues = validate_packing(inst, Packing.build(bins))
+        assert len(issues) == 2 and all(len(line) < 200 for line in issues)
+    issues = validate_packing(Instance(k=2, sizes=(F(huge, 3),)), Packing.build([]))
+    assert len(issues) == 1 and len(issues[0]) < 200
+    wide = Instance(k=huge, sizes=(F(1, 2),))
+    empty = Packing.build([])
+    for call in (
+        lambda: pack_75(wide),
+        lambda: normalize(wide, empty),
+        lambda: normalization_violations(wide, empty),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert len(str(info.value)) < 200
 
 
 def test_same_item_parts_merge_on_build():

@@ -426,6 +426,27 @@ def test_corrupted_flow_witness_raises_internal_error(monkeypatch):
         exact_opt(inst)
 
 
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("_flow_bins", lambda *args: None, "max-flow rejects a structure the tree DP accepts"),
+        ("_min_loops", lambda *args: 1, "no loop split completes an accepted forest"),
+    ],
+    ids=["flow-none", "loops-never-zero"],
+)
+def test_a_forest_the_witness_cannot_realise_raises_internal_error(
+    monkeypatch, name, fake, message
+):
+    # LB = 4 and the heuristics need 5, so the k = 3 search accepts a forest
+    # at level 4; a max-flow that finds no witness for it, or a loop split
+    # that never completes it, is a fault of the oracle, not a None
+    inst = gen_random(8, 3, "mixed", 8)
+    assert exact_opt(inst)[1].labels[0] == EXACT_LABEL
+    monkeypatch.setattr(exact, name, fake)
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        exact_opt(inst)
+
+
 def test_exact_respects_worst_family_certificates():
     for k, m in [(2, 1), (2, 2), (3, 1)]:
         inst, certified = gen_nf_worst(k, m)
@@ -1441,6 +1462,22 @@ def test_group_fallback_reuses_the_opening_partition(monkeypatch):
         levels.clear()
         assert exact_opt(inst, GROUP_BUDGET)[0] == lower_bounds(inst).best
         assert len(levels) == 1 and levels[0].start == lower_bounds(inst).best, row
+
+
+def test_groups_that_miss_their_level_raise_internal_error():
+    # the groups of a partition that fits LB pack into LB bins; asked for
+    # one level more, their union is a fault of the caller, not an answer
+    inst = gen_random(*GROUP_ROWS[0])
+    lb = lower_bounds(inst).best
+    cap, scaled = core.unit_sizes(inst.sizes)
+    groups = exact._partition_level(inst.k, cap, scaled, range(lb, lb + 1))[1]
+    assert sum(n_bins for _, n_bins in groups) == lb
+    bins = exact._pack_groups(inst.k, GROUP_BUDGET, cap, scaled, groups, lb)
+    assert len(bins) == lb
+    with pytest.raises(
+        InternalError, match=f"^the groups of level {lb + 1} pack into {lb} bins$"
+    ):
+        exact._pack_groups(inst.k, GROUP_BUDGET, cap, scaled, groups, lb + 1)
 
 
 def test_group_fallback_decides_a_later_level_again(monkeypatch):
