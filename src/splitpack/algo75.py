@@ -86,11 +86,11 @@ def large_into_smalls(
         if rest > 0:
             # Out of seeds mid-item: the remainder and every later large are
             # packed as a trailing next-fit group.
-            tail, _ = next_fit_bins([(lid, rest)] + larges[idx + 1 :], 2, cap)
+            tail = next_fit_bins([(lid, rest)] + larges[idx + 1 :], 2, cap)
             return bins + tail, labels + [StepLabel.S6] * len(tail)
     # Untouched seeds hold one small each: next fit packs those smalls in
     # pairs, as two smalls always fit one bin.
-    spare, _ = next_fit_bins(smalls[cursor:], 2, cap)
+    spare = next_fit_bins(smalls[cursor:], 2, cap)
     return bins[:cursor] + spare, labels[:cursor] + [StepLabel.S5] * len(spare)
 
 
@@ -100,8 +100,8 @@ _NEXT_FIT_STEPS = (StepLabel.S3, StepLabel.S6)
 def _trailing_group(bins: list[list[Item]], labels: list[str]) -> list[int]:
     """The run of next-fit bins at the end of the packing that share items
     pairwise. Next fit links consecutive bins only through a split item,
-    the last entry of one bin and the first of the next; the close reasons
-    cannot stand in, since FILLED also closes an exactly full one-part bin."""
+    the last entry of one bin and the first of the next, so the link is
+    read from the bins, which are all the kernel returns."""
     last = len(bins) - 1
     if last < 0 or labels[last] not in _NEXT_FIT_STEPS:
         return []
@@ -254,7 +254,7 @@ def _main_pass(
     large_items = [(i, sizes[i]) for i in larges]
 
     if not smalls_left:
-        tail, _ = next_fit_bins(stream + large_items, 2, cap)
+        tail = next_fit_bins(stream + large_items, 2, cap)
         bins.extend(tail)
         labels.extend([StepLabel.S3] * len(tail))
     else:

@@ -28,7 +28,6 @@ from .core import (
     Packing,
     brief_repr,
     lower_bounds,
-    parts_needed,
     validate_packing,
 )
 from .exact import (
@@ -121,7 +120,7 @@ def _load_instance(path: str) -> Instance:
     """The instance at `path`; one needing more than ``MAX_PARTS`` parts is
     rejected before any command packs it."""
     inst = _load(io.load_instance, "instance", path)
-    if parts_needed(inst.sizes) > MAX_PARTS:
+    if inst.parts_needed > MAX_PARTS:
         raise _CliError(
             EXIT_PARSE,
             f"bad instance file: its sizes need more than {MAX_PARTS} parts",

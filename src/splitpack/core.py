@@ -32,8 +32,8 @@ MAX_NUMERAL_DIGITS = 1000
 MAX_DECIMAL_EXPONENT = 1000
 
 # Bound on the parts an instance needs (the sum of ceil(size), see
-# ``parts_needed``): each part costs every packer work and memory, so the CLI
-# rejects a larger instance before packing it.
+# ``Instance.parts_needed``): each part costs every packer work and memory,
+# so the CLI rejects a larger instance before packing it.
 MAX_PARTS = 10**6
 
 # Error messages quote an offending value in at most this many characters.
@@ -149,7 +149,10 @@ class Instance:
     """An ordered list of positive item sizes plus the per-bin part limit k.
 
     Item ids are the positions 0..n-1; sizes may exceed 1 (such items must be
-    split over several bins).
+    split over several bins). ``parts_needed``, the sum of ceil(size), is
+    the fewest parts any packing has; it is computed once, here, as a plain
+    attribute and not a field, so equality, ``repr``, hashing and
+    ``dataclasses.replace`` see k and the sizes only.
     """
 
     k: int
@@ -162,9 +165,13 @@ class Instance:
             s if type(s) is Fraction else Fraction(s) for s in self.sizes
         )
         object.__setattr__(self, "sizes", sizes)
+        parts = 0
         for i, s in enumerate(sizes):
-            if s.numerator <= 0:
+            num, den = s.as_integer_ratio()
+            if num <= 0:
                 raise ValueError(f"item {i} has non-positive size {brief_fraction(s)}")
+            parts -= -num // den
+        object.__setattr__(self, "parts_needed", parts)
 
     @property
     def n(self) -> int:
@@ -499,11 +506,6 @@ def checked_packing(
     return packing
 
 
-def parts_needed(sizes: Iterable[Fraction]) -> int:
-    """The sum of ceil(size): no packing has fewer parts."""
-    return sum(-(-s.numerator // s.denominator) for s in sizes)
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Three lower bounds on the optimal bin count and their maximum."""
@@ -522,19 +524,17 @@ def lower_bounds(inst: Instance) -> BoundsReport:
     numerator and denominator once. The volume sums the numerators per
     denominator, then adds those sums in lowest terms, one step per distinct
     denominator; it builds no ``Fraction`` and never scales the instance to
-    one common denominator. The same pass sums ceil(size), as
-    ``parts_needed`` does."""
+    one common denominator. The weight bound reads
+    ``Instance.parts_needed``."""
     numerators: dict[int, int] = {}
-    parts = 0
     for s in inst.sizes:
-        num, den = s.numerator, s.denominator
+        num, den = s.as_integer_ratio()
         numerators[den] = numerators.get(den, 0) + num
-        parts -= -num // den
     num, den = 0, 1
     for d, n in numerators.items():
         num, den = _add(num, den, n, d)
     size_bound = -(-num // den)
-    weight_bound = -(-parts // inst.k)
+    weight_bound = -(-inst.parts_needed // inst.k)
     count_bound = -(-inst.n // inst.k)
     return BoundsReport(
         size_bound=size_bound,

@@ -841,7 +841,7 @@ def _upper_bound_packing(
     cannot beat a packing at the bound, and next fit keeps ties. The bins
     are not checked here; the one that ``_solve`` returns is checked there,
     and a group's within the union of ``_pack_groups``."""
-    bins, _ = next_fit_bins(enumerate(scaled), k, cap)
+    bins = next_fit_bins(enumerate(scaled), k, cap)
     label = NF_LABEL
     if len(bins) > lb:
         bf_bins = _best_fit_split(k, cap, scaled)

@@ -3,14 +3,15 @@
 One stream kernel, ``next_fit_bins``, is the package's only next-fit loop:
 ``next_fit``, ``pack_75``'s leftover groups (steps 3 and 6) and its pairs of
 spare smalls (step 5), and the oracle's upper bound run it; its overflow
-step ``spill`` also serves the oracle's best-fit heuristic. The kernel runs in either of two units, chosen by the bin
-capacity ``cap``: the default 1 for ``Fraction`` sizes as given, or the
-common denominator of ``core.unit_sizes`` for the sizes scaled to
+step ``spill`` also serves the oracle's best-fit heuristic. The kernel
+returns the bins and nothing else. It runs in either of two units, chosen by
+the bin capacity ``cap``: the default 1 for ``Fraction`` sizes as given, or
+the common denominator of ``core.unit_sizes`` for the sizes scaled to
 integers, where every comparison and sum is an integer operation. Scaling is
-exact, so both runs give the same bins up to the factor ``cap`` and the same
-close reasons. The parts an overflowing item puts alone into whole bins are
-``cap`` itself, an ``int`` in either unit; every other part has the type of
-the sizes. ``next_fit``, ``pack_75`` and the oracle run in the unit
+exact, so both runs give the same bins up to the factor ``cap``. The parts
+an overflowing item puts alone into whole bins are ``cap`` itself, an
+``int`` in either unit; every other part has the type of the sizes.
+``next_fit``, ``pack_75`` and the oracle run in the unit
 ``core.unit_sizes`` picks: the integers whenever the common denominator has
 at most ``core.UNIT_BITS`` bits, the ``Fraction``s otherwise, through the
 same code.
@@ -20,15 +21,11 @@ bin while that bin has spare capacity and fewer than k parts; an item that
 does not fit entirely fills the current bin, closes it, and spills into
 exactly ceil(remaining) fresh bins, all but the last filled to capacity.
 
-The trace records why each bin stopped accepting parts and the resulting
-block structure: a block is a maximal run of bins in which every bin but the
-last is exactly full, and every block except possibly the final one ends
-with a bin holding exactly k parts. A bin counts as closed by the part limit
-only when its k-th part completed an item; a bin whose last part is the head
-of an overflowing item closed by size, even though it also holds k parts,
-because its last item continues in the next bin. A bin that reaches k parts
-and exact fullness through a whole item ends its block, and a spilled item
-whose last bin lands exactly full stays inside its block.
+``next_fit``'s trace records why each bin stopped accepting parts, read
+from the kernel's bins by the rule written beside that code, and the
+resulting block structure: a block is a maximal run of bins in which every
+bin but the last is exactly full, and every block except possibly the final
+one ends with a bin closed by the part limit, holding exactly k parts.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from .core import (
     checked_packing,
     checked_violations,
     mark_checked,
-    parts_needed,
     unit_sizes,
     unmarked_state,
 )
@@ -92,36 +88,25 @@ def spill(item: int, rest: Scaled, cap: int = 1) -> list[list[Item]]:
     return [[(item, cap)] for _ in range(whole)] + [[(item, rest - whole * cap)]]
 
 
-def _close_reason(
-    entries: list[Item], fill: Scaled, k: int, cap: int
-) -> CloseReason:
-    # Only called when the bin's last part completes its item: a spill head
-    # is closed as FILLED at the overflow.
-    if len(entries) == k:
-        return CloseReason.CARDINALITY
-    return CloseReason.FILLED if fill == cap else CloseReason.END_OF_INPUT
-
-
 def next_fit_bins(
     stream: Iterable[Item], k: int, cap: int = 1
-) -> tuple[list[list[Item]], list[CloseReason]]:
+) -> list[list[Item]]:
     """NEXT FIT over an explicit (id, size) stream, in stream order, into
     bins of capacity `cap` (parts and sizes share its unit).
 
-    Returns the raw bins, unmerged, and one close reason per bin. Sizes may
-    exceed cap, and the first entry may be the remainder of an item whose
-    other parts lie elsewhere. The open bin, always the last of the bins, is
-    held in a local with its fill, so an item that fits costs one append.
+    Returns the raw bins, unmerged. Sizes may exceed cap, and the first
+    entry may be the remainder of an item whose other parts lie elsewhere.
+    The open bin, always the last of the bins, is held in a local with its
+    fill, so an item that fits costs one append. A bin is closed only when
+    it is full, holds k parts, or its last part is the head of an
+    overflowing item.
     """
     bins: list[list[Item]] = []
-    reasons: list[CloseReason] = []
     # The open bin and its fill; a fill of cap opens a bin for the first item.
     current: list[Item] = []
     fill = cap
     for item, size in stream:
         if fill == cap or len(current) == k:
-            if bins:
-                reasons.append(_close_reason(current, fill, k, cap))
             current = []
             bins.append(current)
             fill = 0
@@ -134,13 +119,10 @@ def next_fit_bins(
         # open bin's room and the rest spills into fresh bins.
         current.append((item, space))
         fresh = spill(item, size - space, cap)
-        reasons.extend([CloseReason.FILLED] * len(fresh))
         bins.extend(fresh)
         current = fresh[-1]
         fill = current[0][1]
-    if bins:
-        reasons.append(_close_reason(current, fill, k, cap))
-    return bins, reasons
+    return bins
 
 
 def next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
@@ -156,20 +138,38 @@ def next_fit(inst: Instance) -> tuple[Packing, NfTrace]:
     bin.
     """
     cap, sizes = unit_sizes(inst.sizes)
-    bins, reasons = next_fit_bins(enumerate(sizes), inst.k, cap)
+    k = inst.k
+    bins = next_fit_bins(enumerate(sizes), k, cap)
+    packing = checked_packing(inst, bins, cap, sizes, [NF_LABEL] * len(bins))
+    # The close reasons, read from the bins: the kernel closes a bin only
+    # when it is full, holds k parts or its last part overflows. A bin
+    # before the last was closed full (FILLED) when its last item continues
+    # in the next bin (item ids are unique), even at k parts, or when it
+    # holds fewer than k parts. Otherwise its k-th part completed an item
+    # and the part limit closed it (CARDINALITY), even if it is also full.
+    # The last bin is closed by the end of the input unless it holds k
+    # parts or is full.
+    reasons = [
+        CloseReason.FILLED
+        if len(entries) < k or entries[-1][0] == after[0][0]
+        else CloseReason.CARDINALITY
+        for entries, after in zip(bins, bins[1:])
+    ]
+    if bins:
+        last = bins[-1]
+        if len(last) == k:
+            reasons.append(CloseReason.CARDINALITY)
+        elif sum(part for _, part in last) == cap:
+            reasons.append(CloseReason.FILLED)
+        else:
+            reasons.append(CloseReason.END_OF_INPUT)
     blocks: list[tuple[int, int]] = []
     start = 0
     for i, reason in enumerate(reasons):
         if reason is CloseReason.CARDINALITY or i == len(reasons) - 1:
             blocks.append((start, i - start + 1))
             start = i + 1
-
-    packing = checked_packing(inst, bins, cap, sizes, [NF_LABEL] * len(bins))
-    trace = NfTrace(
-        bins=packing.bins,
-        close_reasons=tuple(reasons),
-        blocks=tuple(blocks),
-    )
+    trace = NfTrace(packing.bins, tuple(reasons), tuple(blocks))
     mark_checked(inst, trace)
     return packing, trace
 
@@ -194,4 +194,4 @@ def check_block_inequality(inst: Instance, trace: NfTrace) -> bool:
         raise ValueError(f"trace does not match the instance: {problems[0]}")
     nf = trace.n_bins
     m = trace.n_blocks
-    return parts_needed(inst.sizes) >= nf + (m - 1) * (inst.k - 1)
+    return inst.parts_needed >= nf + (m - 1) * (inst.k - 1)

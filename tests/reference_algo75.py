@@ -9,8 +9,9 @@ with ``validate_packing``, and ``next_fit`` feeds the kernel the instance's
 ``core.unit_sizes`` and must return equal packings, reports and traces.
 The two repairs are the ``Fraction`` versions too, kept unchanged: they
 rewrite the main pass's bins in place, and ``pack_75`` validates whatever
-they leave. The trailing group and the next-fit kernel are shared; the
-size classes are the ``Fraction`` forms of ``reference_normalize``.
+they leave. The trailing group is shared; the next-fit kernel and its
+close reasons are ``reference_nextfit``'s, and the size classes are the
+``Fraction`` forms of ``reference_normalize``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from splitpack.core import (
     Packing,
     validate_packing,
 )
-from splitpack.nextfit import NF_LABEL, CloseReason, NfTrace, next_fit_bins
+from splitpack.nextfit import NF_LABEL, CloseReason, NfTrace
 
+from reference_nextfit import next_fit_bins
 from reference_normalize import ItemClass, classify
 
 

@@ -3,10 +3,12 @@
 
 ``next_fit_bins`` and ``spill`` are the kernel as it was before it kept the
 open bin in a local and before ``spill`` returned a lone bin early: the open
-bin is read as ``bins[-1]`` on every item, and every spill divides. Close
-reasons come from ``splitpack.nextfit._close_reason``, which is shared. The
-kernel in ``splitpack.nextfit`` must return exactly its bins and close
-reasons, with parts of the same type, on every stream.
+bin is read as ``bins[-1]`` on every item, and every spill divides. It also
+records a close reason for each bin as it closes it, through a frozen copy
+of the rule the kernel once applied. The kernel in ``splitpack.nextfit``
+must return exactly its bins, with parts of the same type, on every stream,
+and ``splitpack.next_fit``'s trace exactly its close reasons on every
+instance.
 """
 
 from __future__ import annotations
@@ -14,7 +16,17 @@ from __future__ import annotations
 from typing import Iterable
 
 from splitpack.core import Item, Scaled
-from splitpack.nextfit import CloseReason, _close_reason
+from splitpack.nextfit import CloseReason
+
+
+def _close_reason(
+    entries: list[Item], fill: Scaled, k: int, cap: int
+) -> CloseReason:
+    # Only called when the bin's last part completes its item: a spill head
+    # is closed as FILLED at the overflow.
+    if len(entries) == k:
+        return CloseReason.CARDINALITY
+    return CloseReason.FILLED if fill == cap else CloseReason.END_OF_INPUT
 
 
 def spill(item: int, rest: Scaled, cap: int = 1) -> list[list[Item]]:

@@ -36,7 +36,6 @@ from splitpack.core import (
     brief_repr,
     checked_packing,
     is_acyclic,
-    parts_needed,
     shared_bins,
     size_type,
     too_many_digits,
@@ -179,6 +178,13 @@ def test_instance_validation():
         Packing(bins=(((0, F(1)),), ((1, F(1)),)), labels=("bin",))
     inst = Instance(k=2, sizes=(F(3), F(1, 4)))
     assert inst.n == 2 and list(inst.items()) == [(0, F(3)), (1, F(1, 4))]
+    # the part count is an attribute, not a field: equality, repr, hashing
+    # and replace see k and the sizes only, and replace counts anew
+    assert inst.parts_needed == 4
+    assert repr(inst) == "Instance(k=2, sizes=(Fraction(3, 1), Fraction(1, 4)))"
+    assert hash(inst) == hash(Instance(k=2, sizes=(F(3), F(1, 4))))
+    assert dataclasses.replace(inst, sizes=(F(5, 2),)).parts_needed == 3
+    assert pickle.loads(pickle.dumps(inst)).parts_needed == 4
 
 
 def test_instance_keeps_fractions_and_converts_the_rest():
@@ -258,7 +264,7 @@ def test_size_type_brackets():
 )
 def test_item_weight(size, k, expected):
     # an item's weight is its ceil(size) parts over the k a bin takes
-    assert F(parts_needed([size]), k) == expected
+    assert F(Instance(k=k, sizes=(size,)).parts_needed, k) == expected
 
 
 @given(
@@ -270,9 +276,11 @@ def test_item_weight(size, k, expected):
 def test_item_weight_monotone_and_scales(num, den, bump, k):
     size = F(num, den)
     bigger = size + F(bump, den)
-    assert parts_needed([size]) <= parts_needed([bigger])
-    assert parts_needed([size]) == math.ceil(size)
-    assert parts_needed([size, bigger]) == math.ceil(size) + math.ceil(bigger)
+    one = Instance(k=k, sizes=(size,))
+    assert one.parts_needed <= Instance(k=k, sizes=(bigger,)).parts_needed
+    assert one.parts_needed == math.ceil(size)
+    both = Instance(k=k, sizes=(size, bigger))
+    assert both.parts_needed == math.ceil(size) + math.ceil(bigger)
 
 
 def test_validate_packing_accepts_single_item():
@@ -841,6 +849,24 @@ def test_bin_violations_integer_pass_matches_pair_path(inst, seed):
                 assert bin_violations(inst, mutated) == pair
 
 
+def test_integer_pass_gives_up_on_an_entry_native_operators_refuse():
+    # an item id of None: the integer pass answers False on the TypeError,
+    # and the pair path meets the entry as it does for an iterator of the
+    # same bins
+    inst = Instance(k=2, sizes=(F(1, 2), F(1, 3)))
+    cap, sizes = unit_sizes(inst.sizes)
+    bins = [[(0, 3), (None, 2)]]
+    assert core._valid_in_ints(inst.k, bins, cap, sizes) is False
+
+    def outcome(shaped):
+        try:
+            return bin_violations(inst, shaped, cap, sizes)
+        except TypeError:
+            return TypeError
+
+    assert outcome(bins) == outcome(iter(bins))
+
+
 def test_integer_pass_runs_only_in_the_integer_unit(monkeypatch):
     calls = []
     full = core._valid_in_ints
@@ -860,9 +886,9 @@ def test_integer_pass_runs_only_in_the_integer_unit(monkeypatch):
 
 def _two_pass_bounds(inst):
     """The bounds from two passes over the sizes: the volume as a sum of
-    Fractions, and ceil(size) summed by ``parts_needed``."""
+    Fractions, and ceil(size) summed by ``math.ceil``."""
     size_bound = math.ceil(sum(inst.sizes, F(0)))
-    weight_bound = -(-parts_needed(inst.sizes) // inst.k)
+    weight_bound = -(-sum(map(math.ceil, inst.sizes)) // inst.k)
     count_bound = -(-inst.n // inst.k)
     best = max(size_bound, weight_bound, count_bound)
     return core.BoundsReport(size_bound, weight_bound, count_bound, best)

@@ -397,16 +397,9 @@ def test_corrupted_heuristic_raises_internal_error(monkeypatch, heuristic):
     label = "nf" if heuristic == "next_fit_bins" else "ffd"
     assert _upper_packing(inst, cap, scaled).labels[0] == label
     original = getattr(exact, heuristic)
-    if heuristic == "next_fit_bins":
-        monkeypatch.setattr(
-            exact,
-            heuristic,
-            lambda *args: (_corrupt_first_part(original(*args)[0]), []),
-        )
-    else:
-        monkeypatch.setattr(
-            exact, heuristic, lambda *args: _corrupt_first_part(original(*args))
-        )
+    monkeypatch.setattr(
+        exact, heuristic, lambda *args: _corrupt_first_part(original(*args))
+    )
     with pytest.raises(InternalError, match="built an invalid packing"):
         exact_opt(inst)
     with pytest.raises(InternalError, match="built an invalid packing"):

@@ -111,6 +111,13 @@ def test_three_partition_brute_cases():
     assert not three_partition_brute([7, 7, 7, 9, 9, 9], 24)
 
 
+def test_three_partition_brute_needs_triples_of_the_total():
+    with pytest.raises(ValueError, match="need 3m numbers, got 4"):
+        three_partition_brute([7, 7, 6, 7], 20)
+    # the numbers sum to 40, not m * target = 42
+    assert not three_partition_brute([7, 7, 6, 7, 7, 6], 21)
+
+
 def test_three_partition_brute_cap():
     with pytest.raises(ValueError):
         three_partition_brute(list(range(1, 16)), 24)

@@ -142,8 +142,7 @@ def test_next_fit_checks_its_bins_in_the_unit(monkeypatch):
     kernel = nextfit.next_fit_bins
 
     def lossy(stream, k, cap):
-        bins, reasons = kernel(stream, k, cap)
-        return bins[:-1], reasons[:-1]
+        return kernel(stream, k, cap)[:-1]
 
     monkeypatch.setattr(nextfit, "next_fit_bins", lossy)
     with pytest.raises(InternalError, match=r"\(bin capacity 10\): coverage"):
@@ -169,23 +168,40 @@ def test_online_prefix_property():
 
 def test_next_fit_bins_stream_opening_with_a_remainder_above_one():
     # pack_75's S6 group: the first entry is what is left of a large item
-    bins, reasons = next_fit_bins([(0, F(7, 4)), (1, F(1, 2)), (2, F(3, 5))], 2)
+    bins = next_fit_bins([(0, F(7, 4)), (1, F(1, 2)), (2, F(3, 5))], 2)
     assert bins == [
         [(0, F(1))],
         [(0, F(3, 4)), (1, F(1, 4))],
         [(1, F(1, 4)), (2, F(3, 5))],
     ]
-    assert reasons == [CloseReason.FILLED, CloseReason.FILLED, CloseReason.CARDINALITY]
 
 
-def test_next_fit_bins_exactly_full_bin_of_whole_parts():
+def test_next_fit_exactly_full_bin_of_whole_parts():
     # k whole parts fill the bin exactly: the part limit closes it
-    bins, reasons = next_fit_bins([(0, F(1, 2)), (1, F(1, 2)), (2, F(1, 3))], 2)
-    assert bins == [[(0, F(1, 2)), (1, F(1, 2))], [(2, F(1, 3))]]
-    assert reasons == [CloseReason.CARDINALITY, CloseReason.END_OF_INPUT]
+    inst = Instance(k=2, sizes=(F(1, 2), F(1, 2), F(1, 3)))
+    packing, trace = next_fit(inst)
+    assert packing.bins == (((0, F(1, 2)), (1, F(1, 2))), ((2, F(1, 3)),))
+    assert trace.close_reasons == (CloseReason.CARDINALITY, CloseReason.END_OF_INPUT)
+    assert trace.blocks == ((0, 1), (1, 1))
     # with room for a third part the same bin closes by size
-    _, reasons = next_fit_bins([(0, F(1, 2)), (1, F(1, 2)), (2, F(1, 3))], 3)
-    assert reasons == [CloseReason.FILLED, CloseReason.END_OF_INPUT]
+    _, trace = next_fit(dataclasses.replace(inst, k=3))
+    assert trace.close_reasons == (CloseReason.FILLED, CloseReason.END_OF_INPUT)
+    assert trace.blocks == ((0, 2),)
+
+
+def test_next_fit_close_reasons_of_the_last_bin():
+    # the last bin closes by the part limit at k parts, full at exactly the
+    # capacity (a whole part or a spill's last bin), and by the end otherwise
+    cases = [
+        ((F(1, 2), F(1, 3)), CloseReason.CARDINALITY),
+        ((F(1, 2), F(1, 2)), CloseReason.CARDINALITY),
+        ((F(1, 3), F(2, 3), F(1)), CloseReason.FILLED),
+        ((F(1, 2), F(5, 2)), CloseReason.FILLED),
+        ((F(1, 2), F(7, 4)), CloseReason.END_OF_INPUT),
+    ]
+    for sizes, reason in cases:
+        _, trace = next_fit(Instance(k=2, sizes=sizes))
+        assert trace.close_reasons[-1] is reason, sizes
 
 
 def test_spill_fills_all_fresh_bins_but_the_last():
@@ -203,24 +219,24 @@ def test_spill_in_a_scaled_unit():
 def _scaled_run(stream, k):
     """The kernel on the stream's sizes scaled to integers, mapped back."""
     cap, scaled = scaled_sizes([size for _, size in stream])
-    bins, reasons = next_fit_bins(zip([i for i, _ in stream], scaled), k, cap)
+    bins = next_fit_bins(zip([i for i, _ in stream], scaled), k, cap)
     for entries in bins:
         for _, part in entries:
             assert type(part) is int
-    return [[(i, F(p, cap)) for i, p in entries] for entries in bins], reasons
+    return [[(i, F(p, cap)) for i, p in entries] for entries in bins]
 
 
 def _fraction_run(stream, k):
-    bins, reasons = next_fit_bins(stream, k)
+    bins = next_fit_bins(stream, k)
     for entries in bins:
         for _, part in entries:
             # an overflowing item's whole-bin parts are the capacity 1 itself
             assert type(part) is F or (part == 1 and len(entries) == 1)
-    return bins, reasons
+    return bins
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_next_fit_bins_scaled_matches_fraction_run(k):
+def test_next_fit_bins_scaled_matches_fraction_run(monkeypatch, k):
     rng = random.Random(20261018 + k)
     streams = [
         # exactly full bins by whole parts, by a spill and at the last item
@@ -242,8 +258,17 @@ def test_next_fit_bins_scaled_matches_fraction_run(k):
     for stream in streams:
         got = _scaled_run(stream, k)
         assert got == _fraction_run(stream, k), stream
-        full += sum(sum(p for _, p in entries) == 1 for entries in got[0])
+        full += sum(sum(p for _, p in entries) == 1 for entries in got)
     assert full > 100
+    # next_fit's trace, in the integer unit and in the Fractions, on the
+    # stream's sizes as an instance
+    instances = [
+        Instance(k=k, sizes=tuple(s for _, s in stream)) for stream in streams
+    ]
+    scaled = [next_fit(inst)[1] for inst in instances]
+    monkeypatch.setattr(core, "UNIT_BITS", 0)
+    for inst, trace in zip(instances, scaled):
+        assert next_fit(inst)[1] == trace, inst
 
 
 # Recorded at the commit before next_fit, pack_75 and the oracle's upper
@@ -260,6 +285,38 @@ def test_next_fit_bins_scaled_matches_fraction_run(k):
 def test_next_fit_golden_10k_items(k, n_bins, digest):
     packing, trace = next_fit(gen_random(10_000, k, "mixed", 20261018))
     assert packing.n_bins == n_bins
+    reasons = [r.value for r in trace.close_reasons]
+    key = (packing.bins, packing.labels, reasons, trace.blocks)
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
+# Traces the 10^4-item golden runs do not reach: heavy sizes that spill over
+# several bins, the worst family (every block but the last ends at k parts)
+# and the Fraction unit. Recorded at the commit before next_fit derived its
+# close reasons from the bins; seed 20261022.
+@pytest.mark.parametrize(
+    "family, k, n_bins, n_blocks, digest",
+    [
+        ("heavy", 2, 2359, 329, "8eb8f189070d029985ff46babd2cc32c7a99a7414bdf24f31d2272ac685a4d46"),
+        ("heavy", 3, 3243, 18, "7ee8bbe78b02760f233ca9f699098c7f2d2b1b5bee0ddc348b9b4698a7f2c025"),
+        ("heavy", 4, 4321, 3, "19f6e74918753c40fb1b36381321f1932bc8e2bab5b9128b8b0b788068f4e16f"),
+        ("heavy", 5, 5266, 1, "e19ed74c6ba084a940806d1673fb3c5b6baa0ba45fe1d0c6289beff72a095387"),
+        ("worst", 2, 8, 3, "51a8ee4236d2f729c76c5c95463e2cad37c8c902526bd7ff0b0ede44ccb058cf"),
+        ("worst", 3, 14, 6, "2683bc8a6738fef3641bff21d496165fbc8694ea030e874d7b95b7f4afe58f7b"),
+        ("worst", 5, 26, 12, "52aceb4591acfbd5ab27223f58c1e6d899f1add259a733c63fb83656dc81b39d"),
+        ("fraction", 3, 1427, 172, "6d906fd20b00b7a41b41ce2ba4115aaa7f60913ceb8406c4f79bbab89677172b"),
+    ],
+    ids=["heavy-k2", "heavy-k3", "heavy-k4", "heavy-k5", "worst-k2", "worst-k3", "worst-k5", "fraction-k3"],
+)
+def test_next_fit_golden_traces(monkeypatch, family, k, n_bins, n_blocks, digest):
+    if family == "worst":
+        inst, _ = gen_nf_worst(k, 3)
+    else:
+        if family == "fraction":
+            monkeypatch.setattr(core, "UNIT_BITS", 0)
+        inst = gen_random(2000, k, "heavy" if family == "heavy" else "mixed", 20261022)
+    packing, trace = next_fit(inst)
+    assert (packing.n_bins, trace.n_blocks) == (n_bins, n_blocks)
     reasons = [r.value for r in trace.close_reasons]
     key = (packing.bins, packing.labels, reasons, trace.blocks)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
@@ -287,8 +344,8 @@ _head_st = st.none() | st.builds(F, st.integers(13, 60), st.just(12))
 @example(k=2, sizes=[F(1, 2), F(1, 2), F(1, 3), F(2, 3)], head=None)
 @example(k=3, sizes=[F(1, 3), F(7, 2), F(1, 2), F(3)], head=None)
 def test_next_fit_bins_matches_reference_kernel(k, sizes, head):
-    # the kernel gives the bins and close reasons of the code it replaced, in
-    # the Fraction unit at capacity 1 and in core.unit_sizes' integers
+    # the kernel gives the bins of the code it replaced, in the Fraction unit
+    # at capacity 1 and in core.unit_sizes' integers
     stream = list(enumerate(sizes, 1))
     if head is not None:
         stream.insert(0, (0, head))
@@ -296,12 +353,13 @@ def test_next_fit_bins_matches_reference_kernel(k, sizes, head):
     cap, scaled = unit_sizes([size for _, size in stream])
     assert all(type(size) is int for size in scaled)
     for unit_stream, unit_cap in ((stream, 1), (list(zip(ids, scaled)), cap)):
-        bins, reasons = next_fit_bins(unit_stream, k, unit_cap)
-        want_bins, want_reasons = reference_nextfit.next_fit_bins(
-            unit_stream, k, unit_cap
-        )
-        assert _typed(bins) == _typed(want_bins)
-        assert reasons == want_reasons
+        want_bins, _ = reference_nextfit.next_fit_bins(unit_stream, k, unit_cap)
+        assert _typed(next_fit_bins(unit_stream, k, unit_cap)) == _typed(want_bins)
+    # next_fit reads the close reasons the reference kernel records, on the
+    # stream's sizes as an instance
+    inst = Instance(k=k, sizes=tuple(size for _, size in stream))
+    _, want_reasons = reference_nextfit.next_fit_bins(inst.items(), k)
+    assert list(next_fit(inst)[1].close_reasons) == want_reasons
 
 
 @pytest.mark.parametrize("cap", [1, 6])
