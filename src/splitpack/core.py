@@ -161,16 +161,17 @@ class Instance:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {brief_repr(self.k)}")
-        sizes = tuple(
-            s if type(s) is Fraction else Fraction(s) for s in self.sizes
-        )
-        object.__setattr__(self, "sizes", sizes)
+        sizes = []
         parts = 0
-        for i, s in enumerate(sizes):
+        for i, s in enumerate(self.sizes):
+            if type(s) is not Fraction:
+                s = Fraction(s)
             num, den = s.as_integer_ratio()
             if num <= 0:
                 raise ValueError(f"item {i} has non-positive size {brief_fraction(s)}")
             parts -= -num // den
+            sizes.append(s)
+        object.__setattr__(self, "sizes", tuple(sizes))
         object.__setattr__(self, "parts_needed", parts)
 
     @property

@@ -24,9 +24,9 @@ Each call takes its unit once from ``core.unit_sizes``: the sizes as
 integers over their common denominator, in bins of that capacity, while it
 has at most ``core.UNIT_BITS`` bits, and the ``Fraction``s themselves in
 bins of capacity 1 above that. The search, both upper-bound heuristics and
-the private max-flow ``_flow_bins`` run in that unit through the same code;
-every test they make is scale-invariant, so both units give the same answers
-and witnesses.
+the witness ``_realise`` run in that unit through the same code; every test
+they make is scale-invariant, so both units give the same answers and
+witnesses.
 
 The search ascends from the first level the partition bound (below) does
 not rule out, so the first feasible bin count is optimal by construction.
@@ -36,8 +36,7 @@ with |F| + minloops(F) <= B. minloops is the sum over the trees of F of one
 post-order pass per tree (``_tree_loops``). ``_ForestLoops`` is its one
 driver: it keeps one total per tree, a push walks the one tree the new bin
 forms and reruns the pass on it unless handed that tree's total, and a pop
-restores the old totals. The walk pushes and pops as it goes, and
-``_min_loops`` is a forest pushed bin by bin.
+restores the old totals. The walk pushes and pops as it goes.
 A branch is cut when its items still need more parts than the bins left can
 hold, or when even the best merges left cannot bring |F| + minloops(F) down
 to B: a d-item bin lowers that sum by at most d - 1. Both cuts are sound, so
@@ -61,12 +60,13 @@ the one tree it forms, and its undo record names only the items it
 relabels. The acyclicity test runs only for a bin with two or more items in
 chosen bins: an item in none is a tree of its own and closes no cycle.
 
-The witness gives each item the loops its part count needs and hands out the
-remaining loops in the first split, in ``_extra_loop_splits`` order, that
-completes the forest. l loops on an item of size s act in the tree DP as an
-item of size s - l * cap, so ``_min_loops`` on those sizes tests a split.
-``_flow_bins`` then realises the forest and its loops, in sorted bin order,
-as raw bins of parts in the search's unit, and the search returns those.
+The witness is the tree DP's own fill of the accepted forest (``_realise``):
+one pass per tree, rooted at its largest item, that records the parts the
+pass's rule implies, so the forest gets minloops(F) loops and no other
+decider runs. The bins come out in sorted member order, the forest's and
+one ``(i,)`` per loop of item i, as raw bins of parts in the search's unit.
+The search asks for the first feasible level only, so no fewer bins can
+come out, and any other count than the level raises ``InternalError``.
 When they are the answer, ``_solve``'s ``core.checked_packing`` checks them
 there and turns them into the witness ``Packing``, marked as checked, as it
 does every solver output.
@@ -110,9 +110,9 @@ The fallback runs only where the search raises, so every answer and
 witness the search gives stays the same.
 
 One budget node is one candidate bin that passes the acyclicity and twin
-tests, or one loop split the witness tries. A call the partition bound
-settles counts no node. The group fallback counts on a fresh counter of its
-own, one node per group and the nodes of its groups' searches.
+tests; the witness counts none. A call the partition bound settles counts
+no node. The group fallback counts on a fresh counter of its own, one node
+per group and the nodes of its groups' searches.
 
 Heuristic packings serve as upper bounds: a valid packing is a
 certificate, so the search only has to exhaust the levels below it. Next fit
@@ -134,7 +134,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     Instance,
@@ -178,9 +178,9 @@ class SearchBudget:
     """Resource limits for the exhaustive search.
 
     max_structures counts search nodes: every candidate bin of the level
-    search that passes the acyclicity and twin tests, plus every loop split
-    tried while building a witness. It is a fresh allowance per call. When
-    the search runs out of it, the group fallback gets one more fresh
+    search that passes the acyclicity and twin tests; building the witness
+    of a level counts none. It is a fresh allowance per call. When the
+    search runs out of it, the group fallback gets one more fresh
     allowance, shared by its groups: each group ticks one node, and the
     search of a group at its level g(G) counts its nodes there. It does not
     bound the set-up: the search ranks all sum_{s=2}^{min(k, n)} C(n, s)
@@ -217,92 +217,6 @@ class SearchBudget:
                 raise ValueError(f"bad budget component: {brief_repr(chunk)}")
             given[field] = int(digits)
         return SearchBudget(**given)
-
-
-# ---------------------------------------------------------------------------
-# Realising an accepted structure as parts.
-
-
-def _flow_bins(
-    cap: int, scaled: Sequence[Scaled], bins: Sequence[Sequence[int]]
-) -> list[list[Item]] | None:
-    """Raw bins in the unit (cap, scaled) that realise a structure, given
-    per bin the items allowed in it, or None when no packing does.
-
-    A max-flow decides it: source -> item arcs of capacity scaled[i], one
-    item -> bin arc of capacity cap per incidence, and bin -> sink arcs of
-    capacity cap. Shortest augmenting paths make termination combinatorial.
-    Each augmentation reads only which residuals are positive and which is
-    least, so both units of ``core.unit_sizes`` give the same parts. Parts
-    of value 0 are dropped, and bins left empty by the flow are dropped with
-    them.
-    """
-    n = len(scaled)
-    source = 0
-    sink = n + len(bins) + 1
-    n_nodes = sink + 1
-
-    to: list[int] = []
-    caps: list[Scaled] = []
-    adj: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add(u: int, v: int, c: Scaled) -> None:
-        adj[u].append(len(to))
-        to.append(v)
-        caps.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        caps.append(0)
-
-    for i, s in enumerate(scaled):
-        add(source, 1 + i, s)
-    item_bin_edge: dict[tuple[int, int], int] = {}
-    for b, members in enumerate(bins):
-        for i in members:
-            item_bin_edge[(i, b)] = len(to)
-            add(1 + i, 1 + n + b, cap)
-        add(1 + n + b, sink, cap)
-
-    total = 0
-    while True:
-        parent_edge = [-1] * n_nodes
-        parent_edge[source] = -2
-        queue = [source]
-        while queue and parent_edge[sink] == -1:
-            nxt: list[int] = []
-            for u in queue:
-                for e in adj[u]:
-                    v = to[e]
-                    if caps[e] > 0 and parent_edge[v] == -1:
-                        parent_edge[v] = e
-                        nxt.append(v)
-            queue = nxt
-        if parent_edge[sink] == -1:
-            break
-        path = []
-        v = sink
-        while v != source:
-            e = parent_edge[v]
-            path.append(e)
-            v = to[e ^ 1]
-        bottleneck = min(caps[e] for e in path)
-        for e in path:
-            caps[e] -= bottleneck
-            caps[e ^ 1] += bottleneck
-        total += bottleneck
-    if total != sum(scaled):
-        return None
-
-    out: list[list[Item]] = []
-    for b, members in enumerate(bins):
-        entries = []
-        for i in members:
-            flow = caps[item_bin_edge[(i, b)] ^ 1]  # residual of the reverse arc
-            if flow > 0:
-                entries.append((i, flow))
-        if entries:
-            out.append(entries)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +297,8 @@ class _ForestLoops:
     from the bin's first item, relabels the items outside that item's tree
     and gives ``_tree_loops`` its order. A caller that knows the new tree's
     total passes it, and no DP runs: the search does so for a bin of items
-    in no bin, from its per-candidate table. ``_min_loops`` pushes every bin
-    of a forest, and the search fills that table by a push and a pop.
+    in no bin, from its per-candidate table, which it fills by a push and a
+    pop.
     ``pop`` undoes the last push; its record holds the old tree of each
     relabelled item, not a copy of ``tree``, and the new tree's name's old
     total and room.
@@ -461,30 +375,72 @@ class _ForestLoops:
         self.loops = loops
 
 
-def _min_loops(
+def _realise(
     scaled: Sequence[Scaled], cap: int, forest: Sequence[tuple[int, ...]]
-) -> int:
-    """Fewest loops so that the forest's multi-item bins and the loops hold
-    every item; sizes are scaled by cap (integers, or the ``Fraction``s at
-    cap 1). Zero means the bins alone hold them."""
-    trees = _ForestLoops(scaled, cap)
-    for members in forest:
-        trees.push(members)
-    return trees.loops
+) -> list[tuple[tuple[int, ...], list[Item]]]:
+    """The bins that the tree DP's rule fills for a forest, as (members,
+    entries) pairs: the forest's bins and one ``(i,)`` per loop of item i,
+    sorted by members, with parts in the unit (cap, scaled).
+
+    Each tree is rooted at its largest item, the lowest id among equal
+    sizes, and run leaves first. An item fills the room its child bins
+    leave, in ascending bin order, then takes whole loops of cap and last
+    its remainder: a root keeps it as a loop, any other item pushes it into
+    its parent bin. A bin its pushers overfill sends its largest pushers,
+    the lower id first on ties, to one loop each until the rest fit. So the
+    loops number minloops(F), which does not depend on the root. A part of
+    0 is never made, so a bin that no item reaches keeps no entry."""
+    bins = sorted(forest)
+    item_bins = shared_bins(len(scaled), bins)
+    entries: list[list[Item]] = [[] for _ in bins]
+    loops: list[list[Scaled]] = [[] for _ in scaled]
+    pushes: dict[int, list[Item]] = {}
+    placed = [False] * len(scaled)
+    for root in sorted(range(len(scaled)), key=lambda i: (-scaled[i], i)):
+        if placed[root]:
+            continue
+        placed[root] = True
+        # (item, parent bin) pairs, parents first; the root's parent is -1.
+        order = [(root, -1)]
+        for i, up in order:
+            for b in item_bins[i]:
+                if b != up:
+                    for j in bins[b]:
+                        if j != i:
+                            placed[j] = True
+                            order.append((j, b))
+        for i, up in reversed(order):
+            rest = scaled[i]
+            for b in item_bins[i]:
+                if b == up:
+                    continue
+                held = sorted(pushes.get(b, ()), key=lambda e: (-e[1], e[0]))
+                total = sum(push for _, push in held)
+                while total > cap:
+                    j, push = held.pop(0)
+                    loops[j].append(push)
+                    total -= push
+                put = min(rest, cap - total)
+                if put > 0:
+                    held.append((i, put))
+                    rest -= put
+                entries[b] = held
+            if rest > 0:
+                whole = -(-rest // cap) - 1
+                loops[i] += [cap] * whole
+                rest -= whole * cap
+                if up == -1:
+                    loops[i].append(rest)
+                else:
+                    pushes.setdefault(up, []).append((i, rest))
+    rows = list(zip(bins, entries))
+    rows += [((i,), [(i, part)]) for i, parts in enumerate(loops) for part in parts]
+    rows.sort(key=lambda row: row[0])
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # The forest search.
-
-
-def _extra_loop_splits(extra: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All ways to hand out `extra` additional loops across n items; for
-    extra = 0 the one way is no extra loop at all."""
-    for combo in itertools.combinations_with_replacement(range(n), extra):
-        out = [0] * n
-        for i in combo:
-            out[i] += 1
-        yield tuple(out)
 
 
 class _Counter:
@@ -553,31 +509,17 @@ class _ForestSearch:
         self.alone = [-1] * len(self.rows)
 
     def level(self, n_bins: int) -> list[list[Item]] | None:
-        """The raw bins of a witness with at most n_bins bins, or None when
-        none exists: the first forest that fits, with each item's needed
-        loops and the first split of the loops left, in
-        ``_extra_loop_splits`` order, that completes it, realised by
-        ``_flow_bins``."""
+        """The raw bins of a witness with n_bins bins, or None when none
+        exists: the first forest that fits, realised by ``_realise``. The
+        caller asks for the first feasible level only, so no fewer bins can
+        come out."""
         forest = self._first_forest(n_bins)
         if forest is None:
             return None
-        n = self.n
-        item_bins = shared_bins(n, forest)
-        need = [max(0, c - len(bins)) for c, bins in zip(self.ceils, item_bins)]
-        extra = n_bins - len(forest) - sum(need)
-        for bump in _extra_loop_splits(extra, n):
-            self.counter.tick()
-            loops = [need[i] + bump[i] for i in range(n)]
-            # l loops on an item of size s act as an item of size s - l * cap.
-            rest = [s - l * self.cap for s, l in zip(self.scaled, loops)]
-            if _min_loops(rest, self.cap, forest) != 0:
-                continue
-            loop_bins = [(i,) for i in range(n) for _ in range(loops[i])]
-            bins = _flow_bins(self.cap, self.scaled, sorted(forest + loop_bins))
-            if bins is None:
-                raise InternalError("max-flow rejects a structure the tree DP accepts")
-            return bins
-        raise InternalError("no loop split completes an accepted forest")
+        bins = [entries for _, entries in _realise(self.scaled, self.cap, forest) if entries]
+        if len(bins) != n_bins:
+            raise InternalError(f"the forest of level {n_bins} realises {len(bins)} bins")
+        return bins
 
     def _first_forest(self, n_bins: int) -> list[tuple[int, ...]] | None:
         """The first forest in candidate order whose bins and loops fit in

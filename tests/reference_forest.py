@@ -15,7 +15,7 @@ copy. ``_tree_order`` and ``_tree_loops`` are ``exact._tree_order`` and
 every bin. The reference loop runs on them, so the differential tests
 compare two independent tree DPs. ``tree_totals`` runs them tree by tree on
 a whole forest, at any base loops, as ``exact._min_loops`` did before it
-became a loop of ``_ForestLoops`` pushes.
+became a loop of ``_ForestLoops`` pushes, now ``test_exact._min_loops``.
 """
 
 from __future__ import annotations

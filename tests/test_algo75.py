@@ -247,6 +247,24 @@ def test_seven_bin_search_ignores_budget_env(monkeypatch):
         assert pack_75(inst) == unset, spec
 
 
+def test_seven_bin_witness_bytes():
+    # the oracle's level-7 witness, which pack_75 adopts verbatim, and which
+    # exact_opt finds at OPT = 7 too: the bytes the benchmark's
+    # hazard-seven-bin digest also pins
+    inst = Instance(k=2, sizes=SEVEN_YES)
+    budget = exact.SearchBudget(max_items=9)
+    small, large = F(1, 50), F(49, 50)
+    want = (
+        *(((i, small), (8, large)) for i in range(4)),
+        ((4, F(1, 100)), (5, F(99, 100))),
+        ((4, F(1, 100)), (6, F(99, 100))),
+        ((7, F(11, 20)), (8, F(9, 100))),
+    )
+    assert exact.feasible_in(inst, 7, budget).bins == want
+    assert exact_opt(inst, budget)[1].bins == want
+    assert pack_75(inst).packing.bins == want
+
+
 def test_seven_bin_search_not_triggered_elsewhere():
     inst = Instance(k=2, sizes=(F(3, 4), F(1, 4)))
     report = pack_75(inst)

@@ -30,62 +30,69 @@ from splitpack import (
 )
 from splitpack import cli, core, exact, generators, io
 from splitpack.core import InternalError
-from splitpack.exact import (
-    EXACT_LABEL,
-    _extra_loop_splits,
-    _flow_bins,
-    _ForestLoops,
-    _min_loops,
-    _upper_bound_packing,
-)
+from splitpack.exact import EXACT_LABEL, _ForestLoops, _realise, _upper_bound_packing
 
 
-def _flow_packings(monkeypatch, inst, bins):
-    """``_flow_bins`` on the structure, as a ``Packing`` or None, in the
-    integer unit of ``core.unit_sizes`` and again with ``UNIT_BITS`` = 0,
-    on the ``Fraction``s at cap 1."""
+def _min_loops(scaled, cap, forest):
+    """minloops(F): the forest's bins pushed into a ``_ForestLoops`` one by
+    one; sizes are scaled by cap (integers, or the ``Fraction``s at cap 1).
+    Zero means the bins alone hold every item."""
+    trees = _ForestLoops(scaled, cap)
+    for members in forest:
+        trees.push(members)
+    return trees.loops
+
+
+def _realised_packings(monkeypatch, inst, forest):
+    """``_realise`` on the forest, its non-empty bins as a checked
+    ``Packing``, in the integer unit of ``core.unit_sizes`` and again with
+    ``UNIT_BITS`` = 0, on the ``Fraction``s at cap 1."""
     packings = []
     for bits in (core.UNIT_BITS, 0):
         monkeypatch.setattr(core, "UNIT_BITS", bits)
         cap, scaled = core.unit_sizes(inst.sizes)
-        raw = _flow_bins(cap, scaled, bins)
-        packings.append(
-            None
-            if raw is None
-            else core.checked_packing(inst, raw, cap, scaled, [EXACT_LABEL] * len(raw))
-        )
+        raw = [entries for _, entries in _realise(scaled, cap, forest) if entries]
+        packings.append(core.checked_packing(inst, raw, cap, scaled, [EXACT_LABEL] * len(raw)))
     return packings
 
 
 def test_feasible_realizes_chain(monkeypatch):
+    # rooted at item 0 (the lowest id of the largest size), item 2 pushes
+    # 3/5 into bin (1, 2), item 1 fills its 2/5 of room and pushes 1/5 into
+    # bin (0, 1), which item 0 fills
     inst = Instance(k=2, sizes=(F(3, 5),) * 3)
-    for packing in _flow_packings(monkeypatch, inst, [(0, 1), (1, 2)]):
-        assert packing is not None
+    for packing in _realised_packings(monkeypatch, inst, [(0, 1), (1, 2)]):
         assert validate_packing(inst, packing) == []
         assert packing.bins == (
-            ((0, F(3, 5)), (1, F(2, 5))),
-            ((1, F(1, 5)), (2, F(3, 5))),
+            ((0, F(3, 5)), (1, F(1, 5))),
+            ((1, F(2, 5)), (2, F(3, 5))),
         )
 
 
 def test_feasible_rejects_undercoverage(monkeypatch):
+    # an item of 5/2 alone needs three bins: the search rejects two, and the
+    # realiser gives it whole loops first and the remainder last
     inst = Instance(k=2, sizes=(F(5, 2),))
-    assert _flow_packings(monkeypatch, inst, [(0,), (0,)]) == [None, None]
+    cap, scaled = core.unit_sizes(inst.sizes)
+    search = exact._ForestSearch(2, cap, scaled, exact._Counter(10))
+    assert search.level(2) is None and len(search.level(3)) == 3
+    for packing in _realised_packings(monkeypatch, inst, []):
+        assert packing.bins == (((0, F(1)),), ((0, F(1)),), ((0, F(1, 2)),))
 
 
 def test_feasible_empty(monkeypatch):
     inst = Instance(k=2, sizes=())
-    for packing in _flow_packings(monkeypatch, inst, []):
-        assert packing is not None and packing.n_bins == 0
+    for packing in _realised_packings(monkeypatch, inst, []):
+        assert packing.n_bins == 0
 
 
 def test_flow_network_caps(monkeypatch):
-    # a two-item bin plus a loop: the flow covers both sizes, and the loop
-    # takes what the shared bin has no room for
+    # a two-item bin plus a loop: the bin holds both items up to its
+    # capacity, and the root, item 1, keeps the rest in a loop
     inst = Instance(k=2, sizes=(F(1, 2), F(3, 4)))
-    for packing in _flow_packings(monkeypatch, inst, [(0, 1), (1,)]):
-        assert packing is not None
+    for packing in _realised_packings(monkeypatch, inst, [(0, 1)]):
         assert validate_packing(inst, packing) == []
+        assert packing.bins == (((0, F(1, 2)), (1, F(1, 2))), ((1, F(1, 4)),))
         assert packing.coverage() == {0: F(1, 2), 1: F(3, 4)}
 
 
@@ -406,37 +413,54 @@ def test_corrupted_heuristic_raises_internal_error(monkeypatch, heuristic):
         feasible_in(inst, 3)
 
 
+def _corrupt_first_row(rows):
+    """``_realise`` rows with one part of the first bin changed."""
+    members, entries = rows[0]
+    rows[0] = (members, _corrupt_first_part([entries])[0])
+    return rows
+
+
 def test_corrupted_flow_witness_raises_internal_error(monkeypatch):
-    # the search witness leaves through checked_packing: a max-flow that
+    # the search witness leaves through checked_packing: a realiser that
     # shaves one part fails its check in the unit
     inst = gen_random(6, 2, "mixed", 9)
     assert set(exact_opt(inst)[1].labels) == {EXACT_LABEL}
-    original = exact._flow_bins
-    monkeypatch.setattr(
-        exact, "_flow_bins", lambda *args: _corrupt_first_part(original(*args))
-    )
+    original = exact._realise
+    monkeypatch.setattr(exact, "_realise", lambda *args: _corrupt_first_row(original(*args)))
     with pytest.raises(InternalError, match="built an invalid packing"):
         exact_opt(inst)
 
 
+def _no_forest(search, n_bins):
+    return []
+
+
+def _first_bin_emptied(scaled, cap, forest):
+    rows = _realise(scaled, cap, forest)
+    rows[0] = (rows[0][0], [])
+    return rows
+
+
 @pytest.mark.parametrize(
-    "name, fake, message",
+    "owner, name, fake",
     [
-        ("_flow_bins", lambda *args: None, "max-flow rejects a structure the tree DP accepts"),
-        ("_min_loops", lambda *args: 1, "no loop split completes an accepted forest"),
+        (exact._ForestSearch, "_first_forest", _no_forest),
+        (exact, "_realise", _first_bin_emptied),
     ],
-    ids=["flow-none", "loops-never-zero"],
+    ids=["no-forest", "bin-left-empty"],
 )
 def test_a_forest_the_witness_cannot_realise_raises_internal_error(
-    monkeypatch, name, fake, message
+    monkeypatch, owner, name, fake
 ):
     # LB = 4 and the heuristics need 5, so the k = 3 search accepts a forest
-    # at level 4; a max-flow that finds no witness for it, or a loop split
-    # that never completes it, is a fault of the oracle, not a None
+    # at level 4, the first feasible one. A forest whose realised bins are
+    # more than 4 (no multi-item bin: a loop per part needed) or fewer (a
+    # bin left with no part) is a fault of the oracle, not an answer
     inst = gen_random(8, 3, "mixed", 8)
     assert exact_opt(inst)[1].labels[0] == EXACT_LABEL
-    monkeypatch.setattr(exact, name, fake)
-    with pytest.raises(InternalError, match=f"^{message}$"):
+    monkeypatch.setattr(owner, name, fake)
+    count = inst.parts_needed if name == "_first_forest" else 3
+    with pytest.raises(InternalError, match=f"^the forest of level 4 realises {count} bins$"):
         exact_opt(inst)
 
 
@@ -526,36 +550,58 @@ KNOB_ARMS = {
 WIDE = SearchBudget(max_items=10, max_bins=20)
 
 
-def _assert_same_level(inst, n_bins):
+def _checked_level(inst, n_bins):
+    """feasible_in's packing of n_bins bins, or None, once its decision is
+    the reference search's and a packing validates with n_bins bins; None
+    too for a bin count out of WIDE's range."""
     if not 1 <= n_bins <= WIDE.max_bins:
-        return
+        return None
     got = feasible_in(inst, n_bins, WIDE)
     want = ref.feasible_in(inst, n_bins, WIDE)
     assert (got is None) == (want is None), (inst, n_bins)
     if got is not None:
         assert validate_packing(inst, got) == [] and got.n_bins == n_bins
-        if inst.k == 2:
-            assert got == want, (inst, n_bins)
+    return got
+
+
+# sha256 over the witness keys of each corpus: per instance, exact_opt's
+# witness, then feasible_in's at OPT - 1 .. OPT + 2 (None where there is
+# none). Recorded when the witness came from the tree DP's own fill in
+# place of a max-flow, which gave other parts than the reference flow.
+CORPUS_WITNESSES = {
+    "acceptance-fixed": "1a2de3f43b88101bd27f47ecffccf3b267c00db37243d62823ff46dd0cf37ea2",
+    "acceptance-heavy": "7a86a07fed36f18bf7d34be2cb114b8406f32ea58e269a77b593764ccfb4bb23",
+    "acceptance-k2-mixed": "0638b9ae183a339c8fc45906f30e6466acc78067ebf9e8ecaf220f1aa72f8c30",
+    "acceptance-k2-uniform": "c98efd5035b192f0ebee684f8eac8690ef1b0ba26e420507c85eda77a5ae7c76",
+    "acceptance-k3-uniform": "f20a81d739c2a9b459948f56f8678b62f28f8962c8c1f95cfc085579467dd4c6",
+    "duplicated-sizes": "be825fb339aa5c935e38e635abbf8cb5e1cbe2c566930bf4e14de5b94b5397ab",
+    "forest-k2-n5": "92f36d59a83a8739b8f477d5c062a34e4ebe3cee75ae4c9d26d8d86f9a9ae1de",
+    "random-k234-n8": "cf00446fbf7ad017508b7087f99b63ffc5710a20b6d8304f5adaa538b0814857",
+}
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_forest_oracle_matches_reference(corpus):
+    # the reference search's OPT and decisions, valid witnesses of exactly
+    # OPT or the asked bin count, and the pinned witness keys
     searched = 0
+    keys = []
     for inst in CORPORA[corpus]():
         opt, witness = exact_opt(inst, WIDE)
-        ref_opt, ref_witness = ref.exact_opt(inst, WIDE)
-        assert opt == ref_opt, inst
+        assert opt == ref.exact_opt(inst, WIDE)[0], inst
         assert validate_packing(inst, witness) == [] and witness.n_bins == opt
-        if inst.k == 2:
-            assert witness == ref_witness, inst
+        keys.append(witness.key())
         if corpus in KNOB_ARMS:
             assert ref.exact_opt(inst, WIDE, **KNOB_ARMS[corpus])[0] == opt, inst
         if inst.n:
             for n_bins in range(opt - 1, opt + 3):
-                _assert_same_level(inst, n_bins)
+                got = _checked_level(inst, n_bins)
+                keys.append(None if got is None else got.key())
             searched += ref._upper_bound_packing(inst).n_bins > lower_bounds(inst).best
     # every corpus but the retired tests' small ones reaches the level search
     assert searched > 0 or corpus in ("forest-k2-n5", "duplicated-sizes")
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == CORPUS_WITNESSES[corpus], (corpus, digest)
 
 
 def _small_random(rng):
@@ -696,8 +742,9 @@ def test_min_loops_on_reduced_sizes_matches_base_loops(monkeypatch):
 
 
 def test_min_loops_matches_max_flow():
-    # minloops(F) is the fewest loops with which max-flow realizes F, and
-    # the DP's zero test with fixed loops is max-flow's feasibility test.
+    # minloops(F) is the fewest loops with which the reference max-flow
+    # realizes F, and the DP's zero test with fixed loops is that flow's
+    # feasibility test.
     rng = random.Random(17)
     for _ in range(100):
         k = rng.choice([2, 3, 4])
@@ -720,32 +767,50 @@ def test_min_loops_matches_max_flow():
         for total in range(max(0, least - 1), least + 1):
             outcomes = [
                 (_min_loops(_reduced(scaled, cap, split), cap, forest) == 0, realizes(split))
-                for split in _extra_loop_splits(total, n)
+                for split in ref._extra_loop_splits(total, n)
             ]
             assert all(dp == flow for dp, flow in outcomes), (inst, forest)
             assert any(flow for _, flow in outcomes) == (total == least), (inst, forest)
 
 
-def test_flow_bins_match_reference_feasible(monkeypatch):
-    # on random forests plus loops, the private flow in either unit gives
-    # the reference max-flow's packing bytes, or None where it does
-    rng = random.Random(29)
-    outcomes = set()
-    for _ in range(200):
-        k = rng.choice([2, 3, 4])
-        n = rng.randint(1, 7)
-        den = rng.choice([2, 3, 4, 5, 6, 7])
-        sizes = tuple(F(rng.randint(1, 2 * den), den) for _ in range(n))
-        inst = Instance(k=k, sizes=sizes)
-        loops = [(i,) for i in range(n) for _ in range(rng.randint(0, 2))]
-        bins = sorted(_random_forest(rng, n, k) + loops)
-        expected = ref.feasible(inst, ref.IncidenceStructure.build(bins))
-        written = None if expected is None else io.dumps_packing(expected)
-        for packing in _flow_packings(monkeypatch, inst, bins):
-            got = None if packing is None else io.dumps_packing(packing)
-            assert got == written, (inst, bins)
-        outcomes.add(expected is None)
-    assert outcomes == {True, False}
+def test_realised_bins_match_reference_flow(monkeypatch):
+    # on random forests, in both units: _realise lists the forest's bins and
+    # its loops, |F| + minloops(F) of them in sorted member order; each bin
+    # holds parts of its own members only, the bins with parts pass
+    # bin_violations in the unit, and the reference max-flow accepts F with
+    # the realised loops per item
+    for bits in (core.UNIT_BITS, 0):
+        monkeypatch.setattr(core, "UNIT_BITS", bits)
+        rng = random.Random(29)
+        for _ in range(200):
+            k = rng.choice([2, 3, 4])
+            n = rng.randint(1, 7)
+            den = rng.choice([2, 3, 4, 5, 6, 7])
+            inst = Instance(k=k, sizes=tuple(F(rng.randint(1, 3 * den), den) for _ in range(n)))
+            cap, scaled = core.unit_sizes(inst.sizes)
+            assert all(isinstance(s, int) for s in scaled) == (bits > 0)
+            forest = _random_forest(rng, n, k)
+            rows = _realise(scaled, cap, forest)
+            structure = [members for members, _ in rows]
+            loops = [members for members in structure if len(members) == 1]
+            assert structure == sorted(forest + loops), (inst, forest)
+            assert len(loops) == _min_loops(scaled, cap, forest), (inst, forest)
+            for members, entries in rows:
+                assert {i for i, _ in entries} <= set(members), (inst, forest)
+            bins = [entries for _, entries in rows if entries]
+            assert core.bin_violations(inst, bins, cap, scaled) == [], (inst, forest)
+            realised = ref.IncidenceStructure.build(structure)
+            assert ref.feasible(inst, realised) is not None, (inst, forest)
+
+
+def test_a_bin_no_item_reaches_keeps_no_part():
+    # rooted at item 0, item 3 fills bin (2, 3) with 3, item 2 fills the
+    # rest of it and pushes nothing, and item 0 fills bin (0, 1) after item
+    # 1's push of 5, with nothing left for bin (0, 2). Such a forest is
+    # never the one the search accepts at the first level that fits: its
+    # bins with parts pack the items into one bin fewer
+    rows = _realise([5, 5, 4, 3], 10, [(0, 1), (0, 2), (2, 3)])
+    assert [sorted(entries) for _, entries in rows] == [[(0, 5), (1, 5)], [], [(2, 4), (3, 3)]]
 
 
 def test_k3_blowup_instance_solves_within_a_second():
@@ -902,7 +967,9 @@ def test_golden_witnesses(golden_rows):
     # sha256 over (row, witness key) of the rows answered when the pins were
     # recorded. Every change that keeps the witness bytes, and every sound
     # pruning, keeps this digest; a witness of a row answered since is not
-    # in it. Every witness is valid.
+    # in it. Every witness is valid. Recorded again when the tree DP's own
+    # fill replaced the max-flow as the witness: 18 of the 48 searched rows
+    # got other parts, with the same answers.
     instances = _golden_corpus()
     keys = []
     for r, (_, witness, _) in enumerate(golden_rows):
@@ -911,18 +978,19 @@ def test_golden_witnesses(golden_rows):
             if GOLDEN_ANSWERS[r] != "-":
                 keys.append((r, witness.key()))
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
-    assert digest == "d7edab051c291ee1fe3954c563b134af7de4ff1e873d5d5194aba9f77e9d53d1"
+    assert digest == "8035a6350890f891c6c5419074b7cad3c2916fe919a921eb1174cbb43084539d"
 
 
 def test_golden_node_counts(golden_rows):
     # sha256 over the node counts of the same rows, the nodes of a group
     # fallback counted in; 48 of the 1350 rows search (73 before the
     # partition bound). A pruning records this again and gives its reason
-    # in CHANGES.md.
+    # in CHANGES.md. Recorded again when the witness stopped counting a node
+    # per loop split it tried: 44 of the 48 rows count fewer, none more.
     nodes = [nodes for *_, nodes in golden_rows]
     assert sum(count > 0 for count in nodes) == 48
     digest = hashlib.sha256(repr(nodes).encode()).hexdigest()
-    assert digest == "971c4f02579393586e036bb9c99eff5ae39493e877a3fe513ab452b69c1a5ec6"
+    assert digest == "87b806c86f63204f2e106620b2f5e5987aee567536cf75127c0011ae23f457f2"
 
 
 def test_golden_corpus_same_in_both_units(monkeypatch, golden_rows):
@@ -1038,13 +1106,13 @@ def test_forest_loops_track_min_loops(monkeypatch):
     # items is pushed with its total alone half the time, and labels and
     # total also match the reference ForestLoops. The DP evicts pushers
     # from an overfull bin at least once. Every entry a short search fills
-    # in its per-candidate table, and every _min_loops its witness tries
-    # (on sizes that nonzero loops reduce too), match the reference DP at
-    # the loops the sizes leave out. Each tree's room, recomputed from its
-    # bins and items, matches tree_room, and its volume bound is at most its
-    # total; on sizes that are whole and not negative (every size of the
-    # last case at zero base) every tree meets its bound. In the integer
-    # unit and, with UNIT_BITS = 0, on the Fractions at cap 1.
+    # in its per-candidate table matches the reference DP of its bin alone,
+    # and every forest its witness realises, at the first level that fits,
+    # gets the reference DP's total of loops. Each tree's room, recomputed
+    # from its bins and items, matches tree_room, and its volume bound is at
+    # most its total; on sizes that are whole and not negative (every size
+    # of the last case at zero base) every tree meets its bound. In the
+    # integer unit and, with UNIT_BITS = 0, on the Fractions at cap 1.
     evictions = 0
     pushing = False
 
@@ -1053,16 +1121,16 @@ def test_forest_loops_track_min_loops(monkeypatch):
         evictions += pushing
         return sorted(*args, **kwargs)
 
-    tries = []
+    realised = []
 
-    def spy_min_loops(scaled, cap, forest):
-        loops = _min_loops(scaled, cap, forest)
-        tries.append((scaled, cap, list(forest), loops))
-        return loops
+    def spy_realise(scaled, cap, forest):
+        rows = _realise(scaled, cap, forest)
+        realised.append((scaled, cap, list(forest), rows))
+        return rows
 
     monkeypatch.setattr(exact, "sorted", spy_sorted, raising=False)
-    monkeypatch.setattr(exact, "_min_loops", spy_min_loops)
-    filled = based = tight = 0
+    monkeypatch.setattr(exact, "_realise", spy_realise)
+    filled = witnesses = tight = 0
     for bits in (core.UNIT_BITS, 0):
         monkeypatch.setattr(core, "UNIT_BITS", bits)
         rng = random.Random(23)
@@ -1080,22 +1148,22 @@ def test_forest_loops_track_min_loops(monkeypatch):
             integral = all(s % cap == 0 for s in scaled)
             assert all(isinstance(s, int) for s in scaled) == (bits > 0)
             search = exact._ForestSearch(inst.k, cap, scaled, exact._Counter(300))
-            tries.clear()
+            realised.clear()
             try:
                 for level in range(1, n + 1):
-                    search.level(level)
+                    if search.level(level) is not None:
+                        break
             except BudgetExceeded:
                 pass
             for (members, *_), loops in zip(search.rows, search.alone):
                 if loops >= 0:
                     filled += 1
                     assert loops == _alone_total(scaled, cap, members)
-            for rest, tried_cap, forest, loops in tries:
-                assert tried_cap == cap
-                base = [(s - r) // cap for s, r in zip(scaled, rest)]
-                assert rest == _reduced(scaled, cap, base)
-                based += any(base)
-                want = reference_forest.tree_totals(scaled, cap, forest, base)
+            for realised_scaled, realised_cap, forest, rows in realised:
+                assert (realised_scaled, realised_cap) == (scaled, cap)
+                witnesses += 1
+                want = reference_forest.tree_totals(scaled, cap, forest, [0] * n)
+                loops = sum(len(members) == 1 for members, _ in rows)
                 assert loops == sum(total for _, total in want.values())
             ceils = [-(-s // cap) for s in scaled]
             zero = [0] * n
@@ -1128,7 +1196,7 @@ def test_forest_loops_track_min_loops(monkeypatch):
                     if integral and min(forest.scaled) >= 0:
                         assert trees == len(set(forest.tree))
                         tight += trees
-    assert evictions > 0 and filled > 0 and based > 0 and tight > 0
+    assert evictions > 0 and filled > 0 and witnesses > 0 and tight > 0
 
 
 def test_warm_alone_table_walks_like_a_cold_one():
@@ -1419,7 +1487,9 @@ def test_tiny_node_budgets_answer_the_uncapped_opt(n, k, dist, seed, nodes):
 
 def test_group_fallback_pins(monkeypatch, golden_rows):
     # the witness bytes and node counts of every row that only the fallback
-    # answers: the GROUP_ROWS under exact_opt, then the 8 rescued golden rows
+    # answers: the GROUP_ROWS under exact_opt, then the 8 rescued golden
+    # rows. Recorded again when each group's witness came from the tree
+    # DP's own fill, which ticks no node: one node fewer per searched group
     witnesses, nodes = [], []
     for row in GROUP_ROWS:
         inst = gen_random(*row)
@@ -1431,11 +1501,11 @@ def test_group_fallback_pins(monkeypatch, golden_rows):
         witnesses.append(io.dumps_packing(witness))
         nodes.append(count)
     assert nodes == [
-        1009, 1010, 1004, 1011, 1008, 1057, 1065, 1025, 1012, 1020, 1004, 1005, 1003, 1032,
-        3006, 3006, 3010, 3010, 3011, 3011, 3010, 3010,
+        1008, 1009, 1004, 1010, 1007, 1056, 1064, 1024, 1011, 1019, 1004, 1005, 1003, 1031,
+        3006, 3006, 3009, 3009, 3010, 3010, 3009, 3009,
     ]
     digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
-    assert digest == "fe290629d02b0d2c1eb0b58499cbe7473eb608495d3b066cb4e6570e3aa1a0e8"
+    assert digest == "621fd622e1d5bdddbdc55b4a5daaeac6871ae1285cbf9e0cd043128dde7b6029"
 
 
 def test_group_fallback_reuses_the_opening_partition(monkeypatch):
@@ -1545,35 +1615,39 @@ def test_failed_group_raises_the_search_error(monkeypatch):
     assert failed == [7]
 
 
-@pytest.mark.parametrize("target", ["_upper_bound_packing", "_flow_bins"])
+@pytest.mark.parametrize("target", ["_upper_bound_packing", "_realise"])
 def test_corrupted_group_bins_cannot_leave(monkeypatch, target):
     # a group's bins are not checked on their own: their union is the answer
     # that _solve checks, in the caller's unit. So one corrupted part in the
-    # bins of a group (its upper bound, or the max-flow of its search) raises
-    # InternalError, in the integer unit and on the Fractions at cap 1. On
-    # this row the upper bound packs every group but one, which is searched
+    # bins of a group (its upper bound, or the realised bins of its search)
+    # raises InternalError, in the integer unit and on the Fractions at cap
+    # 1. On this row the upper bound packs every group but one, which is
+    # searched
     inst = gen_random(9, 2, "mixed", 10935879)
     original = getattr(exact, target)
     corrupted = []
 
-    def corrupt(bins, scaled):
+    def first_group(scaled):
         # only a group's own sizes are shorter than the instance's
         if len(scaled) < inst.n and not corrupted:
             corrupted.append(len(scaled))
-            return _corrupt_first_part(bins)
-        return bins
+            return True
+        return False
 
     if target == "_upper_bound_packing":
 
         def spy(k, cap, scaled, lb):
             # a group takes its upper bound only when it meets g(G), its lb
             bins, label = original(k, cap, scaled, lb)
-            return (corrupt(bins, scaled) if len(bins) <= lb else bins), label
+            if len(bins) <= lb and first_group(scaled):
+                bins = _corrupt_first_part(bins)
+            return bins, label
 
     else:
 
-        def spy(cap, scaled, bins):
-            return corrupt(original(cap, scaled, bins), scaled)
+        def spy(scaled, cap, forest):
+            rows = original(scaled, cap, forest)
+            return _corrupt_first_row(rows) if first_group(scaled) else rows
 
     monkeypatch.setattr(exact, target, spy)
     for bits in (core.UNIT_BITS, 0):
