@@ -136,12 +136,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {brief_repr(text)}") from exc
 
 
-def size_type(size: Fraction) -> int:
+def size_type(size: Scaled, cap: int = 1) -> int:
     """Half-unit bracket index i with size in ((i-1)/2, i/2]: type 1 is a
     small item (at most 1/2), type 2 a medium one (above 1/2, at most 1) and
-    type 3 or more a large one. The ceiling of 2 * size is taken on the
-    numerator and denominator (positive), so no ``Fraction`` is built."""
-    return max(1, -(-2 * size.numerator // size.denominator))
+    type 3 or more a large one. A size in the unit of ``unit_sizes`` is
+    typed with its bin capacity ``cap``. The ceiling of 2 * size / cap is
+    taken on the integer ratio of size (positive), so no ``Fraction`` is
+    built."""
+    num, den = size.as_integer_ratio()
+    return max(1, -(-2 * num // (den * cap)))
 
 
 @dataclass(frozen=True)
@@ -182,16 +185,6 @@ class Instance:
         return iter(enumerate(self.sizes))
 
 
-def _merge_bin(entries: Iterable[Item]) -> BinEntries:
-    merged: dict[int, Fraction] = {}
-    for item, part in entries:
-        if type(part) is not Fraction:  # an exact type test skips the ABC check
-            part = Fraction(part)
-        got = merged.get(item)
-        merged[item] = part if got is None else got + part
-    return tuple(sorted(merged.items()))
-
-
 @dataclass(frozen=True)
 class Packing:
     """A list of bins, each holding (item_id, part) entries, plus one
@@ -212,11 +205,37 @@ class Packing:
         labels: Sequence[str] | None = None,
     ) -> "Packing":
         """Normalize raw bin contents: same-item parts in one bin merge and
-        entries are ordered by item id."""
-        merged = tuple(_merge_bin(b) for b in bins)
+        entries are ordered by item id.
+
+        A bin that is already so, (id, ``Fraction``) tuples with strictly
+        ascending non-negative ``int`` ids as every packing file of this
+        package lists them, is kept as it is, entries and parts; only the
+        other bins are merged and sorted, each part made a ``Fraction``
+        first. Exact type tests skip the ABC checks."""
+        merged = []
+        for entries in bins:
+            row = tuple(entries)
+            last = -1
+            for entry in row:
+                if type(entry) is not tuple:
+                    break
+                item, part = entry
+                if type(item) is not int or type(part) is not Fraction or item <= last:
+                    break
+                last = item
+            else:
+                merged.append(row)
+                continue
+            parts: dict[int, Fraction] = {}
+            for item, part in row:
+                if type(part) is not Fraction:
+                    part = Fraction(part)
+                got = parts.get(item)
+                parts[item] = part if got is None else got + part
+            merged.append(tuple(sorted(parts.items())))
         if labels is None:
             labels = [DEFAULT_LABEL] * len(merged)
-        return Packing(merged, tuple(labels))
+        return Packing(tuple(merged), tuple(labels))
 
     @property
     def n_bins(self) -> int:
@@ -551,19 +570,18 @@ class DisjointSets:
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def union(self, u: int, v: int) -> bool:
-        """Join the sets of u and v; False if they were already one set."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
+        """Join the sets of u and v, the root of u's under the root of v's;
+        False if they were already one set. Both roots are found here, each
+        walk halving its path, so an edge costs one call."""
+        parent = self.parent
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             return False
-        self.parent[ru] = rv
+        parent[u] = v
         return True
 
     def reset(self, members: Iterable[int]) -> None:
@@ -588,5 +606,8 @@ def shared_bins(n: int, bins: Iterable[Collection[int]]) -> list[list[int]]:
 def is_acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff the non-loop edges over items 0..n-1 form a forest (parallel
     edges count as cycles; loops never do)."""
-    sets = DisjointSets(n)
-    return all(sets.union(u, v) for u, v in edges if u != v)
+    union = DisjointSets(n).union
+    for u, v in edges:
+        if u != v and not union(u, v):
+            return False
+    return True

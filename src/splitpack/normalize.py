@@ -42,10 +42,11 @@ instance). The working copy is not checked between rewrites; the output of
 ``normalize`` and of each public step is checked once, at the exit: for
 validity in the unit, converted back by ``core.checked_packing`` (so it is
 returned marked as checked), and for a forest graph. Each item's size type
-(1 for a small item) is computed once. The rewrites share one
-packing-graph index, built once by ``core.shared_bins`` over the working
-bins and updated in place: each item's edge bins (the two-item bins holding
-it) as a list sorted by bin index. No rewrite rescans the packing.
+(1 for a small item) is computed once, from its size in the unit. The
+rewrites share one packing-graph index, built once by ``core.shared_bins``
+over the working bins and updated in place: each item's edge bins (the
+two-item bins holding it) as a list sorted by bin index. No rewrite
+rescans the packing.
 remove_cycles walks the tree each cycle lies in once, a BFS that yields
 both the cycle's path and the tree's items, resumes its scan at the
 closing bin and re-joins only that tree;
@@ -54,6 +55,16 @@ creates a new collapse candidate or raises a small item's neighbor count;
 bound_degrees is one resumable sweep, since a merge at x rewires only edges
 below x. Beyond the edge-list updates (O(degree) each) and the tree each
 cycle lies in, the work is near-linear in the bin count.
+
+The per-element constant is kept to few Python calls. A union, in
+remove_cycles and in the forest tests of the exit and of
+``normalization_violations`` (``core.is_acyclic``), is one call per edge
+that finds both roots itself. A two-item bin's endpoints are ordered by one
+comparison, and bound_degrees reads each child straight from its bin's two
+keys and sorts only an item's two or more children (a next-fit chain item
+has at most one). A packing read from a file reaches the rewrites with its
+bins as ``Packing.build`` found them, since a bin already ordered by item
+id with ``Fraction`` parts is kept as it is.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ class _Work:
     in that unit, or is None once bin b has been emptied; later bins keep
     their indices, so index order stays bin order. ``edge_bins[i]`` lists
     the two-item bins holding item i, ascending. ``types[i]`` is item i's
-    ``size_type``: 1 for a small item.
+    ``size_type``, read from its size in the unit: 1 for a small item.
     """
 
     def __init__(self, inst: Instance, packing: Packing) -> None:
@@ -114,7 +125,7 @@ class _Work:
                 for entries in packing.bins
             ]
         self.labels = list(packing.labels)
-        self.types = [size_type(s) for s in inst.sizes]
+        self.types = [size_type(s, cap) for s in sizes]
         self.edge_bins = shared_bins(inst.n, self.bins)
 
     def other(self, b: int, item: int) -> int:
@@ -139,7 +150,7 @@ class _Work:
         bisect.insort(self.edge_bins[item], b)
 
     def is_forest(self) -> bool:
-        edges = (tuple(b) for b in self.bins if b is not None and len(b) == 2)
+        edges = (b for b in self.bins if b is not None and len(b) == 2)
         return is_acyclic(self.inst.n, edges)
 
     def require_forest(self) -> None:
@@ -184,7 +195,9 @@ def _remove_cycles(work: _Work) -> None:
         if entries is None or len(entries) != 2:
             b += 1
             continue
-        u, v = sorted(entries)
+        u, v = entries
+        if u > v:
+            u, v = v, u
         if sets.union(u, v):
             b += 1
             continue
@@ -313,7 +326,9 @@ def _smalls_to_leaves(work: _Work) -> None:
     for shared, entries in enumerate(bins):
         if entries is None or len(entries) != 2:
             continue
-        u, v = sorted(entries)
+        u, v = entries
+        if u > v:
+            u, v = v, u
         if not (small[u] and small[v]):
             continue
         if len(edge_bins[u]) > 1 or len(edge_bins[v]) > 1:
@@ -376,7 +391,7 @@ def _bound_degrees(work: _Work) -> None:
     # has a larger minimum id than the current root. So the BFS order of the
     # nodes already visited never changes: fixing x where it stands and then
     # continuing visits items in the order a restart after every merge would.
-    n, edge_bins, types = work.inst.n, work.edge_bins, work.types
+    n, bins, edge_bins, types = work.inst.n, work.bins, work.edge_bins, work.types
     seen = [False] * n
     for root in range(n):
         if seen[root] or not edge_bins[root]:
@@ -389,9 +404,15 @@ def _bound_degrees(work: _Work) -> None:
             if bracket >= 2:
                 allowed_down = bracket if up_bin == -1 else bracket - 1
                 _merge_down_parts(work, x, up_bin, allowed_down)
-            children = sorted(
-                (work.other(b, x), b) for b in edge_bins[x] if b != up_bin
-            )
+            # Each child is the other key of a two-item bin; a chain item
+            # has at most one, and only two or more need sorting.
+            children = []
+            for b in edge_bins[x]:
+                if b != up_bin:
+                    u, v = bins[b]
+                    children.append((v if u == x else u, b))
+            if len(children) > 1:
+                children.sort()
             for other, b in children:
                 if not seen[other]:
                     seen[other] = True

@@ -483,6 +483,64 @@ def test_same_item_parts_merge_on_build():
     assert all(type(part) is F for entries in packing.bins for _, part in entries)
 
 
+def _merged_then_sorted(entries):
+    """``Packing.build``'s bin by its definition: convert, merge, sort."""
+    merged = {}
+    for item, part in entries:
+        merged[item] = merged.get(item, F(0)) + F(part)
+    return tuple(sorted(merged.items()))
+
+
+def test_build_matches_merge_then_sort():
+    rng = random.Random(11)
+    values = [F(1, 3), F(1, 2), F(2, 5), F(7, 4), 1, 2, 0.5, 0.25]
+    for _ in range(400):
+        bins = []
+        for _ in range(rng.randint(0, 6)):
+            ids = rng.sample(range(8), rng.randint(0, 4))
+            if rng.random() < 0.3 and ids:
+                ids.append(rng.choice(ids))  # a repeated id
+            order = rng.random()
+            if order < 0.4:
+                ids.sort()
+            elif order < 0.6:
+                ids.sort(reverse=True)
+            bins.append([(i, rng.choice(values)) for i in ids])
+        packing = Packing.build(bins)
+        assert packing.bins == tuple(_merged_then_sorted(b) for b in bins)
+        assert packing.labels == ("bin",) * len(bins)
+        for entries in packing.bins:
+            assert type(entries) is tuple
+            assert all(type(e) is tuple and type(e[1]) is F for e in entries)
+            assert len({i for i, _ in entries}) == len(entries)
+
+
+def test_build_keeps_an_ordered_bin_of_fractions():
+    half, third = F(1, 2), F(1, 3)
+    ordered = [(0, half), (3, third)]
+    packing = Packing.build([ordered, [], [(2, half)], [(1, third), (1, third)]])
+    assert packing.bins == (((0, half), (3, third)), (), ((2, half),), ((1, F(2, 3)),))
+    assert all(a is b for a, b in zip(packing.bins[0], ordered))
+    assert packing.bins[2][0][1] is half
+    # Not ordered: a descending pair, an int part, a list entry.
+    for bin_ in ([(3, third), (0, half)], [(0, half), (3, 1)], [[0, half], (3, third)]):
+        (entries,) = Packing.build([bin_]).bins
+        assert entries == _merged_then_sorted(bin_)
+        assert all(type(e) is tuple and type(e[1]) is F for e in entries)
+    # An id that is not an int is merged, so it must be hashable.
+    with pytest.raises(TypeError, match="unhashable"):
+        Packing.build([[([0], half)]])
+
+
+def test_size_type_in_a_unit():
+    rng = random.Random(4)
+    for _ in range(500):
+        cap = rng.randint(1, 60)
+        size = rng.randint(1, 5 * cap)
+        assert size_type(size, cap) == size_type(F(size, cap))
+        assert size_type(size, cap) == math.ceil(2 * F(size, cap))
+
+
 @pytest.mark.parametrize(
     "k,sizes,expected",
     [

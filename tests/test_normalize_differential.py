@@ -23,6 +23,7 @@ from splitpack import (
 )
 from splitpack.core import (
     UNIT_BITS,
+    DisjointSets,
     is_acyclic,
     shared_bins,
     size_type,
@@ -192,6 +193,55 @@ def test_graph_queries_match_brute_force():
         assert is_acyclic(n, edges) == slow.is_forest()
         index = shared_bins(n, [{u, v} for u, v in edges])
         assert index == [slow.neighbor_edges(item) for item in range(n)]
+        _assert_union_rounds(rng, n, edges)
+
+
+def _assert_union_rounds(rng, n, edges):
+    """One ``DisjointSets`` through rounds of union and reset, the way
+    ``_remove_cycles`` drives it: an edge whose union fails closes a cycle;
+    one edge of that cycle goes, the tree's items become singletons and the
+    tree's other edges are joined again. Every union answers as the
+    reference graph does, and the sets stay the kept graph's components."""
+
+    def tree_of(item, kept):
+        tree, stack = {item}, [item]
+        while stack:
+            x = stack.pop()
+            for u, v in kept:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in tree:
+                        tree.add(b)
+                        stack.append(b)
+        return tree
+
+    def root(x):
+        while sets.parent[x] != x:
+            x = sets.parent[x]
+        return x
+
+    sets = DisjointSets(n)
+    kept = []
+    for u, v in edges:
+        if u == v:
+            continue
+        joined = sets.union(u, v)
+        kept.append((u, v))
+        assert joined == ref.ReferenceGraph(n=n, edges=tuple(kept)).is_forest()
+        if not joined:
+            cycle = [
+                j
+                for j in range(len(kept))
+                if ref.ReferenceGraph(n=n, edges=tuple(kept[:j] + kept[j + 1 :])).is_forest()
+            ]
+            tree = tree_of(u, kept)
+            del kept[rng.choice(cycle)]
+            sets.reset(tree)
+            for a, b in kept:
+                if a in tree:
+                    assert sets.union(a, b)
+        for x in range(n):
+            for y in range(n):
+                assert (root(x) == root(y)) == (y in tree_of(x, kept))
 
 
 # ---------------------------------------------------------------------------
